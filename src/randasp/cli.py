@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import csvout
@@ -27,11 +28,24 @@ def _u64(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _comma_list(kind, text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a comma-separated {kind.__name__} list: {text!r}") from exc
+
+
+_PAPER_SWEEPS = """\
+paper sweeps (defaults of the former scripts; add --workers to use more cores):
+  avg_sweep: mean count over n; bump --trials to 5000 for full scale
+    randasp experiment avg --n 50,100,150,200,250,300,350,400,450,500 --c1 5 --c2 0 --trials 1000 --seed 20240901 --out avg_sweep.csv
+  c2_sweep: mean count as c2 varies; should track limit_expected_total(c1, c2)
+    randasp experiment avg --n 200 --c1 10 --c2 0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20 --trials 1000 --seed 20240903 --out c2_sweep.csv
+  consistency_sweep: consistency ratio over n; try --c1 4 --c2 4 for the variant with contradictions
+    randasp experiment consistency --n 100,200,300,400,500,600,700,800,900,1000 --c1 3 --c2 0 --trials 1000 --seed 20240904 --out consistency_sweep.csv
+  dist_curves: size-distribution curves; try --n 200 --c1 10 --c2 4 for the contradiction-rule variant
+    randasp experiment dist --n 50 --c1 5 --c2 0 --trials 1000 --seed 20240902 --out dist_curves.csv
+"""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,11 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     translate.add_argument("--out", required=True)
     translate.add_argument("--verify", action="store_true")
 
-    exp = sub.add_parser("experiment", help="batch experiment runs writing CSV")
+    exp = sub.add_parser(
+        "experiment",
+        help="batch experiment runs writing CSV",
+        epilog=_PAPER_SWEEPS,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     exp.add_argument("kind", choices=("avg", "dist", "consistency"))
-    exp.add_argument("--n", type=_int_list, required=True, help="comma-separated universe sizes")
-    exp.add_argument("--c1", type=float, required=True)
-    exp.add_argument("--c2", type=float, required=True)
+    exp.add_argument("--n", type=functools.partial(_comma_list, int), required=True, help="comma-separated universe sizes")
+    exp.add_argument("--c1", type=functools.partial(_comma_list, float), required=True, help="comma-separated values")
+    exp.add_argument("--c2", type=functools.partial(_comma_list, float), required=True, help="comma-separated values")
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=_u64, required=True)
     exp.add_argument("--gamma", type=float, default=0.5)

@@ -3,7 +3,7 @@
 Trial t of a run seeded with s generates its program from sub-seed
 mix_seed(s, t), so results are independent of scheduling; with workers > 1
 trials are split into contiguous chunks executed in separate processes and
-merged in chunk order.  All accumulators are integers (counts, histograms,
+their results summed.  All accumulators are integers (counts, histograms,
 squared counts), which makes the reduction exact and byte-identical for any
 worker count.
 """
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .generate import LinearModelParams, generate_with_stats, mix_seed
 from .solver import enumerate_answer_sets
 from .theory import (
+    _require_model,
     chi,
     consistency_probability,
     expected_count_size_k,
@@ -40,23 +41,20 @@ class ExperimentConfig:
     gamma: float = 0.5
     solver_limit: int | None = None
 
-    def __init__(self, n, c1, c2, trials, seed, gamma=0.5, solver_limit=None):
-        n = tuple(n) if isinstance(n, (tuple, list)) else (n,)
-        c1 = tuple(c1) if isinstance(c1, (tuple, list)) else (c1,)
-        c2 = tuple(c2) if isinstance(c2, (tuple, list)) else (c2,)
-        if trials < 1:
+    def __post_init__(self):
+        for name in ("n", "c1", "c2"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(value) if isinstance(value, (tuple, list)) else (value,))
+        if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not 0.0 < gamma <= 1.0:
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        for nn, a, b in itertools.product(n, c1, c2):
-            LinearModelParams(nn, a, b)  # validates every combination
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "solver_limit", solver_limit)
+        for n, c1, c2 in self.combos():
+            LinearModelParams(n, c1, c2)  # validates every combination
+            if c1 > 0.0:
+                _require_model(n, c1, c2)  # what the theory columns will need
 
     def combos(self):
         return itertools.product(self.n, self.c1, self.c2)
@@ -127,7 +125,7 @@ def difference_rate(f, g) -> float:
 
 
 def _count_chunk(args):
-    """(sum, sum of squares, per-size histogram, resamples) over a trial range."""
+    """(sum, sum of squares, resamples, *per-size histogram) over a trial range."""
     n, c1, c2, seed, start, stop, limit = args
     params = LinearModelParams(n, c1, c2)
     hist = [0] * (n + 1)
@@ -145,7 +143,7 @@ def _count_chunk(args):
         for k, cnt in col.size_histogram.items():
             hist[k] += cnt
         resamples += attempts
-    return start, total, sq, hist, resamples
+    return (total, sq, resamples, *hist)
 
 
 def _existence_chunk(args):
@@ -158,20 +156,20 @@ def _existence_chunk(args):
         if enumerate_answer_sets(prog, limit=1).count > 0:
             consistent += 1
         resamples += attempts
-    return start, consistent, resamples
+    return consistent, resamples
 
 
-def _chunk_ranges(trials: int, workers: int):
-    per = (trials + workers - 1) // workers
-    return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
-
-
-def _run_chunks(fn, arg_lists, workers: int):
-    if workers <= 1 or len(arg_lists) <= 1:
-        return [fn(a) for a in arg_lists]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(fn, arg_lists))
-    return sorted(results, key=lambda r: r[0])  # merge in trial order
+def _run_row(chunk, cfg: ExperimentConfig, n: int, c1: float, c2: float, workers: int, *extra):
+    """Column sums of `chunk` over one row's trials, one contiguous chunk per worker."""
+    per = (cfg.trials + workers - 1) // workers
+    args = [
+        (n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), *extra)
+        for lo in range(0, cfg.trials, per)
+    ]
+    if len(args) == 1:
+        return chunk(args[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:  # one pool per row
+        return [sum(column) for column in zip(*pool.map(chunk, args))]
 
 
 def _theory_columns(n: int, c1: float, c2: float) -> tuple[float, float]:
@@ -184,15 +182,7 @@ def run_avg_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool =
     """Mean answer-set count per (n, c1, c2) combination, with 3-sigma-ready stderr."""
     out = []
     for n, c1, c2 in cfg.combos():
-        args = [
-            (n, c1, c2, cfg.seed, lo, hi, cfg.solver_limit)
-            for lo, hi in _chunk_ranges(cfg.trials, workers)
-        ]
-        total = sq = resamples = 0
-        for _, t, s, _, rs in _run_chunks(_count_chunk, args, workers):
-            total += t
-            sq += s
-            resamples += rs
+        total, sq, resamples, *_ = _run_row(_count_chunk, cfg, n, c1, c2, workers, cfg.solver_limit)
         mean = total / cfg.trials
         var = (sq - total * total / cfg.trials) / (cfg.trials - 1) if cfg.trials > 1 else 0.0
         stderr = math.sqrt(max(var, 0.0) / cfg.trials)
@@ -214,24 +204,13 @@ def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool 
     if len(combos) != 1:
         raise ValueError("distribution experiment needs exactly one (n, c1, c2) combination")
     n, c1, c2 = combos[0]
-    args = [
-        (n, c1, c2, cfg.seed, lo, hi, cfg.solver_limit)
-        for lo, hi in _chunk_ranges(cfg.trials, workers)
-    ]
-    totals = [0] * (n + 1)
-    resamples = 0
-    for _, _, _, hist, rs in _run_chunks(_count_chunk, args, workers):
-        for k, cnt in enumerate(hist):
-            totals[k] += cnt
-        resamples += rs
+    if c1 == 0.0:
+        raise ValueError("difference rate undefined: chi_k is all zeros at c1 = 0")
+    _, _, resamples, *totals = _run_row(_count_chunk, cfg, n, c1, c2, workers, cfg.solver_limit)
     empirical = [t / cfg.trials for t in totals]
-    if c1 > 0.0:
-        model = [0.0] + [expected_count_size_k(n, k, c1, c2) for k in range(1, n)] + [0.0]
-        tp = theory_params(n, c1, c2)
-        chi_k = [chi(float(k), tp) for k in range(n + 1)]
-    else:
-        model = [0.0] * (n + 1)
-        chi_k = [0.0] * (n + 1)
+    model = [0.0] + [expected_count_size_k(n, k, c1, c2) for k in range(1, n)] + [0.0]
+    tp = theory_params(n, c1, c2)
+    chi_k = [chi(float(k), tp) for k in range(n + 1)]
     drate = difference_rate(chi_k[1:n], empirical[1:n])
     if progress:
         print(
@@ -256,13 +235,7 @@ def run_consistency_experiment(cfg: ExperimentConfig, workers: int = 1, progress
     """Fraction of consistent programs vs the two closed-form predictions."""
     rows = []
     for n, c1, c2 in cfg.combos():
-        args = [
-            (n, c1, c2, cfg.seed, lo, hi) for lo, hi in _chunk_ranges(cfg.trials, workers)
-        ]
-        consistent = resamples = 0
-        for _, c, rs in _run_chunks(_existence_chunk, args, workers):
-            consistent += c
-            resamples += rs
+        consistent, resamples = _run_row(_existence_chunk, cfg, n, c1, c2, workers)
         ratio = consistent / cfg.trials
         if c1 > 0.0:
             expected = expected_total(n, c1, c2)

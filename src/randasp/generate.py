@@ -19,6 +19,7 @@ keeps the O(n^2) per-index scan as the distribution oracle for tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .programs import Program, Rule
@@ -67,6 +68,10 @@ class LinearModelParams:
     c2: float
 
     def __post_init__(self):
+        try:
+            operator.index(self.n)  # numpy integers pass, 10.5 does not
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.c1 < 0 or self.c2 < 0:

@@ -1,9 +1,12 @@
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from randasp.cli import cli_dispatch
+from randasp.cli import _build_parser, cli_dispatch
+from randasp.csvout import write_avg_csv
+from randasp.experiments import ExperimentConfig, run_avg_experiment
 
 TWO_CYCLE_TEXT = "a :- not b.\nb :- not a.\n"
 
@@ -166,6 +169,37 @@ class TestExperimentCommand:
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert data[0] == "n,c1,c2,trials,empirical_ratio,pred_full,pred_gamma"
         assert len(data) == 3
+
+    def test_c2_list_matches_api(self, tmp_path, capsys):
+        out, ref = tmp_path / "cli.csv", tmp_path / "api.csv"
+        code = run_cli(
+            "experiment", "avg", "--n", "12", "--c1", "3", "--c2", "0,1,2",
+            "--trials", "10", "--seed", "5", "--out", str(out),
+        )
+        assert code == 0
+        cfg = ExperimentConfig(n=(12,), c1=(3.0,), c2=(0.0, 1.0, 2.0), trials=10, seed=5)
+        write_avg_csv(ref, run_avg_experiment(cfg), cfg.seed)
+        assert out.read_bytes() == ref.read_bytes()
+        assert len(out.read_text().splitlines()) == 5 + 3  # provenance, header, 3 rows
+
+    def test_bad_list_element_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "experiment", "avg", "--n", "12", "--c1", "3", "--c2", "0,x",
+            "--trials", "10", "--seed", "5", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "comma-separated float list" in capsys.readouterr().err
+
+    def test_epilog_invocations_parse(self, capsys):
+        assert run_cli("experiment", "--help") == 0
+        lines = [l.strip() for l in capsys.readouterr().out.splitlines()]
+        invocations = [l for l in lines if l.startswith("randasp experiment ")]
+        assert len(invocations) == 4
+        parser = _build_parser()
+        for line in invocations:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert args.command == "experiment" and args.trials == 1000
+            assert args.out.endswith(".csv")
 
     def test_dist_multiple_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "dist.csv"

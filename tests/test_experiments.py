@@ -18,6 +18,22 @@ class TestConfig:
     def test_scalars_become_tuples(self):
         cfg = ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1)
         assert cfg.n == (50,) and cfg.c1 == (5.0,) and cfg.c2 == (0.0,)
+        cfg = ExperimentConfig(n=[50, 100], c1=5.0, c2=0.0, trials=10, seed=1)
+        assert cfg.n == (50, 100) and cfg.c1 == (5.0,) and cfg.c2 == (0.0,)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_rejects_seed_outside_u64(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=seed)
+
+    def test_rejects_what_the_theory_columns_reject(self):
+        # a valid generator model, but the theory needs n >= 2
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            ExperimentConfig(n=1, c1=0.5, c2=0.0, trials=30, seed=1)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            ExperimentConfig(n=[10, 1], c1=0.5, c2=0.0, trials=30, seed=1)
+        # without pure rules there are no theory columns to compute
+        ExperimentConfig(n=1, c1=0.0, c2=0.5, trials=30, seed=1)
 
     def test_validates_every_combination(self):
         with pytest.raises(ValueError):
@@ -119,6 +135,15 @@ class TestDistExperiment:
     def test_workers_identical(self):
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=60, seed=9)
         assert run_dist_experiment(cfg, workers=1) == run_dist_experiment(cfg, workers=3)
+
+    def test_c1_zero_rejected_before_first_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        cfg = ExperimentConfig(n=10, c1=0.0, c2=2.0, trials=5, seed=1)
+        with pytest.raises(ValueError, match="difference rate undefined"):
+            run_dist_experiment(cfg)
 
 
 class TestConsistencyExperiment:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from randasp.generate import (
@@ -23,6 +24,13 @@ class TestParams:
         with pytest.raises(ValueError):
             LinearModelParams(10, -1.0, 2.0)
         LinearModelParams(10, 0.0, 9.99)  # boundary case is fine
+
+    def test_n_must_be_integral(self):
+        with pytest.raises(ValueError, match="integer"):
+            LinearModelParams(10.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match="integer"):
+            LinearModelParams(10.0, 1.0, 0.0)
+        assert LinearModelParams(np.int64(10), 1.0, 0.0).p == 0.1
 
     def test_derived_probabilities(self):
         p = LinearModelParams(50, 5.0, 10.0)

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .generate import LinearModelParams, generate_with_stats, mix_seed
+from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
 from .solver import enumerate_answer_sets
 from .theory import (
     _require_model,
@@ -52,9 +52,10 @@ class ExperimentConfig:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         for n, c1, c2 in self.combos():
-            LinearModelParams(n, c1, c2)  # validates every combination
+            params = LinearModelParams(n, c1, c2)  # validates every combination
             if c1 > 0.0:
                 _require_model(n, c1, c2)  # what the theory columns will need
+            require_sampleable(params)  # what the generator will need
 
     def combos(self):
         return itertools.product(self.n, self.c1, self.c2)
@@ -132,10 +133,12 @@ def _count_chunk(args):
     total = sq = resamples = 0
     for t in range(start, stop):
         prog, attempts = generate_with_stats(params, mix_seed(seed, t))
-        col = enumerate_answer_sets(prog, limit=limit)
-        if col.truncated:
+        # One set past the limit tells "exactly `limit`" from "more than `limit`".
+        col = enumerate_answer_sets(prog, limit=None if limit is None else limit + 1)
+        if limit is not None and col.count > limit:
             raise RuntimeError(
-                f"trial {t}: enumeration truncated at solver limit {limit}; "
+                f"trial {t}: more than {limit} answer sets, enumeration truncated "
+                f"at solver limit {limit}; "
                 "aborting the row"
             )
         total += col.count

@@ -103,6 +103,28 @@ def expected_rule_count(params: LinearModelParams) -> float:
     return params.c1 * (params.n - 1) + params.c2
 
 
+def log_prob_empty(params: LinearModelParams) -> float:
+    """log P(a draw has no rule) = n(n-1) log q + n log(1 - d)."""
+    n = params.n
+    return n * (n - 1) * math.log1p(-params.p) + n * math.log1p(-params.d)
+
+
+def require_sampleable(params: LinearModelParams) -> None:
+    """Reject a model whose draws are so often empty that generation likely fails.
+
+    `generate_with_stats` gives up after _MAX_RESAMPLE empty draws, which
+    happens with probability P(empty)^_MAX_RESAMPLE; refuse when that is at
+    least 1/2, before any resampling is spent.
+    """
+    log_fail = _MAX_RESAMPLE * log_prob_empty(params)
+    if log_fail >= -math.log(2.0):
+        raise ValueError(
+            f"n={params.n}, c1={params.c1}, c2={params.c2}: a draw is empty with "
+            f"probability {math.exp(log_fail / _MAX_RESAMPLE):.6g}, so "
+            f"{_MAX_RESAMPLE} resamples would more likely fail than not"
+        )
+
+
 def _skip_indices(rng: SplitMix64, total: int, prob: float) -> list[int]:
     """Sorted indices of independent Bernoulli(prob) successes over range(total)."""
     if prob <= 0.0 or total == 0:

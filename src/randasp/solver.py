@@ -12,6 +12,13 @@ digraph.  `is_answer_set_n2` checks the two conditions directly;
 `enumerate_answer_sets` is a DPLL-style backtracker over IN(S)/OUT(T) atom
 assignments with unit propagation; `enumerate_brute_force` scans all 2^n
 subsets with the reduct-based reference checker and is the testing oracle.
+
+The backtracker branches on support first: while some IN atom has no OUT
+supporter yet, it takes the one with the fewest free support candidates and
+branches on that atom's first free candidate, OUT before IN.  Only when every
+IN atom is supported does it fall back to a static degree order.  Every IN
+atom needs some OUT supporter in an answer set, so this prunes unsupportable
+IN choices as early as possible.
 """
 
 from __future__ import annotations
@@ -90,7 +97,14 @@ class _Searcher:
               candidates are exhausted is a conflict, with one candidate left
               that candidate is forced OUT, and an unassigned atom that can
               no longer be supported is forced OUT.
-    Leaves are re-verified with is_answer_set_n2 before being reported.
+    Branching: `unsupported` holds exactly the IN atoms with no OUT support
+    candidate (state IN and n_out_supp == 0); `_apply` and `_undo_to` keep it
+    so.  After a successful propagation each of them has at least two free
+    candidates.  A decision takes the one with the fewest (lowest index on
+    ties) and tries its first free candidate OUT, then IN; with the set empty
+    it takes the first unassigned atom in degree order.  A leaf is a full
+    assignment with the set empty, re-verified with is_answer_set_n2 before
+    being reported.
     Single-use: one search per instance.
     """
 
@@ -107,6 +121,7 @@ class _Searcher:
         self.state = [_UNASSIGNED] * n
         self.n_out_supp = [0] * n  # support candidates currently OUT
         self.n_free_supp = [len(self.bodies_of[a]) for a in range(n)]  # unassigned candidates
+        self.unsupported: set[int] = set()  # IN atoms with n_out_supp == 0
         self.trail: list[int] = []
         self.truncated = False
 
@@ -142,12 +157,15 @@ class _Searcher:
         self.state[atom] = val
         self.trail.append(atom)
         heads = self.heads_of[atom]
-        # Counter updates run to completion before any conflict can bail out,
-        # so _undo_to can reverse them without knowing where a conflict arose.
+        # Counter and set updates run to completion before any conflict can
+        # bail out, so _undo_to can reverse them without knowing where a
+        # conflict arose.
         if val == _OUT:
             for a in heads:
                 self.n_out_supp[a] += 1
                 self.n_free_supp[a] -= 1
+                if self.n_out_supp[a] == 1:
+                    self.unsupported.discard(a)
             for a in heads:
                 if self.state[a] == _OUT or not self._enqueue(queue, _IN, a):
                     return False
@@ -155,6 +173,8 @@ class _Searcher:
                 if self.state[b] == _OUT or not self._enqueue(queue, _IN, b):
                     return False
         else:
+            if self.n_out_supp[atom] == 0:
+                self.unsupported.add(atom)
             for h in heads:
                 self.n_free_supp[h] -= 1
             for h in heads:
@@ -178,12 +198,31 @@ class _Searcher:
                 for a in self.heads_of[atom]:
                     self.n_out_supp[a] -= 1
                     self.n_free_supp[a] += 1
+                    if self.n_out_supp[a] == 0 and self.state[a] == _IN:
+                        self.unsupported.add(a)
             else:
                 for h in self.heads_of[atom]:
                     self.n_free_supp[h] += 1
+                self.unsupported.discard(atom)
             self.state[atom] = _UNASSIGNED
 
     # -- search ----------------------------------------------------------------
+
+    def _decide(self, pos: int) -> tuple[int, int]:
+        """(atom to branch on, or -1 at a leaf; degree-order scan position)."""
+        state = self.state
+        if self.unsupported:
+            free = self.n_free_supp
+            a = min(self.unsupported, key=lambda x: (free[x], x))
+            for b in self.bodies_of[a]:
+                if state[b] == _UNASSIGNED:
+                    return b, pos
+        order = self.order
+        while pos < len(order):
+            if state[order[pos]] == _UNASSIGNED:
+                return order[pos], pos
+            pos += 1
+        return -1, pos
 
     def run(self, limit: int | None):
         """Yield answer-set masks (unordered); set `truncated` if limit hit."""
@@ -198,37 +237,36 @@ class _Searcher:
             return
         found = 0
         state = self.state
-        order = self.order
-        n_atoms = len(order)
         values = (_OUT, _IN)
-        # Frames (pos, vi, mark): decision resumes at order position pos,
+        # Frames (atom, pos, vi, mark): branch on `atom` (-1: not chosen yet),
+        # pos = degree-order scan position (every order[:pos] is assigned),
         # vi = next value index to try, mark = trail length on arrival.
-        stack = [(0, 0, len(self.trail))]
+        stack = [(-1, 0, 0, len(self.trail))]
         while stack:
-            pos, vi, mark = stack.pop()
+            atom, pos, vi, mark = stack.pop()
             if vi > 0:
                 self._undo_to(mark)  # retract the previous value's subtree
             if vi == 2:
                 continue
-            while pos < n_atoms and state[order[pos]] != _UNASSIGNED:
-                pos += 1
-            if pos == n_atoms:
-                smask = 0
-                for a in range(self.p.n):
-                    if state[a] == _IN:
-                        smask |= 1 << a
-                if is_answer_set_n2(self.p, AtomSet(self.p.n, smask)):
-                    yield smask
-                    found += 1
-                    if limit is not None and found >= limit:
-                        self.truncated = True
-                        return
-                continue
-            stack.append((pos, vi + 1, mark))
+            if atom < 0:
+                atom, pos = self._decide(pos)
+                if atom < 0:
+                    smask = 0
+                    for a in range(self.p.n):
+                        if state[a] == _IN:
+                            smask |= 1 << a
+                    if is_answer_set_n2(self.p, AtomSet(self.p.n, smask)):
+                        yield smask
+                        found += 1
+                        if limit is not None and found >= limit:
+                            self.truncated = True
+                            return
+                    continue
+            stack.append((atom, pos, vi + 1, mark))
             queue.clear()
-            queue.append((values[vi], order[pos]))
+            queue.append((values[vi], atom))
             if self._propagate(queue):
-                stack.append((pos + 1, 0, len(self.trail)))
+                stack.append((-1, pos, 0, len(self.trail)))
 
 
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:

@@ -35,6 +35,15 @@ class TestConfig:
         # without pure rules there are no theory columns to compute
         ExperimentConfig(n=1, c1=0.0, c2=0.5, trials=30, seed=1)
 
+    def test_rejects_near_empty_model_before_first_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        with pytest.raises(ValueError, match="resamples would more likely fail"):
+            cfg = ExperimentConfig(n=1000, c1=(3.0, 1e-9), c2=0.0, trials=5, seed=1)
+            run_avg_experiment(cfg)
+
     def test_validates_every_combination(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=[50, 4], c1=5.0, c2=0.0, trials=10, seed=1)
@@ -91,6 +100,15 @@ class TestAvgExperiment:
         cfg = ExperimentConfig(n=20, c1=5.0, c2=0.0, trials=40, seed=2, solver_limit=1)
         with pytest.raises(RuntimeError, match="truncated"):
             run_avg_experiment(cfg)
+
+    def test_solver_limit_equal_to_count_is_exact(self):
+        # this program has exactly 2 answer sets, so limit 2 loses nothing
+        cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=1, solver_limit=2)
+        (res,) = run_avg_experiment(cfg)
+        assert res.avg_answer_sets == 2.0
+        assert run_dist_experiment(cfg) == run_dist_experiment(
+            ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=1)
+        )
 
     def test_sweep_produces_row_per_combo(self):
         cfg = ExperimentConfig(n=[10, 12], c1=[2.0, 3.0], c2=0.0, trials=5, seed=4)

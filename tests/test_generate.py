@@ -10,7 +10,9 @@ from randasp.generate import (
     expected_rule_count,
     generate,
     generate_with_stats,
+    log_prob_empty,
     mix_seed,
+    require_sampleable,
 )
 from randasp.programs import Rule
 
@@ -36,6 +38,24 @@ class TestParams:
         p = LinearModelParams(50, 5.0, 10.0)
         assert p.p == 0.1 and p.d == 0.2 and p.q == 0.9
         assert math.isclose(p.r, 0.8 / 0.9)
+
+
+class TestEmptyDraws:
+    def test_log_prob_empty_closed_form(self):
+        for n, c1, c2 in [(2, 1.5, 0.0), (5, 2.0, 1.0), (30, 0.01, 0.02)]:
+            p = LinearModelParams(n, c1, c2)
+            direct = math.log(p.q ** (n * (n - 1)) * (1.0 - p.d) ** n)
+            assert math.isclose(log_prob_empty(p), direct, rel_tol=1e-12)
+
+    def test_require_sampleable_threshold(self):
+        # 100000 draws at n=2 all empty: exp(-c1 * 100000) for small c1
+        require_sampleable(LinearModelParams(2, 1e-5, 0.0))  # fails w.p. ~0.37
+        with pytest.raises(ValueError, match="resamples would more likely fail"):
+            require_sampleable(LinearModelParams(2, 5e-6, 0.0))  # ~0.61
+        with pytest.raises(ValueError, match="resamples"):
+            require_sampleable(LinearModelParams(1000, 1e-9, 0.0))
+        require_sampleable(LinearModelParams(1000, 3.0, 0.0))
+        require_sampleable(LinearModelParams(1, 0.0, 0.5))
 
 
 class TestExpectedRuleCount:

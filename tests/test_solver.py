@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
 from randasp.generate import LinearModelParams, generate, mix_seed
 from randasp.programs import AtomSet, Program, Rule, is_answer_set_general, pure_rule
 from randasp.solver import (
+    _IN,
+    _Searcher,
     count_answer_sets,
     enumerate_answer_sets,
     enumerate_brute_force,
@@ -117,6 +121,150 @@ class TestEnumerate:
             for b in masks:
                 if a != b:
                     assert a & ~b and b & ~a  # pairwise incomparable
+
+
+class TestExistence:
+    @given(n2_programs(max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_limit_one_matches_brute_force(self, p):
+        col = enumerate_answer_sets(p, limit=1)
+        bf = enumerate_brute_force(p)
+        assert col.count == min(1, bf.count)
+        assert set(col.masks()) <= set(bf.masks())
+
+    def test_limit_one_matches_brute_force_generated(self):
+        for i, (c1, c2) in enumerate([(3.0, 0.0), (5.0, 0.0), (4.0, 1.0), (3.0, 3.0)]):
+            for t in range(25):
+                n = 8 + (t % 9)  # 8..16
+                p = generate(LinearModelParams(n, c1, c2), mix_seed(500 + i, t))
+                col = enumerate_answer_sets(p, limit=1)
+                bf = enumerate_brute_force(p)
+                assert col.count == min(1, bf.count)
+                assert set(col.masks()) <= set(bf.masks())
+
+
+class _CheckedSearcher(_Searcher):
+    """Checks the unsupported-IN invariant after every propagation and undo."""
+
+    def _check(self):
+        expected = {
+            a for a in range(self.p.n) if self.state[a] == _IN and self.n_out_supp[a] == 0
+        }
+        assert self.unsupported == expected
+
+    def _propagate(self, queue):
+        ok = super()._propagate(queue)
+        self._check()
+        if ok:  # each unsupported IN atom still has two candidates to branch on
+            assert all(self.n_free_supp[a] >= 2 for a in self.unsupported)
+        return ok
+
+    def _undo_to(self, mark):
+        super()._undo_to(mark)
+        self._check()
+
+
+class TestUnsupportedSet:
+    def test_invariant_through_full_searches(self):
+        for i, (n, c1, c2) in enumerate([(12, 3.0, 1.0), (40, 5.0, 0.0), (60, 4.0, 2.0)]):
+            for t in range(6):
+                p = generate(LinearModelParams(n, c1, c2), mix_seed(600 + i, t))
+                searcher = _CheckedSearcher(p)
+                masks = sorted(searcher.run(None))
+                assert tuple(masks) == enumerate_answer_sets(p).masks()
+                searcher._check()
+
+    @given(n2_programs(max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_on_small_programs(self, p):
+        masks = sorted(_CheckedSearcher(p).run(None))
+        assert tuple(masks) == enumerate_brute_force(p).masks()
+
+
+# Results of the degree-order enumerator this search replaced, recorded from it:
+# (n, c2, t, count, sha256 of repr(sorted mask tuple)) for the program
+# generate(LinearModelParams(n, 5.0, c2), mix_seed(PINNED_SEED, n * 1000 + int(c2) * 100 + t)).
+PINNED_SEED = 20261017
+PINNED = [
+    (50, 0.0, 0, 2, "d9fbb0e0c8a6057bb5763421d6f23228530045ab59ca19d115c244eec5982b50"),
+    (50, 0.0, 1, 3, "0deb0ee90bfbebb1e9b70233009aa4260843792d781c9f4da8845b15abe0b1b9"),
+    (50, 0.0, 2, 1, "b999ad35852a9af6eb8f9501ee4600713d546ced28a1e15554194ac88c4ece65"),
+    (50, 0.0, 3, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (50, 0.0, 4, 2, "2b200ffbe4d11118ee9465d644d05178c8533c64de49072911ee905165a1a523"),
+    (50, 0.0, 5, 2, "b8b95e187563fd707fe03a7a9a3ee8e1a3e6506b52d6fadfbfaae47730ea8e2c"),
+    (50, 0.0, 6, 1, "6873c5823d6ee27af277c60c6e6404f207d7dc26bd63b5dd6f23dae80b5ee62e"),
+    (50, 0.0, 7, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (50, 0.0, 8, 1, "318320ff00ff31b18865fcf2cbca022e85da86853267f8427bbe20d31821df45"),
+    (50, 0.0, 9, 2, "85dca92b9862ca701950a16255e11721a6340a77f75206a3f31e0bc1c8978acb"),
+    (50, 1.0, 0, 1, "9d2a9fab5bbe8dff89ec31bf50fa5e773fc696195c5096d621372c5bf06c9796"),
+    (50, 1.0, 1, 1, "789552a11294629628a0e125d4f5017646b99fdc6a398ab5d284c0a970e8dbde"),
+    (50, 1.0, 2, 3, "d6d4fc4db1265ff3e84bf4ccbfabaac2a778261ea5da09e711714cf2973d6823"),
+    (50, 1.0, 3, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (50, 1.0, 4, 1, "1a1d02c151debefbd92f080c4bb886c40e6b15f7762ad30aa9eb93e093794925"),
+    (50, 1.0, 5, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (50, 1.0, 6, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (50, 1.0, 7, 2, "7d5c18419171b54cdaf8f4086a1d9015d3e6ce7c608729389a9abecf31c184a0"),
+    (50, 1.0, 8, 3, "999137f5980c1d3c48f1f827955b35237dcb28cc77404584e78cbff8d402a06d"),
+    (50, 1.0, 9, 1, "1606ca6793fc482ca6020cc7620bdc11e7464b9b84bbdac47814d7b5e15f3005"),
+    (100, 0.0, 0, 1, "10b11ace84d36f6f87e78bdc127bf1b24860d5bfcb6ed5bf0d34b0e6ac50538d"),
+    (100, 0.0, 1, 4, "fa7e443c1d5b3524d217bd602ebdf4c84c9875b2c614b92b474ac860cd0b8c4d"),
+    (100, 0.0, 2, 1, "8296e6dcda867078124747a2786d709c56467dd1c4967c86c97af05007567d0a"),
+    (100, 0.0, 3, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (100, 0.0, 4, 4, "64219683fd70d3a0d1fa05816078de224aac01ebe53be5d9facf5f7ca13f8765"),
+    (100, 0.0, 5, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (100, 0.0, 6, 1, "94f93f6f7bbefbff9b29f9f2672a2c1db82a60c5e1369990aa99e03f04bdc414"),
+    (100, 0.0, 7, 2, "aba734006fb73f576d0160bb9fcf8e5b0d3f627daa94a3e52e269c2f6e281402"),
+    (100, 0.0, 8, 3, "0dbee3d5d90e5d48c7f53fe9b17b6d8046260ddc55f897b2d9fb2c679fbaab97"),
+    (100, 0.0, 9, 3, "3d41e979b4dba8659a85f5449a8f60a853275ac0be65897cd0de4385c338d24b"),
+    (100, 1.0, 0, 1, "150bc97f3e1b341f6ece4af3df3f2ba7a07b194c1dbf448d45a9e3e3451310a9"),
+    (100, 1.0, 1, 1, "5d9e42223fc928a65d50955bd9f321da5c89b38258c7e83b33034108136f7932"),
+    (100, 1.0, 2, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (100, 1.0, 3, 2, "990c7544c2f34543d8597000e8d137dd6727d2c3dd4a11b1d9734e630f6e7ed3"),
+    (100, 1.0, 4, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (100, 1.0, 5, 2, "97f9e3f23073e27e68c66e80cecdb2791055a50c82287f8482d70da6a7ac4da8"),
+    (100, 1.0, 6, 1, "8f3d2304f38eff13b1e9169f64242cc3fb49ceb5c7dbf2f268681a730b496a23"),
+    (100, 1.0, 7, 3, "0add890e5b9327e9ed9d7ba52bda706c55a78fd20a3e2fff20f1cf0edfb8419a"),
+    (100, 1.0, 8, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (100, 1.0, 9, 5, "97fac5a7302facde51fc4b32d321353cc466e3e1300e76619a66fe1a50da4ae1"),
+    (150, 0.0, 0, 2, "da8d8cab25d7be0c33826f9392855b55e29d4e23e9d3c699eb4abcdf0c467e1c"),
+    (150, 0.0, 1, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 0.0, 2, 3, "d3624199739f412a955c032d3038d6ea00578ea760ca7c90b8f8a0cfa11dc5a8"),
+    (150, 0.0, 3, 1, "df259d133094919a69e8fb645e2a1d9fca59d1f0e8773e5996f26223c2ea2705"),
+    (150, 0.0, 4, 1, "799e09539589b1b83dc23d829b3740fd514b893d78bac51cc9dd244819b1a174"),
+    (150, 0.0, 5, 2, "1f1120a9897aa5e54f48653ab3672904c6816abdc58697f7a2f550af5ce22aee"),
+    (150, 0.0, 6, 1, "182a53bc3b72ad50d67a1e52488e90a616bb2f7d71f9621d8a2e3af14f3bc4e6"),
+    (150, 0.0, 7, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 0.0, 8, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 0.0, 9, 1, "d14fab4d02cbd10914a1af327febb2ca686e9483a88f822a02f7a8ff830833a0"),
+    (150, 1.0, 0, 2, "f2426945062f48ac4fb23b57d2bde85b645369f09636224c42d456ddd65abdd0"),
+    (150, 1.0, 1, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 1.0, 2, 1, "0e78b3c65fce6266e9ca8499439611756961dd6faf8ff7117b86700554ae977d"),
+    (150, 1.0, 3, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 1.0, 4, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 1.0, 5, 1, "3b9df7299f431918923783477fe583cda7b21649678bfefbc51672cd279d46fc"),
+    (150, 1.0, 6, 2, "ee5922141865f82adf77dc63f8ebb64c2d9ca6fbc70d22dc816c072ebb391e66"),
+    (150, 1.0, 7, 1, "5f8ba67b1ee6ce4eba64af53a109ce54e7300e72842b47114a0eb3958cebddf7"),
+    (150, 1.0, 8, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (150, 1.0, 9, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (300, 0.0, 0, 1, "2f3878f2ed1b71479f52768aa0333fbda9f560f75b23a4ebe3d7deeb8f93a6a1"),
+    (300, 0.0, 1, 2, "f7eb3c57283ab29e08eb44e4b8e4647b7c3602b69454118068ba3b099abc71e3"),
+    (300, 0.0, 2, 2, "b2014d0e8760f4296aa4ae3faf5d9c9aef10030e993987b4f8a21107fcf88292"),
+    (300, 0.0, 3, 4, "ad25c9820a702c45bbea4da25c7c713861d1e4bbe6698e051ed168fa4d8207d6"),
+    (300, 0.0, 4, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+    (300, 0.0, 5, 0, "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d"),
+]
+
+
+class TestPinnedResults:
+    def test_reproduces_recorded_mask_sets(self):
+        mismatches = []
+        for n, c2, t, count, digest in PINNED:
+            seed = mix_seed(PINNED_SEED, n * 1000 + int(c2) * 100 + t)
+            masks = enumerate_answer_sets(generate(LinearModelParams(n, 5.0, c2), seed)).masks()
+            got = (len(masks), hashlib.sha256(repr(masks).encode()).hexdigest())
+            if got != (count, digest):
+                mismatches.append((n, c2, t))
+        assert mismatches == []
 
 
 class TestCount:

@@ -1,3 +1,4 @@
+import hashlib
 import shlex
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from randasp.cli import _build_parser, cli_dispatch
 from randasp.csvout import write_avg_csv
 from randasp.experiments import ExperimentConfig, run_avg_experiment
+from randasp.generate import mix_seed
 
 TWO_CYCLE_TEXT = "a :- not b.\nb :- not a.\n"
 
@@ -27,6 +29,21 @@ class TestGen:
     def test_stdout_mode(self, capsys):
         assert run_cli("gen", "--n", "5", "--c1", "2", "--c2", "0", "--seed", "7") == 0
         assert "#universe 5." in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n, c1, c2, seed, t, digest",
+        [
+            ("200", "5", "1", 20240901, 0, "74d14fd06f4bc0c1fe44a52cf21a0052df25f958b350a95799d75fe16f24e184"),
+            ("200", "5", "1", 20240901, 1, "ed129f79e0af597d93b959a30b99d327b9c7602ee3228cee1c1f55d2a0aef5d7"),
+            ("1000", "3", "0", 20240904, 2, "10aad62fb1a62aeca371477460677758f99315ba2712730ba755cd2d954841ac"),
+            ("8", "3", "1", 3, 0, "cab03ed5a3c6d4df6a5e4333d941ebe00d4703aef26d3fe847a474f64b7daf9a"),
+        ],
+    )
+    def test_replays_trial_sub_seed(self, n, c1, c2, seed, t, digest, capsys):
+        # a sweep's trial t is replayed with `gen --seed mix_seed(seed, t)`;
+        # the bytes are pinned to the program the sweep generated
+        assert run_cli("gen", "--n", n, "--c1", c1, "--c2", c2, "--seed", str(mix_seed(seed, t))) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_invalid_params_exit_1(self, capsys):
         assert run_cli("gen", "--n", "3", "--c1", "5", "--c2", "0", "--seed", "1") == 1

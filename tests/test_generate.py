@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -159,3 +160,41 @@ class TestGenerate:
         f_bern = sum(target in _generate_bernoulli(params, mix_seed(2, t)).rules for t in range(trials)) / trials
         ptol = 3 * math.sqrt(2 * params.p * params.q / trials)
         assert abs(f_skip - f_bern) <= ptol
+
+
+# (n, c1, c2, seed, trials, resample counts, sha256 of the concatenated
+# repr((p.n, p.rules)) of generate_with_stats(params, mix_seed(seed, t)) for
+# t in range(trials)).  Recorded from the scalar geometric-skip sampler; the
+# generator must keep reproducing them exactly.
+PINNED_PROGRAMS = [
+    (1, 0.0, 0.5, 1, 4, (0, 2, 2, 0), "052887990902ca65135920295df5527b2bbf71a60184e33b841da63f063a2695"),
+    (2, 1.0, 0.5, 1, 4, (0, 0, 0, 0), "c47d19b78dcad3d77f58699878811e6288bb3bd213d692c969c17cf8c3fc8af6"),
+    (2, 0.05, 0.05, 7, 40,
+     (4, 5, 2, 34, 5, 4, 48, 6, 10, 4, 7, 4, 0, 26, 10, 2, 10, 3, 1, 6,
+      2, 21, 6, 37, 6, 5, 16, 15, 0, 5, 3, 0, 0, 11, 24, 0, 22, 29, 12, 0),
+     "177f5fa05858a84fa86a301575752e7b830b9a3505aa0226b312ca72416da58e"),
+    (3, 2.0, 1.0, 1, 4, (0, 0, 0, 0), "dda4aabf52f19f2ea7f82ff90981c40fa06ae503c98a32479b14e68a99c397ff"),
+    (8, 3.0, 1.0, 1, 4, (0, 0, 0, 0), "a270d5a8f18d470f9614170819b586e6d3a2d505d3ca61ff6eaae247be7fffd6"),
+    (8, 7.0, 0.0, 2, 4, (0, 0, 0, 0), "20fcf6ce01c888684ae8d322ce422b35c4be820928345703521d1518d031a0be"),
+    (8, 0.0, 3.0, 3, 4, (0, 0, 0, 0), "9476509381b823a54f449dad1cd72d2cf47ed0fc45365a1ab0919660ee5e35bf"),
+    (50, 5.0, 0.0, 20240901, 4, (0, 0, 0, 0), "dba1639591841bd56650624e44ee7c11d3e8f0a8debc7684a1d6eb4ac776d13f"),
+    (50, 5.0, 2.0, 4, 4, (0, 0, 0, 0), "ebb883a46233a371f04d62126cb6396ae4d31956bef6c0961ee84267ab472f75"),
+    (200, 5.0, 0.0, 5, 3, (0, 0, 0), "4e7fd85f11091410a388d9f37234e57702fe20e12ace26e5e86b1cc9be67b4a8"),
+    (200, 10.0, 4.0, 20240902, 3, (0, 0, 0), "dae003458d188664fbf79565c07393eba90092c12d38fd587871bd641a3420b3"),
+    (1000, 3.0, 0.0, 20240904, 3, (0, 0, 0), "b8b04b19929d3a7f12b7a795b4885c64bbe51f0aa1f96365c8599f739e105544"),
+    (1000, 3.0, 4.0, 6, 3, (0, 0, 0), "7574eff10a1b54ce4f073b570a1e400ea69c9c0cbed3f1ce8d269bf19b1219b5"),
+    (1000, 0.002, 0.001, 8, 4, (0, 0, 0, 0), "abede6142ffdec58e749a06a9dba239e4c9483e1b3c333df524edde420e64bfd"),
+]
+
+
+class TestPinnedPrograms:
+    @pytest.mark.parametrize("n, c1, c2, seed, trials, resamples, digest", PINNED_PROGRAMS)
+    def test_reproduces_recorded_programs(self, n, c1, c2, seed, trials, resamples, digest):
+        h = hashlib.sha256()
+        got = []
+        for t in range(trials):
+            p, attempts = generate_with_stats(LinearModelParams(n, c1, c2), mix_seed(seed, t))
+            h.update(repr((p.n, p.rules)).encode())
+            got.append(attempts)
+        assert tuple(got) == resamples
+        assert h.hexdigest() == digest

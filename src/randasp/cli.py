@@ -140,11 +140,15 @@ def _cmd_solve(args) -> int:
     if args.count:
         print(count_answer_sets(program))
         return 0
-    col = enumerate_answer_sets(program, limit=args.limit)
-    for s in col.sets:
+    limit = args.limit
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    # one set past the limit tells "exactly limit sets" from "sets left out"
+    col = enumerate_answer_sets(program, limit=None if limit is None else limit + 1)
+    for s in col.sets[:limit]:
         print(",".join(program.atom_name(i) for i in s.members))
-    if col.truncated:
-        print(f"enumeration truncated at {args.limit} answer sets", file=sys.stderr)
+    if limit is not None and col.count > limit:
+        print(f"enumeration truncated at {limit} answer sets", file=sys.stderr)
     return 0
 
 

@@ -8,12 +8,23 @@ Randomness contract
 -------------------
 All draws come from splitmix64, a counter-based 64-bit generator: stream
 state advances by the golden-gamma constant and is finalized with the
-Stafford mix.  Sub-streams are derived with `mix_seed(seed, i)`, so per-trial
-programs are independent of scheduling order.  Rule inclusion is sampled by
-sorted geometric skips over the rule index space, which realizes exactly the
-independent-Bernoulli distribution (equivalently: binomial rule count plus a
-uniform distinct subset) in O(expected rules) time; `_generate_bernoulli`
-keeps the O(n^2) per-index scan as the distribution oracle for tests.
+Stafford mix, so draw i of the stream seeded s is _mix64(s + (i+1)*GAMMA)
+and a run of draws is one wrapping uint64 numpy computation.  Sub-streams
+are derived with `mix_seed(seed, i)`, so per-trial programs are independent
+of scheduling order.  Rule inclusion is sampled by sorted geometric skips
+over the rule index space, which realizes exactly the independent-Bernoulli
+distribution (equivalently: binomial rule count plus a uniform distinct
+subset) in O(expected rules) time.  The pure rules consume draws 0..m of the
+trial's stream (one per rule plus the skip that passes the end), and the
+contradiction rules continue from draw m+1.
+
+Draws are computed in batches.  Each one still takes its skip
+int(log(u) / log1p(-prob)) exactly as a scalar loop would: u is
+((x >> 11) + 1) * 2^-53, exact in float64, and the log is `math.log`, not
+`np.log`, which differed from it in 6,986 of 2,000,000 doubles on one
+machine; one differing last bit can move a skip across an integer and
+change the program.  `_generate_bernoulli` keeps the O(n^2) per-index scan
+as the distribution oracle for tests.
 """
 
 from __future__ import annotations
@@ -21,6 +32,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .programs import Program, Rule
 
@@ -125,35 +138,69 @@ def require_sampleable(params: LinearModelParams) -> None:
         )
 
 
-def _skip_indices(rng: SplitMix64, total: int, prob: float) -> list[int]:
-    """Sorted indices of independent Bernoulli(prob) successes over range(total)."""
+_U64_GAMMA = np.uint64(_GAMMA)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """SplitMix64(seed).random() values of draws start .. start+count-1."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _U64_GAMMA  # uint64 arrays wrap like the & _M64 of the scalar stream
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _U64_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _U64_MIX2
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
+def _skip_indices(seed: int, start: int, total: int, prob: float, batch: int = 0) -> tuple[np.ndarray, int]:
+    """Sorted Bernoulli(prob) successes over range(total), and the next unused draw.
+
+    Skips are taken from draws start, start+1, ... of stream `seed`, `batch`
+    draws at a time (default: enough for all but rare tails); the result does
+    not depend on the batch size.
+    """
     if prob <= 0.0 or total == 0:
-        return []
-    out = []
+        return np.empty(0, dtype=np.int64), start
+    mean = total * prob
+    batch = batch or min(total + 1, int(mean + 4.0 * math.sqrt(mean)) + 16)
     log_q = math.log1p(-prob)
+    found = []
     cursor = -1
     while True:
-        cursor += 1 + int(math.log(rng.random()) / log_q)
-        if cursor >= total:
-            return out
-        out.append(cursor)
+        logs = np.fromiter(map(math.log, _uniforms(seed, start, batch).tolist()), dtype=np.float64, count=batch)
+        # ratio >= 0, so the int64 cast floors like int(); a skip of `total`
+        # already ends the walk, so clipping to it changes nothing and keeps
+        # the inf of a subnormal prob out of the cast
+        with np.errstate(over="ignore"):
+            ratio = logs / log_q
+        np.minimum(ratio, total, out=ratio)
+        pos = cursor + np.cumsum(ratio.astype(np.int64) + 1)
+        end = int(np.searchsorted(pos, total))  # first position >= total
+        if end < batch:
+            found.append(pos[:end])
+            return np.concatenate(found), start + end + 1
+        found.append(pos)  # batch ran out before the walk passed total: refill
+        cursor = int(pos[-1])
+        start += batch
+
+
+def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, bodies) of one draw: pure rules in (a, b) order, then contradictions."""
+    n = params.n
+    pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), params.p)
+    con, _ = _skip_indices(stream_seed, next_draw, n, params.d)
+    a, r = np.divmod(pure, max(n - 1, 1))  # _pair_from_index, vectorised
+    return np.concatenate((a, con)), np.concatenate((r + (r >= a), con))
 
 
 def _pair_from_index(j: int, n: int) -> tuple[int, int]:
     """Bijection [0, n(n-1)) -> ordered pairs (a, b), a != b, lex by (a, b)."""
     a, r = divmod(j, n - 1)
     return a, r + (r >= a)
-
-
-def _sample_rules(params: LinearModelParams, stream_seed: int) -> list[Rule]:
-    rng = SplitMix64(stream_seed)
-    n = params.n
-    rules = [
-        Rule(a, (), (b,))
-        for a, b in (_pair_from_index(j, n) for j in _skip_indices(rng, n * (n - 1), params.p))
-    ]
-    rules.extend(Rule(i, (), (i,)) for i in _skip_indices(rng, n, params.d))
-    return rules
 
 
 def _sample_rules_bernoulli(params: LinearModelParams, stream_seed: int) -> list[Rule]:
@@ -179,9 +226,9 @@ def generate_with_stats(params: LinearModelParams, seed: int) -> tuple[Program, 
     as the model conditioned on nonemptiness.
     """
     for attempt in range(_MAX_RESAMPLE):
-        rules = _sample_rules(params, mix_seed(seed, attempt))
-        if rules:
-            return Program(params.n, rules), attempt
+        heads, bodies = _sample_n2_arrays(params, mix_seed(seed, attempt))
+        if heads.size:
+            return Program.from_n2_arrays(params.n, heads, bodies), attempt
     raise RuntimeError(f"no nonempty program after {_MAX_RESAMPLE} resamples")
 
 

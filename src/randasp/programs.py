@@ -14,7 +14,11 @@ programs lives in `solver`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class Rule(NamedTuple):
@@ -57,7 +61,8 @@ class Program:
     `rules` is stored as a canonically sorted tuple so iteration order,
     equality and serialization are deterministic.  `symbols`, when present,
     maps atom index -> display name for parsed files; it never participates
-    in equality.
+    in equality.  `is_n2` and `n2_pairs` are computed on first use, or set
+    up front by `from_n2_arrays`.
     """
 
     n: int
@@ -81,9 +86,50 @@ class Program:
         object.__setattr__(self, "rules", canon)
         object.__setattr__(self, "symbols", tuple(symbols) if symbols is not None else None)
 
-    @property
+    @classmethod
+    def from_n2_arrays(cls, n: int, heads, bodies) -> "Program":
+        """Program(n, [Rule(h, (), (b,)) for h, b in zip(heads, bodies)]), checked with numpy.
+
+        Every atom is range-checked and the pairs are sorted into canonical
+        (head, body) order and deduplicated as arrays, so no per-rule Python
+        check runs; `is_n2` and `n2_pairs` come preset.
+        """
+        if n < 0:
+            raise ValueError("universe size must be non-negative")
+        h, b = np.asarray(heads), np.asarray(bodies)
+        if h.ndim != 1 or h.shape != b.shape:
+            raise ValueError(f"heads and bodies must be 1-D arrays of one length: {h.shape} vs {b.shape}")
+        for atoms in (h, b):
+            if atoms.size and atoms.dtype.kind not in "iu":
+                raise ValueError(f"atoms must be integers, got dtype {atoms.dtype}")
+            if atoms.size and not (0 <= atoms.min() and atoms.max() < n):
+                bad = atoms[(atoms < 0) | (atoms >= n)][0]
+                raise ValueError(f"atom {bad} out of universe [0, {n})")
+        order = np.lexsort((b, h))
+        h, b = h[order], b[order]
+        keep = np.ones(h.size, dtype=bool)
+        keep[1:] = (h[1:] != h[:-1]) | (b[1:] != b[:-1])
+        hl, bl = h[keep].tolist(), b[keep].tolist()
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        # tuple.__new__ builds the same Rule(h, (), (b,)) as Rule.__new__, without
+        # its Python-level call; zip(bl) yields the one-atom negative bodies
+        object.__setattr__(self, "rules", tuple(map(tuple.__new__, repeat(Rule), zip(hl, repeat(()), zip(bl)))))
+        object.__setattr__(self, "symbols", None)
+        object.__setattr__(self, "is_n2", True)
+        object.__setattr__(self, "n2_pairs", (hl, bl))
+        return self
+
+    @cached_property
     def is_n2(self) -> bool:
         return all(r.is_n2 for r in self.rules)
+
+    @cached_property
+    def n2_pairs(self) -> tuple[list[int], list[int]]:
+        """(heads, bodies) of the rules `head <- not body`, in rule order."""
+        if not self.is_n2:
+            raise ValueError("program is not negative two-literal")
+        return [r.head for r in self.rules], [r.neg_body[0] for r in self.rules]
 
     @property
     def is_positive(self) -> bool:

@@ -68,10 +68,6 @@ def _require_n2_nonempty(p: Program) -> None:
         raise ValueError("program is not negative two-literal")
 
 
-def _n2_pairs(p: Program) -> list[tuple[int, int]]:
-    return [(r.head, r.neg_body[0]) for r in p.rules]
-
-
 def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
     """Structural check of the two answer-set conditions (single rule pass)."""
     _require_n2_nonempty(p)
@@ -79,7 +75,7 @@ def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
         raise ValueError(f"universe-size mismatch: program n={p.n}, set n={s.n}")
     smask = s.mask
     supported = 0
-    for head, body in _n2_pairs(p):
+    for head, body in zip(*p.n2_pairs):
         if not (smask >> body) & 1:  # body atom outside S: rule fires
             if not (smask >> head) & 1:
                 return False  # condition 1: head would be outside S too
@@ -113,7 +109,7 @@ class _Searcher:
         n = p.n
         self.heads_of: list[list[int]] = [[] for _ in range(n)]  # body atom -> heads
         self.bodies_of: list[list[int]] = [[] for _ in range(n)]  # head -> body atoms
-        for head, body in _n2_pairs(p):
+        for head, body in zip(*p.n2_pairs):
             self.heads_of[body].append(head)
             self.bodies_of[head].append(body)
         deg = [len(self.heads_of[x]) + len(self.bodies_of[x]) for x in range(n)]
@@ -230,7 +226,7 @@ class _Searcher:
         for x in range(self.p.n):
             if self.n_free_supp[x] == 0:
                 queue.append((_OUT, x))  # heads no rule: can never be in S
-        for head, body in _n2_pairs(self.p):
+        for head, body in zip(*self.p.n2_pairs):
             if head == body:
                 queue.append((_IN, head))  # self-loop head can never be out
         if not self._propagate(queue):

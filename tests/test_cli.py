@@ -71,6 +71,18 @@ class TestSolve:
         assert captured.out in ("a\n", "b\n")  # exactly one set, deterministic
         assert "truncated" in captured.err
 
+    def test_limit_equal_to_count_is_not_truncated(self, two_cycle_file, capsys):
+        assert run_cli("solve", "--in", two_cycle_file, "--limit", "2") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "a\nb\n"
+        assert captured.err == ""
+
+    def test_limit_must_be_positive(self, two_cycle_file, capsys):
+        assert run_cli("solve", "--in", two_cycle_file, "--limit", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit must be positive" in captured.err
+
     def test_check_reports_both_checkers(self, two_cycle_file, capsys):
         assert run_cli("solve", "--in", two_cycle_file, "--check", "a") == 0
         assert capsys.readouterr().out == "n2: true\ngeneral: true\n"

@@ -8,6 +8,10 @@ from randasp.generate import (
     LinearModelParams,
     SplitMix64,
     _generate_bernoulli,
+    _pair_from_index,
+    _sample_n2_arrays,
+    _skip_indices,
+    _uniforms,
     expected_rule_count,
     generate,
     generate_with_stats,
@@ -15,7 +19,7 @@ from randasp.generate import (
     mix_seed,
     require_sampleable,
 )
-from randasp.programs import Rule
+from randasp.programs import Program, Rule
 
 
 class TestParams:
@@ -83,6 +87,77 @@ class TestMixSeed:
         rng = SplitMix64(7)
         xs = [rng.random() for _ in range(1000)]
         assert all(0.0 < x <= 1.0 for x in xs)
+
+
+def _scalar_skips(rng, total, prob):
+    """Reference: one draw, one skip at a time."""
+    out = []
+    if prob <= 0.0 or total == 0:
+        return out
+    log_q = math.log1p(-prob)
+    cursor = -1
+    while True:
+        cursor += 1 + int(math.log(rng.random()) / log_q)
+        if cursor >= total:
+            return out
+        out.append(cursor)
+
+
+def _scalar_rules(params, stream_seed):
+    """Reference sampler: pure rules, then contradictions, from one shared stream."""
+    rng = SplitMix64(stream_seed)
+    n = params.n
+    pairs = [_pair_from_index(j, n) for j in _scalar_skips(rng, n * (n - 1), params.p)]
+    rules = [Rule(a, (), (b,)) for a, b in pairs]
+    rules.extend(Rule(i, (), (i,)) for i in _scalar_skips(rng, n, params.d))
+    return rules
+
+
+class TestBatchedSampler:
+    def test_uniforms_match_scalar_stream(self):
+        for seed in (0, 123, 2**64 - 1, mix_seed(5, 9)):
+            rng = SplitMix64(seed)
+            expected = [rng.random() for _ in range(300)]
+            assert _uniforms(seed, 0, 300).tolist() == expected
+            assert _uniforms(seed, 120, 180).tolist() == expected[120:]
+
+    @pytest.mark.parametrize("total, prob", [(90, 0.3), (2450, 0.1), (56, 0.875), (1000, 1e-300)])
+    def test_skip_indices_match_scalar_for_any_batch(self, total, prob):
+        for seed in (1, 2, mix_seed(7, 3)):
+            expected = _scalar_skips(SplitMix64(seed), total, prob)
+            # the default batch, and small batches that force refills
+            for batch in (0, 1, 2, 5):
+                got, next_draw = _skip_indices(seed, 0, total, prob, batch)
+                assert got.tolist() == expected
+                assert next_draw == len(expected) + 1  # one draw per success, one to pass the end
+
+    def test_subnormal_prob_clips_instead_of_overflowing(self):
+        # log(u) / log1p(-5e-324) is inf for most u; int(inf) would raise
+        for seed in range(20):
+            got, next_draw = _skip_indices(seed, 0, 7, 5e-324)
+            assert got.size == 0 and next_draw == 1
+
+    def test_refill_continues_the_stream(self):
+        seed, total, prob = 11, 5000, 0.02
+        rng = SplitMix64(seed)
+        expected = _scalar_skips(rng, total, prob)
+        assert len(expected) > 40
+        got, next_draw = _skip_indices(seed, 0, total, prob, 8)
+        assert got.tolist() == expected and next_draw == len(expected) + 1
+        # a walk that starts mid-stream (the contradiction rules) also matches
+        tail, _ = _skip_indices(seed, next_draw, 50, 0.3, 3)
+        assert tail.tolist() == _scalar_skips(rng, 50, 0.3)
+
+    @pytest.mark.parametrize(
+        "n, c1, c2", [(1, 0.0, 0.9), (2, 1.5, 1.0), (5, 4.0, 4.0), (12, 4.0, 2.0), (40, 0.0, 5.0), (60, 3.0, 0.5)]
+    )
+    def test_draw_matches_scalar_reference(self, n, c1, c2):
+        params = LinearModelParams(n, c1, c2)
+        for t in range(25):
+            s = mix_seed(3, t)
+            heads, bodies = _sample_n2_arrays(params, s)
+            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in _scalar_rules(params, s)]
+            assert Program.from_n2_arrays(n, heads, bodies) == Program(n, _scalar_rules(params, s))
 
 
 class TestGenerate:

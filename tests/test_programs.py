@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randasp.programs import (
     AtomSet,
@@ -13,7 +15,7 @@ from randasp.programs import (
     satisfies,
 )
 
-from conftest import general_programs, positive_programs
+from conftest import general_programs, n2_programs, positive_programs
 
 
 def s(n, *atoms):
@@ -54,6 +56,48 @@ class TestRuleAndProgram:
         a = Program(2, [pure_rule(0, 1)], symbols=["x", "y"])
         b = Program(2, [pure_rule(0, 1)])
         assert a == b
+
+
+class TestFromN2Arrays:
+    @given(n2_programs(max_n=10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_general_constructor(self, p, data):
+        pairs = [(r.head, r.neg_body[0]) for r in p.rules]
+        extra = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        shuffled = data.draw(st.permutations(pairs + extra))
+        heads = np.array([h for h, _ in shuffled], dtype=np.int64)
+        bodies = np.array([b for _, b in shuffled], dtype=np.int64)
+        bulk = Program.from_n2_arrays(p.n, heads, bodies)
+        general = Program(p.n, [Rule(h, (), (b,)) for h, b in shuffled])
+        assert bulk.rules == general.rules == p.rules
+        assert bulk == general and hash(bulk) == hash(general)
+        assert repr(bulk) == repr(general)
+        assert all(type(r) is Rule and type(r.head) is int and type(r.neg_body[0]) is int for r in bulk.rules)
+        assert bulk.is_n2 and general.is_n2
+        assert bulk.n2_pairs == general.n2_pairs == ([h for h, _ in pairs], [b for _, b in pairs])
+
+    def test_empty(self):
+        assert Program.from_n2_arrays(3, [], []) == Program(3, [])
+
+    @pytest.mark.parametrize(
+        "heads, bodies",
+        [([0, 3], [1, 1]), ([0, 1], [1, 3]), ([-1], [0]), ([0], [-2]), (np.array([5], dtype=np.uint64), [0])],
+    )
+    def test_rejects_out_of_range_atoms(self, heads, bodies):
+        with pytest.raises(ValueError, match="out of universe"):
+            Program.from_n2_arrays(3, np.asarray(heads), np.asarray(bodies))
+
+    def test_rejects_malformed_arrays(self):
+        with pytest.raises(ValueError, match="one length"):
+            Program.from_n2_arrays(3, [0, 1], [1])
+        with pytest.raises(ValueError, match="integers"):
+            Program.from_n2_arrays(3, [0.0], [1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            Program.from_n2_arrays(-1, [], [])
+
+    def test_n2_pairs_rejects_general_program(self):
+        with pytest.raises(ValueError, match="not negative two-literal"):
+            Program(2, [Rule(0, (1,), ())]).n2_pairs
 
 
 class TestAtomSet:

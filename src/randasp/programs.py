@@ -100,9 +100,11 @@ class Program:
         if h.ndim != 1 or h.shape != b.shape:
             raise ValueError(f"heads and bodies must be 1-D arrays of one length: {h.shape} vs {b.shape}")
         for atoms in (h, b):
-            if atoms.size and atoms.dtype.kind not in "iu":
+            if not atoms.size:
+                continue
+            if atoms.dtype.kind not in "iu":
                 raise ValueError(f"atoms must be integers, got dtype {atoms.dtype}")
-            if atoms.size and not (0 <= atoms.min() and atoms.max() < n):
+            if not (0 <= atoms.min() and atoms.max() < n):
                 bad = atoms[(atoms < 0) | (atoms >= n)][0]
                 raise ValueError(f"atom {bad} out of universe [0, {n})")
         order = np.lexsort((b, h))

@@ -156,8 +156,9 @@ class TestBatchedSampler:
         for t in range(25):
             s = mix_seed(3, t)
             heads, bodies = _sample_n2_arrays(params, s)
-            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in _scalar_rules(params, s)]
-            assert Program.from_n2_arrays(n, heads, bodies) == Program(n, _scalar_rules(params, s))
+            reference = _scalar_rules(params, s)
+            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in reference]
+            assert Program.from_n2_arrays(n, heads, bodies) == Program(n, reference)
 
 
 class TestGenerate:
@@ -239,8 +240,8 @@ class TestGenerate:
 
 # (n, c1, c2, seed, trials, resample counts, sha256 of the concatenated
 # repr((p.n, p.rules)) of generate_with_stats(params, mix_seed(seed, t)) for
-# t in range(trials)).  Recorded from the scalar geometric-skip sampler; the
-# generator must keep reproducing them exactly.
+# t in range(trials)).  Recorded from the one-draw-at-a-time sampler that
+# `_scalar_rules` reproduces; the generator must keep reproducing them exactly.
 PINNED_PROGRAMS = [
     (1, 0.0, 0.5, 1, 4, (0, 2, 2, 0), "052887990902ca65135920295df5527b2bbf71a60184e33b841da63f063a2695"),
     (2, 1.0, 0.5, 1, 4, (0, 0, 0, 0), "c47d19b78dcad3d77f58699878811e6288bb3bd213d692c969c17cf8c3fc8af6"),

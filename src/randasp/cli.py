@@ -13,7 +13,7 @@ from .experiments import (
     run_consistency_experiment,
     run_dist_experiment,
 )
-from .generate import LinearModelParams, expected_rule_count, generate
+from .generate import LinearModelParams, expected_rule_count, generate, require_sampleable
 from .progio import ParseError, format_program, parse_program
 from .programs import AtomSet, is_answer_set_general
 from .solver import count_answer_sets, enumerate_answer_sets, is_answer_set_n2
@@ -102,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     params = LinearModelParams(args.n, args.c1, args.c2)
+    require_sampleable(params)
     text = format_program(generate(params, args.seed))
     if args.out:
         with open(args.out, "w", newline="", encoding="ascii") as fh:

@@ -83,19 +83,10 @@ def write_consistency_csv(path, result: ConsResult, seed: int) -> None:
 
 
 def write_theory_curve_csv(path, n: int, c1: float, c2: float) -> None:
-    from .theory import chi, expected_count_size_k, phi, prob_answer_set, theory_params
+    from .theory import chi, size_curves, theory_params
 
     tp = theory_params(n, c1, c2)
-    rows = []
-    for k in range(1, n):
-        rows.append(
-            (
-                k,
-                prob_answer_set(n, k, c1, c2),
-                expected_count_size_k(n, k, c1, c2),
-                phi(float(k), n, c1, c2),
-                chi(float(k), tp),
-            )
-        )
+    columns = (column.tolist() for column in size_curves(n, c1, c2))
+    rows = [(k, pr, e_nk, phi, chi(float(k), tp)) for k, pr, e_nk, phi in zip(range(1, n), *columns)]
     meta = {"schema": "theory-curve-v1", "n": n, "c1": fmt(c1), "c2": fmt(c2)}
     write_csv(path, meta, THEORY_CURVE_HEADER, rows)

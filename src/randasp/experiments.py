@@ -22,7 +22,7 @@ from .theory import (
     _require_model,
     chi,
     consistency_probability,
-    expected_count_size_k,
+    expected_counts,
     expected_total,
     limit_expected_total,
     theory_params,
@@ -211,7 +211,7 @@ def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool 
         raise ValueError("difference rate undefined: chi_k is all zeros at c1 = 0")
     _, _, resamples, *totals = _run_row(_count_chunk, cfg, n, c1, c2, workers, cfg.solver_limit)
     empirical = [t / cfg.trials for t in totals]
-    model = [0.0] + [expected_count_size_k(n, k, c1, c2) for k in range(1, n)] + [0.0]
+    model = [0.0, *expected_counts(n, c1, c2).tolist(), 0.0]
     tp = theory_params(n, c1, c2)
     chi_k = [chi(float(k), tp) for k in range(n + 1)]
     drate = difference_rate(chi_k[1:n], empirical[1:n])

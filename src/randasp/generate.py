@@ -106,10 +106,6 @@ class LinearModelParams:
     def q(self) -> float:
         return 1.0 - self.p
 
-    @property
-    def r(self) -> float:
-        return (1.0 - self.d) / self.q
-
 
 def expected_rule_count(params: LinearModelParams) -> float:
     """n(n-1)p + nd = c1(n-1) + c2."""

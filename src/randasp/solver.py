@@ -41,13 +41,12 @@ class AnswerSetCollection:
     sets: tuple[AtomSet, ...]
     count: int
     size_histogram: dict[int, int]
-    truncated: bool = False
 
     def masks(self) -> tuple[int, ...]:
         return tuple(s.mask for s in self.sets)
 
 
-def _collect(n: int, masks: list[int], truncated: bool) -> AnswerSetCollection:
+def _collect(n: int, masks: list[int]) -> AnswerSetCollection:
     masks = sorted(masks)
     hist: dict[int, int] = {}
     for m in masks:
@@ -57,7 +56,6 @@ def _collect(n: int, masks: list[int], truncated: bool) -> AnswerSetCollection:
         sets=tuple(AtomSet(n, m) for m in masks),
         count=len(masks),
         size_histogram=hist,
-        truncated=truncated,
     )
 
 
@@ -119,7 +117,6 @@ class _Searcher:
         self.n_free_supp = [len(self.bodies_of[a]) for a in range(n)]  # unassigned candidates
         self.unsupported: set[int] = set()  # IN atoms with n_out_supp == 0
         self.trail: list[int] = []
-        self.truncated = False
 
     # -- propagation ----------------------------------------------------------
 
@@ -221,7 +218,7 @@ class _Searcher:
         return -1, pos
 
     def run(self, limit: int | None):
-        """Yield answer-set masks (unordered); set `truncated` if limit hit."""
+        """Yield answer-set masks (unordered), stopping after `limit` of them."""
         queue: list[tuple[int, int]] = []
         for x in range(self.p.n):
             if self.n_free_supp[x] == 0:
@@ -255,7 +252,6 @@ class _Searcher:
                         yield smask
                         found += 1
                         if limit is not None and found >= limit:
-                            self.truncated = True
                             return
                     continue
             stack.append((atom, pos, vi + 1, mark))
@@ -266,13 +262,15 @@ class _Searcher:
 
 
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:
-    """All answer sets of a negative two-literal program (at most `limit` if given)."""
+    """All answer sets of a negative two-literal program (at most `limit` if given).
+
+    A count equal to `limit` does not say whether sets were left out; to tell
+    "exactly `limit`" from "more", ask for `limit + 1` and compare.
+    """
     _require_n2_nonempty(p)
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    searcher = _Searcher(p)
-    masks = list(searcher.run(limit))
-    return _collect(p.n, masks, searcher.truncated)
+    return _collect(p.n, list(_Searcher(p).run(limit)))
 
 
 def count_answer_sets(p: Program) -> int:
@@ -306,4 +304,4 @@ def enumerate_brute_force(p: Program, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> Ans
     else:
         rm = _rule_masks(p)
         hits = [s for s in range(total) if _is_answer_set_masks(rm, s)]
-    return _collect(p.n, hits, truncated=False)
+    return _collect(p.n, hits)

@@ -1,7 +1,6 @@
 """Closed-form statistics of the linear random-program model.
 
-Quantities, for parameters (n, c1, c2) with p = c1/n, d = c2/n, q = 1 - p,
-r = (1 - d)/q:
+Quantities, for parameters (n, c1, c2) with p = c1/n, d = c2/n, q = 1 - p:
 
 * alpha: unique root > 1 of alpha*ln(alpha) = c1 (equivalently
   alpha^alpha = e^c1).
@@ -19,6 +18,16 @@ r = (1 - d)/q:
 
 Everything that mixes huge and tiny factors is evaluated in log space
 (log-gamma binomials), with exponentiation deferred to the last step.
+
+log Pr(k) is written once, in the elementwise kernel `_log_kernel`, which
+adds it to a log weight: the log-gamma binomial for E[N_k], its Stirling
+form for phi, 0 for Pr.  The scalar functions are thin wrappers over it, and
+`expected_total`, the E[N_k] column of the dist CSV and the theory-curve CSV
+all read one array (`expected_counts`, `size_curves`), so a column sums to
+the total bit for bit.  The weight is added first, ((w + A1) + A2) + A3:
+float addition does not associate, and this is the order expected_total has
+always used, so its bits, and the avg and consistency CSVs, stay as they were
+(w + (A1 + A2 + A3) moves them).
 `expected_count_size_k_exact` is an arbitrary-precision rational cross-check
 for n <= 30.
 """
@@ -32,6 +41,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
+from .generate import LinearModelParams
+
 ALPHA_RESIDUAL_TOL = 1e-12
 
 # Ratio bounds E[N_k] / phi(k) implied by 1 <= n!/(e^-n n^n sqrt(2 pi n)) <= e/sqrt(2 pi).
@@ -42,12 +53,9 @@ EXACT_ORACLE_MAX_N = 30
 
 
 def _require_model(n: int, c1: float, c2: float) -> None:
+    LinearModelParams(n, c1, c2)  # the generator's rule for a valid model
     if n < 2:
         raise ValueError("n must be at least 2")
-    if c1 < 0 or c2 < 0 or c1 + c2 <= 0:
-        raise ValueError("need c1 >= 0, c2 >= 0, c1 + c2 > 0")
-    if not n > max(c1, c2):
-        raise ValueError(f"n must exceed max(c1, c2) = {max(c1, c2)}")
 
 
 def solve_alpha(c1: float) -> float:
@@ -78,19 +86,54 @@ def solve_alpha(c1: float) -> float:
     return a
 
 
+def _require_point(n: int, x, c1: float, c2: float, name: str) -> None:
+    _require_model(n, c1, c2)
+    if not 0 < x < n:
+        raise ValueError(f"{name} must satisfy 0 < {name} < n, got {name}={x}, n={n}")
+
+
+def _log_binom(n: int, k) -> np.ndarray | float:
+    return gammaln(n + 1) - gammaln(np.asarray(k) + 1) - gammaln(n - np.asarray(k) + 1)
+
+
+def _log_stirling_binom(n: int, x) -> np.ndarray | float:
+    """log C(n, x) with every factorial replaced by Stirling's formula."""
+    log_n = math.log(n)
+    log_x = np.log(x)
+    log_y = np.log(n - x)
+    return (
+        0.5 * (log_n - math.log(2.0 * math.pi) - log_x - log_y)
+        + x * (log_n - log_x)
+        + (n - x) * (log_n - log_y)
+    )
+
+
+def _log_kernel(n: int, k, c1: float, c2: float, log_weight=None) -> np.ndarray:
+    """log_weight(n, k) + log Pr(k), elementwise over real k in (0, n); -inf if c1 = 0.
+
+    The one place log Pr(k) is written; log_weight None means weight 1.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    p = c1 / n
+    if p == 0.0:
+        return np.full(k.shape, -np.inf)  # no pure rules, no supported atoms
+    log_q = math.log1p(-p)
+    log_kappa = np.log(-np.expm1((n - k) * log_q))  # log(1 - q^{n-k}), stable at both ends
+    weight = 0.0 if log_weight is None else log_weight(n, k)
+    # weight first: the order expected_total's bits were recorded in
+    return weight + (n - k) * (n - k - 1) * log_q + k * log_kappa + (n - k) * math.log1p(-c2 / n)
+
+
+def _curve(n: int, c1: float, c2: float, log_weight=None) -> np.ndarray:
+    """exp of the kernel at every size k = 1..n-1."""
+    _require_model(n, c1, c2)
+    return np.exp(_log_kernel(n, np.arange(1, n), c1, c2, log_weight))
+
+
 def log_prob_answer_set(n: int, k: int, c1: float, c2: float) -> float:
     """log Pr(k); -inf where the probability is exactly zero (e.g. c1 = 0)."""
-    _require_model(n, c1, c2)
-    if not 0 < k < n:
-        raise ValueError(f"k must satisfy 0 < k < n, got k={k}, n={n}")
-    p = c1 / n
-    d = c2 / n
-    if p == 0.0:
-        return float("-inf")  # no pure rules, no supported atoms
-    log_q = math.log1p(-p)
-    t = (n - k) * log_q  # log q^{n-k} < 0
-    log_kappa = math.log(-math.expm1(t))  # log(1 - q^{n-k}), stable at both ends
-    return (n - k) * (n - k - 1) * log_q + k * log_kappa + (n - k) * math.log1p(-d)
+    _require_point(n, k, c1, c2, "k")
+    return float(_log_kernel(n, k, c1, c2))
 
 
 def prob_answer_set(n: int, k: int, c1: float, c2: float) -> float:
@@ -98,20 +141,15 @@ def prob_answer_set(n: int, k: int, c1: float, c2: float) -> float:
     return math.exp(log_prob_answer_set(n, k, c1, c2))
 
 
-def _log_binom(n: int, k) -> np.ndarray | float:
-    return gammaln(n + 1) - gammaln(np.asarray(k) + 1) - gammaln(n - np.asarray(k) + 1)
-
-
 def expected_count_size_k(n: int, k: int, c1: float, c2: float) -> float:
     """E[N_k] = C(n, k) Pr(k), evaluated in log space."""
-    return math.exp(float(_log_binom(n, k)) + log_prob_answer_set(n, k, c1, c2))
+    _require_point(n, k, c1, c2, "k")
+    return math.exp(_log_kernel(n, k, c1, c2, _log_binom))
 
 
 def expected_count_size_k_exact(n: int, k: int, c1: float, c2: float) -> Fraction:
     """Exact-rational E[N_k] for n <= 30 (cross-check oracle for the log path)."""
-    _require_model(n, c1, c2)
-    if not 0 < k < n:
-        raise ValueError(f"k must satisfy 0 < k < n, got k={k}, n={n}")
+    _require_point(n, k, c1, c2, "k")
     if n > EXACT_ORACLE_MAX_N:
         raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}")
     q = 1 - Fraction(c1) / n
@@ -120,29 +158,19 @@ def expected_count_size_k_exact(n: int, k: int, c1: float, c2: float) -> Fractio
     return math.comb(n, k) * pr
 
 
-def _log_expected_counts(n: int, c1: float, c2: float) -> np.ndarray:
-    """log E[N_k] for k = 1..n-1, vectorized."""
-    k = np.arange(1, n, dtype=np.float64)
-    p = c1 / n
-    d = c2 / n
-    if p == 0.0:
-        return np.full(n - 1, -np.inf)
-    log_q = math.log1p(-p)
-    t = (n - k) * log_q
-    log_kappa = np.log(-np.expm1(t))
-    return (
-        _log_binom(n, k)
-        + (n - k) * (n - k - 1) * log_q
-        + k * log_kappa
-        + (n - k) * math.log1p(-d)
-    )
+def expected_counts(n: int, c1: float, c2: float) -> np.ndarray:
+    """E[N_k] for k = 1..n-1: the one array every E[N_k] column and total reads."""
+    return _curve(n, c1, c2, _log_binom)
+
+
+def size_curves(n: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Pr(k), E[N_k], phi(k)) for k = 1..n-1."""
+    return _curve(n, c1, c2), expected_counts(n, c1, c2), _curve(n, c1, c2, _log_stirling_binom)
 
 
 def expected_total(n: int, c1: float, c2: float) -> float:
     """E[|AS|] = sum_{k=1}^{n-1} E[N_k]; terms summed in ascending magnitude."""
-    _require_model(n, c1, c2)
-    terms = np.exp(_log_expected_counts(n, c1, c2))
-    return math.fsum(np.sort(terms).tolist())
+    return math.fsum(np.sort(expected_counts(n, c1, c2)).tolist())
 
 
 def limit_expected_total(c1: float, c2: float) -> float:
@@ -153,23 +181,8 @@ def limit_expected_total(c1: float, c2: float) -> float:
 
 def log_phi(x: float, n: int, c1: float, c2: float) -> float:
     """log of the Stirling-form density phi(x) for real 0 < x < n."""
-    _require_model(n, c1, c2)
-    if not 0 < x < n:
-        raise ValueError(f"x must satisfy 0 < x < n, got x={x}, n={n}")
-    p = c1 / n
-    d = c2 / n
-    if p == 0.0:
-        return float("-inf")
-    log_q = math.log1p(-p)
-    log_r = math.log1p(-d) - log_q
-    t = (n - x) * log_q
-    log_kappa = math.log(-math.expm1(t))
-    log_n = math.log(n)
-    return (
-        0.5 * (log_n - math.log(2.0 * math.pi) - math.log(x) - math.log(n - x))
-        + x * (log_n + log_kappa - math.log(x))
-        + (n - x) * (log_n + log_r + t - math.log(n - x))
-    )
+    _require_point(n, x, c1, c2, "x")
+    return float(_log_kernel(n, x, c1, c2, _log_stirling_binom))
 
 
 def phi(x: float, n: int, c1: float, c2: float) -> float:
@@ -220,7 +233,7 @@ def theory_params(n: int, c1: float, c2: float = 0.0) -> TheoryParams:
         delta=delta,
         phi_x0_direct=phi_direct,
         phi_x0_asymptotic=phi_asym,
-        limit_expected_total=alpha * math.exp((c1 - c2) / alpha) / (alpha + c1),
+        limit_expected_total=limit_expected_total(c1, c2),
     )
 
 

@@ -9,6 +9,7 @@ from randasp.cli import _build_parser, cli_dispatch
 from randasp.csvout import write_avg_csv
 from randasp.experiments import ExperimentConfig, run_avg_experiment
 from randasp.generate import mix_seed
+from randasp.theory import chi, expected_count_size_k, phi, prob_answer_set, theory_params
 
 TWO_CYCLE_TEXT = "a :- not b.\nb :- not a.\n"
 
@@ -48,6 +49,14 @@ class TestGen:
     def test_invalid_params_exit_1(self, capsys):
         assert run_cli("gen", "--n", "3", "--c1", "5", "--c2", "0", "--seed", "1") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_near_empty_model_fails_before_resampling(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a program was drawn")
+
+        monkeypatch.setattr("randasp.cli.generate", no_draws)
+        assert run_cli("gen", "--n", "2", "--c1", "1e-9", "--c2", "0", "--seed", "1") == 1
+        assert "resamples would more likely fail" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -136,6 +145,23 @@ class TestTheory:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "k,Pr_k,E_Nk,phi_k,chi_k"
         assert len(data) == 1 + 29  # k = 1..n-1
+
+    @pytest.mark.parametrize("n, c1, c2", [(30, 5.0, 0.0), (200, 10.0, 4.0), (60, 2.5, 20.0)])
+    def test_curve_columns_match_scalar_functions(self, tmp_path, n, c1, c2):
+        curve = tmp_path / "curve.csv"
+        assert run_cli("theory", "--n", str(n), "--c1", str(c1), "--c2", str(c2), "--curve", str(curve)) == 0
+        rows = [l.split(",") for l in curve.read_text().splitlines() if not l.startswith("#")][1:]
+        tp = theory_params(n, c1, c2)
+        for row in rows:
+            k = int(row[0])
+            scalars = (
+                prob_answer_set(n, k, c1, c2),
+                expected_count_size_k(n, k, c1, c2),
+                phi(float(k), n, c1, c2),
+                chi(float(k), tp),
+            )
+            for text, scalar in zip(row[1:], scalars):
+                assert abs(float(text) - scalar) <= 1e-15 * abs(scalar)
 
     def test_c1_zero_rejected(self, capsys):
         assert run_cli("theory", "--n", "100", "--c1", "0", "--c2", "5") == 1

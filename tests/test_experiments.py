@@ -145,6 +145,12 @@ class TestDistExperiment:
         dist = run_dist_experiment(dist_cfg)
         assert math.isclose(sum(dist.empirical_avg), avg.avg_answer_sets)
 
+    @pytest.mark.parametrize("n, c1, c2", [(50, 5.0, 0.0), (60, 10.0, 4.0), (10, 3.0, 0.0), (24, 2.5, 6.0)])
+    def test_model_column_sums_to_expected_total(self, n, c1, c2):
+        # the E[N_k] column and the avg CSV's theory_finite_n read one array
+        res = run_dist_experiment(ExperimentConfig(n=n, c1=c1, c2=c2, trials=2, seed=3))
+        assert math.fsum(res.model_e_nk) == expected_total(n, c1, c2)
+
     def test_requires_single_combo(self):
         cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=5, seed=1)
         with pytest.raises(ValueError):

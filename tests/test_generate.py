@@ -42,7 +42,6 @@ class TestParams:
     def test_derived_probabilities(self):
         p = LinearModelParams(50, 5.0, 10.0)
         assert p.p == 0.1 and p.d == 0.2 and p.q == 0.9
-        assert math.isclose(p.r, 0.8 / 0.9)
 
 
 class TestEmptyDraws:

@@ -64,7 +64,7 @@ class TestEnumerate:
     def test_two_cycle(self):
         col = enumerate_answer_sets(TWO_CYCLE)
         assert [a.members for a in col.sets] == [(0,), (1,)]
-        assert col.count == 2 and not col.truncated
+        assert col.count == 2
         assert col.size_histogram == {1: 2}
 
     def test_single_rule(self):
@@ -87,7 +87,7 @@ class TestEnumerate:
 
     def test_limit_truncates(self):
         col = enumerate_answer_sets(TWO_CYCLE, limit=1)
-        assert col.count == 1 and col.truncated
+        assert col.count == 1
         with pytest.raises(ValueError):
             enumerate_answer_sets(TWO_CYCLE, limit=0)
 

@@ -120,6 +120,32 @@ class TestExpectedTotal:
         assert expected_total(10, 0.0, 5.0) == 0.0
 
 
+class TestPinnedBits:
+    """float.hex of expected_total / limit_expected_total, recorded before the
+    theory kernel was unified; the benchmark's golden CSVs rest on these bits."""
+
+    CASES = [
+        (50, 5.0, 0.0, "0x1.a8917ab1509d5p+0", "0x1.9ea70303bace8p+0"),
+        (100, 5.0, 0.0, "0x1.a36d580c5848bp+0", "0x1.9ea70303bace8p+0"),
+        (150, 5.0, 0.0, "0x1.a1cc08f7919a9p+0", "0x1.9ea70303bace8p+0"),
+        (200, 5.0, 0.0, "0x1.a0ff27431d150p+0", "0x1.9ea70303bace8p+0"),
+        (1000, 3.0, 0.0, "0x1.6507f4bbb4a6bp+0", "0x1.64d75bc7af763p+0"),
+        (200, 10.0, 4.0, "0x1.0dadebc0b6d43p+0", "0x1.09bd9b56c6404p+0"),
+        (60, 10.0, 4.0, "0x1.185994da4d20bp+0", "0x1.09bd9b56c6404p+0"),
+        (10, 3.0, 0.0, "0x1.7d634688f6180p+0", "0x1.64d75bc7af763p+0"),
+    ]
+
+    @pytest.mark.parametrize("n,c1,c2,total,limit", CASES)
+    def test_expected_and_limit_bits(self, n, c1, c2, total, limit):
+        assert expected_total(n, c1, c2).hex() == total
+        assert limit_expected_total(c1, c2).hex() == limit
+        assert theory_params(n, c1, c2).limit_expected_total.hex() == limit
+
+    def test_no_pure_rules_is_exact_zero(self):
+        assert expected_total(10, 0.0, 5.0).hex() == "0x0.0p+0"
+        assert expected_total(1000, 0.0, 3.0).hex() == "0x0.0p+0"
+
+
 class TestLimit:
     def test_frozen_value(self):
         assert rel(limit_expected_total(5.0, 0.0), 1.6197358974557634) < 1e-12

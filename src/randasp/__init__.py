@@ -38,7 +38,6 @@ from .programs import (
 )
 from .solver import (
     AnswerSetCollection,
-    count_answer_sets,
     enumerate_answer_sets,
     enumerate_brute_force,
     is_answer_set_n2,
@@ -79,7 +78,6 @@ __all__ = [
     "check_equivalence_modulo_aux",
     "chi",
     "consistency_probability",
-    "count_answer_sets",
     "difference_rate",
     "enumerate_answer_sets",
     "enumerate_brute_force",

@@ -16,7 +16,7 @@ from .experiments import (
 from .generate import LinearModelParams, expected_rule_count, generate, require_sampleable
 from .progio import ParseError, format_program, parse_program
 from .programs import AtomSet, is_answer_set_general
-from .solver import count_answer_sets, enumerate_answer_sets, is_answer_set_n2
+from .solver import enumerate_answer_sets, is_answer_set_n2
 from .theory import expected_total, theory_params
 from .translate import to_two_literal, verify_translation
 
@@ -94,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=_u64, required=True)
     exp.add_argument("--gamma", type=float, default=0.5)
-    exp.add_argument("--limit", type=int, default=None, help="per-program solver limit (avg/dist)")
     exp.add_argument("--workers", type=int, default=1)
     exp.add_argument("--out", required=True)
     return top
@@ -139,7 +138,7 @@ def _cmd_solve(args) -> int:
         print(f"general: {'true' if is_answer_set_general(program, s) else 'false'}")
         return 0
     if args.count:
-        print(count_answer_sets(program))
+        print(enumerate_answer_sets(program).count)
         return 0
     limit = args.limit
     if limit is not None and limit < 1:
@@ -206,7 +205,6 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         seed=args.seed,
         gamma=args.gamma,
-        solver_limit=args.limit,
     )
     if args.kind == "avg":
         results = run_avg_experiment(cfg, workers=args.workers, progress=True)

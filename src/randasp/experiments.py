@@ -3,9 +3,11 @@
 Trial t of a run seeded with s generates its program from sub-seed
 mix_seed(s, t), so results are independent of scheduling; with workers > 1
 trials are split into contiguous chunks executed in separate processes and
-their results summed.  All accumulators are integers (counts, histograms,
-squared counts), which makes the reduction exact and byte-identical for any
-worker count.
+their results summed.  One worker, `_count_chunk`, serves all three
+experiments; consistency stops each search at its first answer set, so its
+summed count is the number of consistent programs.  All accumulators are
+integers, which makes the reduction exact and byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     gamma: float = 0.5
-    solver_limit: int | None = None
 
     def __post_init__(self):
         for name in ("n", "c1", "c2"):
@@ -126,53 +127,35 @@ def difference_rate(f, g) -> float:
 
 
 def _count_chunk(args):
-    """(sum, sum of squares, resamples, *per-size histogram) over a trial range."""
+    """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial."""
     n, c1, c2, seed, start, stop, limit = args
     params = LinearModelParams(n, c1, c2)
     hist = [0] * (n + 1)
     total = sq = resamples = 0
     for t in range(start, stop):
         prog, attempts = generate_with_stats(params, mix_seed(seed, t))
-        # One set past the limit tells "exactly `limit`" from "more than `limit`".
-        col = enumerate_answer_sets(prog, limit=None if limit is None else limit + 1)
-        if limit is not None and col.count > limit:
-            raise RuntimeError(
-                f"trial {t}: more than {limit} answer sets, enumeration truncated "
-                f"at solver limit {limit}; "
-                "aborting the row"
-            )
-        total += col.count
-        sq += col.count * col.count
-        for k, cnt in col.size_histogram.items():
-            hist[k] += cnt
+        masks = enumerate_answer_sets(prog, limit).masks
+        total += len(masks)
+        sq += len(masks) * len(masks)
+        for m in masks:
+            hist[m.bit_count()] += 1
         resamples += attempts
     return (total, sq, resamples, *hist)
 
 
-def _existence_chunk(args):
-    """(number of consistent programs, resamples) over a trial range."""
-    n, c1, c2, seed, start, stop = args
-    params = LinearModelParams(n, c1, c2)
-    consistent = resamples = 0
-    for t in range(start, stop):
-        prog, attempts = generate_with_stats(params, mix_seed(seed, t))
-        if enumerate_answer_sets(prog, limit=1).count > 0:
-            consistent += 1
-        resamples += attempts
-    return consistent, resamples
-
-
-def _run_row(chunk, cfg: ExperimentConfig, n: int, c1: float, c2: float, workers: int, *extra):
-    """Column sums of `chunk` over one row's trials, one contiguous chunk per worker."""
+def _run_row(cfg: ExperimentConfig, n: int, c1: float, c2: float, workers: int, limit: int | None):
+    """Column sums of `_count_chunk` over one row's trials, one contiguous chunk per worker."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     per = (cfg.trials + workers - 1) // workers
     args = [
-        (n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), *extra)
+        (n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), limit)
         for lo in range(0, cfg.trials, per)
     ]
     if len(args) == 1:
-        return chunk(args[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:  # one pool per row
-        return [sum(column) for column in zip(*pool.map(chunk, args))]
+        return _count_chunk(args[0])
+    with ProcessPoolExecutor(max_workers=len(args)) as pool:  # one pool per row
+        return [sum(column) for column in zip(*pool.map(_count_chunk, args))]
 
 
 def _theory_columns(n: int, c1: float, c2: float) -> tuple[float, float]:
@@ -185,7 +168,7 @@ def run_avg_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool =
     """Mean answer-set count per (n, c1, c2) combination, with 3-sigma-ready stderr."""
     out = []
     for n, c1, c2 in cfg.combos():
-        total, sq, resamples, *_ = _run_row(_count_chunk, cfg, n, c1, c2, workers, cfg.solver_limit)
+        total, sq, resamples, *_ = _run_row(cfg, n, c1, c2, workers, None)
         mean = total / cfg.trials
         var = (sq - total * total / cfg.trials) / (cfg.trials - 1) if cfg.trials > 1 else 0.0
         stderr = math.sqrt(max(var, 0.0) / cfg.trials)
@@ -209,7 +192,7 @@ def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool 
     n, c1, c2 = combos[0]
     if c1 == 0.0:
         raise ValueError("difference rate undefined: chi_k is all zeros at c1 = 0")
-    _, _, resamples, *totals = _run_row(_count_chunk, cfg, n, c1, c2, workers, cfg.solver_limit)
+    _, _, resamples, *totals = _run_row(cfg, n, c1, c2, workers, None)
     empirical = [t / cfg.trials for t in totals]
     model = [0.0, *expected_counts(n, c1, c2).tolist(), 0.0]
     tp = theory_params(n, c1, c2)
@@ -238,7 +221,7 @@ def run_consistency_experiment(cfg: ExperimentConfig, workers: int = 1, progress
     """Fraction of consistent programs vs the two closed-form predictions."""
     rows = []
     for n, c1, c2 in cfg.combos():
-        consistent, resamples = _run_row(_existence_chunk, cfg, n, c1, c2, workers)
+        consistent, _, resamples, *_ = _run_row(cfg, n, c1, c2, workers, 1)
         ratio = consistent / cfg.trials
         if c1 > 0.0:
             expected = expected_total(n, c1, c2)

@@ -163,60 +163,7 @@ def parse_program(text: str) -> Program:
     return Program(n, [r for r, _, _ in raw_rules], symbols=names)
 
 
-def _atom_emission_order(p: Program):
-    """Atom indices in the order format_program's text mentions them."""
-    for r in p.rules:
-        yield r.head
-        yield from r.pos_body
-        yield from r.neg_body
-
-
-def _symbols_roundtrip_safe(p: Program) -> bool:
-    """Would parse_program re-intern the formatted text to identical indices?
-
-    Mirrors the parser's pinning-plus-first-appearance scheme over the
-    canonical rule order.  False (fall back to canonical names) when a name
-    is the keyword, duplicated, a misplaced canonical form, or simply
-    first-appears out of index order.
-    """
-    used = sorted(set(_atom_emission_order(p)))
-    names = {i: p.symbols[i] if i < len(p.symbols) else f"a{i}" for i in used}
-    if len(set(names.values())) != len(names) or "not" in names.values():
-        return False
-    pinned_free: set[int] = set()
-    for i, name in names.items():
-        m = _CANONICAL_NAME_RE.match(name)
-        if m:
-            if int(m.group(1)) != i:
-                return False
-            pinned_free.add(i)
-    taken = set(pinned_free)
-    next_free = 0
-    seen: set[int] = set()
-    for i in _atom_emission_order(p):
-        if i in seen or i in pinned_free:
-            seen.add(i)
-            continue
-        while next_free in taken:
-            next_free += 1
-        if next_free != i:
-            return False
-        taken.add(i)
-        seen.add(i)
-    return True
-
-
-def format_program(p: Program) -> str:
-    """Canonical text: universe header, then sorted rules, one per line, LF.
-
-    Uses the program's symbol table when re-parsing the result reproduces the
-    same atom indices; otherwise falls back to canonical `a<i>` names so that
-    parse(format(p)) == p holds unconditionally.
-    """
-    if p.symbols is not None and _symbols_roundtrip_safe(p):
-        name = p.atom_name
-    else:
-        name = lambda i: f"a{i}"  # noqa: E731
+def _format(p: Program, name) -> str:
     lines = [f"#universe {p.n}."]
     for r in p.rules:
         parts = [name(b) for b in r.pos_body]
@@ -226,3 +173,23 @@ def format_program(p: Program) -> str:
         else:
             lines.append(f"{name(r.head)}.")
     return "\n".join(lines) + "\n"
+
+
+def format_program(p: Program) -> str:
+    """Canonical text: universe header, then sorted rules, one per line, LF.
+
+    Uses the program's symbol table when parse_program reads the text back
+    as the same program with the same names on the same atoms; otherwise
+    falls back to canonical `a<i>` names, so parse(format(p)) == p holds
+    unconditionally.
+    """
+    if p.symbols is not None:
+        text = _format(p, p.atom_name)
+        try:
+            q = parse_program(text)
+        except ParseError:
+            q = None
+        # q == p alone would accept names permuted over a symmetric program
+        if q == p and _format(q, q.atom_name) == text:
+            return text
+    return _format(p, lambda i: f"a{i}")

@@ -12,6 +12,8 @@ digraph.  `is_answer_set_n2` checks the two conditions directly;
 `enumerate_answer_sets` is a DPLL-style backtracker over IN(S)/OUT(T) atom
 assignments with unit propagation; `enumerate_brute_force` scans all 2^n
 subsets with the reduct-based reference checker and is the testing oracle.
+Both return an `AnswerSetCollection` of sorted bitmasks; the backtracker
+re-checks every leaf with the mask-level core of `is_answer_set_n2`.
 
 The backtracker branches on support first: while some IN atom has no OUT
 supporter yet, it takes the one with the fewest free support candidates and
@@ -36,27 +38,18 @@ _UNASSIGNED, _IN, _OUT = 0, 1, 2
 
 @dataclass(frozen=True)
 class AnswerSetCollection:
-    """Enumeration result: verified answer sets in canonical (bitmask) order."""
+    """Verified answer sets of a program over `n` atoms, as sorted bitmasks."""
 
-    sets: tuple[AtomSet, ...]
-    count: int
-    size_histogram: dict[int, int]
+    n: int
+    masks: tuple[int, ...]
 
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.sets)
+    @property
+    def count(self) -> int:
+        return len(self.masks)
 
-
-def _collect(n: int, masks: list[int]) -> AnswerSetCollection:
-    masks = sorted(masks)
-    hist: dict[int, int] = {}
-    for m in masks:
-        k = m.bit_count()
-        hist[k] = hist.get(k, 0) + 1
-    return AnswerSetCollection(
-        sets=tuple(AtomSet(n, m) for m in masks),
-        count=len(masks),
-        size_histogram=hist,
-    )
+    @property
+    def sets(self) -> tuple[AtomSet, ...]:
+        return tuple(AtomSet(self.n, m) for m in self.masks)
 
 
 def _require_n2_nonempty(p: Program) -> None:
@@ -66,19 +59,23 @@ def _require_n2_nonempty(p: Program) -> None:
         raise ValueError("program is not negative two-literal")
 
 
-def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
-    """Structural check of the two answer-set conditions (single rule pass)."""
-    _require_n2_nonempty(p)
-    if s.n != p.n:
-        raise ValueError(f"universe-size mismatch: program n={p.n}, set n={s.n}")
-    smask = s.mask
+def _is_n2_answer_set_mask(heads: list[int], bodies: list[int], smask: int) -> bool:
+    """The two answer-set conditions for the rules `heads[i] <- not bodies[i]`."""
     supported = 0
-    for head, body in zip(*p.n2_pairs):
+    for head, body in zip(heads, bodies):
         if not (smask >> body) & 1:  # body atom outside S: rule fires
             if not (smask >> head) & 1:
                 return False  # condition 1: head would be outside S too
             supported |= 1 << head
     return smask & ~supported == 0  # condition 2: everything in S is supported
+
+
+def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
+    """Structural check of the two answer-set conditions (single rule pass)."""
+    _require_n2_nonempty(p)
+    if s.n != p.n:
+        raise ValueError(f"universe-size mismatch: program n={p.n}, set n={s.n}")
+    return _is_n2_answer_set_mask(*p.n2_pairs, s.mask)
 
 
 class _Searcher:
@@ -97,8 +94,8 @@ class _Searcher:
     candidates.  A decision takes the one with the fewest (lowest index on
     ties) and tries its first free candidate OUT, then IN; with the set empty
     it takes the first unassigned atom in degree order.  A leaf is a full
-    assignment with the set empty, re-verified with is_answer_set_n2 before
-    being reported.
+    assignment with the set empty, re-verified against the two answer-set
+    conditions before being reported.
     Single-use: one search per instance.
     """
 
@@ -230,6 +227,7 @@ class _Searcher:
             return
         found = 0
         state = self.state
+        heads, bodies = self.p.n2_pairs
         values = (_OUT, _IN)
         # Frames (atom, pos, vi, mark): branch on `atom` (-1: not chosen yet),
         # pos = degree-order scan position (every order[:pos] is assigned),
@@ -248,7 +246,7 @@ class _Searcher:
                     for a in range(self.p.n):
                         if state[a] == _IN:
                             smask |= 1 << a
-                    if is_answer_set_n2(self.p, AtomSet(self.p.n, smask)):
+                    if _is_n2_answer_set_mask(heads, bodies, smask):
                         yield smask
                         found += 1
                         if limit is not None and found >= limit:
@@ -270,13 +268,7 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
     _require_n2_nonempty(p)
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
-    return _collect(p.n, list(_Searcher(p).run(limit)))
-
-
-def count_answer_sets(p: Program) -> int:
-    """Number of answer sets, without materializing the collection."""
-    _require_n2_nonempty(p)
-    return sum(1 for _ in _Searcher(p).run(None))
+    return AnswerSetCollection(p.n, tuple(sorted(_Searcher(p).run(limit))))
 
 
 def enumerate_brute_force(p: Program, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> AnswerSetCollection:
@@ -300,8 +292,8 @@ def enumerate_brute_force(p: Program, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> Ans
         for r in p.rules:
             neg = np.uint64(sum(1 << c for c in r.neg_body))
             lm[(masks & neg) == np.uint64(0)] |= np.uint64(1 << r.head)
-        hits = [int(m) for m in masks[lm == masks]]
+        hits = tuple(int(m) for m in masks[lm == masks])
     else:
         rm = _rule_masks(p)
-        hits = [s for s in range(total) if _is_answer_set_masks(rm, s)]
-    return _collect(p.n, hits)
+        hits = tuple(s for s in range(total) if _is_answer_set_masks(rm, s))
+    return AnswerSetCollection(p.n, hits)

@@ -67,7 +67,7 @@ def _all_answer_set_masks(p: Program, cap: int) -> set[int]:
         return {0}  # least model of the empty reduct is the empty set
     from .solver import enumerate_brute_force
 
-    return set(enumerate_brute_force(p, cap=cap).masks())
+    return set(enumerate_brute_force(p, cap=cap).masks)
 
 
 def check_equivalence_modulo_aux(
@@ -79,17 +79,18 @@ def check_equivalence_modulo_aux(
     """Answer sets of p and p2 correspond one-to-one after deleting aux atoms.
 
     Both directions are required: every answer set of p must extend to one of
-    p2, and every answer set of p2 must project into AS(p).  Brute-force on
-    both sides, so both universes must fit under the cap.
+    p2, and every answer set of p2 must project into AS(p).  The extension
+    must also be unique: no two answer sets of p2 may share a projection.
+    Brute-force on both sides, so both universes must fit under the cap.
     """
     aux_mask = 0
     for a in aux:
         if not 0 <= a < p2.n:
             raise ValueError(f"aux atom {a} outside the extended universe [0, {p2.n})")
         aux_mask |= 1 << a
-    as_p = _all_answer_set_masks(p, cap)
-    projected = {m & ~aux_mask for m in _all_answer_set_masks(p2, cap)}
-    return projected == as_p
+    as_p2 = _all_answer_set_masks(p2, cap)
+    projected = {m & ~aux_mask for m in as_p2}
+    return len(projected) == len(as_p2) and projected == _all_answer_set_masks(p, cap)
 
 
 def verify_translation(p: Program, result: TranslationResult, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> bool:

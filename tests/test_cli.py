@@ -256,6 +256,14 @@ class TestExperimentCommand:
             assert args.command == "experiment" and args.trials == 1000
             assert args.out.endswith(".csv")
 
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        code = run_cli(
+            "experiment", "avg", "--n", "12", "--c1", "3", "--c2", "0",
+            "--trials", "5", "--seed", "5", "--workers", "0", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_dist_multiple_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "dist.csv"
         code = run_cli(

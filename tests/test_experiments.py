@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+
+from randasp.csvout import write_dist_csv
 
 from randasp.experiments import (
     ExperimentConfig,
@@ -10,7 +13,7 @@ from randasp.experiments import (
     run_dist_experiment,
 )
 from randasp.generate import LinearModelParams, generate, mix_seed
-from randasp.solver import count_answer_sets
+from randasp.solver import enumerate_answer_sets
 from randasp.theory import consistency_probability, expected_total
 
 
@@ -73,7 +76,7 @@ class TestAvgExperiment:
     def test_degenerate_single_trial(self):
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=99)
         (res,) = run_avg_experiment(cfg)
-        direct = count_answer_sets(generate(LinearModelParams(12, 3.0, 0.0), mix_seed(99, 0)))
+        direct = enumerate_answer_sets(generate(LinearModelParams(12, 3.0, 0.0), mix_seed(99, 0))).count
         assert res.avg_answer_sets == float(direct)
         assert res.stderr == 0.0
 
@@ -96,24 +99,43 @@ class TestAvgExperiment:
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=40, seed=8)
         assert run_avg_experiment(cfg, workers=1) == run_avg_experiment(cfg, workers=4)
 
-    def test_solver_limit_exhaustion_aborts(self):
-        cfg = ExperimentConfig(n=20, c1=5.0, c2=0.0, trials=40, seed=2, solver_limit=1)
-        with pytest.raises(RuntimeError, match="truncated"):
-            run_avg_experiment(cfg)
-
-    def test_solver_limit_equal_to_count_is_exact(self):
-        # this program has exactly 2 answer sets, so limit 2 loses nothing
-        cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=1, solver_limit=2)
-        (res,) = run_avg_experiment(cfg)
-        assert res.avg_answer_sets == 2.0
-        assert run_dist_experiment(cfg) == run_dist_experiment(
-            ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=1)
-        )
-
     def test_sweep_produces_row_per_combo(self):
         cfg = ExperimentConfig(n=[10, 12], c1=[2.0, 3.0], c2=0.0, trials=5, seed=4)
         rows = run_avg_experiment(cfg)
         assert [(r.n, r.c1) for r in rows] == [(10, 2.0), (10, 3.0), (12, 2.0), (12, 3.0)]
+
+
+class TestWorkers:
+    def test_rejects_fewer_than_one_before_first_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=5, seed=1)
+        for run in (run_avg_experiment, run_dist_experiment, run_consistency_experiment):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                run(cfg, workers=0)
+
+    def test_pool_holds_one_process_per_chunk(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr("randasp.experiments.ProcessPoolExecutor", InlinePool)
+        cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
+        assert run_avg_experiment(cfg, workers=8) == run_avg_experiment(cfg, workers=1)
+        assert sizes == [3]
 
 
 class TestDistExperiment:
@@ -159,6 +181,22 @@ class TestDistExperiment:
     def test_workers_identical(self):
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=60, seed=9)
         assert run_dist_experiment(cfg, workers=1) == run_dist_experiment(cfg, workers=3)
+
+    # sha256 of the dist CSV bytes, recorded before the per-size histogram
+    # was computed from answer-set masks instead of a per-set dict
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "n, c1, c2, digest",
+        [
+            (50, 5.0, 0.0, "c9f6404ae8824d948bc8870fb1e65c314e10e90063653b7f89e3cc9a49f58c69"),
+            (60, 10.0, 4.0, "97c52d3c425a98a647ec072fdc485fc03c99a7f32794962d2435a6e5ff4fb32d"),
+        ],
+    )
+    def test_pinned_csv_bytes(self, tmp_path, n, c1, c2, digest, workers):
+        cfg = ExperimentConfig(n=n, c1=c1, c2=c2, trials=40, seed=20240902)
+        out = tmp_path / "dist.csv"
+        write_dist_csv(out, run_dist_experiment(cfg, workers=workers), cfg.seed)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_c1_zero_rejected_before_first_trial(self, monkeypatch):
         def no_trials(*args):

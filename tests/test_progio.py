@@ -98,6 +98,17 @@ class TestFormat:
         assert "zed" not in text
         assert parse_program(text) == p
 
+    @pytest.mark.parametrize("symbol", ["1x", "x y", "not", "a1"])
+    def test_symbol_that_is_not_an_atom_name_falls_back(self, symbol):
+        p = Program(1, [Rule(0)], symbols=(symbol,))
+        assert format_program(p) == "#universe 1.\na0.\n"
+        assert parse_program(format_program(p)) == p
+
+    def test_names_permuted_over_a_symmetric_program_fall_back(self):
+        # the named text parses back to the same rules, but with a0 and a1 swapped
+        p = Program(2, [pure_rule(0, 1), pure_rule(1, 0)], symbols=("a1", "a0"))
+        assert format_program(p) == "#universe 2.\na0 :- not a1.\na1 :- not a0.\n"
+
 
 class TestRoundTrip:
     def test_generated_programs(self):

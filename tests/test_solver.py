@@ -8,7 +8,6 @@ from randasp.programs import AtomSet, Program, Rule, is_answer_set_general, pure
 from randasp.solver import (
     _IN,
     _Searcher,
-    count_answer_sets,
     enumerate_answer_sets,
     enumerate_brute_force,
     is_answer_set_n2,
@@ -65,7 +64,7 @@ class TestEnumerate:
         col = enumerate_answer_sets(TWO_CYCLE)
         assert [a.members for a in col.sets] == [(0,), (1,)]
         assert col.count == 2
-        assert col.size_histogram == {1: 2}
+        assert col.masks == (0b01, 0b10)
 
     def test_single_rule(self):
         col = enumerate_answer_sets(Program(2, [pure_rule(0, 1)]))
@@ -96,27 +95,27 @@ class TestEnumerate:
         c1 = enumerate_answer_sets(p)
         c2 = enumerate_answer_sets(p)
         assert c1 == c2
-        assert list(c1.masks()) == sorted(c1.masks())
+        assert list(c1.masks) == sorted(c1.masks)
 
     @given(n2_programs(max_n=10))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, p):
-        assert enumerate_answer_sets(p).masks() == enumerate_brute_force(p).masks()
+        assert enumerate_answer_sets(p).masks == enumerate_brute_force(p).masks
 
     def test_matches_brute_force_generated(self):
         for t in range(30):
             p = generate(LinearModelParams(14, 5.0, 1.0), mix_seed(77, t))
-            assert enumerate_answer_sets(p).masks() == enumerate_brute_force(p).masks()
+            assert enumerate_answer_sets(p).masks == enumerate_brute_force(p).masks
 
     @given(n2_programs(max_n=10))
     @settings(max_examples=40, deadline=None)
     def test_collection_invariants(self, p):
         col = enumerate_answer_sets(p)
         assert col.count == len(col.sets)
-        assert sum(col.size_histogram.values()) == col.count
+        assert len(set(col.masks)) == col.count
         for a in col.sets:
             assert 0 < len(a) < p.n  # nonempty program: size strictly inside
-        masks = col.masks()
+        masks = col.masks
         for a in masks:
             for b in masks:
                 if a != b:
@@ -130,7 +129,7 @@ class TestExistence:
         col = enumerate_answer_sets(p, limit=1)
         bf = enumerate_brute_force(p)
         assert col.count == min(1, bf.count)
-        assert set(col.masks()) <= set(bf.masks())
+        assert set(col.masks) <= set(bf.masks)
 
     def test_limit_one_matches_brute_force_generated(self):
         for i, (c1, c2) in enumerate([(3.0, 0.0), (5.0, 0.0), (4.0, 1.0), (3.0, 3.0)]):
@@ -140,7 +139,7 @@ class TestExistence:
                 col = enumerate_answer_sets(p, limit=1)
                 bf = enumerate_brute_force(p)
                 assert col.count == min(1, bf.count)
-                assert set(col.masks()) <= set(bf.masks())
+                assert set(col.masks) <= set(bf.masks)
 
 
 class _CheckedSearcher(_Searcher):
@@ -171,14 +170,14 @@ class TestUnsupportedSet:
                 p = generate(LinearModelParams(n, c1, c2), mix_seed(600 + i, t))
                 searcher = _CheckedSearcher(p)
                 masks = sorted(searcher.run(None))
-                assert tuple(masks) == enumerate_answer_sets(p).masks()
+                assert tuple(masks) == enumerate_answer_sets(p).masks
                 searcher._check()
 
     @given(n2_programs(max_n=10))
     @settings(max_examples=60, deadline=None)
     def test_invariant_on_small_programs(self, p):
         masks = sorted(_CheckedSearcher(p).run(None))
-        assert tuple(masks) == enumerate_brute_force(p).masks()
+        assert tuple(masks) == enumerate_brute_force(p).masks
 
 
 # Results of the degree-order enumerator this search replaced, recorded from it:
@@ -260,7 +259,7 @@ class TestPinnedResults:
         mismatches = []
         for n, c2, t, count, digest in PINNED:
             seed = mix_seed(PINNED_SEED, n * 1000 + int(c2) * 100 + t)
-            masks = enumerate_answer_sets(generate(LinearModelParams(n, 5.0, c2), seed)).masks()
+            masks = enumerate_answer_sets(generate(LinearModelParams(n, 5.0, c2), seed)).masks
             got = (len(masks), hashlib.sha256(repr(masks).encode()).hexdigest())
             if got != (count, digest):
                 mismatches.append((n, c2, t))
@@ -269,13 +268,22 @@ class TestPinnedResults:
 
 class TestCount:
     def test_examples(self):
-        assert count_answer_sets(TWO_CYCLE) == 2
-        assert count_answer_sets(Program(1, [pure_rule(0, 0)])) == 0
+        assert enumerate_answer_sets(TWO_CYCLE).count == 2
+        assert enumerate_answer_sets(Program(1, [pure_rule(0, 0)])).count == 0
 
     def test_matches_enumeration(self):
         for t in range(20):
             p = generate(LinearModelParams(16, 5.0, 0.0), mix_seed(31, t))
-            assert count_answer_sets(p) == enumerate_brute_force(p).count
+            assert enumerate_answer_sets(p).count == enumerate_brute_force(p).count
+
+
+class TestLeafRecheck:
+    def test_every_leaf_goes_through_the_mask_checker(self, monkeypatch):
+        p = generate(LinearModelParams(50, 5.0, 0.0), mix_seed(PINNED_SEED, 50001))  # 3 sets pinned
+        assert enumerate_answer_sets(p).count == 3
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, smask: False)
+        assert enumerate_answer_sets(p).masks == ()
+        assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
 
 
 class TestBruteForce:
@@ -303,4 +311,4 @@ class TestBruteForce:
         expected = [
             m for m in range(1 << p.n) if is_answer_set_general(p, AtomSet(p.n, m))
         ]
-        assert list(enumerate_brute_force(p).masks()) == expected
+        assert list(enumerate_brute_force(p).masks) == expected

@@ -69,6 +69,13 @@ class TestEquivalenceCheck:
         p2 = Program(2, [pure_rule(0, 1), pure_rule(1, 0)])
         assert not check_equivalence_modulo_aux(p, p2, set())
 
+    def test_detects_two_extensions_of_one_answer_set(self):
+        # a0.  against  a0.  a1 :- not a2.  a2 :- not a1.  with aux {a1, a2}:
+        # {a0} extends to both {a0, a1} and {a0, a2}
+        p = Program(1, [Rule(0)])
+        p2 = Program(3, [Rule(0), pure_rule(1, 2), pure_rule(2, 1)])
+        assert not check_equivalence_modulo_aux(p, p2, {1, 2})
+
     def test_cap_refusal(self):
         p = Program(25, [pure_rule(0, 1)])
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
+from .generate import LinearModelParams, generate_with_stats, mix_seed, require_integer, require_sampleable
 from .solver import enumerate_answer_sets
 from .theory import (
     _require_model,
@@ -46,6 +46,8 @@ class ExperimentConfig:
         for name in ("n", "c1", "c2"):
             value = getattr(self, name)
             object.__setattr__(self, name, tuple(value) if isinstance(value, (tuple, list)) else (value,))
+        require_integer("trials", self.trials)
+        require_integer("seed", self.seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 1 << 64:

@@ -72,6 +72,14 @@ class SplitMix64:
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
 
 
+def require_integer(name: str, value) -> None:
+    """ValueError unless value is an integer; numpy integers pass, 10.5 and 10.0 do not."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class LinearModelParams:
     """Model parameters (n, c1, c2) with derived per-rule probabilities."""
@@ -81,10 +89,7 @@ class LinearModelParams:
     c2: float
 
     def __post_init__(self):
-        try:
-            operator.index(self.n)  # numpy integers pass, 10.5 does not
-        except TypeError:
-            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        require_integer("n", self.n)
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.c1 < 0 or self.c2 < 0:

@@ -157,10 +157,10 @@ class _Searcher:
                 if self.n_out_supp[a] == 1:
                     self.unsupported.discard(a)
             for a in heads:
-                if self.state[a] == _OUT or not self._enqueue(queue, _IN, a):
+                if not self._enqueue(queue, _IN, a):
                     return False
             for b in self.bodies_of[atom]:
-                if self.state[b] == _OUT or not self._enqueue(queue, _IN, b):
+                if not self._enqueue(queue, _IN, b):
                     return False
         else:
             if self.n_out_supp[atom] == 0:

@@ -16,11 +16,17 @@ Quantities, for parameters (n, c1, c2) with p = c1/n, d = c2/n, q = 1 - p:
   independence-heuristic estimate of P(at least one answer set); gamma = 1
   is the raw estimate, gamma around 0.5 fits observed dependence.
 
-Everything that mixes huge and tiny factors is evaluated in log space
-(log-gamma binomials), with exponentiation deferred to the last step.
+Everything that mixes huge and tiny factors is evaluated in log space, with
+exponentiation deferred to the last step.  log C(n, k) is
+lf(n) - lf(k) - lf(n - k) with lf = `_log_factorial`, a port of the Cephes
+log-gamma routine `lgam` (S. L. Moshier, Methods and Programs for
+Mathematical Functions, 1989) at integer arguments, step for step with
+`math.log`.  It must give that routine's bits, not merely close values:
+every E[N_k], every expected_total and so every theory column of the CSVs
+were recorded with them, and a last-bit change at one k moves those bytes.
 
 log Pr(k) is written once, in the elementwise kernel `_log_kernel`, which
-adds it to a log weight: the log-gamma binomial for E[N_k], its Stirling
+adds it to a log weight: the log binomial for E[N_k], its Stirling
 form for phi, 0 for Pr.  The scalar functions are thin wrappers over it, and
 `expected_total`, the E[N_k] column of the dist CSV and the theory-curve CSV
 all read one array (`expected_counts`, `size_curves`), so a column sums to
@@ -39,9 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
-from .generate import LinearModelParams
+from .generate import LinearModelParams, require_integer
 
 ALPHA_RESIDUAL_TOL = 1e-12
 
@@ -92,8 +97,47 @@ def _require_point(n: int, x, c1: float, c2: float, name: str) -> None:
         raise ValueError(f"{name} must satisfy 0 < {name} < n, got {name}={x}, n={n}")
 
 
+def _require_size(n: int, k, c1: float, c2: float) -> None:
+    require_integer("k", k)  # C(n, k) is taken at integers only
+    _require_point(n, k, c1, c2, "k")
+
+
+# Cephes lgam: log(sqrt(2 pi)) and the Stirling-series coefficients used below x = 1000.
+_LS2PI = 0.91893853320467274178
+_STIRLING_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(m: int) -> float:
+    """log(m!) = lgam(m + 1), in the Cephes routine's steps and order."""
+    if m < 12:
+        return math.log(math.factorial(m))  # m! is exact in a double
+    x = float(m + 1)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    else:
+        series = 0.0
+        for a in _STIRLING_A:  # polevl(p, A, 4)
+            series = series * p + a
+    return q + series / x
+
+
+_log_factorials = np.vectorize(_log_factorial, otypes=[np.float64])
+
+
 def _log_binom(n: int, k) -> np.ndarray | float:
-    return gammaln(n + 1) - gammaln(np.asarray(k) + 1) - gammaln(n - np.asarray(k) + 1)
+    """log C(n, k) elementwise over integral k; no table, so a scalar k costs three lf calls."""
+    k = np.asarray(k).astype(np.int64)
+    return _log_factorial(n) - _log_factorials(k) - _log_factorials(n - k)
 
 
 def _log_stirling_binom(n: int, x) -> np.ndarray | float:
@@ -131,8 +175,8 @@ def _curve(n: int, c1: float, c2: float, log_weight=None) -> np.ndarray:
 
 
 def log_prob_answer_set(n: int, k: int, c1: float, c2: float) -> float:
-    """log Pr(k); -inf where the probability is exactly zero (e.g. c1 = 0)."""
-    _require_point(n, k, c1, c2, "k")
+    """log Pr(k) for integer k; -inf where the probability is exactly zero (e.g. c1 = 0)."""
+    _require_size(n, k, c1, c2)
     return float(_log_kernel(n, k, c1, c2))
 
 
@@ -142,16 +186,17 @@ def prob_answer_set(n: int, k: int, c1: float, c2: float) -> float:
 
 
 def expected_count_size_k(n: int, k: int, c1: float, c2: float) -> float:
-    """E[N_k] = C(n, k) Pr(k), evaluated in log space."""
-    _require_point(n, k, c1, c2, "k")
+    """E[N_k] = C(n, k) Pr(k) for integer k, evaluated in log space."""
+    _require_size(n, k, c1, c2)
     return math.exp(_log_kernel(n, k, c1, c2, _log_binom))
 
 
 def expected_count_size_k_exact(n: int, k: int, c1: float, c2: float) -> Fraction:
     """Exact-rational E[N_k] for n <= 30 (cross-check oracle for the log path)."""
-    _require_point(n, k, c1, c2, "k")
+    _require_size(n, k, c1, c2)
     if n > EXACT_ORACLE_MAX_N:
         raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}")
+    k = int(k)  # with a numpy exponent, Fraction powers overflow in int64
     q = 1 - Fraction(c1) / n
     d = Fraction(c2) / n
     pr = q ** ((n - k) * (n - k - 1)) * (1 - q ** (n - k)) ** k * (1 - d) ** (n - k)

@@ -24,7 +24,7 @@ class TestConfig:
         cfg = ExperimentConfig(n=[50, 100], c1=5.0, c2=0.0, trials=10, seed=1)
         assert cfg.n == (50, 100) and cfg.c1 == (5.0,) and cfg.c2 == (0.0,)
 
-    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, 2.0])
     def test_rejects_seed_outside_u64(self, seed):
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=seed)
@@ -52,6 +52,9 @@ class TestConfig:
             ExperimentConfig(n=[50, 4], c1=5.0, c2=0.0, trials=10, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=0, seed=1)
+        for trials in (2.5, 3.0):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=trials, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1, gamma=0.0)
 

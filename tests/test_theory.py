@@ -1,5 +1,9 @@
+import hashlib
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from randasp.generate import LinearModelParams, generate, mix_seed
@@ -8,12 +12,15 @@ from randasp.solver import is_answer_set_n2
 from randasp.theory import (
     STIRLING_LOWER,
     STIRLING_UPPER,
+    _log_binom,
+    _log_factorial,
     chi,
     consistency_probability,
     expected_count_size_k,
     expected_count_size_k_exact,
     expected_total,
     limit_expected_total,
+    log_phi,
     log_prob_answer_set,
     phi,
     prob_answer_set,
@@ -105,6 +112,23 @@ class TestExpectedCounts:
             expected_count_size_k_exact(31, 5, 5.0, 0.0)
 
 
+class TestIntegerK:
+    K_FUNCTIONS = [expected_count_size_k, log_prob_answer_set, prob_answer_set, expected_count_size_k_exact]
+
+    @pytest.mark.parametrize("fn", K_FUNCTIONS)
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(3.0)])
+    def test_rejects_non_integral_k(self, fn, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fn(10, k, 3.0, 0.0)
+
+    @pytest.mark.parametrize("fn", K_FUNCTIONS)
+    def test_numpy_integers_pass(self, fn):
+        assert fn(10, np.int64(2), 3.0, 0.0) == fn(10, 2, 3.0, 0.0)
+
+    def test_phi_keeps_real_x(self):
+        assert phi(2.5, 10, 3.0, 0.0) == math.exp(log_phi(2.5, 10, 3.0, 0.0)) > 0.0
+
+
 class TestExpectedTotal:
     def test_two_atom_case(self):
         assert rel(expected_total(2, 1.0, 0.0), 1.0) < 1e-12
@@ -144,6 +168,40 @@ class TestPinnedBits:
     def test_no_pure_rules_is_exact_zero(self):
         assert expected_total(10, 0.0, 5.0).hex() == "0x0.0p+0"
         assert expected_total(1000, 0.0, 3.0).hex() == "0x0.0p+0"
+
+
+class TestLogFactorialPort:
+    """`_log_factorial` must reproduce the log-gamma bits every E[N_k] was recorded with."""
+
+    def test_table_hash(self):
+        # recorded from the Cephes lgam at 1..100001 before the port replaced it
+        table = np.array([_log_factorial(m) for m in range(100001)])
+        digest = hashlib.sha256(table.tobytes()).hexdigest()
+        assert digest == "c6b2b324c971ec691f99b386681db11f1a8bbd471e6d4e267da873b96f5ccbc5"
+
+    # n = m at each branch edge of lgam(m + 1): x < 13, polevl below 1000, short series above, x > 1e8
+    @pytest.mark.parametrize(
+        "n,k,bits",
+        [
+            (11, 5, "0x1.88ad185d6ba3ep+2"),
+            (12, 5, "0x1.ab2c038b3f2e4p+2"),
+            (998, 5, "0x1.dbb32831f0e00p+4"),
+            (999, 5, "0x1.dbc7b5802a900p+4"),
+            (1000, 5, "0x1.dbdc3d881de00p+4"),
+            (10**9, 5, "0x1.8b50bb0000000p+6"),
+        ],
+    )
+    def test_log_binom_bits(self, n, k, bits):
+        assert float(_log_binom(n, k)).hex() == bits
+
+    def test_import_needs_only_numpy(self):
+        code = (
+            "import sys; before = set(sys.modules); import randasp; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(m for m in new - set(sys.stdlib_module_names) if not m.startswith('_')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n"
 
 
 class TestLimit:

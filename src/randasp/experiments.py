@@ -1,9 +1,12 @@
 """Batch experiment harness: average counts, size distributions, consistency.
 
 Trial t of a run seeded with s generates its program from sub-seed
-mix_seed(s, t), so results are independent of scheduling; with workers > 1
-trials are split into contiguous chunks executed in separate processes and
-their results summed.  One worker, `_count_chunk`, serves all three
+mix_seed(s, t), so results are independent of scheduling.  Each row of a
+sweep is cut into chunks of consecutive trials, about four per worker, so a
+heavy-tailed row does not leave workers idle behind one slow chunk.  With
+workers > 1 every row's chunks are queued at once on one process pool, and
+any idle worker takes the next chunk; rows are reduced and reported in row
+order as their chunks come in.  One worker, `_count_chunk`, serves all three
 experiments; consistency stops each search at its first answer set, so its
 summed count is the number of consistent programs.  All accumulators are
 integers, which makes the reduction exact and byte-identical for any worker
@@ -16,7 +19,9 @@ import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from time import perf_counter
 
 from .generate import LinearModelParams, generate_with_stats, mix_seed, require_integer, require_sampleable
 from .solver import enumerate_answer_sets
@@ -145,19 +150,41 @@ def _count_chunk(args):
     return (total, sq, resamples, *hist)
 
 
-def _run_row(cfg: ExperimentConfig, n: int, c1: float, c2: float, workers: int, limit: int | None):
-    """Column sums of `_count_chunk` over one row's trials, one contiguous chunk per worker."""
+def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None):
+    """Yield (n, c1, c2, column sums of `_count_chunk`, where) for each row, in row order.
+
+    `where` is "[row i/rows, seconds since the sweep started]" for progress
+    lines.  A pool is started only for more than one worker and chunk; it is
+    shut down, its queued chunks cancelled, when the generator finishes, raises
+    or is closed, so close it (`contextlib.closing`) when the loop over it
+    can stop early.
+    """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    per = (cfg.trials + workers - 1) // workers
-    args = [
-        (n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), limit)
-        for lo in range(0, cfg.trials, per)
-    ]
-    if len(args) == 1:
-        return _count_chunk(args[0])
-    with ProcessPoolExecutor(max_workers=len(args)) as pool:  # one pool per row
-        return [sum(column) for column in zip(*pool.map(_count_chunk, args))]
+    t0 = perf_counter()
+    rows = list(cfg.combos())
+    # About four chunks per worker and row: enough that idle workers take up
+    # a straggler's share, few enough that one chunk's pickling round trip
+    # stays small next to its trials (one trial per task slowed a 1000-trial
+    # n=50 row at two workers by a third).
+    per = -(-cfg.trials // (4 * workers))
+    starts = range(0, cfg.trials, per)
+    chunks = [(n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), limit) for n, c1, c2 in rows for lo in starts]
+    pool = None
+    if workers > 1 and len(chunks) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+    try:
+        if pool is None:
+            results = map(_count_chunk, chunks)
+        else:
+            futures = [pool.submit(_count_chunk, c) for c in chunks]  # every row queued up front
+            results = (f.result() for f in futures)
+        for i, (n, c1, c2) in enumerate(rows, 1):
+            sums = [sum(column) for column in zip(*itertools.islice(results, len(starts)))]
+            yield n, c1, c2, sums, f"[row {i}/{len(rows)}, {perf_counter() - t0:.1f} s]"
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _theory_columns(n: int, c1: float, c2: float) -> tuple[float, float]:
@@ -169,20 +196,20 @@ def _theory_columns(n: int, c1: float, c2: float) -> tuple[float, float]:
 def run_avg_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> list[AvgResult]:
     """Mean answer-set count per (n, c1, c2) combination, with 3-sigma-ready stderr."""
     out = []
-    for n, c1, c2 in cfg.combos():
-        total, sq, resamples, *_ = _run_row(cfg, n, c1, c2, workers, None)
-        mean = total / cfg.trials
-        var = (sq - total * total / cfg.trials) / (cfg.trials - 1) if cfg.trials > 1 else 0.0
-        stderr = math.sqrt(max(var, 0.0) / cfg.trials)
-        finite_n, limit = _theory_columns(n, c1, c2)
-        out.append(
-            AvgResult(n, c1, c2, cfg.trials, mean, stderr, finite_n, limit, resamples)
-        )
-        if progress:
-            print(
-                f"avg n={n} c1={c1} c2={c2}: mean={mean:.4f} (theory {finite_n:.4f})",
-                file=sys.stderr,
+    with closing(_sweep(cfg, workers, None)) as rows:
+        for n, c1, c2, (total, sq, resamples, *_), where in rows:
+            mean = total / cfg.trials
+            var = (sq - total * total / cfg.trials) / (cfg.trials - 1) if cfg.trials > 1 else 0.0
+            stderr = math.sqrt(max(var, 0.0) / cfg.trials)
+            finite_n, limit = _theory_columns(n, c1, c2)
+            out.append(
+                AvgResult(n, c1, c2, cfg.trials, mean, stderr, finite_n, limit, resamples)
             )
+            if progress:
+                print(
+                    f"avg n={n} c1={c1} c2={c2}: mean={mean:.4f} (theory {finite_n:.4f}) {where}",
+                    file=sys.stderr,
+                )
     return out
 
 
@@ -194,7 +221,8 @@ def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool 
     n, c1, c2 = combos[0]
     if c1 == 0.0:
         raise ValueError("difference rate undefined: chi_k is all zeros at c1 = 0")
-    _, _, resamples, *totals = _run_row(cfg, n, c1, c2, workers, None)
+    ((_, _, _, sums, where),) = _sweep(cfg, workers, None)  # unpacking runs the generator to its end
+    _, _, resamples, *totals = sums
     empirical = [t / cfg.trials for t in totals]
     model = [0.0, *expected_counts(n, c1, c2).tolist(), 0.0]
     tp = theory_params(n, c1, c2)
@@ -202,7 +230,7 @@ def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool 
     drate = difference_rate(chi_k[1:n], empirical[1:n])
     if progress:
         print(
-            f"dist n={n} c1={c1} c2={c2}: {sum(totals)} answer sets, D={drate:.5f}",
+            f"dist n={n} c1={c1} c2={c2}: {sum(totals)} answer sets, D={drate:.5f} {where}",
             file=sys.stderr,
         )
     return DistResult(
@@ -221,23 +249,23 @@ def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool 
 
 def run_consistency_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> ConsResult:
     """Fraction of consistent programs vs the two closed-form predictions."""
-    rows = []
-    for n, c1, c2 in cfg.combos():
-        consistent, _, resamples, *_ = _run_row(cfg, n, c1, c2, workers, 1)
-        ratio = consistent / cfg.trials
-        if c1 > 0.0:
-            expected = expected_total(n, c1, c2)
-            pred_full = consistency_probability(expected, 1.0)
-            pred_gamma = consistency_probability(expected, cfg.gamma)
-        else:
-            pred_full = pred_gamma = 0.0
-        rows.append(
-            ConsRow(n, c1, c2, cfg.trials, ratio, pred_full, pred_gamma, consistent, resamples)
-        )
-        if progress:
-            print(
-                f"consistency n={n} c1={c1} c2={c2}: ratio={ratio:.4f} "
-                f"in [{pred_gamma:.4f}, {pred_full:.4f}]?",
-                file=sys.stderr,
+    out = []
+    with closing(_sweep(cfg, workers, 1)) as rows:
+        for n, c1, c2, (consistent, _, resamples, *_), where in rows:
+            ratio = consistent / cfg.trials
+            if c1 > 0.0:
+                expected = expected_total(n, c1, c2)
+                pred_full = consistency_probability(expected, 1.0)
+                pred_gamma = consistency_probability(expected, cfg.gamma)
+            else:
+                pred_full = pred_gamma = 0.0
+            out.append(
+                ConsRow(n, c1, c2, cfg.trials, ratio, pred_full, pred_gamma, consistent, resamples)
             )
-    return ConsResult(gamma=cfg.gamma, rows=tuple(rows))
+            if progress:
+                print(
+                    f"consistency n={n} c1={c1} c2={c2}: ratio={ratio:.4f} "
+                    f"in [{pred_gamma:.4f}, {pred_full:.4f}]? {where}",
+                    file=sys.stderr,
+                )
+    return ConsResult(gamma=cfg.gamma, rows=tuple(out))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import shlex
 import subprocess
 import sys
@@ -236,6 +237,24 @@ class TestExperimentCommand:
         write_avg_csv(ref, run_avg_experiment(cfg), cfg.seed)
         assert out.read_bytes() == ref.read_bytes()
         assert len(out.read_text().splitlines()) == 5 + 3  # provenance, header, 3 rows
+
+    @pytest.mark.parametrize("kind, n", [("avg", "10,12,14"), ("consistency", "10,12,14"), ("dist", "10")])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_progress_line_per_row_on_stderr(self, tmp_path, capsys, kind, n, workers):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "experiment", kind, "--n", n, "--c1", "3", "--c2", "0",
+            "--trials", "8", "--seed", "5", "--workers", workers, "--out", str(out),
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        rows = n.split(",")
+        lines = captured.err.splitlines()
+        assert len(lines) == len(rows)
+        for i, (line, row_n) in enumerate(zip(lines, rows), 1):
+            assert line.startswith(f"{kind} n={row_n} ")
+            assert re.search(rf" \[row {i}/{len(rows)}, \d+\.\d s\]$", line)
+        assert captured.out == "" and "[row" not in out.read_text()
 
     def test_bad_list_element_is_usage_error(self, tmp_path, capsys):
         code = run_cli(

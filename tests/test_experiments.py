@@ -1,9 +1,12 @@
 import hashlib
 import math
+import multiprocessing
+import time
+from concurrent.futures import Future
 
 import pytest
 
-from randasp.csvout import write_dist_csv
+from randasp.csvout import write_avg_csv, write_consistency_csv, write_dist_csv
 
 from randasp.experiments import (
     ExperimentConfig,
@@ -12,7 +15,7 @@ from randasp.experiments import (
     run_consistency_experiment,
     run_dist_experiment,
 )
-from randasp.generate import LinearModelParams, generate, mix_seed
+from randasp.generate import LinearModelParams, generate, generate_with_stats, mix_seed
 from randasp.solver import enumerate_answer_sets
 from randasp.theory import consistency_probability, expected_total
 
@@ -119,26 +122,60 @@ class TestWorkers:
             with pytest.raises(ValueError, match="workers must be at least 1"):
                 run(cfg, workers=0)
 
-    def test_pool_holds_one_process_per_chunk(self, monkeypatch):
+    def test_one_pool_per_sweep_sized_to_its_chunks(self, monkeypatch):
         sizes = []
 
         class InlinePool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr("randasp.experiments.ProcessPoolExecutor", InlinePool)
-        cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
-        assert run_avg_experiment(cfg, workers=8) == run_avg_experiment(cfg, workers=1)
+        three_rows = ExperimentConfig(n=[10, 12, 14], c1=3.0, c2=0.0, trials=6, seed=8)
+        for run in (run_avg_experiment, run_consistency_experiment):
+            assert run(three_rows, workers=2) == run(three_rows, workers=1)
+            assert sizes.pop() == 2 and not sizes  # 3 rows x 6 one-trial chunks
+        three_chunks = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
+        assert run_avg_experiment(three_chunks, workers=8) == run_avg_experiment(three_chunks, workers=1)
         assert sizes == [3]
+        one_chunk = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=8)
+        run_avg_experiment(one_chunk, workers=2)
+        run_dist_experiment(one_chunk, workers=2)
+        assert sizes == [3]
+
+    # Each trial leaves a marker file; the patch reaches the pool's workers
+    # because they are forked from this process.  Without cancelling the
+    # queued chunks, the 80 trials behind the failure would all run.
+    @pytest.mark.parametrize("run", [run_avg_experiment, run_consistency_experiment])
+    @pytest.mark.parametrize("fail_in", ["trial", "caller"])
+    def test_error_cancels_queued_chunks(self, monkeypatch, tmp_path, run, fail_in):
+        real = generate_with_stats
+
+        def marked(params, seed):
+            (tmp_path / f"{params.n}-{seed}").touch()
+            if fail_in == "trial" and params.n == 10:
+                raise RuntimeError("trial failed")
+            time.sleep(0.05)
+            return real(params, seed)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", marked)
+        if fail_in == "caller":  # the theory columns of row 0, in this process
+            monkeypatch.setattr("randasp.experiments.expected_total", interrupted)
+        cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
+        with pytest.raises(RuntimeError if fail_in == "trial" else KeyboardInterrupt):
+            run(cfg, workers=2)
+        assert not multiprocessing.active_children()
+        assert len(list(tmp_path.iterdir())) < 48  # of 96 trials
 
 
 class TestDistExperiment:
@@ -200,6 +237,7 @@ class TestDistExperiment:
         out = tmp_path / "dist.csv"
         write_dist_csv(out, run_dist_experiment(cfg, workers=workers), cfg.seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert not multiprocessing.active_children()
 
     def test_c1_zero_rejected_before_first_trial(self, monkeypatch):
         def no_trials(*args):
@@ -248,3 +286,24 @@ class TestConsistencyExperiment:
             / 120
         )
         assert res.rows[0].empirical_ratio == expected_ratio
+
+
+class TestPinnedSweeps:
+    # sha256 of multi-row CSV bytes, recorded while each row still ran on a
+    # pool of its own; a row-order mix-up between chunks changes them
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "run, write, n, c1, trials, seed, digest",
+        [
+            (run_avg_experiment, write_avg_csv, [50, 100, 150], 5.0, 40, 20240901,
+             "6343ff04c5730226811e4a5757155d57ddc0dde3ef910cd5e49db58fa686519f"),
+            (run_consistency_experiment, write_consistency_csv, [100, 200, 300], 3.0, 50, 20240904,
+             "c6163c3c93774c39ed8f7b20b65717ec2f6b36df4ca5a4ee18dbf02a5e652f34"),
+        ],
+    )
+    def test_csv_bytes(self, tmp_path, run, write, n, c1, trials, seed, digest, workers):
+        cfg = ExperimentConfig(n=n, c1=c1, c2=0.0, trials=trials, seed=seed)
+        out = tmp_path / "sweep.csv"
+        write(out, run(cfg, workers=workers), cfg.seed)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert not multiprocessing.active_children()

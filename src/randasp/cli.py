@@ -131,7 +131,7 @@ def _cmd_solve(args) -> int:
         program = parse_program(fh.read())
     if args.check is not None:
         s = _parse_check_atoms(args.check, program)
-        if program.rules and program.is_n2:
+        if program.is_n2:
             print(f"n2: {'true' if is_answer_set_n2(program, s) else 'false'}")
         else:
             print("n2: not-applicable")

@@ -23,7 +23,8 @@ from contextlib import closing
 from dataclasses import dataclass
 from time import perf_counter
 
-from .generate import LinearModelParams, generate_with_stats, mix_seed, require_integer, require_sampleable
+from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
+from .programs import require_integer
 from .solver import enumerate_answer_sets
 from .theory import (
     _require_model,

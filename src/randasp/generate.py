@@ -30,12 +30,11 @@ as the distribution oracle for tests.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .programs import Program, Rule
+from .programs import Program, Rule, require_integer
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -70,14 +69,6 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform double in (0, 1] (53 significant bits)."""
         return ((self.next_u64() >> 11) + 1) * 2.0**-53
-
-
-def require_integer(name: str, value) -> None:
-    """ValueError unless value is an integer; numpy integers pass, 10.5 and 10.0 do not."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

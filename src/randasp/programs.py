@@ -6,13 +6,15 @@ Atoms are dense integer indices in [0, n).  A rule is
 
 with all body atoms pairwise distinct.  A program is a set of rules over a
 fixed universe size n; an interpretation is a subset of [0, n) held as a
-bitmask.  The reduct/least-model checker in this module is the trusted
-reference semantics; the specialized machinery for negative two-literal
-programs lives in `solver`.
+bitmask.  The trusted reference semantics is the definition itself:
+`is_answer_set_general(p, s)` is `least_model(reduct(p, s)) == s`.  The empty
+program is a program; its one answer set is the empty set.  The specialized
+machinery for negative two-literal programs lives in `solver`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -37,6 +39,14 @@ class Rule(NamedTuple):
     def is_contradiction(self) -> bool:
         """True for `a <- not a` (constraint-like self-loop)."""
         return self.is_n2 and self.neg_body[0] == self.head
+
+
+def require_integer(name: str, value) -> None:
+    """ValueError unless value is an integer; numpy integers pass, 10.5 and 10.0 do not."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def make_rule(head: int, pos_body: Iterable[int] = (), neg_body: Iterable[int] = ()) -> Rule:
@@ -70,6 +80,7 @@ class Program:
     symbols: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, n: int, rules: Iterable[Rule] = (), symbols=None):
+        require_integer("n", n)
         if n < 0:
             raise ValueError("universe size must be non-negative")
         canon = tuple(sorted(set(rules)))
@@ -94,6 +105,7 @@ class Program:
         (head, body) order and deduplicated as arrays, so no per-rule Python
         check runs; `is_n2` and `n2_pairs` come preset.
         """
+        require_integer("n", n)
         if n < 0:
             raise ValueError("universe size must be non-negative")
         h, b = np.asarray(heads), np.asarray(bodies)
@@ -158,6 +170,7 @@ class AtomSet:
     mask: int
 
     def __post_init__(self):
+        require_integer("n", self.n)
         if self.n < 0:
             raise ValueError("universe size must be non-negative")
         if not 0 <= self.mask < (1 << self.n):
@@ -258,42 +271,6 @@ def least_model(p: Program) -> AtomSet:
     return AtomSet(p.n, derived)
 
 
-def _rule_masks(p: Program) -> list[tuple[int, int, int]]:
-    """(head_bit, pos_mask, neg_mask) triples for mask-level semantics."""
-    out = []
-    for r in p.rules:
-        pm = 0
-        for b in r.pos_body:
-            pm |= 1 << b
-        nm = 0
-        for c in r.neg_body:
-            nm |= 1 << c
-        out.append((1 << r.head, pm, nm))
-    return out
-
-
-def _is_answer_set_masks(rule_masks: list[tuple[int, int, int]], smask: int) -> bool:
-    """Reduct + least-model check on precomputed masks (hot-loop form)."""
-    pending = [(h, pm) for (h, pm, nm) in rule_masks if not (nm & smask)]
-    lm = 0
-    changed = True
-    while changed and pending:
-        changed = False
-        rest = []
-        for h, pm in pending:
-            if pm & lm == pm:
-                if not (lm & h):
-                    lm |= h
-                    if lm & ~smask:
-                        return False  # least model already exceeds s
-                    changed = True
-            else:
-                rest.append((h, pm))
-        pending = rest
-    return lm == smask
-
-
 def is_answer_set_general(p: Program, s: AtomSet) -> bool:
     """Reference check: s is an answer set iff s is the least model of the reduct."""
-    _require_same_universe(p.n, s)
-    return _is_answer_set_masks(_rule_masks(p), s.mask)
+    return least_model(reduct(p, s)) == s

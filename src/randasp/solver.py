@@ -8,10 +8,12 @@ exactly when
   2. every atom of S has a supporting rule `a <- not b` with b outside S.
 
 Equivalently, the complement T = universe \\ S is a kernel of the rule
-digraph.  `is_answer_set_n2` checks the two conditions directly;
-`enumerate_answer_sets` is a DPLL-style backtracker over IN(S)/OUT(T) atom
-assignments with unit propagation; `enumerate_brute_force` scans all 2^n
-subsets with the reduct-based reference checker and is the testing oracle.
+digraph.  The empty program is a program: with no rules no atom can be
+supported, so its one answer set is the empty set.  `is_answer_set_n2`
+checks the two conditions directly; `enumerate_answer_sets` is a DPLL-style
+backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
+`enumerate_brute_force` scans all 2^n subsets with the reduct-based
+reference checker and is the testing oracle.
 Both return an `AnswerSetCollection` of sorted bitmasks; the backtracker
 re-checks every leaf with the mask-level core of `is_answer_set_n2`.
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .programs import AtomSet, Program, _is_answer_set_masks, _rule_masks
+from .programs import AtomSet, Program, _require_same_universe, is_answer_set_general, require_integer
 
 BRUTE_FORCE_CAP_DEFAULT = 20
 
@@ -52,13 +54,6 @@ class AnswerSetCollection:
         return tuple(AtomSet(self.n, m) for m in self.masks)
 
 
-def _require_n2_nonempty(p: Program) -> None:
-    if not p.rules:
-        raise ValueError("program must contain at least one rule")
-    if not p.is_n2:
-        raise ValueError("program is not negative two-literal")
-
-
 def _is_n2_answer_set_mask(heads: list[int], bodies: list[int], smask: int) -> bool:
     """The two answer-set conditions for the rules `heads[i] <- not bodies[i]`."""
     supported = 0
@@ -72,9 +67,7 @@ def _is_n2_answer_set_mask(heads: list[int], bodies: list[int], smask: int) -> b
 
 def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
     """Structural check of the two answer-set conditions (single rule pass)."""
-    _require_n2_nonempty(p)
-    if s.n != p.n:
-        raise ValueError(f"universe-size mismatch: program n={p.n}, set n={s.n}")
+    _require_same_universe(p.n, s)
     return _is_n2_answer_set_mask(*p.n2_pairs, s.mask)
 
 
@@ -262,12 +255,14 @@ class _Searcher:
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:
     """All answer sets of a negative two-literal program (at most `limit` if given).
 
-    A count equal to `limit` does not say whether sets were left out; to tell
-    "exactly `limit`" from "more", ask for `limit + 1` and compare.
+    The empty program has the one answer set {}, so it yields `(0,)`.  A count
+    equal to `limit` does not say whether sets were left out; to tell "exactly
+    `limit`" from "more", ask for `limit + 1` and compare.
     """
-    _require_n2_nonempty(p)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
+    if limit is not None:
+        require_integer("limit", limit)
+        if limit < 1:
+            raise ValueError("limit must be positive")
     return AnswerSetCollection(p.n, tuple(sorted(_Searcher(p).run(limit))))
 
 
@@ -281,8 +276,6 @@ def enumerate_brute_force(p: Program, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> Ans
     once.  Programs with positive body atoms fall back to the per-subset
     reference checker.
     """
-    if not p.rules:
-        raise ValueError("program must contain at least one rule")
     if p.n > cap:
         raise ValueError(f"universe size {p.n} exceeds brute-force cap {cap}")
     total = 1 << p.n
@@ -294,6 +287,5 @@ def enumerate_brute_force(p: Program, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> Ans
             lm[(masks & neg) == np.uint64(0)] |= np.uint64(1 << r.head)
         hits = tuple(int(m) for m in masks[lm == masks])
     else:
-        rm = _rule_masks(p)
-        hits = tuple(s for s in range(total) if _is_answer_set_masks(rm, s))
+        hits = tuple(m for m in range(total) if is_answer_set_general(p, AtomSet(p.n, m)))
     return AnswerSetCollection(p.n, hits)

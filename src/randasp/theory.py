@@ -46,7 +46,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .generate import LinearModelParams, require_integer
+from .generate import LinearModelParams
+from .programs import require_integer
 
 ALPHA_RESIDUAL_TOL = 1e-12
 
@@ -65,8 +66,8 @@ def _require_model(n: int, c1: float, c2: float) -> None:
 
 def solve_alpha(c1: float) -> float:
     """Root > 1 of f(a) = a ln a - c1: bisection to 1e-8, then Newton polish."""
-    if c1 <= 0:
-        raise ValueError("alpha is defined only for c1 > 0")
+    if not (math.isfinite(c1) and c1 > 0):
+        raise ValueError(f"alpha is defined only for finite c1 > 0, got c1={c1}")
 
     def f(a: float) -> float:
         return a * math.log(a) - c1
@@ -76,6 +77,8 @@ def solve_alpha(c1: float) -> float:
         hi *= 2.0
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: wider than 1e-8 past 2^26
+            break
         if f(mid) < 0:
             lo = mid
         else:
@@ -86,7 +89,8 @@ def solve_alpha(c1: float) -> float:
         if abs(fa) <= ALPHA_RESIDUAL_TOL:
             break
         a -= fa / (math.log(a) + 1.0)
-    if abs(f(a)) > ALPHA_RESIDUAL_TOL:
+    # f(a) is a difference with c1, so its rounding grows with c1
+    if abs(f(a)) > ALPHA_RESIDUAL_TOL * max(1.0, c1):
         raise ArithmeticError(f"alpha solver did not converge for c1={c1}")
     return a
 
@@ -290,8 +294,8 @@ def chi(x: float, tp: TheoryParams) -> float:
 
 def consistency_probability(expected: float, gamma: float = 1.0) -> float:
     """1 - e^{-gamma * expected}; gamma = 1 recovers the raw independence estimate."""
-    if expected < 0:
-        raise ValueError("expected answer-set count must be non-negative")
+    if not expected >= 0:  # also rejects nan
+        raise ValueError(f"expected answer-set count must be non-negative, got {expected}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     return -math.expm1(-gamma * expected)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .programs import AtomSet, Program, Rule
-from .solver import BRUTE_FORCE_CAP_DEFAULT
+from .programs import Program, Rule
+from .solver import enumerate_brute_force
 
 
 @dataclass(frozen=True)
@@ -59,23 +59,7 @@ def to_two_literal(p: Program) -> TranslationResult:
     )
 
 
-def _all_answer_set_masks(p: Program, cap: int) -> set[int]:
-    """AS(p) as bitmasks by exhaustive scan; handles the empty program."""
-    if p.n > cap:
-        raise ValueError(f"universe size {p.n} exceeds brute-force cap {cap}")
-    if not p.rules:
-        return {0}  # least model of the empty reduct is the empty set
-    from .solver import enumerate_brute_force
-
-    return set(enumerate_brute_force(p, cap=cap).masks)
-
-
-def check_equivalence_modulo_aux(
-    p: Program,
-    p2: Program,
-    aux,
-    cap: int = BRUTE_FORCE_CAP_DEFAULT,
-) -> bool:
+def check_equivalence_modulo_aux(p: Program, p2: Program, aux) -> bool:
     """Answer sets of p and p2 correspond one-to-one after deleting aux atoms.
 
     Both directions are required: every answer set of p must extend to one of
@@ -88,10 +72,10 @@ def check_equivalence_modulo_aux(
         if not 0 <= a < p2.n:
             raise ValueError(f"aux atom {a} outside the extended universe [0, {p2.n})")
         aux_mask |= 1 << a
-    as_p2 = _all_answer_set_masks(p2, cap)
+    as_p2 = enumerate_brute_force(p2).masks
     projected = {m & ~aux_mask for m in as_p2}
-    return len(projected) == len(as_p2) and projected == _all_answer_set_masks(p, cap)
+    return len(projected) == len(as_p2) and projected == set(enumerate_brute_force(p).masks)
 
 
-def verify_translation(p: Program, result: TranslationResult, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> bool:
-    return check_equivalence_modulo_aux(p, result.output, result.aux, cap=cap)
+def verify_translation(p: Program, result: TranslationResult) -> bool:
+    return check_equivalence_modulo_aux(p, result.output, result.aux)

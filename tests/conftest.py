@@ -7,12 +7,12 @@ from randasp.programs import Program, Rule
 
 @st.composite
 def n2_programs(draw, min_n=1, max_n=8):
-    """Random nonempty negative two-literal programs."""
+    """Random negative two-literal programs, the empty program included."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = draw(
         st.sets(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            min_size=1,
+            min_size=0,
             max_size=2 * n,
         )
     )

@@ -109,6 +109,18 @@ class TestSolve:
         assert run_cli("solve", "--in", str(path), "--check", "a,b") == 0
         assert capsys.readouterr().out == "n2: not-applicable\ngeneral: true\n"
 
+    def test_empty_program_has_the_empty_answer_set(self, tmp_path, capsys):
+        path = tmp_path / "empty.lp"
+        path.write_text("#universe 3.\n")
+        assert run_cli("solve", "--in", str(path), "--count") == 0
+        assert capsys.readouterr().out == "1\n"
+        assert run_cli("solve", "--in", str(path)) == 0
+        assert capsys.readouterr().out == "\n"
+        assert run_cli("solve", "--in", str(path), "--check", "") == 0
+        assert capsys.readouterr().out == "n2: true\ngeneral: true\n"
+        assert run_cli("solve", "--in", str(path), "--check", "a0") == 0
+        assert capsys.readouterr().out == "n2: false\ngeneral: false\n"
+
     def test_missing_file(self, capsys):
         assert run_cli("solve", "--in", "/nonexistent.lp", "--count") == 1
 
@@ -181,6 +193,14 @@ class TestTranslate:
         from randasp.progio import parse_program
 
         assert parse_program(text).is_n2
+
+    def test_empty_program_verifies(self, tmp_path, capsys):
+        src = tmp_path / "empty.lp"
+        src.write_text("#universe 3.\n")
+        dst = tmp_path / "out.lp"
+        assert run_cli("translate", "--in", str(src), "--out", str(dst), "--verify") == 0
+        assert capsys.readouterr().out == "verified: true\n"
+        assert dst.read_text().startswith("#universe 3.")
 
     def test_rejects_positive_bodies(self, tmp_path, capsys):
         src = tmp_path / "pos.lp"

@@ -52,6 +52,11 @@ class TestRuleAndProgram:
         assert not Program(2, [Rule(0, (1,), ())]).is_n2
         assert Program(2, []).is_n2  # vacuous
 
+    def test_program_rejects_non_integer_n(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Program(2.5, [])
+        assert Program(np.int64(2), [pure_rule(0, 1)]) == Program(2, [pure_rule(0, 1)])
+
     def test_symbols_do_not_affect_equality(self):
         a = Program(2, [pure_rule(0, 1)], symbols=["x", "y"])
         b = Program(2, [pure_rule(0, 1)])
@@ -63,7 +68,7 @@ class TestFromN2Arrays:
     @settings(max_examples=150, deadline=None)
     def test_equals_general_constructor(self, p, data):
         pairs = [(r.head, r.neg_body[0]) for r in p.rules]
-        extra = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+        extra = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
         shuffled = data.draw(st.permutations(pairs + extra))
         heads = np.array([h for h, _ in shuffled], dtype=np.int64)
         bodies = np.array([b for _, b in shuffled], dtype=np.int64)
@@ -95,6 +100,10 @@ class TestFromN2Arrays:
         with pytest.raises(ValueError, match="non-negative"):
             Program.from_n2_arrays(-1, [], [])
 
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Program.from_n2_arrays(2.5, [0], [1])
+
     def test_n2_pairs_rejects_general_program(self):
         with pytest.raises(ValueError, match="not negative two-literal"):
             Program(2, [Rule(0, (1,), ())]).n2_pairs
@@ -113,6 +122,10 @@ class TestAtomSet:
             AtomSet(2, 4)
         with pytest.raises(ValueError):
             AtomSet.from_atoms(2, [2])
+
+    def test_rejects_non_integer_n(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            AtomSet(2.5, 0)
 
 
 class TestSatisfies:
@@ -190,6 +203,10 @@ class TestIsAnswerSetGeneral:
 
     def test_empty_program_empty_set(self):
         assert is_answer_set_general(Program(3, []), s(3))
+
+    def test_rejects_universe_mismatch(self):
+        with pytest.raises(ValueError, match="universe-size mismatch: program n=2, set n=3"):
+            is_answer_set_general(Program(2, [pure_rule(0, 1)]), s(3, 0))
 
     @given(general_programs())
     @settings(max_examples=60)

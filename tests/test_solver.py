@@ -37,10 +37,18 @@ class TestCheckerN2:
         assert not is_answer_set_n2(p, s(1, 0))
 
     def test_rejects_non_n2(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not negative two-literal"):
             is_answer_set_n2(Program(2, [Rule(0, (1,), ())]), s(2))
-        with pytest.raises(ValueError):
-            is_answer_set_n2(Program(2, []), s(2))
+
+    def test_rejects_universe_mismatch(self):
+        with pytest.raises(ValueError, match="universe-size mismatch: program n=2, set n=3"):
+            is_answer_set_n2(Program(2, [pure_rule(0, 1)]), s(3, 0))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_empty_program_accepts_only_the_empty_set(self, n):
+        p = Program(n, [])
+        for checker in (is_answer_set_n2, is_answer_set_general):
+            assert [m for m in range(1 << n) if checker(p, AtomSet(n, m))] == [0]
 
     @given(n2_programs())
     @settings(max_examples=80)
@@ -78,10 +86,13 @@ class TestEnumerate:
     def test_contradiction_only(self):
         assert enumerate_answer_sets(Program(1, [pure_rule(0, 0)])).count == 0
 
-    def test_rejects_empty_and_non_n2(self):
-        with pytest.raises(ValueError):
-            enumerate_answer_sets(Program(2, []))
-        with pytest.raises(ValueError):
+    def test_empty_program_has_the_empty_answer_set(self):
+        for n in range(5):
+            assert enumerate_answer_sets(Program(n, [])).masks == (0,)
+            assert enumerate_answer_sets(Program(n, []), limit=1).masks == (0,)
+
+    def test_rejects_non_n2(self):
+        with pytest.raises(ValueError, match="not negative two-literal"):
             enumerate_answer_sets(Program(2, [Rule(0, (1,), ())]))
 
     def test_limit_truncates(self):
@@ -89,6 +100,10 @@ class TestEnumerate:
         assert col.count == 1
         with pytest.raises(ValueError):
             enumerate_answer_sets(TWO_CYCLE, limit=0)
+
+    def test_rejects_non_integer_limit(self):
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            enumerate_answer_sets(TWO_CYCLE, limit=1.5)
 
     def test_deterministic_canonical_order(self):
         p = generate(LinearModelParams(20, 4.0, 1.0), 5)
@@ -113,8 +128,9 @@ class TestEnumerate:
         col = enumerate_answer_sets(p)
         assert col.count == len(col.sets)
         assert len(set(col.masks)) == col.count
-        for a in col.sets:
-            assert 0 < len(a) < p.n  # nonempty program: size strictly inside
+        if p.rules:  # a nonempty program's answer sets are strictly inside
+            for a in col.sets:
+                assert 0 < len(a) < p.n
         masks = col.masks
         for a in masks:
             for b in masks:
@@ -293,9 +309,9 @@ class TestBruteForce:
             enumerate_brute_force(p)
         assert enumerate_brute_force(p, cap=21).count == 1
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            enumerate_brute_force(Program(3, []))
+    def test_empty_program_has_the_empty_answer_set(self):
+        for n in range(5):
+            assert enumerate_brute_force(Program(n, [])).masks == (0,)
 
     def test_positive_body_fallback(self):
         # {a<-, b<-a} has the single answer set {a, b}
@@ -306,8 +322,6 @@ class TestBruteForce:
     @given(negative_programs())
     @settings(max_examples=60, deadline=None)
     def test_vector_path_matches_reference_scan(self, p):
-        if not p.rules:
-            return
         expected = [
             m for m in range(1 << p.n) if is_answer_set_general(p, AtomSet(p.n, m))
         ]

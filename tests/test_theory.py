@@ -58,6 +58,19 @@ class TestSolveAlpha:
         with pytest.raises(ValueError):
             solve_alpha(-1.0)
 
+    @pytest.mark.parametrize("c1", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, c1):
+        with pytest.raises(ValueError, match="finite c1 > 0"):
+            solve_alpha(c1)
+
+    @pytest.mark.parametrize("c1", [8960.194543333342, 1e5, 1.5e9, 2e9])
+    def test_large_c1_converges(self, c1):
+        # past 2^26 adjacent doubles are wider than the 1e-8 bisection width,
+        # and the residual of a ln a - c1 is rounded at the scale of c1
+        a = solve_alpha(c1)
+        assert abs(a * math.log(a) - c1) <= 1e-12 * c1
+        assert math.isfinite(limit_expected_total(c1, 0.0))
+
 
 class TestProbAnswerSet:
     def test_collapse_at_k_equals_n_minus_1(self):
@@ -324,3 +337,7 @@ class TestConsistencyProbability:
             consistency_probability(1.0, 0.0)
         with pytest.raises(ValueError):
             consistency_probability(1.0, 1.5)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            consistency_probability(math.nan)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from randasp.programs import Program, Rule, pure_rule
 from randasp.solver import enumerate_brute_force
-from randasp.translate import check_equivalence_modulo_aux, to_two_literal
+from randasp.translate import check_equivalence_modulo_aux, to_two_literal, verify_translation
 
 from conftest import negative_programs
 
@@ -80,6 +80,13 @@ class TestEquivalenceCheck:
         p = Program(25, [pure_rule(0, 1)])
         with pytest.raises(ValueError):
             check_equivalence_modulo_aux(p, p, set())
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_empty_program(self, n):
+        p = Program(n, [])
+        res = to_two_literal(p)
+        assert res.output == p and res.aux == frozenset()
+        assert verify_translation(p, res)
 
     def test_translation_equivalence_spec_cases(self):
         cases = [

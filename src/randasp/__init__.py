@@ -7,7 +7,6 @@ and a reproducible experiment harness.
 
 from .experiments import (
     AvgResult,
-    ConsResult,
     ConsRow,
     DistResult,
     ExperimentConfig,
@@ -56,7 +55,7 @@ from .theory import (
     solve_alpha,
     theory_params,
 )
-from .translate import TranslationResult, check_equivalence_modulo_aux, to_two_literal
+from .translate import check_equivalence_modulo_aux, to_two_literal
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "AnswerSetCollection",
     "AtomSet",
     "AvgResult",
-    "ConsResult",
     "ConsRow",
     "DistResult",
     "ExperimentConfig",
@@ -74,7 +72,6 @@ __all__ = [
     "Rule",
     "SplitMix64",
     "TheoryParams",
-    "TranslationResult",
     "check_equivalence_modulo_aux",
     "chi",
     "consistency_probability",

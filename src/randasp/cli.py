@@ -15,10 +15,10 @@ from .experiments import (
 )
 from .generate import LinearModelParams, expected_rule_count, generate, require_sampleable
 from .progio import ParseError, format_program, parse_program
-from .programs import AtomSet, is_answer_set_general
+from .programs import AtomSet, Program, is_answer_set_general
 from .solver import enumerate_answer_sets, is_answer_set_n2
 from .theory import expected_total, theory_params
-from .translate import to_two_literal, verify_translation
+from .translate import check_equivalence_modulo_aux, to_two_literal
 
 
 def _u64(text: str) -> int:
@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="enumerate, count or check answer sets")
     solve.add_argument("--in", dest="infile", required=True)
     mode = solve.add_mutually_exclusive_group()
-    mode.add_argument("--enumerate", action="store_true")
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--check", metavar="ATOMS", default=None, help='candidate set, e.g. "a,b,c" (empty string for {})')
     solve.add_argument("--limit", type=int, default=None)
@@ -93,7 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--c2", type=functools.partial(_comma_list, float), required=True, help="comma-separated values")
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=_u64, required=True)
-    exp.add_argument("--gamma", type=float, default=0.5)
     exp.add_argument("--workers", type=int, default=1)
     exp.add_argument("--out", required=True)
     return top
@@ -177,7 +175,7 @@ def _cmd_theory(args) -> int:
 def _cmd_translate(args) -> int:
     with open(args.infile, encoding="ascii") as fh:
         program = parse_program(fh.read())
-    result = to_two_literal(program)
+    translated = to_two_literal(program)
     symbols = list(program.symbols or (f"a{i}" for i in range(program.n)))
     used = set(symbols)
     for j in range(len(program.rules)):
@@ -186,11 +184,10 @@ def _cmd_translate(args) -> int:
             name = "_" + name
         used.add(name)
         symbols.append(name)
-    out_program = type(result.output)(result.output.n, result.output.rules, symbols=symbols)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
-        fh.write(format_program(out_program))
+        fh.write(format_program(Program(translated.n, translated.rules, symbols=symbols)))
     if args.verify:
-        ok = verify_translation(program, result)
+        ok = check_equivalence_modulo_aux(program, translated)
         print(f"verified: {'true' if ok else 'false'}")
         if not ok:
             return 1
@@ -204,7 +201,6 @@ def _cmd_experiment(args) -> int:
         c2=args.c2,
         trials=args.trials,
         seed=args.seed,
-        gamma=args.gamma,
     )
     if args.kind == "avg":
         results = run_avg_experiment(cfg, workers=args.workers, progress=True)
@@ -213,8 +209,8 @@ def _cmd_experiment(args) -> int:
         result = run_dist_experiment(cfg, workers=args.workers, progress=True)
         csvout.write_dist_csv(args.out, result, cfg.seed)
     else:
-        result = run_consistency_experiment(cfg, workers=args.workers, progress=True)
-        csvout.write_consistency_csv(args.out, result, cfg.seed)
+        results = run_consistency_experiment(cfg, workers=args.workers, progress=True)
+        csvout.write_consistency_csv(args.out, results, cfg.seed)
     return 0
 
 

@@ -7,7 +7,7 @@ with floats in shortest round-trip decimal.
 
 from __future__ import annotations
 
-from .experiments import AvgResult, ConsResult, DistResult
+from .experiments import AvgResult, ConsRow, DistResult, ExperimentConfig
 
 AVG_HEADER = "n,c1,c2,trials,avg_answer_sets,stderr,theory_finite_n,theory_limit"
 DIST_HEADER = "k,empirical_avg,model_E_Nk,chi_k"
@@ -67,17 +67,17 @@ def write_dist_csv(path, result: DistResult, seed: int) -> None:
     write_csv(path, meta, DIST_HEADER, rows)
 
 
-def write_consistency_csv(path, result: ConsResult, seed: int) -> None:
+def write_consistency_csv(path, results: list[ConsRow], seed: int) -> None:
     meta = {
         "schema": "consistency-v1",
         "seed": seed,
         "substream": _SUBSTREAM_NOTE,
-        "gamma": fmt(result.gamma),
-        "resamples": sum(r.resamples for r in result.rows),
+        "gamma": fmt(ExperimentConfig.gamma),
+        "resamples": sum(r.resamples for r in results),
     }
     rows = [
         (r.n, r.c1, r.c2, r.trials, r.empirical_ratio, r.pred_full, r.pred_gamma)
-        for r in result.rows
+        for r in results
     ]
     write_csv(path, meta, CONSISTENCY_HEADER, rows)
 

@@ -11,6 +11,13 @@ experiments; consistency stops each search at its first answer set, so its
 summed count is the number of consistent programs.  All accumulators are
 integers, which makes the reduction exact and byte-identical for any worker
 count.
+
+The row loop is written once, in `_sweep`: each experiment passes a row
+function that turns one row's column sums into its result and a progress
+note, and `_sweep` collects the results and prints the notes.  The pool lives
+exactly as long as the `_sweep` call: when it returns or raises, a failed
+trial or a failing row function included, the pool is shut down and its
+queued chunks are cancelled.
 """
 
 from __future__ import annotations
@@ -19,15 +26,15 @@ import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 from time import perf_counter
+from typing import ClassVar
 
 from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
 from .programs import require_integer
 from .solver import enumerate_answer_sets
 from .theory import (
-    _require_model,
+    _require_curve,
     chi,
     consistency_probability,
     expected_counts,
@@ -46,7 +53,7 @@ class ExperimentConfig:
     c2: tuple[float, ...]
     trials: int
     seed: int
-    gamma: float = 0.5
+    gamma: ClassVar[float] = 0.5  # fixed discount of the pred_gamma column, not fitted to data
 
     def __post_init__(self):
         for name in ("n", "c1", "c2"):
@@ -58,12 +65,10 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
         for n, c1, c2 in self.combos():
             params = LinearModelParams(n, c1, c2)  # validates every combination
             if c1 > 0.0:
-                _require_model(n, c1, c2)  # what the theory columns will need
+                _require_curve(n, c1, c2)  # what the theory columns will need
             require_sampleable(params)  # what the generator will need
 
     def combos(self):
@@ -112,12 +117,6 @@ class ConsRow:
     resamples: int = 0
 
 
-@dataclass(frozen=True)
-class ConsResult:
-    gamma: float
-    rows: tuple[ConsRow, ...]
-
-
 def difference_rate(f, g) -> float:
     """D(f, g) = sum((f-g)^2) / sum(f^2) over a shared index range."""
     f = list(f)
@@ -151,14 +150,14 @@ def _count_chunk(args):
     return (total, sq, resamples, *hist)
 
 
-def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None):
-    """Yield (n, c1, c2, column sums of `_count_chunk`, where) for each row, in row order.
+def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress: bool) -> list:
+    """Results of `row(n, c1, c2, sums)` for each row of the grid, in row order.
 
-    `where` is "[row i/rows, seconds since the sweep started]" for progress
-    lines.  A pool is started only for more than one worker and chunk; it is
-    shut down, its queued chunks cancelled, when the generator finishes, raises
-    or is closed, so close it (`contextlib.closing`) when the loop over it
-    can stop early.
+    `sums` are the column sums of `_count_chunk` over the row's trials, and
+    `row` returns (result, note).  With `progress`, the note goes to stderr
+    followed by "[row i/rows, seconds since the sweep started]".  A pool is
+    started only for more than one worker and chunk; it is shut down, its
+    queued chunks cancelled, when the sweep returns or raises.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -174,6 +173,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None):
     pool = None
     if workers > 1 and len(chunks) > 1:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+    out = []
     try:
         if pool is None:
             results = map(_count_chunk, chunks)
@@ -182,10 +182,14 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None):
             results = (f.result() for f in futures)
         for i, (n, c1, c2) in enumerate(rows, 1):
             sums = [sum(column) for column in zip(*itertools.islice(results, len(starts)))]
-            yield n, c1, c2, sums, f"[row {i}/{len(rows)}, {perf_counter() - t0:.1f} s]"
+            result, note = row(n, c1, c2, sums)
+            out.append(result)
+            if progress:
+                print(f"{note} [row {i}/{len(rows)}, {perf_counter() - t0:.1f} s]", file=sys.stderr)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    return out
 
 
 def _theory_columns(n: int, c1: float, c2: float) -> tuple[float, float]:
@@ -196,77 +200,64 @@ def _theory_columns(n: int, c1: float, c2: float) -> tuple[float, float]:
 
 def run_avg_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> list[AvgResult]:
     """Mean answer-set count per (n, c1, c2) combination, with 3-sigma-ready stderr."""
-    out = []
-    with closing(_sweep(cfg, workers, None)) as rows:
-        for n, c1, c2, (total, sq, resamples, *_), where in rows:
-            mean = total / cfg.trials
-            var = (sq - total * total / cfg.trials) / (cfg.trials - 1) if cfg.trials > 1 else 0.0
-            stderr = math.sqrt(max(var, 0.0) / cfg.trials)
-            finite_n, limit = _theory_columns(n, c1, c2)
-            out.append(
-                AvgResult(n, c1, c2, cfg.trials, mean, stderr, finite_n, limit, resamples)
-            )
-            if progress:
-                print(
-                    f"avg n={n} c1={c1} c2={c2}: mean={mean:.4f} (theory {finite_n:.4f}) {where}",
-                    file=sys.stderr,
-                )
-    return out
+
+    def row(n, c1, c2, sums):
+        total, sq, resamples, *_ = sums
+        mean = total / cfg.trials
+        var = (sq - total * total / cfg.trials) / (cfg.trials - 1) if cfg.trials > 1 else 0.0
+        stderr = math.sqrt(max(var, 0.0) / cfg.trials)
+        finite_n, limit = _theory_columns(n, c1, c2)
+        note = f"avg n={n} c1={c1} c2={c2}: mean={mean:.4f} (theory {finite_n:.4f})"
+        return AvgResult(n, c1, c2, cfg.trials, mean, stderr, finite_n, limit, resamples), note
+
+    return _sweep(cfg, workers, None, row, progress)
 
 
 def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> DistResult:
     """Empirical per-size averages vs E[N_k] vs the Gaussian curve, single combo."""
-    combos = list(cfg.combos())
-    if len(combos) != 1:
+    if len(list(cfg.combos())) != 1:
         raise ValueError("distribution experiment needs exactly one (n, c1, c2) combination")
-    n, c1, c2 = combos[0]
-    if c1 == 0.0:
+    if cfg.c1[0] == 0.0:
         raise ValueError("difference rate undefined: chi_k is all zeros at c1 = 0")
-    ((_, _, _, sums, where),) = _sweep(cfg, workers, None)  # unpacking runs the generator to its end
-    _, _, resamples, *totals = sums
-    empirical = [t / cfg.trials for t in totals]
-    model = [0.0, *expected_counts(n, c1, c2).tolist(), 0.0]
-    tp = theory_params(n, c1, c2)
-    chi_k = [chi(float(k), tp) for k in range(n + 1)]
-    drate = difference_rate(chi_k[1:n], empirical[1:n])
-    if progress:
-        print(
-            f"dist n={n} c1={c1} c2={c2}: {sum(totals)} answer sets, D={drate:.5f} {where}",
-            file=sys.stderr,
+
+    def row(n, c1, c2, sums):
+        _, _, resamples, *totals = sums
+        empirical = [t / cfg.trials for t in totals]
+        model = [0.0, *expected_counts(n, c1, c2).tolist(), 0.0]
+        tp = theory_params(n, c1, c2)
+        chi_k = [chi(float(k), tp) for k in range(n + 1)]
+        drate = difference_rate(chi_k[1:n], empirical[1:n])
+        result = DistResult(
+            n=n,
+            c1=c1,
+            c2=c2,
+            trials=cfg.trials,
+            totals=tuple(totals),
+            empirical_avg=tuple(empirical),
+            model_e_nk=tuple(model),
+            chi_k=tuple(chi_k),
+            difference_rate=drate,
+            resamples=resamples,
         )
-    return DistResult(
-        n=n,
-        c1=c1,
-        c2=c2,
-        trials=cfg.trials,
-        totals=tuple(totals),
-        empirical_avg=tuple(empirical),
-        model_e_nk=tuple(model),
-        chi_k=tuple(chi_k),
-        difference_rate=drate,
-        resamples=resamples,
-    )
+        return result, f"dist n={n} c1={c1} c2={c2}: {sum(totals)} answer sets, D={drate:.5f}"
+
+    (result,) = _sweep(cfg, workers, None, row, progress)
+    return result
 
 
-def run_consistency_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> ConsResult:
+def run_consistency_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> list[ConsRow]:
     """Fraction of consistent programs vs the two closed-form predictions."""
-    out = []
-    with closing(_sweep(cfg, workers, 1)) as rows:
-        for n, c1, c2, (consistent, _, resamples, *_), where in rows:
-            ratio = consistent / cfg.trials
-            if c1 > 0.0:
-                expected = expected_total(n, c1, c2)
-                pred_full = consistency_probability(expected, 1.0)
-                pred_gamma = consistency_probability(expected, cfg.gamma)
-            else:
-                pred_full = pred_gamma = 0.0
-            out.append(
-                ConsRow(n, c1, c2, cfg.trials, ratio, pred_full, pred_gamma, consistent, resamples)
-            )
-            if progress:
-                print(
-                    f"consistency n={n} c1={c1} c2={c2}: ratio={ratio:.4f} "
-                    f"in [{pred_gamma:.4f}, {pred_full:.4f}]? {where}",
-                    file=sys.stderr,
-                )
-    return ConsResult(gamma=cfg.gamma, rows=tuple(out))
+
+    def row(n, c1, c2, sums):
+        consistent, _, resamples, *_ = sums
+        ratio = consistent / cfg.trials
+        if c1 > 0.0:
+            expected = expected_total(n, c1, c2)
+            pred_full = consistency_probability(expected, 1.0)
+            pred_gamma = consistency_probability(expected, cfg.gamma)
+        else:
+            pred_full = pred_gamma = 0.0
+        result = ConsRow(n, c1, c2, cfg.trials, ratio, pred_full, pred_gamma, consistent, resamples)
+        return result, f"consistency n={n} c1={c1} c2={c2}: ratio={ratio:.4f} in [{pred_gamma:.4f}, {pred_full:.4f}]?"
+
+    return _sweep(cfg, workers, 1, row, progress)

@@ -83,6 +83,8 @@ class LinearModelParams:
         require_integer("n", self.n)
         if self.n < 1:
             raise ValueError("n must be a positive integer")
+        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):  # max(5.0, nan) is 5.0
+            raise ValueError(f"c1 and c2 must be finite, got c1={self.c1}, c2={self.c2}")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("c1 and c2 must be non-negative")
         if self.c1 + self.c2 <= 0:

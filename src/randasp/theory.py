@@ -57,11 +57,25 @@ STIRLING_UPPER = math.e / math.sqrt(2.0 * math.pi)
 
 EXACT_ORACLE_MAX_N = 30
 
+# Largest n of the per-size arrays, which cost about 115 bytes and 20 us per
+# atom; past it the n -> infinity limit is within O(1/n) of the total
+# (a relative 0.53/n at c1 = 3).
+CURVE_MAX_N = 10**6
+
 
 def _require_model(n: int, c1: float, c2: float) -> None:
     LinearModelParams(n, c1, c2)  # the generator's rule for a valid model
     if n < 2:
         raise ValueError("n must be at least 2")
+
+
+def _require_curve(n: int, c1: float, c2: float) -> None:
+    _require_model(n, c1, c2)
+    if n > CURVE_MAX_N:  # checked before the n-sized arrays are allocated
+        raise ValueError(
+            f"per-size curves are limited to n <= {CURVE_MAX_N}, got n={n}; "
+            "limit_expected_total(c1, c2) gives the n -> infinity total"
+        )
 
 
 def solve_alpha(c1: float) -> float:
@@ -174,7 +188,7 @@ def _log_kernel(n: int, k, c1: float, c2: float, log_weight=None) -> np.ndarray:
 
 def _curve(n: int, c1: float, c2: float, log_weight=None) -> np.ndarray:
     """exp of the kernel at every size k = 1..n-1."""
-    _require_model(n, c1, c2)
+    _require_curve(n, c1, c2)
     return np.exp(_log_kernel(n, np.arange(1, n), c1, c2, log_weight))
 
 

@@ -8,29 +8,24 @@ every input rule R' with head c_i, and is dropped when c_i heads nothing
 occur in the helper bodies.  Facts (t = 0) need no helpers: their e_R has no
 defining rule, so `a <- not e_R` always fires.
 
+Aux numbering: the output keeps the input's atoms 0..n-1 and appends one
+fresh atom per input rule, e_R = n + i for rule i, so its universe is
+n + len(rules) and the aux atoms are exactly n .. n + len(rules) - 1.
 Equivalence is modulo the fresh atoms: answer sets of input and output
-correspond one-to-one after deleting the aux atoms.
+correspond one-to-one after deleting them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .programs import Program, Rule
 from .solver import enumerate_brute_force
 
 
-@dataclass(frozen=True)
-class TranslationResult:
-    """n2 output over n + len(aux) atoms; aux atom index -> source rule."""
+def to_two_literal(p: Program) -> Program:
+    """Translate a negative normal program into negative two-literal form.
 
-    output: Program
-    aux: frozenset[int]
-    origin_map: dict[int, Rule]
-
-
-def to_two_literal(p: Program) -> TranslationResult:
-    """Translate a negative normal program into negative two-literal form."""
+    The result has p.n + len(p.rules) atoms; aux atom p.n + i belongs to rule i.
+    """
     if not p.is_negative:
         raise ValueError(
             "input must be a negative normal program (no positive body atoms); "
@@ -42,40 +37,28 @@ def to_two_literal(p: Program) -> TranslationResult:
         rules_by_head.setdefault(r.head, []).append(i)
 
     out: set[Rule] = set()
-    origin: dict[int, Rule] = {}
     for i, r in enumerate(p.rules):
         e_i = n + i
-        origin[e_i] = r
         out.add(Rule(r.head, (), (e_i,)))
         for c in r.neg_body:
             # unfold e_i <- c against the definitions of c
             for j in rules_by_head.get(c, ()):
                 out.add(Rule(e_i, (), (n + j,)))
-    output = Program(n + len(p.rules), out)
-    return TranslationResult(
-        output=output,
-        aux=frozenset(range(n, n + len(p.rules))),
-        origin_map=origin,
-    )
+    return Program(n + len(p.rules), out)
 
 
-def check_equivalence_modulo_aux(p: Program, p2: Program, aux) -> bool:
+def check_equivalence_modulo_aux(p: Program, p2: Program) -> bool:
     """Answer sets of p and p2 correspond one-to-one after deleting aux atoms.
 
-    Both directions are required: every answer set of p must extend to one of
-    p2, and every answer set of p2 must project into AS(p).  The extension
-    must also be unique: no two answer sets of p2 may share a projection.
-    Brute-force on both sides, so both universes must fit under the cap.
+    The aux atoms are p2's atoms p.n .. p2.n-1, as `to_two_literal` numbers
+    them, so p2 must not have fewer atoms than p.  Both directions are
+    required: every answer set of p must extend to one of p2, and every
+    answer set of p2 must project into AS(p).  The extension must also be
+    unique: no two answer sets of p2 may share a projection.  Brute-force on
+    both sides, so both universes must fit under the cap.
     """
-    aux_mask = 0
-    for a in aux:
-        if not 0 <= a < p2.n:
-            raise ValueError(f"aux atom {a} outside the extended universe [0, {p2.n})")
-        aux_mask |= 1 << a
+    if p2.n < p.n:
+        raise ValueError(f"extended universe of {p2.n} atoms is smaller than the original {p.n}")
     as_p2 = enumerate_brute_force(p2).masks
-    projected = {m & ~aux_mask for m in as_p2}
+    projected = {m & ((1 << p.n) - 1) for m in as_p2}  # keep atoms 0 .. p.n-1
     return len(projected) == len(as_p2) and projected == set(enumerate_brute_force(p).masks)
-
-
-def verify_translation(p: Program, result: TranslationResult) -> bool:
-    return check_equivalence_modulo_aux(p, result.output, result.aux)

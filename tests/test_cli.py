@@ -51,6 +51,11 @@ class TestGen:
         assert run_cli("gen", "--n", "3", "--c1", "5", "--c2", "0", "--seed", "1") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c1, c2", [("5", "nan"), ("nan", "0"), ("5", "inf")])
+    def test_non_finite_rate_exit_1(self, capsys, c1, c2):
+        assert run_cli("gen", "--n", "50", "--c1", c1, "--c2", c2, "--seed", "1") == 1
+        assert "c1 and c2 must be finite" in capsys.readouterr().err
+
     def test_near_empty_model_fails_before_resampling(self, capsys, monkeypatch):
         def no_draws(*args):
             raise AssertionError("a program was drawn")
@@ -74,6 +79,11 @@ class TestSolve:
     def test_enumerate_default(self, two_cycle_file, capsys):
         assert run_cli("solve", "--in", two_cycle_file) == 0
         assert capsys.readouterr().out == "a\nb\n"
+
+    def test_enumerate_option_is_usage_error(self, two_cycle_file, capsys):
+        assert run_cli("solve", "--in", two_cycle_file, "--enumerate") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--enumerate" in captured.err
 
     def test_limit_truncates(self, two_cycle_file, capsys):
         assert run_cli("solve", "--in", two_cycle_file, "--limit", "1") == 0
@@ -179,6 +189,17 @@ class TestTheory:
     def test_c1_zero_rejected(self, capsys):
         assert run_cli("theory", "--n", "100", "--c1", "0", "--c2", "5") == 1
 
+    @pytest.mark.parametrize("c1, c2", [("5", "nan"), ("nan", "0")])
+    def test_non_finite_rate_rejected(self, capsys, c1, c2):
+        assert run_cli("theory", "--n", "50", "--c1", c1, "--c2", c2) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c1 and c2 must be finite" in captured.err
+
+    def test_curve_too_large_rejected_before_allocating(self, capsys):
+        assert run_cli("theory", "--n", "10000000000", "--c1", "3", "--c2", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "limit_expected_total" in captured.err
+
 
 class TestTranslate:
     def test_translate_and_verify(self, tmp_path, capsys):
@@ -239,7 +260,7 @@ class TestExperimentCommand:
         out = tmp_path / "cons.csv"
         code = run_cli(
             "experiment", "consistency", "--n", "10,20", "--c1", "3", "--c2", "0",
-            "--trials", "30", "--seed", "5", "--gamma", "0.5", "--out", str(out),
+            "--trials", "30", "--seed", "5", "--out", str(out),
         )
         assert code == 0
         data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -275,6 +296,15 @@ class TestExperimentCommand:
             assert line.startswith(f"{kind} n={row_n} ")
             assert re.search(rf" \[row {i}/{len(rows)}, \d+\.\d s\]$", line)
         assert captured.out == "" and "[row" not in out.read_text()
+
+    def test_gamma_option_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "experiment", "consistency", "--n", "12", "--c1", "3", "--c2", "0",
+            "--trials", "10", "--seed", "5", "--gamma", "0.5", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "--gamma" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_list_element_is_usage_error(self, tmp_path, capsys):
         code = run_cli(

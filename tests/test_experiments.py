@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -17,7 +18,7 @@ from randasp.experiments import (
 )
 from randasp.generate import LinearModelParams, generate, generate_with_stats, mix_seed
 from randasp.solver import enumerate_answer_sets
-from randasp.theory import consistency_probability, expected_total
+from randasp.theory import CURVE_MAX_N, consistency_probability, expected_total
 
 
 class TestConfig:
@@ -41,6 +42,10 @@ class TestConfig:
         # without pure rules there are no theory columns to compute
         ExperimentConfig(n=1, c1=0.0, c2=0.5, trials=30, seed=1)
 
+    def test_rejects_theory_columns_past_the_curve_cap(self):
+        with pytest.raises(ValueError, match="limit_expected_total"):
+            ExperimentConfig(n=[50, CURVE_MAX_N + 1], c1=3.0, c2=0.0, trials=1, seed=1)
+
     def test_rejects_near_empty_model_before_first_trial(self, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran")
@@ -58,8 +63,22 @@ class TestConfig:
         for trials in (2.5, 3.0):
             with pytest.raises(ValueError, match="trials must be an integer"):
                 ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=trials, seed=1)
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1, gamma=0.0)
+
+    @pytest.mark.parametrize("c1, c2", [(5.0, math.nan), (math.nan, 0.0), (5.0, math.inf)])
+    def test_rejects_non_finite_rates_before_first_trial(self, monkeypatch, c1, c2):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        with pytest.raises(ValueError, match="c1 and c2 must be finite"):
+            run_avg_experiment(ExperimentConfig(n=50, c1=(5.0, c1), c2=c2, trials=10, seed=1), workers=2)
+
+    def test_gamma_is_a_constant_not_a_field(self):
+        cfg = ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["n", "c1", "c2", "trials", "seed"]
+        assert cfg.gamma == ExperimentConfig.gamma == 0.5
+        with pytest.raises(TypeError):
+            ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1, gamma=0.5)
 
 
 class TestDifferenceRate:
@@ -251,9 +270,8 @@ class TestDistExperiment:
 
 class TestConsistencyExperiment:
     def test_predictions_match_theory(self):
-        cfg = ExperimentConfig(n=30, c1=3.0, c2=0.0, trials=50, seed=10, gamma=0.5)
-        res = run_consistency_experiment(cfg)
-        (row,) = res.rows
+        cfg = ExperimentConfig(n=30, c1=3.0, c2=0.0, trials=50, seed=10)
+        (row,) = run_consistency_experiment(cfg)
         expected = expected_total(30, 3.0, 0.0)
         assert row.pred_full == consistency_probability(expected, 1.0)
         assert row.pred_gamma == consistency_probability(expected, 0.5)
@@ -262,9 +280,9 @@ class TestConsistencyExperiment:
 
     def test_per_n_rows(self):
         cfg = ExperimentConfig(n=[10, 20, 30], c1=3.0, c2=0.0, trials=30, seed=11)
-        res = run_consistency_experiment(cfg)
-        assert [r.n for r in res.rows] == [10, 20, 30]
-        assert all(r.trials == 30 for r in res.rows)
+        rows = run_consistency_experiment(cfg)
+        assert [r.n for r in rows] == [10, 20, 30]
+        assert all(r.trials == 30 for r in rows)
 
     def test_workers_identical(self):
         cfg = ExperimentConfig(n=40, c1=3.0, c2=2.0, trials=60, seed=12)
@@ -276,7 +294,7 @@ class TestConsistencyExperiment:
         from randasp.solver import enumerate_brute_force
 
         cfg = ExperimentConfig(n=10, c1=3.0, c2=1.0, trials=120, seed=13)
-        res = run_consistency_experiment(cfg)
+        (row,) = run_consistency_experiment(cfg)
         params = LinearModelParams(10, 3.0, 1.0)
         expected_ratio = (
             sum(
@@ -285,7 +303,7 @@ class TestConsistencyExperiment:
             )
             / 120
         )
-        assert res.rows[0].empirical_ratio == expected_ratio
+        assert row.empirical_ratio == expected_ratio
 
 
 class TestPinnedSweeps:

@@ -32,6 +32,14 @@ class TestParams:
             LinearModelParams(10, -1.0, 2.0)
         LinearModelParams(10, 0.0, 9.99)  # boundary case is fine
 
+    @pytest.mark.parametrize(
+        "c1, c2", [(5.0, math.nan), (math.nan, 0.0), (math.nan, math.nan), (math.inf, 0.0), (5.0, -math.inf)]
+    )
+    def test_rates_must_be_finite(self, c1, c2):
+        # max(5.0, nan) is 5.0, so the n > max(c1, c2) check alone lets nan through
+        with pytest.raises(ValueError, match="c1 and c2 must be finite"):
+            LinearModelParams(50, c1, c2)
+
     def test_n_must_be_integral(self):
         with pytest.raises(ValueError, match="integer"):
             LinearModelParams(10.5, 1.0, 0.0)

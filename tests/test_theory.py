@@ -10,11 +10,13 @@ from randasp.generate import LinearModelParams, generate, mix_seed
 from randasp.programs import AtomSet
 from randasp.solver import is_answer_set_n2
 from randasp.theory import (
+    CURVE_MAX_N,
     STIRLING_LOWER,
     STIRLING_UPPER,
     _log_binom,
     _log_factorial,
     chi,
+    expected_counts,
     consistency_probability,
     expected_count_size_k,
     expected_count_size_k_exact,
@@ -24,6 +26,7 @@ from randasp.theory import (
     log_prob_answer_set,
     phi,
     prob_answer_set,
+    size_curves,
     solve_alpha,
     theory_params,
 )
@@ -155,6 +158,21 @@ class TestExpectedTotal:
 
     def test_zero_when_no_pure_rules(self):
         assert expected_total(10, 0.0, 5.0) == 0.0
+
+    @pytest.mark.parametrize("curve", [expected_total, expected_counts, size_curves])
+    def test_curve_size_capped_before_allocation(self, monkeypatch, curve):
+        class Reached(Exception):
+            pass
+
+        def kernel(*args):
+            raise Reached
+
+        monkeypatch.setattr("randasp.theory._log_kernel", kernel)
+        for n in (CURVE_MAX_N + 1, 10**10):
+            with pytest.raises(ValueError, match="limit_expected_total"):
+                curve(n, 3.0, 0.0)
+        with pytest.raises(Reached):  # the cap itself is allowed
+            curve(CURVE_MAX_N, 3.0, 0.0)
 
 
 class TestPinnedBits:

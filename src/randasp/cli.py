@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = solve.add_mutually_exclusive_group()
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--check", metavar="ATOMS", default=None, help='candidate set, e.g. "a,b,c" (empty string for {})')
-    solve.add_argument("--limit", type=int, default=None)
+    mode.add_argument("--limit", type=int, default=None, help="enumerate at most this many answer sets")
 
     theory = sub.add_parser("theory", help="print distribution parameters and expectations")
     theory.add_argument("--n", type=int, required=True)

@@ -8,6 +8,7 @@ with floats in shortest round-trip decimal.
 from __future__ import annotations
 
 from .experiments import AvgResult, ConsRow, DistResult, ExperimentConfig
+from .theory import chi, size_curves, theory_params
 
 AVG_HEADER = "n,c1,c2,trials,avg_answer_sets,stderr,theory_finite_n,theory_limit"
 DIST_HEADER = "k,empirical_avg,model_E_Nk,chi_k"
@@ -83,8 +84,6 @@ def write_consistency_csv(path, results: list[ConsRow], seed: int) -> None:
 
 
 def write_theory_curve_csv(path, n: int, c1: float, c2: float) -> None:
-    from .theory import chi, size_curves, theory_params
-
     tp = theory_params(n, c1, c2)
     columns = (column.tolist() for column in size_curves(n, c1, c2))
     rows = [(k, pr, e_nk, phi, chi(float(k), tp)) for k, pr, e_nk, phi in zip(range(1, n), *columns)]

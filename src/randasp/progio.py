@@ -110,7 +110,7 @@ def parse_program(text: str) -> Program:
         return interned[name]
 
     declared_n = 0
-    raw_rules: list[tuple[Rule, int, int]] = []
+    rules: list[Rule] = []
     while True:
         kind, value, line, col = peek()
         if kind == "eof":
@@ -150,9 +150,7 @@ def parse_program(text: str) -> Program:
         body = pos_body + neg_body
         if len(set(body)) != len(body):
             raise ParseError("duplicate body atom in rule", head_tok[2], head_tok[3])
-        raw_rules.append(
-            (Rule(head, tuple(sorted(pos_body)), tuple(sorted(neg_body))), head_tok[2], head_tok[3])
-        )
+        rules.append(Rule(head, tuple(sorted(pos_body)), tuple(sorted(neg_body))))
 
     n = max([declared_n] + [i + 1 for i in taken])
     names = [f"a{i}" for i in range(n)]
@@ -160,7 +158,7 @@ def parse_program(text: str) -> Program:
         names[i] = name
     for name, i in interned.items():
         names[i] = name
-    return Program(n, [r for r, _, _ in raw_rules], symbols=names)
+    return Program(n, rules, symbols=names)
 
 
 def _format(p: Program, name) -> str:

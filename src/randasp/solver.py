@@ -22,7 +22,8 @@ supporter yet, it takes the one with the fewest free support candidates and
 branches on that atom's first free candidate, OUT before IN.  Only when every
 IN atom is supported does it fall back to a static degree order.  Every IN
 atom needs some OUT supporter in an answer set, so this prunes unsupportable
-IN choices as early as possible.
+IN choices as early as possible.  Backtracking is chronological: after a
+conflict or a leaf the deepest decision still OUT is undone and flipped IN.
 """
 
 from __future__ import annotations
@@ -85,10 +86,14 @@ class _Searcher:
     candidate (state IN and n_out_supp == 0); `_apply` and `_undo_to` keep it
     so.  After a successful propagation each of them has at least two free
     candidates.  A decision takes the one with the fewest (lowest index on
-    ties) and tries its first free candidate OUT, then IN; with the set empty
-    it takes the first unassigned atom in degree order.  A leaf is a full
+    ties) and branches on its first free candidate; with the set empty it
+    takes the first unassigned atom in degree order.  A leaf is a full
     assignment with the set empty, re-verified against the two answer-set
     conditions before being reported.
+    Search: `stack` holds (atom, mark) for each decision whose IN branch is
+    untried, mark = trail length before it.  A decision pushes its pair and
+    propagates OUT; a conflict or leaf pops pairs, undoing each to its mark
+    and propagating IN, until one holds or the stack is empty.
     Single-use: one search per instance.
     """
 
@@ -191,65 +196,44 @@ class _Searcher:
 
     # -- search ----------------------------------------------------------------
 
-    def _decide(self, pos: int) -> tuple[int, int]:
-        """(atom to branch on, or -1 at a leaf; degree-order scan position)."""
+    def _decide(self) -> int:
+        """The atom to branch on, or -1 at a leaf."""
         state = self.state
         if self.unsupported:
             free = self.n_free_supp
             a = min(self.unsupported, key=lambda x: (free[x], x))
             for b in self.bodies_of[a]:
                 if state[b] == _UNASSIGNED:
-                    return b, pos
-        order = self.order
-        while pos < len(order):
-            if state[order[pos]] == _UNASSIGNED:
-                return order[pos], pos
-            pos += 1
-        return -1, pos
+                    return b
+        return next((x for x in self.order if state[x] == _UNASSIGNED), -1)
 
     def run(self, limit: int | None):
         """Yield answer-set masks (unordered), stopping after `limit` of them."""
-        queue: list[tuple[int, int]] = []
-        for x in range(self.p.n):
-            if self.n_free_supp[x] == 0:
-                queue.append((_OUT, x))  # heads no rule: can never be in S
-        for head, body in zip(*self.p.n2_pairs):
-            if head == body:
-                queue.append((_IN, head))  # self-loop head can never be out
-        if not self._propagate(queue):
-            return
+        heads, bodies = self.p.n2_pairs
+        root = [(_OUT, x) for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
+        root += [(_IN, h) for h, b in zip(heads, bodies) if h == b]  # self-loop head: never out of S
+        ok = self._propagate(root)
         found = 0
         state = self.state
-        heads, bodies = self.p.n2_pairs
-        values = (_OUT, _IN)
-        # Frames (atom, pos, vi, mark): branch on `atom` (-1: not chosen yet),
-        # pos = degree-order scan position (every order[:pos] is assigned),
-        # vi = next value index to try, mark = trail length on arrival.
-        stack = [(-1, 0, 0, len(self.trail))]
-        while stack:
-            atom, pos, vi, mark = stack.pop()
-            if vi > 0:
-                self._undo_to(mark)  # retract the previous value's subtree
-            if vi == 2:
-                continue
-            if atom < 0:
-                atom, pos = self._decide(pos)
-                if atom < 0:
-                    smask = 0
-                    for a in range(self.p.n):
-                        if state[a] == _IN:
-                            smask |= 1 << a
-                    if _is_n2_answer_set_mask(heads, bodies, smask):
-                        yield smask
-                        found += 1
-                        if limit is not None and found >= limit:
-                            return
+        stack: list[tuple[int, int]] = []  # (decided atom, trail length before it): IN untried
+        while True:
+            if ok:
+                atom = self._decide()
+                if atom >= 0:
+                    stack.append((atom, len(self.trail)))
+                    ok = self._propagate([(_OUT, atom)])
                     continue
-            stack.append((atom, pos, vi + 1, mark))
-            queue.clear()
-            queue.append((values[vi], atom))
-            if self._propagate(queue):
-                stack.append((-1, pos, 0, len(self.trail)))
+                smask = sum(1 << a for a in range(self.p.n) if state[a] == _IN)
+                if _is_n2_answer_set_mask(heads, bodies, smask):
+                    yield smask
+                    found += 1
+                    if limit is not None and found >= limit:
+                        return
+            if not stack:  # every IN branch tried
+                return
+            atom, mark = stack.pop()
+            self._undo_to(mark)
+            ok = self._propagate([(_IN, atom)])
 
 
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:

@@ -103,6 +103,12 @@ class TestSolve:
         assert captured.out == ""
         assert "limit must be positive" in captured.err
 
+    @pytest.mark.parametrize("args", [["--count", "--limit", "1"], ["--check", "a", "--limit", "0"]])
+    def test_limit_with_count_or_check_is_usage_error(self, two_cycle_file, capsys, args):
+        assert run_cli("solve", "--in", two_cycle_file, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
     def test_check_reports_both_checkers(self, two_cycle_file, capsys):
         assert run_cli("solve", "--in", two_cycle_file, "--check", "a") == 0
         assert capsys.readouterr().out == "n2: true\ngeneral: true\n"

@@ -179,6 +179,41 @@ class _CheckedSearcher(_Searcher):
         self._check()
 
 
+class _CountingSearcher(_Searcher):
+    """Counts `_propagate` calls past the root one (one per branch tried) and `_apply` calls."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.decisions = -1
+        self.applies = 0
+
+    def _propagate(self, queue):
+        self.decisions += 1
+        return super()._propagate(queue)
+
+    def _apply(self, queue, val, atom):
+        self.applies += 1
+        return super()._apply(queue, val, atom)
+
+
+class TestSearchTree:
+    # (decisions, _apply calls) summed over t = 0..9, recorded from the
+    # searcher with (atom, pos, value index, mark) frames: any change to
+    # branching or propagation order shows here.
+    @pytest.mark.parametrize(
+        "n, c1, c2, limit, expected",
+        [(100, 5.0, 0.0, None, (780, 13538)), (60, 4.0, 2.0, None, (142, 1965)), (300, 3.0, 0.0, 1, (63, 4404))],
+    )
+    def test_tree_is_pinned(self, n, c1, c2, limit, expected):
+        decisions = applies = 0
+        for t in range(10):
+            searcher = _CountingSearcher(generate(LinearModelParams(n, c1, c2), mix_seed(20240901, t)))
+            list(searcher.run(limit))
+            decisions += searcher.decisions
+            applies += searcher.applies
+        assert (decisions, applies) == expected
+
+
 class TestUnsupportedSet:
     def test_invariant_through_full_searches(self):
         for i, (n, c1, c2) in enumerate([(12, 3.0, 1.0), (40, 5.0, 0.0), (60, 4.0, 2.0)]):

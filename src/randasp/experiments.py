@@ -159,6 +159,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     started only for more than one worker and chunk; it is shut down, its
     queued chunks cancelled, when the sweep returns or raises.
     """
+    require_integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     t0 = perf_counter()

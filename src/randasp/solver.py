@@ -24,6 +24,15 @@ IN atom is supported does it fall back to a static degree order.  Every IN
 atom needs some OUT supporter in an answer set, so this prunes unsupportable
 IN choices as early as possible.  Backtracking is chronological: after a
 conflict or a leaf the deepest decision still OUT is undone and flipped IN.
+
+State is restored from copies, not unwound: each decision saves copies of
+the searcher's four per-atom fields, and undoing it rebinds them.  That
+costs O(n) memory per pending decision.  On random programs the depth stays
+small: at most 15 over 50 full enumerations at n=200, c1=5, and 20 at
+n=1000 and 43 at n=5000 over existence searches (`limit=1`) at c1=3.  But
+nothing bounds it below n/2: k disjoint two-cycles `a <- not b`,
+`b <- not a` keep k decisions pending, and at k=2000 an existence search
+peaks at about 216 MB of RSS (32 MB when state was unwound from a trail).
 """
 
 from __future__ import annotations
@@ -77,23 +86,28 @@ class _Searcher:
 
     Propagation rules (sound and conflict-complete for the two conditions):
       OUT(x)  forces IN(y) for every rule neighbor y of x (condition 1) and
-              registers x as a supporter of every head it feeds;
+              supports every head it feeds;
       IN(a)   consumes a as a support candidate elsewhere; an IN atom whose
               candidates are exhausted is a conflict, with one candidate left
               that candidate is forced OUT, and an unassigned atom that can
               no longer be supported is forced OUT.
-    Branching: `unsupported` holds exactly the IN atoms with no OUT support
-    candidate (state IN and n_out_supp == 0); `_apply` and `_undo_to` keep it
-    so.  After a successful propagation each of them has at least two free
-    candidates.  A decision takes the one with the fewest (lowest index on
-    ties) and branches on its first free candidate; with the set empty it
-    takes the first unassigned atom in degree order.  A leaf is a full
-    assignment with the set empty, re-verified against the two answer-set
-    conditions before being reported.
-    Search: `stack` holds (atom, mark) for each decision whose IN branch is
-    untried, mark = trail length before it.  A decision pushes its pair and
-    propagates OUT; a conflict or leaf pops pairs, undoing each to its mark
-    and propagating IN, until one holds or the stack is empty.
+    State: `supported[a]` is set once some body of a is OUT; until then
+    `n_free_supp[a]` counts a's unassigned bodies, and after it nothing
+    reads that count.  `unsupported` holds exactly the IN atoms not
+    supported.  After a successful propagation each of them has at least
+    two free candidates.  Queue entries are `atom << 2 | value`.
+    Branching: a decision takes the unsupported atom with the fewest free
+    candidates (lowest index on ties) and branches on its first free
+    candidate; with the set empty it takes the first unassigned atom in
+    degree order.  A leaf is a full assignment with the set empty,
+    re-verified against the two answer-set conditions before being reported.
+    Search: `stack` holds (atom, snapshot) for each decision whose IN branch
+    is untried, the snapshot being copies of the four state fields taken
+    before it.  A decision pushes its pair and propagates OUT; a conflict or
+    leaf pops pairs, rebinds the fields to the snapshot and propagates IN,
+    until one holds or the stack is empty.  Restoring is O(1) and a
+    conflict needs no cleanup, at O(n) memory per pending decision (see the
+    module docstring); code must not hold a field across an undo.
     Single-use: one search per instance.
     """
 
@@ -108,91 +122,73 @@ class _Searcher:
         deg = [len(self.heads_of[x]) + len(self.bodies_of[x]) for x in range(n)]
         self.order = sorted(range(n), key=lambda x: (-deg[x], x))
         self.state = [_UNASSIGNED] * n
-        self.n_out_supp = [0] * n  # support candidates currently OUT
         self.n_free_supp = [len(self.bodies_of[a]) for a in range(n)]  # unassigned candidates
-        self.unsupported: set[int] = set()  # IN atoms with n_out_supp == 0
-        self.trail: list[int] = []
+        self.supported = [False] * n  # some support candidate is OUT
+        self.unsupported: set[int] = set()  # IN atoms not supported
 
     # -- propagation ----------------------------------------------------------
 
-    def _enqueue(self, queue, val, atom) -> bool:
-        st = self.state[atom]
-        if st == _UNASSIGNED:
-            queue.append((val, atom))
-            return True
-        return st == val  # opposite forced value means conflict
-
-    def _check_support(self, queue, y) -> bool:
-        if self.n_out_supp[y] > 0:
-            return True
-        st = self.state[y]
-        free = self.n_free_supp[y]
-        if st == _IN:
-            if free == 0:
-                return False
-            if free == 1:
-                for b in self.bodies_of[y]:
-                    if self.state[b] == _UNASSIGNED:
-                        return self._enqueue(queue, _OUT, b)
-        elif st == _UNASSIGNED and free == 0:
-            return self._enqueue(queue, _OUT, y)  # y can never be supported
-        return True
-
     def _apply(self, queue, val, atom) -> bool:
-        st = self.state[atom]
+        state = self.state
+        st = state[atom]
         if st != _UNASSIGNED:
             return st == val
-        self.state[atom] = val
-        self.trail.append(atom)
-        heads = self.heads_of[atom]
-        # Counter and set updates run to completion before any conflict can
-        # bail out, so _undo_to can reverse them without knowing where a
-        # conflict arose.
+        state[atom] = val
+        supported = self.supported
         if val == _OUT:
-            for a in heads:
-                self.n_out_supp[a] += 1
-                self.n_free_supp[a] -= 1
-                if self.n_out_supp[a] == 1:
-                    self.unsupported.discard(a)
-            for a in heads:
-                if not self._enqueue(queue, _IN, a):
+            unsupported = self.unsupported
+            for a in self.heads_of[atom]:
+                if not supported[a]:
+                    supported[a] = True
+                    unsupported.discard(a)
+                st = state[a]
+                if st == _UNASSIGNED:
+                    queue.append(a << 2 | _IN)
+                elif st == _OUT:
                     return False
             for b in self.bodies_of[atom]:
-                if not self._enqueue(queue, _IN, b):
+                st = state[b]
+                if st == _UNASSIGNED:
+                    queue.append(b << 2 | _IN)
+                elif st == _OUT:
                     return False
-        else:
-            if self.n_out_supp[atom] == 0:
-                self.unsupported.add(atom)
-            for h in heads:
-                self.n_free_supp[h] -= 1
-            for h in heads:
-                if not self._check_support(queue, h):
+            return True
+        free = self.n_free_supp
+        bodies_of = self.bodies_of
+        for h in self.heads_of[atom]:
+            if supported[h]:
+                continue
+            f = free[h] = free[h] - 1
+            if f > 1:
+                continue
+            st = state[h]
+            if st == _IN:
+                if f == 0:
                     return False
-            if not self._check_support(queue, atom):
+                queue.append(next(b for b in bodies_of[h] if state[b] == _UNASSIGNED) << 2 | _OUT)
+            elif st == _UNASSIGNED and f == 0:
+                queue.append(h << 2 | _OUT)  # h can never be supported
+        if not supported[atom]:
+            self.unsupported.add(atom)
+            f = free[atom]
+            if f == 0:
                 return False
+            if f == 1:
+                queue.append(next(b for b in bodies_of[atom] if state[b] == _UNASSIGNED) << 2 | _OUT)
         return True
 
     def _propagate(self, queue) -> bool:
         while queue:
-            val, atom = queue.pop()
-            if not self._apply(queue, val, atom):
+            entry = queue.pop()
+            if not self._apply(queue, entry & 3, entry >> 2):
                 return False
         return True
 
-    def _undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            atom = self.trail.pop()
-            if self.state[atom] == _OUT:
-                for a in self.heads_of[atom]:
-                    self.n_out_supp[a] -= 1
-                    self.n_free_supp[a] += 1
-                    if self.n_out_supp[a] == 0 and self.state[a] == _IN:
-                        self.unsupported.add(a)
-            else:
-                for h in self.heads_of[atom]:
-                    self.n_free_supp[h] += 1
-                self.unsupported.discard(atom)
-            self.state[atom] = _UNASSIGNED
+    def _snapshot(self):
+        return self.state[:], self.n_free_supp[:], self.supported[:], set(self.unsupported)
+
+    def _undo_to(self, snapshot) -> None:
+        self.state, self.n_free_supp, self.supported, self.unsupported = snapshot
 
     # -- search ----------------------------------------------------------------
 
@@ -210,19 +206,19 @@ class _Searcher:
     def run(self, limit: int | None):
         """Yield answer-set masks (unordered), stopping after `limit` of them."""
         heads, bodies = self.p.n2_pairs
-        root = [(_OUT, x) for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
-        root += [(_IN, h) for h, b in zip(heads, bodies) if h == b]  # self-loop head: never out of S
+        root = [x << 2 | _OUT for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
+        root += [h << 2 | _IN for h, b in zip(heads, bodies) if h == b]  # self-loop head: never out of S
         ok = self._propagate(root)
         found = 0
-        state = self.state
-        stack: list[tuple[int, int]] = []  # (decided atom, trail length before it): IN untried
+        stack: list[tuple[int, tuple]] = []  # (decided atom, state before it): IN untried
         while True:
             if ok:
                 atom = self._decide()
                 if atom >= 0:
-                    stack.append((atom, len(self.trail)))
-                    ok = self._propagate([(_OUT, atom)])
+                    stack.append((atom, self._snapshot()))
+                    ok = self._propagate([atom << 2 | _OUT])
                     continue
+                state = self.state
                 smask = sum(1 << a for a in range(self.p.n) if state[a] == _IN)
                 if _is_n2_answer_set_mask(heads, bodies, smask):
                     yield smask
@@ -231,9 +227,9 @@ class _Searcher:
                         return
             if not stack:  # every IN branch tried
                 return
-            atom, mark = stack.pop()
-            self._undo_to(mark)
-            ok = self._propagate([(_IN, atom)])
+            atom, snapshot = stack.pop()
+            self._undo_to(snapshot)
+            ok = self._propagate([atom << 2 | _IN])
 
 
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:

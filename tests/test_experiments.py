@@ -141,6 +141,17 @@ class TestWorkers:
             with pytest.raises(ValueError, match="workers must be at least 1"):
                 run(cfg, workers=0)
 
+    @pytest.mark.parametrize("workers", [1.0, 2.5, "2"])
+    def test_rejects_non_integer_before_first_trial(self, monkeypatch, workers):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=5, seed=1)
+        for run in (run_avg_experiment, run_dist_experiment, run_consistency_experiment):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                run(cfg, workers=workers)
+
     def test_one_pool_per_sweep_sized_to_its_chunks(self, monkeypatch):
         sizes = []
 

@@ -7,6 +7,8 @@ from randasp.generate import LinearModelParams, generate, mix_seed
 from randasp.programs import AtomSet, Program, Rule, is_answer_set_general, pure_rule
 from randasp.solver import (
     _IN,
+    _OUT,
+    _UNASSIGNED,
     _Searcher,
     enumerate_answer_sets,
     enumerate_brute_force,
@@ -138,6 +140,26 @@ class TestEnumerate:
                     assert a & ~b and b & ~a  # pairwise incomparable
 
 
+def two_cycles(k):
+    """k disjoint two-cycles `a_i <- not b_i`, `b_i <- not a_i`: 2^k answer sets."""
+    return Program(2 * k, [r for i in range(k) for r in (pure_rule(2 * i, 2 * i + 1), pure_rule(2 * i + 1, 2 * i))])
+
+
+class TestDeepSearch:
+    # Each two-cycle takes one decision and nothing prunes the rest, so k
+    # cycles keep k decisions pending at once, each holding a state snapshot.
+    def test_ten_two_cycles_match_brute_force(self):
+        p = two_cycles(10)
+        col = enumerate_answer_sets(p)
+        assert col.count == 1024
+        assert col.masks == enumerate_brute_force(p).masks
+
+    def test_five_hundred_pending_decisions(self):
+        p = two_cycles(500)
+        (mask,) = enumerate_answer_sets(p, limit=1).masks
+        assert is_answer_set_n2(p, AtomSet(p.n, mask))
+
+
 class TestExistence:
     @given(n2_programs(max_n=10))
     @settings(max_examples=60, deadline=None)
@@ -159,23 +181,31 @@ class TestExistence:
 
 
 class _CheckedSearcher(_Searcher):
-    """Checks the unsupported-IN invariant after every propagation and undo."""
+    """Checks the support fields after every successful propagation and every undo.
+
+    The state a failed propagation leaves is thrown away by the next undo, so
+    it is not checked.
+    """
 
     def _check(self):
-        expected = {
-            a for a in range(self.p.n) if self.state[a] == _IN and self.n_out_supp[a] == 0
-        }
+        state = self.state
+        for a in range(self.p.n):
+            bodies = self.bodies_of[a]
+            assert self.supported[a] == any(state[b] == _OUT for b in bodies)
+            if not self.supported[a]:
+                assert self.n_free_supp[a] == sum(state[b] == _UNASSIGNED for b in bodies)
+        expected = {a for a in range(self.p.n) if state[a] == _IN and not self.supported[a]}
         assert self.unsupported == expected
 
     def _propagate(self, queue):
         ok = super()._propagate(queue)
-        self._check()
         if ok:  # each unsupported IN atom still has two candidates to branch on
+            self._check()
             assert all(self.n_free_supp[a] >= 2 for a in self.unsupported)
         return ok
 
-    def _undo_to(self, mark):
-        super()._undo_to(mark)
+    def _undo_to(self, snapshot):
+        super()._undo_to(snapshot)
         self._check()
 
 
@@ -197,8 +227,8 @@ class _CountingSearcher(_Searcher):
 
 
 class TestSearchTree:
-    # (decisions, _apply calls) summed over t = 0..9, recorded from the
-    # searcher with (atom, pos, value index, mark) frames: any change to
+    # (decisions, _apply calls) summed over t = 0..9, recorded from an
+    # earlier searcher that undid assignments from a trail: any change to
     # branching or propagation order shows here.
     @pytest.mark.parametrize(
         "n, c1, c2, limit, expected",
@@ -222,7 +252,6 @@ class TestUnsupportedSet:
                 searcher = _CheckedSearcher(p)
                 masks = sorted(searcher.run(None))
                 assert tuple(masks) == enumerate_answer_sets(p).masks
-                searcher._check()
 
     @given(n2_programs(max_n=10))
     @settings(max_examples=60, deadline=None)

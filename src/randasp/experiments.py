@@ -59,8 +59,9 @@ class ExperimentConfig:
         for name in ("n", "c1", "c2"):
             value = getattr(self, name)
             object.__setattr__(self, name, tuple(value) if isinstance(value, (tuple, list)) else (value,))
-        require_integer("trials", self.trials)
-        require_integer("seed", self.seed)
+        object.__setattr__(self, "n", tuple(require_integer("n", n) for n in self.n))
+        object.__setattr__(self, "trials", require_integer("trials", self.trials))
+        object.__setattr__(self, "seed", require_integer("seed", self.seed))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 1 << 64:
@@ -159,7 +160,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     started only for more than one worker and chunk; it is shut down, its
     queued chunks cancelled, when the sweep returns or raises.
     """
-    require_integer("workers", workers)
+    workers = require_integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     t0 = perf_counter()
@@ -216,16 +217,17 @@ def run_avg_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool =
 
 def run_dist_experiment(cfg: ExperimentConfig, workers: int = 1, progress: bool = False) -> DistResult:
     """Empirical per-size averages vs E[N_k] vs the Gaussian curve, single combo."""
-    if len(list(cfg.combos())) != 1:
+    combos = list(cfg.combos())
+    if len(combos) != 1:
         raise ValueError("distribution experiment needs exactly one (n, c1, c2) combination")
     if cfg.c1[0] == 0.0:
         raise ValueError("difference rate undefined: chi_k is all zeros at c1 = 0")
+    tp = theory_params(*combos[0])  # raises before the first trial where the theory is undefined
 
     def row(n, c1, c2, sums):
         _, _, resamples, *totals = sums
         empirical = [t / cfg.trials for t in totals]
         model = [0.0, *expected_counts(n, c1, c2).tolist(), 0.0]
-        tp = theory_params(n, c1, c2)
         chi_k = [chi(float(k), tp) for k in range(n + 1)]
         drate = difference_rate(chi_k[1:n], empirical[1:n])
         result = DistResult(

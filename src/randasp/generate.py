@@ -51,6 +51,7 @@ def _mix64(z: int) -> int:
 
 def mix_seed(seed: int, i: int) -> int:
     """Sub-seed for stream i of `seed`; stable across platforms and schedules."""
+    seed, i = require_integer("seed", seed), require_integer("i", i)
     return _mix64((seed + (i + 1) * _GAMMA) & _M64)
 
 
@@ -60,7 +61,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _M64
+        self._state = require_integer("seed", seed) & _M64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _M64
@@ -80,7 +81,7 @@ class LinearModelParams:
     c2: float
 
     def __post_init__(self):
-        require_integer("n", self.n)
+        object.__setattr__(self, "n", require_integer("n", self.n))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not (math.isfinite(self.c1) and math.isfinite(self.c2)):  # max(5.0, nan) is 5.0

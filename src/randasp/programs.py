@@ -41,10 +41,14 @@ class Rule(NamedTuple):
         return self.is_n2 and self.neg_body[0] == self.head
 
 
-def require_integer(name: str, value) -> None:
-    """ValueError unless value is an integer; numpy integers pass, 10.5 and 10.0 do not."""
+def require_integer(name: str, value) -> int:
+    """`value` as a Python int; numpy integers pass, 10.5 and 10.0 raise ValueError.
+
+    Callers keep the returned int: a numpy integer kept as is overflows
+    (`1 << np.int64(100)` is 0) and formats like a float in the CSV columns.
+    """
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
@@ -80,7 +84,7 @@ class Program:
     symbols: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, n: int, rules: Iterable[Rule] = (), symbols=None):
-        require_integer("n", n)
+        n = require_integer("n", n)
         if n < 0:
             raise ValueError("universe size must be non-negative")
         canon = tuple(sorted(set(rules)))
@@ -105,7 +109,7 @@ class Program:
         (head, body) order and deduplicated as arrays, so no per-rule Python
         check runs; `is_n2` and `n2_pairs` come preset.
         """
-        require_integer("n", n)
+        n = require_integer("n", n)
         if n < 0:
             raise ValueError("universe size must be non-negative")
         h, b = np.asarray(heads), np.asarray(bodies)
@@ -170,7 +174,7 @@ class AtomSet:
     mask: int
 
     def __post_init__(self):
-        require_integer("n", self.n)
+        object.__setattr__(self, "n", require_integer("n", self.n))
         if self.n < 0:
             raise ValueError("universe size must be non-negative")
         if not 0 <= self.mask < (1 << self.n):

@@ -26,13 +26,14 @@ IN choices as early as possible.  Backtracking is chronological: after a
 conflict or a leaf the deepest decision still OUT is undone and flipped IN.
 
 State is restored from copies, not unwound: each decision saves copies of
-the searcher's four per-atom fields, and undoing it rebinds them.  That
-costs O(n) memory per pending decision.  On random programs the depth stays
-small: at most 15 over 50 full enumerations at n=200, c1=5, and 20 at
+the two per-atom lists (values, and support counts with the sentinel
+`_SUPPORTED`) and the set of unsupported IN atoms, and undoing it rebinds
+them, at O(n) memory per pending decision.  On random programs the depth
+stays small: at most 15 over 50 full enumerations at n=200, c1=5, and 20 at
 n=1000 and 43 at n=5000 over existence searches (`limit=1`) at c1=3.  But
-nothing bounds it below n/2: k disjoint two-cycles `a <- not b`,
-`b <- not a` keep k decisions pending, and at k=2000 an existence search
-peaks at about 216 MB of RSS (32 MB when state was unwound from a trail).
+nothing bounds it below n/2: k disjoint two-cycles `a <- not b`, `b <- not a`
+keep k decisions pending; at k=2000 an existence search peaks at about 155 MB
+of RSS (216 MB with a third list of support flags, 32 MB with a trail).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .programs import AtomSet, Program, _require_same_universe, is_answer_set_ge
 BRUTE_FORCE_CAP_DEFAULT = 20
 
 _UNASSIGNED, _IN, _OUT = 0, 1, 2
+_SUPPORTED = -1  # n_free_supp of an atom with an OUT support candidate; real counts are >= 0
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class _Searcher:
               candidates are exhausted is a conflict, with one candidate left
               that candidate is forced OUT, and an unassigned atom that can
               no longer be supported is forced OUT.
-    State: `supported[a]` is set once some body of a is OUT; until then
-    `n_free_supp[a]` counts a's unassigned bodies, and after it nothing
-    reads that count.  `unsupported` holds exactly the IN atoms not
+    State: `state[a]` is a's value.  `n_free_supp[a]` counts a's unassigned
+    bodies until one of them is OUT, and is `_SUPPORTED` (-1, below every
+    count) from then on.  `unsupported` holds exactly the IN atoms not
     supported.  After a successful propagation each of them has at least
     two free candidates.  Queue entries are `atom << 2 | value`.
     Branching: a decision takes the unsupported atom with the fewest free
@@ -102,12 +104,12 @@ class _Searcher:
     degree order.  A leaf is a full assignment with the set empty,
     re-verified against the two answer-set conditions before being reported.
     Search: `stack` holds (atom, snapshot) for each decision whose IN branch
-    is untried, the snapshot being copies of the four state fields taken
-    before it.  A decision pushes its pair and propagates OUT; a conflict or
-    leaf pops pairs, rebinds the fields to the snapshot and propagates IN,
-    until one holds or the stack is empty.  Restoring is O(1) and a
-    conflict needs no cleanup, at O(n) memory per pending decision (see the
-    module docstring); code must not hold a field across an undo.
+    is untried, the snapshot being copies of `state`, `n_free_supp` and
+    `unsupported` taken before it.  A decision pushes its pair and
+    propagates OUT; a conflict or leaf pops pairs, rebinds the fields to the
+    snapshot and propagates IN, until one holds or the stack is empty.
+    Restoring is O(1), at O(n) memory per pending decision (module
+    docstring); code must not hold a field across an undo.
     Single-use: one search per instance.
     """
 
@@ -122,8 +124,7 @@ class _Searcher:
         deg = [len(self.heads_of[x]) + len(self.bodies_of[x]) for x in range(n)]
         self.order = sorted(range(n), key=lambda x: (-deg[x], x))
         self.state = [_UNASSIGNED] * n
-        self.n_free_supp = [len(self.bodies_of[a]) for a in range(n)]  # unassigned candidates
-        self.supported = [False] * n  # some support candidate is OUT
+        self.n_free_supp = [len(self.bodies_of[a]) for a in range(n)]  # unassigned candidates, or _SUPPORTED
         self.unsupported: set[int] = set()  # IN atoms not supported
 
     # -- propagation ----------------------------------------------------------
@@ -134,13 +135,12 @@ class _Searcher:
         if st != _UNASSIGNED:
             return st == val
         state[atom] = val
-        supported = self.supported
+        free = self.n_free_supp
         if val == _OUT:
-            unsupported = self.unsupported
             for a in self.heads_of[atom]:
-                if not supported[a]:
-                    supported[a] = True
-                    unsupported.discard(a)
+                if free[a] != _SUPPORTED:
+                    free[a] = _SUPPORTED
+                    self.unsupported.discard(a)
                 st = state[a]
                 if st == _UNASSIGNED:
                     queue.append(a << 2 | _IN)
@@ -153,12 +153,12 @@ class _Searcher:
                 elif st == _OUT:
                     return False
             return True
-        free = self.n_free_supp
         bodies_of = self.bodies_of
         for h in self.heads_of[atom]:
-            if supported[h]:
+            f = free[h]
+            if f == _SUPPORTED:
                 continue
-            f = free[h] = free[h] - 1
+            f = free[h] = f - 1
             if f > 1:
                 continue
             st = state[h]
@@ -168,14 +168,13 @@ class _Searcher:
                 queue.append(next(b for b in bodies_of[h] if state[b] == _UNASSIGNED) << 2 | _OUT)
             elif st == _UNASSIGNED and f == 0:
                 queue.append(h << 2 | _OUT)  # h can never be supported
-        if not supported[atom]:
-            self.unsupported.add(atom)
-            f = free[atom]
-            if f == 0:
-                return False
-            if f == 1:
-                queue.append(next(b for b in bodies_of[atom] if state[b] == _UNASSIGNED) << 2 | _OUT)
-        return True
+        f = free[atom]
+        if f == _SUPPORTED:
+            return True
+        self.unsupported.add(atom)
+        if f == 1:
+            queue.append(next(b for b in bodies_of[atom] if state[b] == _UNASSIGNED) << 2 | _OUT)
+        return f > 0  # f == 0: no candidate left, a conflict
 
     def _propagate(self, queue) -> bool:
         while queue:
@@ -185,10 +184,10 @@ class _Searcher:
         return True
 
     def _snapshot(self):
-        return self.state[:], self.n_free_supp[:], self.supported[:], set(self.unsupported)
+        return self.state[:], self.n_free_supp[:], set(self.unsupported)
 
     def _undo_to(self, snapshot) -> None:
-        self.state, self.n_free_supp, self.supported, self.unsupported = snapshot
+        self.state, self.n_free_supp, self.unsupported = snapshot
 
     # -- search ----------------------------------------------------------------
 
@@ -240,7 +239,7 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
     `limit`" from "more", ask for `limit + 1` and compare.
     """
     if limit is not None:
-        require_integer("limit", limit)
+        limit = require_integer("limit", limit)
         if limit < 1:
             raise ValueError("limit must be positive")
     return AnswerSetCollection(p.n, tuple(sorted(_Searcher(p).run(limit))))

@@ -279,6 +279,8 @@ def theory_params(n: int, c1: float, c2: float = 0.0) -> TheoryParams:
     """
     _require_model(n, c1, c2)
     alpha = solve_alpha(c1)
+    if alpha == 1.0:  # sigma, c0 and phi_x0_asymptotic divide by alpha - 1
+        raise ValueError(f"alpha - 1 rounds to 0 at c1={c1}; theory parameters need c1 above about 1e-16")
     x0 = (alpha - 1.0) * n / alpha
     sigma = math.sqrt((alpha - 1.0) * n) / (alpha + c1)
     c0 = max(math.sqrt(2.0) * (alpha + c1) / math.sqrt(alpha - 1.0), 1.0 / math.sqrt(c1))

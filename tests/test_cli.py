@@ -195,6 +195,11 @@ class TestTheory:
     def test_c1_zero_rejected(self, capsys):
         assert run_cli("theory", "--n", "100", "--c1", "0", "--c2", "5") == 1
 
+    def test_c1_where_alpha_rounds_to_one_rejected(self, capsys):
+        assert run_cli("theory", "--n", "50", "--c1", "1e-20", "--c2", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "c1=1e-20" in captured.err
+
     @pytest.mark.parametrize("c1, c2", [("5", "nan"), ("nan", "0")])
     def test_non_finite_rate_rejected(self, capsys, c1, c2):
         assert run_cli("theory", "--n", "50", "--c1", c1, "--c2", c2) == 1

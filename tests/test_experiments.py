@@ -5,6 +5,7 @@ import multiprocessing
 import time
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
 from randasp.csvout import write_avg_csv, write_consistency_csv, write_dist_csv
@@ -72,6 +73,18 @@ class TestConfig:
         monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
         with pytest.raises(ValueError, match="c1 and c2 must be finite"):
             run_avg_experiment(ExperimentConfig(n=50, c1=(5.0, c1), c2=c2, trials=10, seed=1), workers=2)
+
+    def test_numpy_seed_is_kept_as_an_int(self):
+        cfg = ExperimentConfig(n=20, c1=3.0, c2=0.0, trials=3, seed=np.uint64(7))
+        assert type(cfg.seed) is int
+        assert run_avg_experiment(cfg) == run_avg_experiment(dataclasses.replace(cfg, seed=7))
+
+    def test_numpy_integers_write_the_plain_int_csv(self, tmp_path):
+        plain = ExperimentConfig(n=(20, 30), c1=3.0, c2=0.0, trials=3, seed=5)
+        numpy_ints = ExperimentConfig(n=(np.int64(20), np.int64(30)), c1=3.0, c2=0.0, trials=np.int64(3), seed=5)
+        for name, cfg in (("plain", plain), ("numpy", numpy_ints)):
+            write_avg_csv(tmp_path / f"{name}.csv", run_avg_experiment(cfg), cfg.seed)
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_gamma_is_a_constant_not_a_field(self):
         cfg = ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1)
@@ -278,6 +291,16 @@ class TestDistExperiment:
         with pytest.raises(ValueError, match="difference rate undefined"):
             run_dist_experiment(cfg)
 
+    def test_alpha_at_one_rejected_before_first_trial(self, monkeypatch):
+        # alpha - 1 rounds to 0 below c1 of about 1e-16, and chi_k divides by it
+        def no_chunks(*args):
+            raise AssertionError("a chunk ran")
+
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_chunks)
+        cfg = ExperimentConfig(n=50, c1=1e-20, c2=1.0, trials=5, seed=1)
+        with pytest.raises(ValueError, match="c1=1e-20"):
+            run_dist_experiment(cfg)
+
 
 class TestConsistencyExperiment:
     def test_predictions_match_theory(self):
@@ -319,19 +342,25 @@ class TestConsistencyExperiment:
 
 class TestPinnedSweeps:
     # sha256 of multi-row CSV bytes, recorded while each row still ran on a
-    # pool of its own; a row-order mix-up between chunks changes them
+    # pool of its own (the c2 > 0 and dist cases: recorded before the searcher
+    # kept support as one count per atom); a row-order mix-up between chunks
+    # changes them
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "run, write, n, c1, trials, seed, digest",
+        "run, write, n, c1, trials, seed, c2, digest",
         [
-            (run_avg_experiment, write_avg_csv, [50, 100, 150], 5.0, 40, 20240901,
+            (run_avg_experiment, write_avg_csv, [50, 100, 150], 5.0, 40, 20240901, 0.0,
              "6343ff04c5730226811e4a5757155d57ddc0dde3ef910cd5e49db58fa686519f"),
-            (run_consistency_experiment, write_consistency_csv, [100, 200, 300], 3.0, 50, 20240904,
+            (run_consistency_experiment, write_consistency_csv, [100, 200, 300], 3.0, 50, 20240904, 0.0,
              "c6163c3c93774c39ed8f7b20b65717ec2f6b36df4ca5a4ee18dbf02a5e652f34"),
+            (run_avg_experiment, write_avg_csv, 100, 10.0, 20, 20240903, [0.0, 4.0, 8.0],
+             "9c77d2f082015c493d337637b73d6dc08848dc1a65794a06364d33dc0ab992b0"),
+            (run_dist_experiment, write_dist_csv, 50, 5.0, 40, 20240902, 0.0,
+             "c9f6404ae8824d948bc8870fb1e65c314e10e90063653b7f89e3cc9a49f58c69"),
         ],
     )
-    def test_csv_bytes(self, tmp_path, run, write, n, c1, trials, seed, digest, workers):
-        cfg = ExperimentConfig(n=n, c1=c1, c2=0.0, trials=trials, seed=seed)
+    def test_csv_bytes(self, tmp_path, run, write, n, c1, trials, seed, c2, digest, workers):
+        cfg = ExperimentConfig(n=n, c1=c1, c2=c2, trials=trials, seed=seed)
         out = tmp_path / "sweep.csv"
         write(out, run(cfg, workers=workers), cfg.seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from randasp.generate import (
     require_sampleable,
 )
 from randasp.programs import Program, Rule
+from randasp.solver import enumerate_answer_sets
 
 
 class TestParams:
@@ -46,6 +48,12 @@ class TestParams:
         with pytest.raises(ValueError, match="integer"):
             LinearModelParams(10.0, 1.0, 0.0)
         assert LinearModelParams(np.int64(10), 1.0, 0.0).p == 0.1
+
+    def test_numpy_n_is_kept_as_an_int(self):
+        # 1 << np.int64(100) is 0, so a numpy universe size rejects every answer-set mask
+        p = generate(LinearModelParams(np.int64(100), 5.0, 0.0), 3)
+        assert type(p.n) is int
+        assert enumerate_answer_sets(p).sets == enumerate_answer_sets(generate(LinearModelParams(100, 5.0, 0.0), 3)).sets
 
     def test_derived_probabilities(self):
         p = LinearModelParams(50, 5.0, 10.0)
@@ -84,6 +92,14 @@ class TestMixSeed:
         assert mix_seed(0, 1) == 7960286522194355700
         assert mix_seed(42, 7) == 14769051326987775908
         assert mix_seed(2**64 - 1, 3) == 7862637804313477842
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)])
+    def test_numpy_integers(self, seed):
+        # np.int64 + a Python int past 2^63 overflows; np.uint64 only warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mix_seed(seed, np.int64(0)) == mix_seed(5, 0)
+            assert SplitMix64(seed).next_u64() == mix_seed(5, 0)
 
     def test_stream_is_finalizer_of_counter(self):
         rng = SplitMix64(123)

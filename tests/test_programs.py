@@ -56,6 +56,7 @@ class TestRuleAndProgram:
         with pytest.raises(ValueError, match="n must be an integer"):
             Program(2.5, [])
         assert Program(np.int64(2), [pure_rule(0, 1)]) == Program(2, [pure_rule(0, 1)])
+        assert type(Program(np.int64(2), []).n) is type(Program.from_n2_arrays(np.int64(2), [], []).n) is int
 
     def test_symbols_do_not_affect_equality(self):
         a = Program(2, [pure_rule(0, 1)], symbols=["x", "y"])
@@ -126,6 +127,7 @@ class TestAtomSet:
     def test_rejects_non_integer_n(self):
         with pytest.raises(ValueError, match="n must be an integer"):
             AtomSet(2.5, 0)
+        assert AtomSet(np.int64(100), 1 << 99).members == (99,)  # 1 << np.int64(100) is 0
 
 
 class TestSatisfies:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from randasp.programs import AtomSet, Program, Rule, is_answer_set_general, pure
 from randasp.solver import (
     _IN,
     _OUT,
+    _SUPPORTED,
     _UNASSIGNED,
     _Searcher,
     enumerate_answer_sets,
@@ -159,6 +161,19 @@ class TestDeepSearch:
         (mask,) = enumerate_answer_sets(p, limit=1).masks
         assert is_answer_set_n2(p, AtomSet(p.n, mask))
 
+    def test_snapshots_stay_near_two_words_per_atom(self):
+        # k pending snapshots of two n-atom lists take about 2 * 8 * n * k
+        # bytes; a third per-atom list in each would exceed the bound.
+        k = 500
+        p = two_cycles(k)
+        tracemalloc.start()
+        try:
+            enumerate_answer_sets(p, limit=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * p.n * k
+
 
 class TestExistence:
     @given(n2_programs(max_n=10))
@@ -189,12 +204,13 @@ class _CheckedSearcher(_Searcher):
 
     def _check(self):
         state = self.state
+        supported = [any(state[b] == _OUT for b in self.bodies_of[a]) for a in range(self.p.n)]
         for a in range(self.p.n):
-            bodies = self.bodies_of[a]
-            assert self.supported[a] == any(state[b] == _OUT for b in bodies)
-            if not self.supported[a]:
-                assert self.n_free_supp[a] == sum(state[b] == _UNASSIGNED for b in bodies)
-        expected = {a for a in range(self.p.n) if state[a] == _IN and not self.supported[a]}
+            if supported[a]:
+                assert self.n_free_supp[a] == _SUPPORTED
+            else:
+                assert self.n_free_supp[a] == sum(state[b] == _UNASSIGNED for b in self.bodies_of[a])
+        expected = {a for a in range(self.p.n) if state[a] == _IN and not supported[a]}
         assert self.unsupported == expected
 
     def _propagate(self, queue):

@@ -320,6 +320,11 @@ class TestTheoryParams:
         with pytest.raises(ValueError):
             theory_params(100, 0.0, 5.0)
 
+    def test_rejects_c1_where_alpha_rounds_to_one(self):
+        assert solve_alpha(1e-17) == 1.0
+        with pytest.raises(ValueError, match="c1=1e-17"):
+            theory_params(50, 1e-17, 1.0)
+
 
 class TestConvergenceLadders:
     @pytest.mark.slow

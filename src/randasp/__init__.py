@@ -30,10 +30,8 @@ from .programs import (
     Rule,
     is_answer_set_general,
     least_model,
-    make_rule,
     pure_rule,
     reduct,
-    satisfies,
 )
 from .solver import (
     AnswerSetCollection,
@@ -90,7 +88,6 @@ __all__ = [
     "least_model",
     "limit_expected_total",
     "log_prob_answer_set",
-    "make_rule",
     "mix_seed",
     "parse_program",
     "phi",
@@ -100,7 +97,6 @@ __all__ = [
     "run_avg_experiment",
     "run_consistency_experiment",
     "run_dist_experiment",
-    "satisfies",
     "solve_alpha",
     "theory_params",
     "to_two_literal",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,13 @@ from .theory import (
 )
 
 
+def _require_float(name: str, value) -> float:
+    """`value` as a Python float, so an int and a float write the same CSV bytes; bools raise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep grid (cross product of n, c1, c2 values) plus run controls."""
@@ -56,10 +64,10 @@ class ExperimentConfig:
     gamma: ClassVar[float] = 0.5  # fixed discount of the pred_gamma column, not fitted to data
 
     def __post_init__(self):
-        for name in ("n", "c1", "c2"):
+        for name, check in (("n", require_integer), ("c1", _require_float), ("c2", _require_float)):
             value = getattr(self, name)
-            object.__setattr__(self, name, tuple(value) if isinstance(value, (tuple, list)) else (value,))
-        object.__setattr__(self, "n", tuple(require_integer("n", n) for n in self.n))
+            value = value if isinstance(value, (tuple, list)) else (value,)
+            object.__setattr__(self, name, tuple(check(name, v) for v in value))
         object.__setattr__(self, "trials", require_integer("trials", self.trials))
         object.__setattr__(self, "seed", require_integer("seed", self.seed))
         if self.trials < 1:

@@ -7,18 +7,20 @@ Atoms are dense integer indices in [0, n).  A rule is
 with all body atoms pairwise distinct.  A program is a set of rules over a
 fixed universe size n; an interpretation is a subset of [0, n) held as a
 bitmask.  The trusted reference semantics is the definition itself:
-`is_answer_set_general(p, s)` is `least_model(reduct(p, s)) == s`.  The empty
-program is a program; its one answer set is the empty set.  The specialized
-machinery for negative two-literal programs lives in `solver`.
+`is_answer_set_general(p, s)` is `least_model(reduct(p, s)) == s`, and
+`least_model` iterates the immediate-consequence operator T_P from the empty
+set until a pass derives nothing new.  The empty program is a program; its
+one answer set is the empty set.  The specialized machinery for negative
+two-literal programs lives in `solver`.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,11 +37,6 @@ class Rule(NamedTuple):
         """True for the negative two-literal form `a <- not b`."""
         return not self.pos_body and len(self.neg_body) == 1
 
-    @property
-    def is_contradiction(self) -> bool:
-        """True for `a <- not a` (constraint-like self-loop)."""
-        return self.is_n2 and self.neg_body[0] == self.head
-
 
 def require_integer(name: str, value) -> int:
     """`value` as a Python int; numpy integers pass, 10.5 and 10.0 raise ValueError.
@@ -51,16 +48,6 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def make_rule(head: int, pos_body: Iterable[int] = (), neg_body: Iterable[int] = ()) -> Rule:
-    """Build a rule in canonical form, checking body-atom distinctness."""
-    pos = tuple(sorted(pos_body))
-    neg = tuple(sorted(neg_body))
-    body = pos + neg
-    if len(set(body)) != len(body):
-        raise ValueError(f"body atoms must be pairwise distinct: {body}")
-    return Rule(head, pos, neg)
 
 
 def pure_rule(head: int, body: int) -> Rule:
@@ -93,7 +80,7 @@ class Program:
             if len(set(body)) != len(body):
                 raise ValueError(f"body atoms must be pairwise distinct in {r}")
             if tuple(sorted(r.pos_body)) != r.pos_body or tuple(sorted(r.neg_body)) != r.neg_body:
-                raise ValueError(f"rule bodies must be sorted (use make_rule): {r}")
+                raise ValueError(f"rule bodies must be sorted: {r}")
             for a in (r.head, *body):
                 if not 0 <= a < n:
                     raise ValueError(f"atom {a} out of universe [0, {n})")
@@ -189,29 +176,9 @@ class AtomSet:
             m |= 1 << a
         return cls(n, m)
 
-    @classmethod
-    def empty(cls, n: int) -> "AtomSet":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "AtomSet":
-        return cls(n, (1 << n) - 1)
-
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if (self.mask >> i) & 1)
-
-    def __contains__(self, a: int) -> bool:
-        return 0 <= a < self.n and (self.mask >> a) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def issubset(self, other: "AtomSet") -> bool:
-        return self.mask & ~other.mask == 0
 
     def __repr__(self) -> str:
         return f"AtomSet(n={self.n}, {{{','.join(map(str, self.members))}}})"
@@ -220,18 +187,6 @@ class AtomSet:
 def _require_same_universe(p_n: int, s: AtomSet) -> None:
     if s.n != p_n:
         raise ValueError(f"universe-size mismatch: program n={p_n}, set n={s.n}")
-
-
-def satisfies(rule: Rule, s: AtomSet) -> bool:
-    """Classical satisfaction: head holds whenever the body holds under s."""
-    for a in (rule.head, *rule.pos_body, *rule.neg_body):
-        if not 0 <= a < s.n:
-            raise ValueError(f"universe-size mismatch: atom {a} not in [0, {s.n})")
-    if (s.mask >> rule.head) & 1:
-        return True
-    if any(not (s.mask >> b) & 1 for b in rule.pos_body):
-        return True  # positive body not contained
-    return any((s.mask >> c) & 1 for c in rule.neg_body)  # negative body blocked
 
 
 def reduct(p: Program, s: AtomSet) -> Program:
@@ -246,33 +201,18 @@ def reduct(p: Program, s: AtomSet) -> Program:
 
 
 def least_model(p: Program) -> AtomSet:
-    """Least fixed point of the immediate-consequence operator of a positive program.
+    """Least model of a positive program: T_P iterated from the empty set to its fixpoint.
 
-    Queue-based propagation, linear in total body size.
+    T_P(I) is the set of heads of the rules whose positive body lies in I.
     """
     if not p.is_positive:
         raise ValueError("least_model requires a positive program")
-    counts = []  # unsatisfied positive-body atoms per rule
-    watchers: dict[int, list[int]] = {}
-    queue: list[int] = []
-    derived = 0
-    for i, r in enumerate(p.rules):
-        counts.append(len(r.pos_body))
-        if not r.pos_body:
-            queue.append(i)
-        for b in r.pos_body:
-            watchers.setdefault(b, []).append(i)
-    while queue:
-        i = queue.pop()
-        h = p.rules[i].head
-        if (derived >> h) & 1:
-            continue
-        derived |= 1 << h
-        for j in watchers.get(h, ()):
-            counts[j] -= 1
-            if counts[j] == 0:
-                queue.append(j)
-    return AtomSet(p.n, derived)
+    model, previous = 0, -1
+    while model != previous:
+        previous = model
+        fired = (r.head for r in p.rules if all(previous >> b & 1 for b in r.pos_body))
+        model = reduce(operator.or_, (1 << h for h in fired), 0)
+    return AtomSet(p.n, model)
 
 
 def is_answer_set_general(p: Program, s: AtomSet) -> bool:

@@ -12,8 +12,8 @@ digraph.  The empty program is a program: with no rules no atom can be
 supported, so its one answer set is the empty set.  `is_answer_set_n2`
 checks the two conditions directly; `enumerate_answer_sets` is a DPLL-style
 backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
-`enumerate_brute_force` scans all 2^n subsets with the reduct-based
-reference checker and is the testing oracle.
+`enumerate_brute_force`, the testing oracle, scans all 2^n subsets of a
+negative program (no positive body atoms, n at most the fixed `BRUTE_FORCE_CAP`).
 Both return an `AnswerSetCollection` of sorted bitmasks; the backtracker
 re-checks every leaf with the mask-level core of `is_answer_set_n2`.
 
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .programs import AtomSet, Program, _require_same_universe, is_answer_set_general, require_integer
+from .programs import AtomSet, Program, _require_same_universe, require_integer
 
-BRUTE_FORCE_CAP_DEFAULT = 20
+BRUTE_FORCE_CAP = 20  # 2^20 subsets, one uint64 array of each size
 
 _UNASSIGNED, _IN, _OUT = 0, 1, 2
 _SUPPORTED = -1  # n_free_supp of an atom with an OUT support candidate; real counts are >= 0
@@ -245,26 +245,23 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
     return AnswerSetCollection(p.n, tuple(sorted(_Searcher(p).run(limit))))
 
 
-def enumerate_brute_force(p: Program, cap: int = BRUTE_FORCE_CAP_DEFAULT) -> AnswerSetCollection:
-    """Scan all 2^n subsets with the reduct-based reference checker.
+def enumerate_brute_force(p: Program) -> AnswerSetCollection:
+    """Scan all 2^n subsets of a negative program with the reduct definition.
 
-    Authoritative oracle for tests.  Negative programs (no positive body
-    atoms anywhere, which includes every n2 program) go through a vectorized
-    path: the reduct of a negative program is a set of facts, so its least
-    model is the union of surviving rule heads, computed for every subset at
-    once.  Programs with positive body atoms fall back to the per-subset
-    reference checker.
+    Authoritative oracle for tests.  The program must be negative (no
+    positive body atoms anywhere, which includes every n2 program) and have
+    n <= `BRUTE_FORCE_CAP`; anything else raises ValueError.  The reduct of a
+    negative program is a set of facts, so its least model is the union of
+    surviving rule heads, computed for every subset at once; S is an answer
+    set when that union is S.
     """
-    if p.n > cap:
-        raise ValueError(f"universe size {p.n} exceeds brute-force cap {cap}")
-    total = 1 << p.n
-    if p.is_negative:
-        masks = np.arange(total, dtype=np.uint64)
-        lm = np.zeros(total, dtype=np.uint64)
-        for r in p.rules:
-            neg = np.uint64(sum(1 << c for c in r.neg_body))
-            lm[(masks & neg) == np.uint64(0)] |= np.uint64(1 << r.head)
-        hits = tuple(int(m) for m in masks[lm == masks])
-    else:
-        hits = tuple(m for m in range(total) if is_answer_set_general(p, AtomSet(p.n, m)))
-    return AnswerSetCollection(p.n, hits)
+    if not p.is_negative:
+        raise ValueError("brute-force enumeration requires a negative program (no positive body atoms)")
+    if p.n > BRUTE_FORCE_CAP:
+        raise ValueError(f"universe size {p.n} exceeds brute-force cap {BRUTE_FORCE_CAP}")
+    masks = np.arange(1 << p.n, dtype=np.uint64)
+    lm = np.zeros(masks.size, dtype=np.uint64)
+    for r in p.rules:
+        neg = np.uint64(sum(1 << c for c in r.neg_body))
+        lm[(masks & neg) == np.uint64(0)] |= np.uint64(1 << r.head)
+    return AnswerSetCollection(p.n, tuple(int(m) for m in masks[lm == masks]))

@@ -63,10 +63,11 @@ EXACT_ORACLE_MAX_N = 30
 CURVE_MAX_N = 10**6
 
 
-def _require_model(n: int, c1: float, c2: float) -> None:
-    LinearModelParams(n, c1, c2)  # the generator's rule for a valid model
+def _require_model(n: int, c1: float, c2: float) -> int:
+    n = LinearModelParams(n, c1, c2).n  # the generator's rule for a valid model; n becomes a Python int
     if n < 2:
         raise ValueError("n must be at least 2")
+    return n
 
 
 def _require_curve(n: int, c1: float, c2: float) -> None:
@@ -277,7 +278,7 @@ def theory_params(n: int, c1: float, c2: float = 0.0) -> TheoryParams:
     closed form alpha e^{(c1-c2)/alpha} / sqrt(2 pi (alpha-1) n), which the
     direct value approaches at rate O(n^{-3/2}).
     """
-    _require_model(n, c1, c2)
+    n = _require_model(n, c1, c2)
     alpha = solve_alpha(c1)
     if alpha == 1.0:  # sigma, c0 and phi_x0_asymptotic divide by alpha - 1
         raise ValueError(f"alpha - 1 rounds to 0 at c1={c1}; theory parameters need c1 above about 1e-16")

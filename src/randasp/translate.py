@@ -55,7 +55,7 @@ def check_equivalence_modulo_aux(p: Program, p2: Program) -> bool:
     required: every answer set of p must extend to one of p2, and every
     answer set of p2 must project into AS(p).  The extension must also be
     unique: no two answer sets of p2 may share a projection.  Brute-force on
-    both sides, so both universes must fit under the cap.
+    both sides, so both programs must be negative and fit under the cap.
     """
     if p2.n < p.n:
         raise ValueError(f"extended universe of {p2.n} atoms is smaller than the original {p.n}")

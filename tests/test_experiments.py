@@ -86,6 +86,23 @@ class TestConfig:
             write_avg_csv(tmp_path / f"{name}.csv", run_avg_experiment(cfg), cfg.seed)
         assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
+    def test_int_rates_write_the_float_csv(self, tmp_path):
+        floats = ExperimentConfig(n=20, c1=5.0, c2=0.0, trials=3, seed=1)
+        ints = ExperimentConfig(n=20, c1=5, c2=0, trials=3, seed=1)
+        assert ints == floats and type(ints.c1[0]) is type(ints.c2[0]) is float
+        for name, cfg in (("floats", floats), ("ints", ints)):
+            write_avg_csv(tmp_path / f"{name}.csv", run_avg_experiment(cfg), cfg.seed)
+        assert (tmp_path / "ints.csv").read_bytes() == (tmp_path / "floats.csv").read_bytes()
+
+    @pytest.mark.parametrize("c1, c2", [(True, 0.0), (5.0, False), ("5", 0.0), (5.0, None)])
+    def test_rejects_bool_and_non_number_rates_before_first_trial(self, monkeypatch, c1, c2):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
+        with pytest.raises(ValueError, match="must be a number"):
+            run_avg_experiment(ExperimentConfig(n=20, c1=c1, c2=c2, trials=3, seed=1))
+
     def test_gamma_is_a_constant_not_a_field(self):
         cfg = ExperimentConfig(n=50, c1=5.0, c2=0.0, trials=10, seed=1)
         assert [f.name for f in dataclasses.fields(cfg)] == ["n", "c1", "c2", "trials", "seed"]

@@ -192,9 +192,9 @@ class TestGenerate:
 
     def test_pure_only_and_contradiction_only(self):
         only_con = generate(LinearModelParams(10, 0.0, 9.99), 1)
-        assert all(r.is_contradiction for r in only_con.rules)
+        assert all(r.is_n2 and r.neg_body == (r.head,) for r in only_con.rules)
         only_pure = generate(LinearModelParams(50, 5.0, 0.0), 1)
-        assert not any(r.is_contradiction for r in only_pure.rules)
+        assert not any(r.neg_body == (r.head,) for r in only_pure.rules)
 
     def test_always_n2_and_nonempty(self):
         for t in range(50):

@@ -9,10 +9,8 @@ from randasp.programs import (
     Rule,
     is_answer_set_general,
     least_model,
-    make_rule,
     pure_rule,
     reduct,
-    satisfies,
 )
 
 from conftest import general_programs, n2_programs, positive_programs
@@ -23,17 +21,8 @@ def s(n, *atoms):
 
 
 class TestRuleAndProgram:
-    def test_make_rule_sorts_and_checks(self):
-        r = make_rule(0, [2, 1], [3])
-        assert r.pos_body == (1, 2) and r.neg_body == (3,)
-        with pytest.raises(ValueError):
-            make_rule(0, [1], [1])
-        with pytest.raises(ValueError):
-            make_rule(0, [], [2, 2])
-
     def test_rule_flags(self):
-        assert pure_rule(0, 1).is_n2 and not pure_rule(0, 1).is_contradiction
-        assert pure_rule(2, 2).is_contradiction
+        assert pure_rule(0, 1).is_n2 and pure_rule(2, 2).is_n2
         assert not Rule(0, (1,), ()).is_n2
 
     def test_program_validates_universe(self):
@@ -113,10 +102,7 @@ class TestFromN2Arrays:
 class TestAtomSet:
     def test_basics(self):
         t = s(4, 0, 2)
-        assert 0 in t and 2 in t and 1 not in t
-        assert len(t) == 2 and t.members == (0, 2)
-        assert t.issubset(AtomSet.full(4))
-        assert AtomSet.empty(4).issubset(t)
+        assert t.mask == 0b101 and t.members == (0, 2)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -128,21 +114,6 @@ class TestAtomSet:
         with pytest.raises(ValueError, match="n must be an integer"):
             AtomSet(2.5, 0)
         assert AtomSet(np.int64(100), 1 << 99).members == (99,)  # 1 << np.int64(100) is 0
-
-
-class TestSatisfies:
-    def test_head_satisfied(self):
-        assert satisfies(pure_rule(0, 1), s(2, 0))
-
-    def test_body_holds_head_absent(self):
-        assert not satisfies(pure_rule(0, 1), s(2))
-
-    def test_negative_body_blocked(self):
-        assert satisfies(pure_rule(0, 1), s(2, 1))
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            satisfies(pure_rule(0, 3), s(2, 0))
 
 
 class TestReduct:
@@ -159,9 +130,9 @@ class TestReduct:
 
     @given(general_programs())
     def test_empty_and_full_boundaries(self, p):
-        stripped = reduct(p, AtomSet.empty(p.n))
+        stripped = reduct(p, AtomSet(p.n, 0))
         assert set(stripped.rules) == {Rule(r.head, r.pos_body, ()) for r in p.rules}
-        full = reduct(p, AtomSet.full(p.n))
+        full = reduct(p, AtomSet(p.n, (1 << p.n) - 1))
         kept = {r for r in p.rules if not r.neg_body}
         assert set(full.rules) == {Rule(r.head, r.pos_body, ()) for r in kept}
 
@@ -187,7 +158,18 @@ class TestLeastModel:
         if p.n != q.n:
             q = Program(p.n, [r for r in q.rules if max((r.head, *r.pos_body), default=0) < p.n])
         merged = Program(p.n, p.rules + q.rules)
-        assert least_model(p).issubset(least_model(merged))
+        assert least_model(p).mask & ~least_model(merged).mask == 0
+
+    @given(positive_programs())
+    @settings(max_examples=100)
+    def test_is_the_least_closed_set(self, p):
+        # the definition, checked over all 2^n sets: closed under every rule, inside every closed set
+        def closed(m):
+            return all((m >> r.head) & 1 or not all((m >> b) & 1 for b in r.pos_body) for r in p.rules)
+
+        lm = least_model(p).mask
+        assert closed(lm)
+        assert all(lm & ~m == 0 for m in range(1 << p.n) if closed(m))
 
 
 class TestIsAnswerSetGeneral:

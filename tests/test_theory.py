@@ -320,6 +320,10 @@ class TestTheoryParams:
         with pytest.raises(ValueError):
             theory_params(100, 0.0, 5.0)
 
+    def test_numpy_n_is_kept_as_an_int(self):
+        tp = theory_params(np.int64(50), 5.0, 0.0)
+        assert type(tp.n) is int and tp == theory_params(50, 5.0, 0.0)
+
     def test_rejects_c1_where_alpha_rounds_to_one(self):
         assert solve_alpha(1e-17) == 1.0
         with pytest.raises(ValueError, match="c1=1e-17"):

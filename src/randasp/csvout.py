@@ -85,6 +85,7 @@ def write_consistency_csv(path, results: list[ConsRow], seed: int) -> None:
 
 def write_theory_curve_csv(path, n: int, c1: float, c2: float) -> None:
     tp = theory_params(n, c1, c2)
+    n, c1, c2 = tp.n, tp.c1, tp.c2  # the validated int and floats, so an int rate writes as the CLI's float
     columns = (column.tolist() for column in size_curves(n, c1, c2))
     rows = [(k, pr, e_nk, phi, chi(float(k), tp)) for k, pr, e_nk, phi in zip(range(1, n), *columns)]
     meta = {"schema": "theory-curve-v1", "n": n, "c1": fmt(c1), "c2": fmt(c2)}

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from time import perf_counter
 from typing import ClassVar
 
 from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
-from .programs import require_integer
+from .programs import require_integer, require_real
 from .solver import enumerate_answer_sets
 from .theory import (
     _require_curve,
@@ -43,13 +42,6 @@ from .theory import (
     limit_expected_total,
     theory_params,
 )
-
-
-def _require_float(name: str, value) -> float:
-    """`value` as a Python float, so an int and a float write the same CSV bytes; bools raise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -64,9 +56,11 @@ class ExperimentConfig:
     gamma: ClassVar[float] = 0.5  # fixed discount of the pred_gamma column, not fitted to data
 
     def __post_init__(self):
-        for name, check in (("n", require_integer), ("c1", _require_float), ("c2", _require_float)):
+        for name, check in (("n", require_integer), ("c1", require_real), ("c2", require_real)):
             value = getattr(self, name)
             value = value if isinstance(value, (tuple, list)) else (value,)
+            if not value:
+                raise ValueError(f"{name} needs at least one value")
             object.__setattr__(self, name, tuple(check(name, v) for v in value))
         object.__setattr__(self, "trials", require_integer("trials", self.trials))
         object.__setattr__(self, "seed", require_integer("seed", self.seed))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .programs import Program, Rule, require_integer
+from .programs import Program, Rule, require_integer, require_real
 
 _M64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -82,6 +82,8 @@ class LinearModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", require_integer("n", self.n))
+        object.__setattr__(self, "c1", require_real("c1", self.c1))
+        object.__setattr__(self, "c2", require_real("c2", self.c2))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if not (math.isfinite(self.c1) and math.isfinite(self.c2)):  # max(5.0, nan) is 5.0

@@ -16,6 +16,7 @@ two-literal programs lives in `solver`.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -39,15 +40,27 @@ class Rule(NamedTuple):
 
 
 def require_integer(name: str, value) -> int:
-    """`value` as a Python int; numpy integers pass, 10.5 and 10.0 raise ValueError.
+    """The one integer rule: `value` as a Python int; numpy integers pass, a bool, 10.5 or 10.0 raises ValueError.
 
     Callers keep the returned int: a numpy integer kept as is overflows
     (`1 << np.int64(100)` is 0) and formats like a float in the CSV columns.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> float:
+    """The one real-number rule: `value` as a Python float; a bool or a non-number raises ValueError.
+
+    Callers keep the returned float, so an int and a float rate write the same CSV bytes.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def pure_rule(head: int, body: int) -> Rule:
@@ -162,6 +175,7 @@ class AtomSet:
 
     def __post_init__(self):
         object.__setattr__(self, "n", require_integer("n", self.n))
+        object.__setattr__(self, "mask", require_integer("mask", self.mask))
         if self.n < 0:
             raise ValueError("universe size must be non-negative")
         if not 0 <= self.mask < (1 << self.n):

@@ -63,11 +63,11 @@ EXACT_ORACLE_MAX_N = 30
 CURVE_MAX_N = 10**6
 
 
-def _require_model(n: int, c1: float, c2: float) -> int:
-    n = LinearModelParams(n, c1, c2).n  # the generator's rule for a valid model; n becomes a Python int
-    if n < 2:
+def _require_model(n: int, c1: float, c2: float) -> LinearModelParams:
+    model = LinearModelParams(n, c1, c2)  # the generator's rule for a valid model
+    if model.n < 2:
         raise ValueError("n must be at least 2")
-    return n
+    return model
 
 
 def _require_curve(n: int, c1: float, c2: float) -> None:
@@ -116,9 +116,10 @@ def _require_point(n: int, x, c1: float, c2: float, name: str) -> None:
         raise ValueError(f"{name} must satisfy 0 < {name} < n, got {name}={x}, n={n}")
 
 
-def _require_size(n: int, k, c1: float, c2: float) -> None:
-    require_integer("k", k)  # C(n, k) is taken at integers only
+def _require_size(n: int, k, c1: float, c2: float) -> int:
+    k = require_integer("k", k)  # C(n, k) is taken at integers only
     _require_point(n, k, c1, c2, "k")
+    return k
 
 
 # Cephes lgam: log(sqrt(2 pi)) and the Stirling-series coefficients used below x = 1000.
@@ -212,10 +213,9 @@ def expected_count_size_k(n: int, k: int, c1: float, c2: float) -> float:
 
 def expected_count_size_k_exact(n: int, k: int, c1: float, c2: float) -> Fraction:
     """Exact-rational E[N_k] for n <= 30 (cross-check oracle for the log path)."""
-    _require_size(n, k, c1, c2)
+    k = _require_size(n, k, c1, c2)  # a Python int: with a numpy exponent, Fraction powers overflow in int64
     if n > EXACT_ORACLE_MAX_N:
         raise ValueError(f"exact oracle limited to n <= {EXACT_ORACLE_MAX_N}")
-    k = int(k)  # with a numpy exponent, Fraction powers overflow in int64
     q = 1 - Fraction(c1) / n
     d = Fraction(c2) / n
     pr = q ** ((n - k) * (n - k - 1)) * (1 - q ** (n - k)) ** k * (1 - d) ** (n - k)
@@ -233,8 +233,8 @@ def size_curves(n: int, c1: float, c2: float) -> tuple[np.ndarray, np.ndarray, n
 
 
 def expected_total(n: int, c1: float, c2: float) -> float:
-    """E[|AS|] = sum_{k=1}^{n-1} E[N_k]; terms summed in ascending magnitude."""
-    return math.fsum(np.sort(expected_counts(n, c1, c2)).tolist())
+    """E[|AS|] = sum_{k=1}^{n-1} E[N_k], the correctly rounded sum (`math.fsum`, so term order is moot)."""
+    return math.fsum(expected_counts(n, c1, c2).tolist())
 
 
 def limit_expected_total(c1: float, c2: float) -> float:
@@ -278,7 +278,8 @@ def theory_params(n: int, c1: float, c2: float = 0.0) -> TheoryParams:
     closed form alpha e^{(c1-c2)/alpha} / sqrt(2 pi (alpha-1) n), which the
     direct value approaches at rate O(n^{-3/2}).
     """
-    n = _require_model(n, c1, c2)
+    model = _require_model(n, c1, c2)
+    n, c1, c2 = model.n, model.c1, model.c2
     alpha = solve_alpha(c1)
     if alpha == 1.0:  # sigma, c0 and phi_x0_asymptotic divide by alpha - 1
         raise ValueError(f"alpha - 1 rounds to 0 at c1={c1}; theory parameters need c1 above about 1e-16")

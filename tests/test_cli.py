@@ -4,10 +4,11 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from randasp.cli import _build_parser, cli_dispatch
-from randasp.csvout import write_avg_csv
+from randasp.csvout import write_avg_csv, write_theory_curve_csv
 from randasp.experiments import ExperimentConfig, run_avg_experiment
 from randasp.generate import mix_seed
 from randasp.theory import chi, expected_count_size_k, phi, prob_answer_set, theory_params
@@ -174,6 +175,9 @@ class TestTheory:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0] == "k,Pr_k,E_Nk,phi_k,chi_k"
         assert len(data) == 1 + 29  # k = 1..n-1
+        api = tmp_path / "api.csv"
+        write_theory_curve_csv(api, np.int64(30), 5, 0)  # ints are written as the CLI's floats
+        assert api.read_bytes() == curve.read_bytes()
 
     @pytest.mark.parametrize("n, c1, c2", [(30, 5.0, 0.0), (200, 10.0, 4.0), (60, 2.5, 20.0)])
     def test_curve_columns_match_scalar_functions(self, tmp_path, n, c1, c2):

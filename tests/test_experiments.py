@@ -74,6 +74,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="c1 and c2 must be finite"):
             run_avg_experiment(ExperimentConfig(n=50, c1=(5.0, c1), c2=c2, trials=10, seed=1), workers=2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", True), ("seed", True), ("n", True), ("n", []), ("c1", ()), ("c2", [])],
+    )
+    def test_rejects_bools_and_empty_axes_before_first_trial(self, monkeypatch, field, value):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
+        fields = dict(n=20, c1=3.0, c2=0.0, trials=2, seed=1) | {field: value}
+        with pytest.raises(ValueError, match=field):
+            run_avg_experiment(ExperimentConfig(**fields))
+
     def test_numpy_seed_is_kept_as_an_int(self):
         cfg = ExperimentConfig(n=20, c1=3.0, c2=0.0, trials=3, seed=np.uint64(7))
         assert type(cfg.seed) is int

@@ -47,7 +47,20 @@ class TestParams:
             LinearModelParams(10.5, 1.0, 0.0)
         with pytest.raises(ValueError, match="integer"):
             LinearModelParams(10.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            LinearModelParams(True, 0.5, 0.0)
         assert LinearModelParams(np.int64(10), 1.0, 0.0).p == 0.1
+
+    @pytest.mark.parametrize("bad", [True, "5", None])
+    def test_rates_must_be_real_numbers(self, bad):
+        for c1, c2 in ((bad, 0.0), (5.0, bad)):
+            with pytest.raises(ValueError, match="must be a number"):
+                LinearModelParams(20, c1, c2)
+
+    def test_rates_are_kept_as_floats(self):
+        params = LinearModelParams(20, 5, 0)
+        assert type(params.c1) is float and type(params.c2) is float
+        assert params == LinearModelParams(20, 5.0, 0.0)
 
     def test_numpy_n_is_kept_as_an_int(self):
         # 1 << np.int64(100) is 0, so a numpy universe size rejects every answer-set mask

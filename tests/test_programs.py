@@ -115,6 +115,14 @@ class TestAtomSet:
             AtomSet(2.5, 0)
         assert AtomSet(np.int64(100), 1 << 99).members == (99,)  # 1 << np.int64(100) is 0
 
+    @pytest.mark.parametrize("mask", [1.0, True])
+    def test_rejects_non_integer_mask(self, mask):
+        with pytest.raises(ValueError, match="mask must be an integer"):
+            AtomSet(3, mask)
+
+    def test_numpy_mask_is_kept_as_an_int(self):
+        assert type(AtomSet(3, np.int64(5)).mask) is int
+
 
 class TestReduct:
     def test_rule_deleted(self):

@@ -229,10 +229,12 @@ class TestLogFactorialPort:
         code = (
             "import sys; before = set(sys.modules); import randasp; "
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-            "print(sorted(m for m in new - set(sys.stdlib_module_names) if not m.startswith('_')))"
+            "print(sorted(m for m in new - set(sys.stdlib_module_names) if not m.startswith('_'))); "
+            "assert randasp.ExperimentConfig is randasp.experiments.ExperimentConfig; "
+            "print(sorted({'randasp.progio', 'randasp.translate', 'randasp.csvout', 'randasp.cli'} & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n"
+        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n[]\n", proc.stderr
 
 
 class TestLimit:
@@ -323,6 +325,9 @@ class TestTheoryParams:
     def test_numpy_n_is_kept_as_an_int(self):
         tp = theory_params(np.int64(50), 5.0, 0.0)
         assert type(tp.n) is int and tp == theory_params(50, 5.0, 0.0)
+        assert type(theory_params(50, 5, 0).c1) is float
+        with pytest.raises(ValueError, match="c1 must be a number"):
+            expected_total(50, True, 0.0)
 
     def test_rejects_c1_where_alpha_rounds_to_one(self):
         assert solve_alpha(1e-17) == 1.0

@@ -88,7 +88,7 @@ class AvgResult:
     stderr: float
     theory_finite_n: float
     theory_limit: float
-    resamples: int = 0
+    resamples: int
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class DistResult:
     model_e_nk: tuple[float, ...]
     chi_k: tuple[float, ...]
     difference_rate: float
-    resamples: int = 0
+    resamples: int
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class ConsRow:
     empirical_ratio: float
     pred_full: float
     pred_gamma: float
-    consistent: int = 0
-    resamples: int = 0
+    consistent: int
+    resamples: int
 
 
 def difference_rate(f, g) -> float:
@@ -256,12 +256,9 @@ def run_consistency_experiment(cfg: ExperimentConfig, workers: int = 1, progress
     def row(n, c1, c2, sums):
         consistent, _, resamples, *_ = sums
         ratio = consistent / cfg.trials
-        if c1 > 0.0:
-            expected = expected_total(n, c1, c2)
-            pred_full = consistency_probability(expected, 1.0)
-            pred_gamma = consistency_probability(expected, cfg.gamma)
-        else:
-            pred_full = pred_gamma = 0.0
+        expected, _ = _theory_columns(n, c1, c2)
+        pred_full = consistency_probability(expected, 1.0)
+        pred_gamma = consistency_probability(expected, cfg.gamma)
         result = ConsRow(n, c1, c2, cfg.trials, ratio, pred_full, pred_gamma, consistent, resamples)
         return result, f"consistency n={n} c1={c1} c2={c2}: ratio={ratio:.4f} in [{pred_gamma:.4f}, {pred_full:.4f}]?"
 

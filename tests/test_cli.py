@@ -11,7 +11,7 @@ from randasp.cli import _build_parser, cli_dispatch
 from randasp.csvout import write_avg_csv, write_theory_curve_csv
 from randasp.experiments import ExperimentConfig, run_avg_experiment
 from randasp.generate import mix_seed
-from randasp.theory import chi, expected_count_size_k, phi, prob_answer_set, theory_params
+from randasp.theory import chi, expected_count_size_k_exact, size_curves, theory_params
 
 TWO_CYCLE_TEXT = "a :- not b.\nb :- not a.\n"
 
@@ -180,21 +180,38 @@ class TestTheory:
         assert api.read_bytes() == curve.read_bytes()
 
     @pytest.mark.parametrize("n, c1, c2", [(30, 5.0, 0.0), (200, 10.0, 4.0), (60, 2.5, 20.0)])
-    def test_curve_columns_match_scalar_functions(self, tmp_path, n, c1, c2):
+    def test_curve_columns_match_size_curves(self, tmp_path, n, c1, c2):
         curve = tmp_path / "curve.csv"
         assert run_cli("theory", "--n", str(n), "--c1", str(c1), "--c2", str(c2), "--curve", str(curve)) == 0
         rows = [l.split(",") for l in curve.read_text().splitlines() if not l.startswith("#")][1:]
         tp = theory_params(n, c1, c2)
-        for row in rows:
-            k = int(row[0])
-            scalars = (
-                prob_answer_set(n, k, c1, c2),
-                expected_count_size_k(n, k, c1, c2),
-                phi(float(k), n, c1, c2),
-                chi(float(k), tp),
-            )
-            for text, scalar in zip(row[1:], scalars):
-                assert abs(float(text) - scalar) <= 1e-15 * abs(scalar)
+        pr, e_nk, phi_k = (column.tolist() for column in size_curves(n, c1, c2))
+        assert [int(row[0]) for row in rows] == list(range(1, n))
+        for row, expect in zip(rows, zip(pr, e_nk, phi_k)):
+            assert tuple(float(text) for text in row[1:]) == (*expect, chi(float(row[0]), tp))
+        if n == 30:  # the exact oracle's range
+            for row in rows:
+                exact = float(expected_count_size_k_exact(n, int(row[0]), c1, c2))
+                assert abs(float(row[2]) - exact) <= 1e-12 * exact
+
+    # sha256 of the curve CSV and of stdout, recorded while phi and E[N_k]
+    # still had scalar per-k functions beside the arrays
+    @pytest.mark.parametrize(
+        "n, c1, c2, curve_digest, stdout_digest",
+        [
+            ("30", "5", "0", "4ae99acc7b42d021f17c675add7806365e6e56fd7e71e72e07740561200edf21",
+             "16bcdcec52c8d81ded44ea11589fb64d0b66abca4083bbc263e9734a2bb6de6b"),
+            ("200", "10", "4", "e7aa83a131121cd3e0c35e1db8f3b735937d7c7bbfff21ae1b83b870b0e11950",
+             "9a4e0a446b5ef05fef6248ed8d80d23be7045dc6c2c2770d9a034470f9647c36"),
+            ("60", "2.5", "20", "09375e285e09aa7239458d2cd5ea3b5b0b0d818c8cb26819dcbd84eff670ef51",
+             "c44202af30031a6e3c51a87b01867f84a3cba141bf772dffc38dcb5c16e1554c"),
+        ],
+    )
+    def test_pinned_output_bytes(self, tmp_path, capsys, n, c1, c2, curve_digest, stdout_digest):
+        curve = tmp_path / "curve.csv"
+        assert run_cli("theory", "--n", n, "--c1", c1, "--c2", c2, "--curve", str(curve)) == 0
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == curve_digest
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
 
     def test_c1_zero_rejected(self, capsys):
         assert run_cli("theory", "--n", "100", "--c1", "0", "--c2", "5") == 1

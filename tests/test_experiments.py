@@ -342,6 +342,13 @@ class TestConsistencyExperiment:
         assert 0.0 <= row.empirical_ratio <= 1.0
         assert row.consistent == round(row.empirical_ratio * 50)
 
+    def test_c1_zero_rows_write_zero_predictions(self, tmp_path):
+        cfg = ExperimentConfig(n=10, c1=0.0, c2=[1.0, 5.0], trials=20, seed=7)
+        out = tmp_path / "cons.csv"
+        write_consistency_csv(out, run_consistency_experiment(cfg), cfg.seed)
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [r.split(",", 5)[5] for r in rows] == ["0.0,0.0", "0.0,0.0"]
+
     def test_per_n_rows(self):
         cfg = ExperimentConfig(n=[10, 20, 30], c1=3.0, c2=0.0, trials=30, seed=11)
         rows = run_consistency_experiment(cfg)

@@ -11,21 +11,14 @@ from randasp.programs import AtomSet
 from randasp.solver import is_answer_set_n2
 from randasp.theory import (
     CURVE_MAX_N,
-    STIRLING_LOWER,
-    STIRLING_UPPER,
     _log_binom,
     _log_factorial,
     chi,
     expected_counts,
     consistency_probability,
-    expected_count_size_k,
     expected_count_size_k_exact,
     expected_total,
     limit_expected_total,
-    log_phi,
-    log_prob_answer_set,
-    phi,
-    prob_answer_set,
     size_curves,
     solve_alpha,
     theory_params,
@@ -76,24 +69,28 @@ class TestSolveAlpha:
 
 
 class TestProbAnswerSet:
+    """The Pr_k column of `size_curves`; index k - 1 holds size k."""
+
     def test_collapse_at_k_equals_n_minus_1(self):
         n, c1, c2 = 12, 4.0, 3.0
         p, d = c1 / n, c2 / n
-        assert rel(prob_answer_set(n, n - 1, c1, c2), p ** (n - 1) * (1 - d)) < 1e-12
+        pr, _, _ = size_curves(n, c1, c2)
+        assert rel(pr[n - 2], p ** (n - 1) * (1 - d)) < 1e-12
 
-    def test_rejects_boundary_k(self):
+    def test_exact_oracle_rejects_boundary_k(self):
         for k in (0, 10, -1):
-            with pytest.raises(ValueError):
-                prob_answer_set(10, k, 5.0, 0.0)
+            with pytest.raises(ValueError, match="0 < k < n"):
+                expected_count_size_k_exact(10, k, 5.0, 0.0)
 
     def test_zero_when_no_pure_rules(self):
-        assert prob_answer_set(10, 3, 0.0, 5.0) == 0.0
-        assert log_prob_answer_set(10, 3, 0.0, 5.0) == float("-inf")
+        for column in size_curves(10, 0.0, 5.0):
+            assert column.tolist() == [0.0] * 9
 
-    def test_log_exp_consistency(self):
-        for k in (1, 4, 8, 9):
-            lp = log_prob_answer_set(10, k, 5.0, 2.0)
-            assert rel(math.exp(lp), prob_answer_set(10, k, 5.0, 2.0)) < 1e-14
+    def test_matches_exact_rationals(self):
+        pr, _, _ = size_curves(10, 5.0, 2.0)
+        for k in range(1, 10):
+            exact = expected_count_size_k_exact(10, k, 5.0, 2.0) / math.comb(10, k)
+            assert rel(pr[k - 1], float(exact)) < 1e-12
 
     @pytest.mark.slow
     def test_monte_carlo_agreement(self):
@@ -102,7 +99,7 @@ class TestProbAnswerSet:
         trials = 20000
         for k, c1, c2 in cases:
             params = LinearModelParams(10, c1, c2)
-            pr = prob_answer_set(10, k, c1, c2)
+            pr = size_curves(10, c1, c2)[0][k - 1]
             target = AtomSet.from_atoms(10, range(k))
             hits = sum(
                 is_answer_set_n2(generate(params, mix_seed(k, t)), target)
@@ -113,36 +110,33 @@ class TestProbAnswerSet:
 
 class TestExpectedCounts:
     def test_two_atom_hand_value(self):
-        assert rel(expected_count_size_k(2, 1, 1.0, 0.0), 1.0) < 1e-12
+        assert rel(expected_counts(2, 1.0, 0.0)[0], 1.0) < 1e-12
 
-    def test_log_path_matches_exact_rationals(self):
-        # p = c1/n exactly representable in binary at these points
-        cases = [(20, 7, 5.0, 0.0), (24, 11, 3.0, 6.0), (30, 12, 7.5, 0.0), (28, 5, 3.5, 7.0)]
-        for n, k, c1, c2 in cases:
-            log_val = expected_count_size_k(n, k, c1, c2)
+    @pytest.mark.parametrize("n,c1,c2", [(20, 5.0, 0.0), (24, 3.0, 6.0), (30, 7.5, 0.0), (28, 3.5, 7.0)])
+    def test_log_path_matches_exact_rationals(self, n, c1, c2):
+        # p = c1/n exactly representable in binary on these grids
+        counts = expected_counts(n, c1, c2)
+        for k in range(1, n):
             exact = float(expected_count_size_k_exact(n, k, c1, c2))
-            assert rel(log_val, exact) < 1e-12
+            assert rel(counts[k - 1], exact) < 1e-12
 
     def test_exact_oracle_caps_n(self):
         with pytest.raises(ValueError):
             expected_count_size_k_exact(31, 5, 5.0, 0.0)
 
+    def test_exact_oracle_takes_numpy_n(self):
+        # a numpy n kept as the exponent's base overflows the Fraction powers in int64
+        assert expected_count_size_k_exact(np.int64(20), 7, 5.0, 0.0) == expected_count_size_k_exact(20, 7, 5.0, 0.0)
+
 
 class TestIntegerK:
-    K_FUNCTIONS = [expected_count_size_k, log_prob_answer_set, prob_answer_set, expected_count_size_k_exact]
-
-    @pytest.mark.parametrize("fn", K_FUNCTIONS)
     @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(3.0)])
-    def test_rejects_non_integral_k(self, fn, k):
+    def test_rejects_non_integral_k(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
-            fn(10, k, 3.0, 0.0)
+            expected_count_size_k_exact(10, k, 3.0, 0.0)
 
-    @pytest.mark.parametrize("fn", K_FUNCTIONS)
-    def test_numpy_integers_pass(self, fn):
-        assert fn(10, np.int64(2), 3.0, 0.0) == fn(10, 2, 3.0, 0.0)
-
-    def test_phi_keeps_real_x(self):
-        assert phi(2.5, 10, 3.0, 0.0) == math.exp(log_phi(2.5, 10, 3.0, 0.0)) > 0.0
+    def test_numpy_integers_pass(self):
+        assert expected_count_size_k_exact(10, np.int64(2), 3.0, 0.0) == expected_count_size_k_exact(10, 2, 3.0, 0.0)
 
 
 class TestExpectedTotal:
@@ -201,6 +195,27 @@ class TestPinnedBits:
         assert expected_total(1000, 0.0, 3.0).hex() == "0x0.0p+0"
 
 
+class TestPinnedPeakBits:
+    """float.hex of phi_x0_direct on the TestPinnedBits grids, recorded while
+    it still came from a scalar phi; the chi columns of the CSVs rest on it."""
+
+    @pytest.mark.parametrize(
+        "n,c1,c2,bits",
+        [
+            (50, 5.0, 0.0, "0x1.fac10c666e964p-2"),
+            (100, 5.0, 0.0, "0x1.616cee6b0e631p-2"),
+            (150, 5.0, 0.0, "0x1.1f44c6c17e833p-2"),
+            (200, 5.0, 0.0, "0x1.f0725c27074ccp-3"),
+            (1000, 3.0, 0.0, "0x1.35d9b8ea3418bp-4"),
+            (200, 10.0, 4.0, "0x1.affbeb059ec95p-3"),
+            (60, 10.0, 4.0, "0x1.84afe9bdc4017p-2"),
+            (10, 3.0, 0.0, "0x1.ade140b7999a0p-1"),
+        ],
+    )
+    def test_phi_x0_direct_bits(self, n, c1, c2, bits):
+        assert theory_params(n, c1, c2).phi_x0_direct.hex() == bits
+
+
 class TestLogFactorialPort:
     """`_log_factorial` must reproduce the log-gamma bits every E[N_k] was recorded with."""
 
@@ -256,21 +271,21 @@ class TestLimit:
 
 class TestPhiChi:
     def test_frozen_direct_values(self):
-        assert rel(phi(165.089439945186, 200, 10.0, 0.0), 0.4270122910655096) < 1e-9
+        tp = theory_params(200, 10.0, 0.0)
+        assert rel(tp.x0, 165.089439945186) < 1e-12
+        assert rel(tp.phi_x0_direct, 0.4270122910655096) < 1e-9
         tp = theory_params(200, 10.0, 20.0)
         assert rel(tp.phi_x0_direct, 0.010789982832717438) < 1e-9
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            phi(0.0, 100, 5.0, 0.0)
-        with pytest.raises(ValueError):
-            phi(100.0, 100, 5.0, 0.0)
-
-    def test_stirling_ratio_at_peak(self):
-        tp = theory_params(200, 10.0, 0.0)
-        k = int(tp.x0)
-        ratio = expected_count_size_k(200, k, 10.0, 0.0) / phi(float(k), 200, 10.0, 0.0)
-        assert STIRLING_LOWER <= ratio <= STIRLING_UPPER
+    @pytest.mark.parametrize("n,c1,c2", [(30, 5.0, 0.0), (60, 10.0, 4.0)])
+    def test_stirling_ratio_at_every_size(self, n, c1, c2):
+        # 1 <= m!/(e^-m m^m sqrt(2 pi m)) <= e/sqrt(2 pi) for m >= 1 bounds
+        # C(n, k) over its Stirling form, so E[N_k]/phi(k), at every k
+        lower, upper = 2.0 * math.pi / math.e**2, math.e / math.sqrt(2.0 * math.pi)
+        _, e_nk, phi_k = size_curves(n, c1, c2)
+        assert (phi_k > 0.0).all()  # no underflow on these grids
+        ratio = e_nk / phi_k
+        assert ((lower <= ratio) & (ratio <= upper)).all()
 
     def test_chi_peak_and_width(self):
         tp = theory_params(200, 10.0, 4.0)
@@ -336,11 +351,10 @@ class TestTheoryParams:
 
 
 class TestConvergenceLadders:
-    @pytest.mark.slow
     def test_phi_sum_approaches_expected_sum(self):
         rels = []
         for n in (100, 300, 1000):
-            phis = math.fsum(phi(float(k), n, 5.0, 0.0) for k in range(1, n))
+            phis = math.fsum(size_curves(n, 5.0, 0.0)[2].tolist())
             et = expected_total(n, 5.0, 0.0)
             rels.append(abs(phis - et) / et)
         assert rels == sorted(rels, reverse=True)

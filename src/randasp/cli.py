@@ -15,7 +15,7 @@ from .experiments import (
 )
 from .generate import LinearModelParams, expected_rule_count, generate, require_sampleable
 from .progio import ParseError, format_program, parse_program
-from .programs import AtomSet, Program, is_answer_set_general
+from .programs import AtomSet, is_answer_set_general
 from .solver import enumerate_answer_sets, is_answer_set_n2
 from .theory import expected_total, theory_params
 from .translate import check_equivalence_modulo_aux, to_two_literal
@@ -35,8 +35,15 @@ def _comma_list(kind, text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected a comma-separated {kind.__name__} list: {text!r}") from exc
 
 
+# experiment kind -> (sweep, CSV writer of its result)
+_EXPERIMENTS = {
+    "avg": (run_avg_experiment, csvout.write_avg_csv),
+    "dist": (run_dist_experiment, csvout.write_dist_csv),
+    "consistency": (run_consistency_experiment, csvout.write_consistency_csv),
+}
+
 _PAPER_SWEEPS = """\
-paper sweeps (defaults of the former scripts; add --workers to use more cores):
+paper sweeps (add --workers to use more cores):
   avg_sweep: mean count over n; bump --trials to 5000 for full scale
     randasp experiment avg --n 50,100,150,200,250,300,350,400,450,500 --c1 5 --c2 0 --trials 1000 --seed 20240901 --out avg_sweep.csv
   c2_sweep: mean count as c2 varies; should track limit_expected_total(c1, c2)
@@ -62,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--c2", type=float, required=True)
     gen.add_argument("--seed", type=_u64, required=True)
     gen.add_argument("--out", default=None, help="output file (default: stdout)")
+    gen.set_defaults(handler=_cmd_gen)
 
     solve = sub.add_parser("solve", help="enumerate, count or check answer sets")
     solve.add_argument("--in", dest="infile", required=True)
@@ -69,17 +77,20 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--count", action="store_true")
     mode.add_argument("--check", metavar="ATOMS", default=None, help='candidate set, e.g. "a,b,c" (empty string for {})')
     mode.add_argument("--limit", type=int, default=None, help="enumerate at most this many answer sets")
+    solve.set_defaults(handler=_cmd_solve)
 
     theory = sub.add_parser("theory", help="print distribution parameters and expectations")
     theory.add_argument("--n", type=int, required=True)
     theory.add_argument("--c1", type=float, required=True)
     theory.add_argument("--c2", type=float, required=True)
     theory.add_argument("--curve", default=None, help="write per-size curve CSV to this file")
+    theory.set_defaults(handler=_cmd_theory)
 
     translate = sub.add_parser("translate", help="negative normal -> negative two-literal")
     translate.add_argument("--in", dest="infile", required=True)
     translate.add_argument("--out", required=True)
     translate.add_argument("--verify", action="store_true")
+    translate.set_defaults(handler=_cmd_translate)
 
     exp = sub.add_parser(
         "experiment",
@@ -87,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_PAPER_SWEEPS,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    exp.add_argument("kind", choices=("avg", "dist", "consistency"))
+    exp.add_argument("kind", choices=_EXPERIMENTS)
     exp.add_argument("--n", type=functools.partial(_comma_list, int), required=True, help="comma-separated universe sizes")
     exp.add_argument("--c1", type=functools.partial(_comma_list, float), required=True, help="comma-separated values")
     exp.add_argument("--c2", type=functools.partial(_comma_list, float), required=True, help="comma-separated values")
@@ -95,6 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=_u64, required=True)
     exp.add_argument("--workers", type=int, default=1)
     exp.add_argument("--out", required=True)
+    exp.set_defaults(handler=_cmd_experiment)
     return top
 
 
@@ -111,9 +123,7 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_check_atoms(text: str, program) -> AtomSet:
-    by_name = {}
-    for i in range(program.n):
-        by_name[program.atom_name(i)] = i
+    by_name = {program.atom_name(i): i for i in range(program.n)}
     atoms = []
     for raw in text.split(","):
         name = raw.strip()
@@ -153,7 +163,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_theory(args) -> int:
     tp = theory_params(args.n, args.c1, args.c2)
-    params = LinearModelParams(args.n, args.c1, args.c2)
+    n, c1, c2 = tp.n, tp.c1, tp.c2
     report = [
         ("alpha", tp.alpha),
         ("x0", tp.x0),
@@ -162,14 +172,14 @@ def _cmd_theory(args) -> int:
         ("delta", tp.delta),
         ("phi_x0_direct", tp.phi_x0_direct),
         ("phi_x0_asymptotic", tp.phi_x0_asymptotic),
-        ("expected_total", expected_total(args.n, args.c1, args.c2)),
+        ("expected_total", expected_total(n, c1, c2)),
         ("limit_expected_total", tp.limit_expected_total),
-        ("expected_rule_count", expected_rule_count(params)),
+        ("expected_rule_count", expected_rule_count(LinearModelParams(n, c1, c2))),
     ]
     for key, value in report:
         print(f"{key}={value!r}")
     if args.curve:
-        csvout.write_theory_curve_csv(args.curve, args.n, args.c1, args.c2)
+        csvout.write_theory_curve_csv(args.curve, n, c1, c2)
     return 0
 
 
@@ -177,16 +187,8 @@ def _cmd_translate(args) -> int:
     with open(args.infile, encoding="ascii") as fh:
         program = parse_program(fh.read())
     translated = to_two_literal(program)
-    symbols = list(program.symbols or (f"a{i}" for i in range(program.n)))
-    used = set(symbols)
-    for j in range(len(program.rules)):
-        name = f"_e{j}"
-        while name in used:
-            name = "_" + name
-        used.add(name)
-        symbols.append(name)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
-        fh.write(format_program(Program(translated.n, translated.rules, symbols=symbols)))
+        fh.write(format_program(translated))
     if args.verify:
         ok = check_equivalence_modulo_aux(program, translated)
         print(f"verified: {'true' if ok else 'false'}")
@@ -203,25 +205,9 @@ def _cmd_experiment(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    if args.kind == "avg":
-        results = run_avg_experiment(cfg, workers=args.workers, progress=True)
-        csvout.write_avg_csv(args.out, results, cfg.seed)
-    elif args.kind == "dist":
-        result = run_dist_experiment(cfg, workers=args.workers, progress=True)
-        csvout.write_dist_csv(args.out, result, cfg.seed)
-    else:
-        results = run_consistency_experiment(cfg, workers=args.workers, progress=True)
-        csvout.write_consistency_csv(args.out, results, cfg.seed)
+    run, write = _EXPERIMENTS[args.kind]
+    write(args.out, run(cfg, workers=args.workers, progress=True), cfg.seed)
     return 0
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "theory": _cmd_theory,
-    "translate": _cmd_translate,
-    "experiment": _cmd_experiment,
-}
 
 
 def cli_dispatch(argv) -> int:
@@ -231,7 +217,7 @@ def cli_dispatch(argv) -> int:
     except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, ParseError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,9 +15,6 @@ DIST_HEADER = "k,empirical_avg,model_E_Nk,chi_k"
 CONSISTENCY_HEADER = "n,c1,c2,trials,empirical_ratio,pred_full,pred_gamma"
 THEORY_CURVE_HEADER = "k,Pr_k,E_Nk,phi_k,chi_k"
 
-_SUBSTREAM_NOTE = "trial t uses sub-seed splitmix64_mix(seed, t)"
-
-
 def fmt(x) -> str:
     """Shortest round-trip decimal for floats; plain digits for ints."""
     if isinstance(x, bool):
@@ -35,13 +32,13 @@ def write_csv(path, meta: dict, header: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _provenance(schema: str, seed: int, **more) -> dict:
+    """The `# key=value` lines of a sweep CSV: schema, seed and substream first, then `more` in order."""
+    return {"schema": schema, "seed": seed, "substream": "trial t uses sub-seed splitmix64_mix(seed, t)", **more}
+
+
 def write_avg_csv(path, results: list[AvgResult], seed: int) -> None:
-    meta = {
-        "schema": "avg-v1",
-        "seed": seed,
-        "substream": _SUBSTREAM_NOTE,
-        "resamples": sum(r.resamples for r in results),
-    }
+    meta = _provenance("avg-v1", seed, resamples=sum(r.resamples for r in results))
     rows = [
         (r.n, r.c1, r.c2, r.trials, r.avg_answer_sets, r.stderr, r.theory_finite_n, r.theory_limit)
         for r in results
@@ -50,17 +47,16 @@ def write_avg_csv(path, results: list[AvgResult], seed: int) -> None:
 
 
 def write_dist_csv(path, result: DistResult, seed: int) -> None:
-    meta = {
-        "schema": "dist-v1",
-        "seed": seed,
-        "substream": _SUBSTREAM_NOTE,
-        "n": result.n,
-        "c1": fmt(result.c1),
-        "c2": fmt(result.c2),
-        "trials": result.trials,
-        "difference_rate": fmt(result.difference_rate),
-        "resamples": result.resamples,
-    }
+    meta = _provenance(
+        "dist-v1",
+        seed,
+        n=result.n,
+        c1=fmt(result.c1),
+        c2=fmt(result.c2),
+        trials=result.trials,
+        difference_rate=fmt(result.difference_rate),
+        resamples=result.resamples,
+    )
     rows = [
         (k, result.empirical_avg[k], result.model_e_nk[k], result.chi_k[k])
         for k in range(result.n + 1)
@@ -69,13 +65,12 @@ def write_dist_csv(path, result: DistResult, seed: int) -> None:
 
 
 def write_consistency_csv(path, results: list[ConsRow], seed: int) -> None:
-    meta = {
-        "schema": "consistency-v1",
-        "seed": seed,
-        "substream": _SUBSTREAM_NOTE,
-        "gamma": fmt(ExperimentConfig.gamma),
-        "resamples": sum(r.resamples for r in results),
-    }
+    meta = _provenance(
+        "consistency-v1",
+        seed,
+        gamma=fmt(ExperimentConfig.gamma),
+        resamples=sum(r.resamples for r in results),
+    )
     rows = [
         (r.n, r.c1, r.c2, r.trials, r.empirical_ratio, r.pred_full, r.pred_gamma)
         for r in results

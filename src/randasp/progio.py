@@ -153,9 +153,7 @@ def parse_program(text: str) -> Program:
         rules.append(Rule(head, tuple(sorted(pos_body)), tuple(sorted(neg_body))))
 
     n = max([declared_n] + [i + 1 for i in taken])
-    names = [f"a{i}" for i in range(n)]
-    for name, i in pinned.items():
-        names[i] = name
+    names = [f"a{i}" for i in range(n)]  # a pinned name is already a<i> at index i
     for name, i in interned.items():
         names[i] = name
     return Program(n, rules, symbols=names)

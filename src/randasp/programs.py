@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
@@ -63,6 +63,22 @@ def require_real(name: str, value) -> float:
     return float(value)
 
 
+def _require_universe(n) -> int:
+    """A universe size as a Python int; a non-integer or a negative size raises ValueError."""
+    n = require_integer("n", n)
+    if n < 0:
+        raise ValueError("universe size must be non-negative")
+    return n
+
+
+def _require_atom(n: int, a) -> int:
+    """An atom as a Python int in [0, n); a bool, a float or an atom outside the universe raises ValueError."""
+    a = require_integer("atom", a)
+    if not 0 <= a < n:
+        raise ValueError(f"atom {a} out of universe [0, {n})")
+    return a
+
+
 def pure_rule(head: int, body: int) -> Rule:
     """`head <- not body` (head == body yields a contradiction rule)."""
     return Rule(head, (), (body,))
@@ -84,21 +100,19 @@ class Program:
     symbols: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, n: int, rules: Iterable[Rule] = (), symbols=None):
-        n = require_integer("n", n)
-        if n < 0:
-            raise ValueError("universe size must be non-negative")
-        canon = tuple(sorted(set(rules)))
-        for r in canon:
+        n = _require_universe(n)
+        atom = partial(_require_atom, n)
+        canon = []
+        for r in sorted(set(rules)):
+            r = Rule(atom(r.head), tuple(map(atom, r.pos_body)), tuple(map(atom, r.neg_body)))
             body = r.pos_body + r.neg_body
             if len(set(body)) != len(body):
                 raise ValueError(f"body atoms must be pairwise distinct in {r}")
             if tuple(sorted(r.pos_body)) != r.pos_body or tuple(sorted(r.neg_body)) != r.neg_body:
                 raise ValueError(f"rule bodies must be sorted: {r}")
-            for a in (r.head, *body):
-                if not 0 <= a < n:
-                    raise ValueError(f"atom {a} out of universe [0, {n})")
+            canon.append(r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rules", canon)
+        object.__setattr__(self, "rules", tuple(canon))
         object.__setattr__(self, "symbols", tuple(symbols) if symbols is not None else None)
 
     @classmethod
@@ -109,9 +123,7 @@ class Program:
         (head, body) order and deduplicated as arrays, so no per-rule Python
         check runs; `is_n2` and `n2_pairs` come preset.
         """
-        n = require_integer("n", n)
-        if n < 0:
-            raise ValueError("universe size must be non-negative")
+        n = _require_universe(n)
         h, b = np.asarray(heads), np.asarray(bodies)
         if h.ndim != 1 or h.shape != b.shape:
             raise ValueError(f"heads and bodies must be 1-D arrays of one length: {h.shape} vs {b.shape}")
@@ -174,10 +186,8 @@ class AtomSet:
     mask: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_integer("n", self.n))
+        object.__setattr__(self, "n", _require_universe(self.n))
         object.__setattr__(self, "mask", require_integer("mask", self.mask))
-        if self.n < 0:
-            raise ValueError("universe size must be non-negative")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#x} outside universe of size {self.n}")
 
@@ -185,9 +195,7 @@ class AtomSet:
     def from_atoms(cls, n: int, atoms: Iterable[int]) -> "AtomSet":
         m = 0
         for a in atoms:
-            if not 0 <= a < n:
-                raise ValueError(f"atom {a} out of universe [0, {n})")
-            m |= 1 << a
+            m |= 1 << _require_atom(n, a)
         return cls(n, m)
 
     @property

@@ -18,22 +18,20 @@ Both return an `AnswerSetCollection` of sorted bitmasks; the backtracker
 re-checks every leaf with the mask-level core of `is_answer_set_n2`.
 
 The backtracker branches on support first: while some IN atom has no OUT
-supporter yet, it takes the one with the fewest free support candidates and
-branches on that atom's first free candidate, OUT before IN.  Only when every
-IN atom is supported does it fall back to a static degree order.  Every IN
-atom needs some OUT supporter in an answer set, so this prunes unsupportable
-IN choices as early as possible.  Backtracking is chronological: after a
-conflict or a leaf the deepest decision still OUT is undone and flipped IN.
+supporter yet, it branches on one of that atom's free support candidates,
+OUT before IN, and only when every IN atom is supported does it fall back
+to a static degree order.  Every IN atom needs some OUT supporter in an
+answer set, so this prunes unsupportable IN choices as early as possible.
+Backtracking is chronological: after a conflict or a leaf the deepest
+decision still OUT is undone and flipped IN.
 
-State is restored from copies, not unwound: each decision saves copies of
-the two per-atom lists (values, and support counts with the sentinel
-`_SUPPORTED`) and the set of unsupported IN atoms, and undoing it rebinds
-them, at O(n) memory per pending decision.  On random programs the depth
+State is restored from per-decision copies, not unwound, so an undo is
+O(1) at O(n) memory per pending decision.  On random programs the depth
 stays small: at most 15 over 50 full enumerations at n=200, c1=5, and 20 at
 n=1000 and 43 at n=5000 over existence searches (`limit=1`) at c1=3.  But
 nothing bounds it below n/2: k disjoint two-cycles `a <- not b`, `b <- not a`
 keep k decisions pending; at k=2000 an existence search peaks at about 155 MB
-of RSS (216 MB with a third list of support flags, 32 MB with a trail).
+of RSS.
 """
 
 from __future__ import annotations
@@ -107,9 +105,8 @@ class _Searcher:
     is untried, the snapshot being copies of `state`, `n_free_supp` and
     `unsupported` taken before it.  A decision pushes its pair and
     propagates OUT; a conflict or leaf pops pairs, rebinds the fields to the
-    snapshot and propagates IN, until one holds or the stack is empty.
-    Restoring is O(1), at O(n) memory per pending decision (module
-    docstring); code must not hold a field across an undo.
+    snapshot and propagates IN, until one holds or the stack is empty, so
+    code must not hold a field across an undo.
     Single-use: one search per instance.
     """
 

@@ -35,9 +35,9 @@ over k = 1..n-1 (`expected_counts`, `size_curves`) and the one scalar
 evaluation at x0 in `theory_params`.  `expected_total`, the E[N_k] column of
 the dist CSV and the theory-curve CSV all read one array, so a column sums to
 the total bit for bit.  The weight is added first, ((w + A1) + A2) + A3:
-float addition does not associate, and this is the order expected_total has
-always used, so its bits, and the avg and consistency CSVs, stay as they were
-(w + (A1 + A2 + A3) moves them).
+float addition does not associate, and the pinned bits of expected_total and
+of the avg and consistency CSVs are those of this order (w + (A1 + A2 + A3)
+moves them).
 `expected_count_size_k_exact` is an arbitrary-precision rational cross-check
 of `expected_counts` for n <= 30.
 """
@@ -235,7 +235,7 @@ class TheoryParams:
     limit_expected_total: float
 
 
-def theory_params(n: int, c1: float, c2: float = 0.0) -> TheoryParams:
+def theory_params(n: int, c1: float, c2: float) -> TheoryParams:
     """Compute alpha, x0, sigma, c0, delta and both phi(x0) evaluations.
 
     phi_x0_direct is the kernel of the phi_k column evaluated at the real

@@ -11,6 +11,8 @@ defining rule, so `a <- not e_R` always fires.
 Aux numbering: the output keeps the input's atoms 0..n-1 and appends one
 fresh atom per input rule, e_R = n + i for rule i, so its universe is
 n + len(rules) and the aux atoms are exactly n .. n + len(rules) - 1.
+The output keeps the input's atom names and names e_R `_e<i>`, prefixed
+with `_` until the name is unused.
 Equivalence is modulo the fresh atoms: answer sets of input and output
 correspond one-to-one after deleting them.
 """
@@ -44,7 +46,15 @@ def to_two_literal(p: Program) -> Program:
             # unfold e_i <- c against the definitions of c
             for j in rules_by_head.get(c, ()):
                 out.add(Rule(e_i, (), (n + j,)))
-    return Program(n + len(p.rules), out)
+    names = [p.atom_name(a) for a in range(n)]
+    used = set(names)
+    for i in range(len(p.rules)):
+        name = f"_e{i}"
+        while name in used:
+            name = "_" + name
+        used.add(name)
+        names.append(name)
+    return Program(n + len(p.rules), out, symbols=names)
 
 
 def check_equivalence_modulo_aux(p: Program, p2: Program) -> bool:

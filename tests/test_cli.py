@@ -255,6 +255,25 @@ class TestTranslate:
         assert capsys.readouterr().out == "verified: true\n"
         assert dst.read_text().startswith("#universe 3.")
 
+    # sha256 of the output file, recorded while the CLI still named the aux
+    # atoms itself; the `_e0.` input keeps its names, so `__e0` shows the
+    # collision prefix in the bytes
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            ("a :- not b, not c.\nb.\n", "859c890e0c0e4acd0bdc7c9718d46d62411a49780ca3e78b4db63c58e08522ef"),
+            ("_e0.\na1 :- not _e0.\n", "dae4fed02184eb0c690e5f8523552cd25c4f0ad76ff4c56b5f0752afe7b1942d"),
+            ("a5 :- not a0.\nq :- not a5.\n", "17239627218db86815a6b18b6e5b05a632bedf01b13b5bf00022078ce8927bd8"),
+            ("#universe 3.\n", "25bc98c1b9a044148c0458646c57ddf007518494a6f95f6b9ad82ac86b2a2310"),
+        ],
+    )
+    def test_pinned_output_bytes(self, tmp_path, capsys, text, digest):
+        src, dst = tmp_path / "in.lp", tmp_path / "out.lp"
+        src.write_text(text)
+        assert run_cli("translate", "--in", str(src), "--out", str(dst), "--verify") == 0
+        assert capsys.readouterr().out == "verified: true\n"
+        assert hashlib.sha256(dst.read_bytes()).hexdigest() == digest
+
     def test_rejects_positive_bodies(self, tmp_path, capsys):
         src = tmp_path / "pos.lp"
         src.write_text("b :- a.\n")

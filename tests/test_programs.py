@@ -12,6 +12,7 @@ from randasp.programs import (
     pure_rule,
     reduct,
 )
+from randasp.solver import enumerate_answer_sets
 
 from conftest import general_programs, n2_programs, positive_programs
 
@@ -46,6 +47,23 @@ class TestRuleAndProgram:
             Program(2.5, [])
         assert Program(np.int64(2), [pure_rule(0, 1)]) == Program(2, [pure_rule(0, 1)])
         assert type(Program(np.int64(2), []).n) is type(Program.from_n2_arrays(np.int64(2), [], []).n) is int
+
+    @pytest.mark.parametrize("atom", [True, 1.0])
+    def test_rejects_non_integer_atoms(self, atom):
+        for rule in (Rule(atom, (), (2,)), Rule(0, (atom,), ()), Rule(0, (), (atom,))):
+            with pytest.raises(ValueError, match="atom must be an integer"):
+                Program(3, [rule])
+
+    def test_numpy_atoms_are_kept_as_ints(self):
+        p = Program(70, [pure_rule(np.int64(65), np.int64(66)), pure_rule(np.int64(66), np.int64(65))])
+        assert all(type(a) is int for r in p.rules for a in (r.head, *r.neg_body))
+        assert enumerate_answer_sets(p).count == 2  # 1 << np.int64(65) would overflow the search masks
+
+    def test_negative_universe_rejected(self):
+        with pytest.raises(ValueError, match="universe size must be non-negative"):
+            Program(-1)
+        with pytest.raises(ValueError, match="universe size must be non-negative"):
+            AtomSet(-1, 0)
 
     def test_symbols_do_not_affect_equality(self):
         a = Program(2, [pure_rule(0, 1)], symbols=["x", "y"])
@@ -109,6 +127,11 @@ class TestAtomSet:
             AtomSet(2, 4)
         with pytest.raises(ValueError):
             AtomSet.from_atoms(2, [2])
+
+    def test_from_atoms_applies_the_atom_rule(self):
+        assert AtomSet.from_atoms(70, [np.int64(65)]).members == (65,)  # numpy's 1 << 65 is 0
+        with pytest.raises(ValueError, match="atom must be an integer"):
+            AtomSet.from_atoms(3, [True])
 
     def test_rejects_non_integer_n(self):
         with pytest.raises(ValueError, match="n must be an integer"):

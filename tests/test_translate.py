@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from randasp.progio import parse_program
 from randasp.programs import Program, Rule, pure_rule
 from randasp.solver import enumerate_brute_force
 from randasp.translate import check_equivalence_modulo_aux, to_two_literal
@@ -46,6 +47,11 @@ class TestToTwoLiteral:
     def test_rejects_positive_bodies(self):
         with pytest.raises(ValueError):
             to_two_literal(Program(2, [Rule(0, (1,), ())]))
+
+    def test_names_aux_atoms_after_the_input_names(self):
+        assert to_two_literal(Program(1, [Rule(0, (), ())])).symbols == ("a0", "_e0")
+        p = parse_program("_e0.\na1 :- not _e0.\n")
+        assert to_two_literal(p).symbols == ("_e0", "a1", "__e0", "_e1")
 
     def test_output_size_bound(self):
         p = Program(4, [Rule(0, (), (1, 2)), Rule(1, (), (2, 3)), Rule(2, (), ())])

@@ -49,7 +49,8 @@ paper sweeps (add --workers to use more cores):
   c2_sweep: mean count as c2 varies; should track limit_expected_total(c1, c2)
     randasp experiment avg --n 200 --c1 10 --c2 0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20 --trials 1000 --seed 20240903 --out c2_sweep.csv
   consistency_sweep: consistency ratio over n; try --c1 4 --c2 4 for the variant with contradictions
-    (slow: at --c1 4 --c2 4 the n=1000 row takes about 3 min at --trials 20, so about 2 h at 1000)
+    (at --c1 4 --c2 4 the n=1000 row takes about 14 s at --trials 20, so about 11 min at 1000;
+    about 14x that where no C compiler builds the search kernel)
     randasp experiment consistency --n 100,200,300,400,500,600,700,800,900,1000 --c1 3 --c2 0 --trials 1000 --seed 20240904 --out consistency_sweep.csv
   dist_curves: size-distribution curves; try --n 200 --c1 10 --c2 4 for the contradiction-rule variant
     randasp experiment dist --n 50 --c1 5 --c2 0 --trials 1000 --seed 20240902 --out dist_curves.csv

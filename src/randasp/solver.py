@@ -25,13 +25,36 @@ answer set, so this prunes unsupportable IN choices as early as possible.
 Backtracking is chronological: after a conflict or a leaf the deepest
 decision still OUT is undone and flipped IN.
 
+One tree, two executions.  `_Searcher` is the search in Python, and
+`_search.c` is a C port of it that keeps its data and its order of work step
+for step, so both walk the same tree and reach the same leaves in the same
+order (tests compare masks and `_propagate`/`_apply` call counts).
+`enumerate_answer_sets` runs the C port where it can, and `search_path(n)`
+says which execution a program over n atoms gets.  The first search in a
+process compiles `_search.c` with `cc -O2 -shared -fPIC` into a private
+cache directory, `$XDG_CACHE_HOME/randasp`, else `~/.cache/randasp` (only
+the `randasp` leaf is ever created), else `randasp-<uid>` under the system
+temp directory, under a name keyed by the SHA-256 of the source, the
+compiler command and the machine type, so a machine compiles it once; ctypes
+loads it (module `_kernel`).  The search quietly runs on `_Searcher`, which
+also stays as the oracle of the port, where no compiler or private cache
+directory is found, where n >= `KERNEL_MAX_N` (2^29, since queue entries are
+int32 `atom << 2 | value`), and while `_Searcher._propagate` or `_apply` is
+wrapped: a wrapper on the class (a profiler's, a test's, or perfbench's
+work counter) then sees the search it wraps.  Either execution hands every
+leaf to `_is_n2_answer_set_mask` in Python and keeps it only if it passes,
+so results do not depend on which one ran.
+
 State is restored from per-decision copies, not unwound, so an undo is
-O(1) at O(n) memory per pending decision.  On random programs the depth
-stays small: at most 15 over 50 full enumerations at n=200, c1=5, and 20 at
-n=1000 and 43 at n=5000 over existence searches (`limit=1`) at c1=3.  But
-nothing bounds it below n/2: k disjoint two-cycles `a <- not b`, `b <- not a`
-keep k decisions pending; at k=2000 an existence search peaks at about 155 MB
-of RSS.
+O(1) at O(n) memory per pending decision: about 6 bytes per atom in C (an
+int8 value, an int32 count and an int8 flag) against about two pointer words
+per atom in Python (two lists, plus a set of the unsupported atoms).  On
+random programs the depth stays small: at most 15 over 50 full enumerations
+at n=200, c1=5, and 20 at n=1000 and 43 at n=5000 over existence searches
+(`limit=1`) at c1=3.  But nothing bounds it below n/2: k disjoint two-cycles
+`a <- not b`, `b <- not a` keep k decisions pending; at k=2000 an existence
+search peaks at about 155 MB of RSS in Python and about 78 MB with the
+kernel, 48 MB of it snapshots.
 """
 
 from __future__ import annotations
@@ -228,6 +251,47 @@ class _Searcher:
             ok = self._propagate([atom << 2 | _IN])
 
 
+KERNEL_MAX_N = 1 << 29  # the kernel's queue entries are int32 `atom << 2 | value`
+
+# perfbench's `count_work` counts the search's work by wrapping these two
+# methods on the class, and the kernel calls neither.  So the kernel runs
+# only while both are the functions defined here: under a wrapper (that one,
+# a profiler's or a test's) the search runs on `_Searcher` and the wrapper
+# sees the tree it wraps, which is the tree the kernel walks.  Once
+# `count_work` reads the solver's own counters, this check can go.
+_ORACLE_PROPAGATE, _ORACLE_APPLY = _Searcher._propagate, _Searcher._apply
+
+
+def search_path(n: int) -> str:
+    """"kernel" if a program over n atoms is searched by the compiled kernel, else "python"."""
+    if n < KERNEL_MAX_N and _Searcher._propagate is _ORACLE_PROPAGATE and _Searcher._apply is _ORACLE_APPLY:
+        from . import _kernel  # ctypes and the build are loaded on the first search only
+
+        if _kernel.load() is not None:
+            return "kernel"
+    return "python"
+
+
+def _kernel_search(p: Program, limit: int | None) -> tuple[list[int], int, int]:
+    """(masks in the order found, `_propagate` calls, `_apply` calls) of the compiled search.
+
+    The kernel walks `_Searcher`'s tree; each leaf comes back here and is
+    kept only if `_is_n2_answer_set_mask` accepts it, and only kept masks
+    count toward `limit`, as in `_Searcher.run`.
+    """
+    from . import _kernel
+
+    heads, bodies = p.n2_pairs
+    masks: list[int] = []
+
+    def on_leaf(smask: int) -> bool:
+        if _is_n2_answer_set_mask(heads, bodies, smask):
+            masks.append(smask)
+        return limit is not None and len(masks) >= limit
+
+    return masks, *_kernel.search(p.n, heads, bodies, on_leaf)
+
+
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:
     """All answer sets of a negative two-literal program (at most `limit` if given).
 
@@ -239,7 +303,11 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
         limit = require_integer("limit", limit)
         if limit < 1:
             raise ValueError("limit must be positive")
-    return AnswerSetCollection(p.n, tuple(sorted(_Searcher(p).run(limit))))
+    if search_path(p.n) == "kernel":
+        masks = _kernel_search(p, limit)[0]
+    else:
+        masks = list(_Searcher(p).run(limit))
+    return AnswerSetCollection(p.n, tuple(sorted(masks)))
 
 
 def enumerate_brute_force(p: Program) -> AnswerSetCollection:

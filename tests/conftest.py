@@ -1,14 +1,22 @@
-"""Shared hypothesis strategies for random programs."""
+"""Shared hypothesis strategies for random programs, and the search kernel's marker."""
 
+import pytest
 from hypothesis import strategies as st
 
+from randasp import _kernel
 from randasp.programs import Program, Rule
+
+# Evaluated at collection, so the kernel is compiled (or loaded from its
+# cache) once, before any hypothesis example is timed.
+needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler: only the Python search runs")
 
 
 @st.composite
 def n2_programs(draw, min_n=1, max_n=8):
     """Random negative two-literal programs, the empty program included."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
+    if n == 0:
+        return Program(0, [])
     pairs = draw(
         st.sets(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),

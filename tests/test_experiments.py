@@ -8,6 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from randasp import _kernel
 from randasp.csvout import write_avg_csv, write_consistency_csv, write_dist_csv
 
 from randasp.experiments import (
@@ -18,8 +19,10 @@ from randasp.experiments import (
     run_dist_experiment,
 )
 from randasp.generate import LinearModelParams, generate, generate_with_stats, mix_seed
-from randasp.solver import enumerate_answer_sets
+from randasp.solver import enumerate_answer_sets, search_path
 from randasp.theory import CURVE_MAX_N, consistency_probability, expected_total
+
+from conftest import needs_kernel
 
 
 class TestConfig:
@@ -171,6 +174,16 @@ class TestAvgExperiment:
         cfg = ExperimentConfig(n=[10, 12], c1=[2.0, 3.0], c2=0.0, trials=5, seed=4)
         rows = run_avg_experiment(cfg)
         assert [(r.n, r.c1) for r in rows] == [(10, 2.0), (10, 3.0), (12, 2.0), (12, 3.0)]
+
+    @needs_kernel
+    def test_python_fallback_writes_the_same_csv(self, monkeypatch, tmp_path):
+        cfg = ExperimentConfig(n=[30, 80], c1=5.0, c2=[0.0, 2.0], trials=12, seed=20240901)
+        assert search_path(80) == "kernel"
+        write_avg_csv(tmp_path / "kernel.csv", run_avg_experiment(cfg), cfg.seed)
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        assert search_path(80) == "python"
+        write_avg_csv(tmp_path / "python.csv", run_avg_experiment(cfg), cfg.seed)
+        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
 
 
 class TestWorkers:

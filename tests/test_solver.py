@@ -1,9 +1,15 @@
+import ctypes
 import hashlib
+import os
+import tempfile
+import threading
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 
+from randasp import _kernel
 from randasp.generate import LinearModelParams, generate, mix_seed
 from randasp.programs import AtomSet, Program, Rule, is_answer_set_general, pure_rule
 from randasp.solver import (
@@ -11,13 +17,16 @@ from randasp.solver import (
     _OUT,
     _SUPPORTED,
     _UNASSIGNED,
+    KERNEL_MAX_N,
+    _kernel_search,
     _Searcher,
     enumerate_answer_sets,
     enumerate_brute_force,
     is_answer_set_n2,
+    search_path,
 )
 
-from conftest import n2_programs, negative_programs
+from conftest import n2_programs, needs_kernel, negative_programs
 
 
 def s(n, *atoms):
@@ -162,13 +171,15 @@ class TestDeepSearch:
         assert is_answer_set_n2(p, AtomSet(p.n, mask))
 
     def test_snapshots_stay_near_two_words_per_atom(self):
-        # k pending snapshots of two n-atom lists take about 2 * 8 * n * k
-        # bytes; a third per-atom list in each would exceed the bound.
+        # Guards the Python searcher: tracemalloc does not see the kernel's
+        # C allocations.  k pending snapshots of two n-atom lists take about
+        # 2 * 8 * n * k bytes; a third per-atom list in each would exceed the
+        # bound.
         k = 500
         p = two_cycles(k)
         tracemalloc.start()
         try:
-            enumerate_answer_sets(p, limit=1)
+            list(_Searcher(p).run(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -242,14 +253,21 @@ class _CountingSearcher(_Searcher):
         return super()._apply(queue, val, atom)
 
 
+def python_search(p, limit):
+    """(masks in the order found, `_propagate` calls, `_apply` calls) of `_Searcher`, as `_kernel_search` gives them."""
+    searcher = _CountingSearcher(p)
+    masks = list(searcher.run(limit))
+    return masks, searcher.decisions + 1, searcher.applies
+
+
+# (decisions, _apply calls) summed over t = 0..9, recorded from an earlier
+# searcher that undid assignments from a trail: any change to branching or
+# propagation order shows here.
+TREE_PINS = [(100, 5.0, 0.0, None, (780, 13538)), (60, 4.0, 2.0, None, (142, 1965)), (300, 3.0, 0.0, 1, (63, 4404))]
+
+
 class TestSearchTree:
-    # (decisions, _apply calls) summed over t = 0..9, recorded from an
-    # earlier searcher that undid assignments from a trail: any change to
-    # branching or propagation order shows here.
-    @pytest.mark.parametrize(
-        "n, c1, c2, limit, expected",
-        [(100, 5.0, 0.0, None, (780, 13538)), (60, 4.0, 2.0, None, (142, 1965)), (300, 3.0, 0.0, 1, (63, 4404))],
-    )
+    @pytest.mark.parametrize("n, c1, c2, limit, expected", TREE_PINS)
     def test_tree_is_pinned(self, n, c1, c2, limit, expected):
         decisions = applies = 0
         for t in range(10):
@@ -258,6 +276,41 @@ class TestSearchTree:
             decisions += searcher.decisions
             applies += searcher.applies
         assert (decisions, applies) == expected
+
+    @needs_kernel
+    @pytest.mark.parametrize("n, c1, c2, limit, expected", TREE_PINS)
+    def test_kernel_walks_the_same_tree(self, n, c1, c2, limit, expected):
+        decisions = applies = 0
+        for t in range(10):
+            p = generate(LinearModelParams(n, c1, c2), mix_seed(20240901, t))
+            got = _kernel_search(p, limit)
+            assert got == python_search(p, limit)
+            decisions += got[1] - 1
+            applies += got[2]
+        assert (decisions, applies) == expected
+
+    @needs_kernel
+    def test_a_wrapped_oracle_sees_the_search(self, monkeypatch):
+        # Wraps the methods on the class, as perfbench's count_work does: the
+        # search must then run on `_Searcher`, and the wrappers count what
+        # the kernel counts for the same program.
+        p = generate(LinearModelParams(200, 5.0, 0.0), mix_seed(20240901, 0))
+        kernel_masks, propagations, applies = _kernel_search(p, None)
+        calls = {"_propagate": 0, "_apply": 0}
+        for name in calls:
+            orig = getattr(_Searcher, name)
+
+            def counted(self, *args, _name=name, _orig=orig):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(_Searcher, name, counted)
+        assert search_path(p.n) == "python"
+        assert enumerate_answer_sets(p).masks == tuple(sorted(kernel_masks))
+        assert calls == {"_propagate": propagations, "_apply": applies}
+        assert propagations > 1
+        monkeypatch.undo()
+        assert search_path(p.n) == "kernel"
 
 
 class TestUnsupportedSet:
@@ -362,6 +415,97 @@ class TestPinnedResults:
         assert mismatches == []
 
 
+@needs_kernel
+class TestKernelEquivalence:
+    def test_pinned_programs(self):
+        for n, c2, t, _, _ in PINNED:
+            p = generate(LinearModelParams(n, 5.0, c2), mix_seed(PINNED_SEED, n * 1000 + int(c2) * 100 + t))
+            assert _kernel_search(p, None) == python_search(p, None)
+
+    @given(n2_programs(min_n=0, max_n=10))
+    @settings(max_examples=150)
+    def test_small_programs(self, p):
+        for limit in (None, 1):
+            assert _kernel_search(p, limit) == python_search(p, limit)
+
+    def test_five_hundred_pending_decisions(self):
+        p = two_cycles(500)
+        assert _kernel_search(p, 1) == python_search(p, 1)
+
+    def test_path_by_size(self):
+        assert KERNEL_MAX_N == 1 << 29
+        assert search_path((1 << 29) - 1) == "kernel"
+        assert search_path(1 << 29) == "python"  # decided from n alone: nothing of that size is made
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """A missing home and cache root, an empty temp dir, and a `_kernel.load` that has not run yet."""
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    _kernel.load.cache_clear()
+    yield tmp_path
+    _kernel.load.cache_clear()
+
+
+class TestKernelBuild:
+    def test_source_ships_in_the_package(self):
+        path = resources.files("randasp").joinpath("_search.c")
+        assert path.is_file()
+        assert _kernel.source() == path.read_bytes()
+
+    @needs_kernel
+    def test_missing_cache_roots_are_not_created(self, fresh_cache):
+        assert _kernel.load() is not None
+        assert sorted(fresh_cache.iterdir()) == [fresh_cache / "tmp"]
+        (leaf,) = (fresh_cache / "tmp").iterdir()
+        assert leaf.name == f"randasp-{os.getuid()}" and leaf.stat().st_mode & 0o777 == 0o700
+        assert [so.name.startswith("search-") and so.suffix == ".so" for so in leaf.iterdir()] == [True]
+
+    @needs_kernel
+    def test_builds_once_into_an_existing_cache_root(self, fresh_cache):
+        (fresh_cache / "xdg").mkdir()
+        assert _kernel.load() is not None
+        (so,) = (fresh_cache / "xdg" / "randasp").iterdir()
+        assert (fresh_cache / "xdg" / "randasp").stat().st_mode & 0o777 == 0o700
+        built = so.stat().st_mtime_ns
+        _kernel.load.cache_clear()
+        assert _kernel.load() is not None
+        assert [p.stat().st_mtime_ns for p in so.parent.iterdir()] == [built]
+        assert list((fresh_cache / "tmp").iterdir()) == []
+
+    def test_loads_only_from_a_directory_this_user_owns(self, fresh_cache, monkeypatch):
+        (fresh_cache / "xdg").mkdir()
+        (fresh_cache / "xdg" / "randasp").mkdir(mode=0o777)
+        os.chmod(fresh_cache / "xdg" / "randasp", 0o777)  # others may write: skipped
+        assert _kernel.cache_dir() == fresh_cache / "tmp" / f"randasp-{os.getuid()}"
+        monkeypatch.setattr(os, "getuid", lambda: os.geteuid() + 1)  # owns neither directory
+        assert _kernel.cache_dir() is None
+        assert _kernel.load() is None
+        assert search_path(2) == "python"
+        assert enumerate_answer_sets(TWO_CYCLE).masks == (1, 2)
+
+    def test_without_a_compiler_the_search_runs_in_python(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(_kernel, "CC", ("randasp-no-such-compiler", *_kernel.CC[1:]))
+        assert _kernel.load() is None
+        assert search_path(2) == "python"
+        assert enumerate_answer_sets(TWO_CYCLE).masks == (1, 2)
+
+    @needs_kernel
+    def test_concurrent_builds_leave_one_loadable_file(self, tmp_path):
+        path = tmp_path / "search.so"
+        threads = [threading.Thread(target=_kernel._build, args=(_kernel.source(), path)) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+        assert list(tmp_path.iterdir()) == [path]
+        assert ctypes.CDLL(str(path)).randasp_search
+
+
 class TestCount:
     def test_examples(self):
         assert enumerate_answer_sets(TWO_CYCLE).count == 2
@@ -380,6 +524,18 @@ class TestLeafRecheck:
         monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, smask: False)
         assert enumerate_answer_sets(p).masks == ()
         assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
+
+    def test_an_error_in_the_recheck_stops_the_search_and_is_raised(self, monkeypatch):
+        checked = []
+
+        def broken(heads, bodies, smask):
+            checked.append(smask)
+            raise ZeroDivisionError
+
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", broken)
+        with pytest.raises(ZeroDivisionError):
+            enumerate_answer_sets(two_cycles(3))
+        assert len(checked) == 1
 
 
 class TestBruteForce:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import subprocess
 import sys
 
@@ -240,16 +241,25 @@ class TestLogFactorialPort:
     def test_log_binom_bits(self, n, k, bits):
         assert float(_log_binom(n, k)).hex() == bits
 
-    def test_import_needs_only_numpy(self):
+    def test_import_needs_only_numpy(self, tmp_path):
+        # Nor does importing randasp and validating a config load the search
+        # kernel or touch its cache.  numpy imports ctypes and the process
+        # pool imports subprocess, so that check counts only what randasp
+        # loads beyond those two.
         code = (
-            "import sys; before = set(sys.modules); import randasp; "
+            "import sys; before = set(sys.modules); import numpy, concurrent.futures.process; "
+            "base = set(sys.modules); import randasp; "
+            "randasp.ExperimentConfig(n=[50, 100], c1=5.0, c2=0.0, trials=8, seed=1); "
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(m for m in new - set(sys.stdlib_module_names) if not m.startswith('_'))); "
             "assert randasp.ExperimentConfig is randasp.experiments.ExperimentConfig; "
-            "print(sorted({'randasp.progio', 'randasp.translate', 'randasp.csvout', 'randasp.cli'} & set(sys.modules)))"
+            "print(sorted({'randasp.progio', 'randasp.translate', 'randasp.csvout', 'randasp.cli'} & set(sys.modules))); "
+            "print(sorted({'ctypes', 'subprocess', 'hashlib', 'randasp._kernel'} & (set(sys.modules) - base)))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n[]\n", proc.stderr
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n[]\n[]\n", proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLimit:

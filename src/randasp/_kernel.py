@@ -109,12 +109,15 @@ def load():
     return fn
 
 
-def search(n: int, heads: list[int], bodies: list[int], on_leaf) -> tuple[int, int]:
-    """Run the kernel on `heads[i] <- not bodies[i]` over n < 2^29 atoms.
+def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int, int]:
+    """Run the kernel on the rules `heads[i] <- not bodies[i]` over n < 2^29 atoms.
 
-    `on_leaf(smask)` gets each leaf's IN atoms as an int mask and returns
-    True to stop.  Returns the kernel's (propagate calls, apply calls).  An
-    exception from `on_leaf` stops the search and is raised here.
+    `heads` and `bodies` are a program's `n2_arrays`: int32, C-contiguous,
+    of one length, every atom in [0, n); they are passed to C as they are.
+    `on_leaf(packed)` gets each leaf's IN atoms as a little-endian bitmask
+    of (n + 7) // 8 bytes and returns True to stop.  Returns the kernel's
+    (propagate calls, apply calls).  An exception from `on_leaf` stops the
+    search and is raised here.
     """
     fn = load()
     nbytes = (n + 7) // 8
@@ -122,15 +125,16 @@ def search(n: int, heads: list[int], bodies: list[int], on_leaf) -> tuple[int, i
 
     def leaf(bits):
         try:
-            return bool(on_leaf(int.from_bytes(ctypes.string_at(bits, nbytes), "little")))
+            return bool(on_leaf(ctypes.string_at(bits, nbytes)))
         except BaseException as exc:  # C cannot unwind it: stop, then raise it below
             errors.append(exc)
             return True
 
+    if heads.shape != bodies.shape:
+        raise ValueError(f"heads and bodies differ in shape: {heads.shape} vs {bodies.shape}")
     counts = np.zeros(2, dtype=np.int64)
-    h, b = np.asarray(heads, dtype=np.int32), np.asarray(bodies, dtype=np.int32)
     callback = LEAF(leaf)  # held until the call returns
-    if fn(n, h.size, h, b, callback, counts) != 0:
+    if fn(n, heads.size, heads, bodies, callback, counts) != 0:
         raise MemoryError("search kernel is out of memory")
     if errors:
         raise errors[0]

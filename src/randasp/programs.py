@@ -10,15 +10,22 @@ bitmask.  The trusted reference semantics is the definition itself:
 `is_answer_set_general(p, s)` is `least_model(reduct(p, s)) == s`, and
 `least_model` iterates the immediate-consequence operator T_P from the empty
 set until a pass derives nothing new.  The empty program is a program; its
-one answer set is the empty set.  The specialized machinery for negative
-two-literal programs lives in `solver`.
+one answer set is the empty set.
+
+A negative two-literal (n2) program, every rule `head <- not body`, has a
+second form: its deduplicated, canonically sorted heads and bodies as two
+read-only int32 arrays, `Program.n2_arrays`.  Those arrays are canonical
+for a generated program (`Program.from_n2_arrays` builds nothing else), and
+its `rules` tuple is derived from them only when something reads it: the
+searchers and the n2 checker in `solver` read the arrays alone, while
+`progio`, `translate`, `reduct` and the reference checkers read `rules`.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import repeat
 from typing import Iterable, NamedTuple
@@ -84,20 +91,27 @@ def pure_rule(head: int, body: int) -> Rule:
     return Rule(head, (), (body,))
 
 
-@dataclass(frozen=True)
-class Program:
-    """A finite set of rules over atoms 0..n-1 (set semantics, deduplicated).
+N2_MAX_N = (1 << 31) - 1  # n2 arrays are int32, and the sort key h * n + b stays exact in int64
 
-    `rules` is stored as a canonically sorted tuple so iteration order,
-    equality and serialization are deterministic.  `symbols`, when present,
-    maps atom index -> display name for parsed files; it never participates
-    in equality.  `is_n2` and `n2_pairs` are computed on first use, or set
-    up front by `from_n2_arrays`.
+
+class Program:
+    """A finite set of rules over atoms 0..n-1 (set semantics, deduplicated, immutable).
+
+    An n2 program built by `from_n2_arrays` is held as `n2_arrays`: the
+    heads and bodies of its rules `head <- not body` as read-only int32
+    arrays, deduplicated and sorted into canonical (head, body) order.
+    Those arrays are what the searchers and the answer-set checker read;
+    `rules`, the canonically sorted tuple of `Rule`s, is derived from them
+    on first read.  A program built by `Program(n, rules)` holds its
+    canonical `rules`, and derives `n2_arrays` from them on first use.
+    Either way `rules` fixes iteration order, equality, hash, repr and
+    serialization, so the two constructions of one rule set are
+    indistinguishable.  `symbols`, when present, maps atom index -> display
+    name for parsed files; it never participates in equality.
     """
 
     n: int
-    rules: tuple[Rule, ...]
-    symbols: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    symbols: tuple[str, ...] | None
 
     def __init__(self, n: int, rules: Iterable[Rule] = (), symbols=None):
         n = _require_universe(n)
@@ -111,55 +125,59 @@ class Program:
             if tuple(sorted(r.pos_body)) != r.pos_body or tuple(sorted(r.neg_body)) != r.neg_body:
                 raise ValueError(f"rule bodies must be sorted: {r}")
             canon.append(r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rules", tuple(canon))
-        object.__setattr__(self, "symbols", tuple(symbols) if symbols is not None else None)
+        self.__dict__.update(n=n, rules=tuple(canon), symbols=tuple(symbols) if symbols is not None else None)
 
     @classmethod
     def from_n2_arrays(cls, n: int, heads, bodies) -> "Program":
-        """Program(n, [Rule(h, (), (b,)) for h, b in zip(heads, bodies)]), checked with numpy.
+        """Program(n, [Rule(h, (), (b,)) for h, b in zip(heads, bodies)]), checked and kept as arrays.
 
-        Every atom is range-checked and the pairs are sorted into canonical
-        (head, body) order and deduplicated as arrays, so no per-rule Python
-        check runs; `is_n2` and `n2_pairs` come preset.
+        Every atom is range-checked, then the pairs are sorted by the int64
+        key h * n + b and deduplicated, so no per-rule Python code runs and
+        no `Rule` is built.  n must be below 2^31, where the key is exact.
         """
         n = _require_universe(n)
+        if n > N2_MAX_N:
+            raise ValueError(f"n2 arrays hold at most {N2_MAX_N} atoms, got n={n}")
         h, b = np.asarray(heads), np.asarray(bodies)
         if h.ndim != 1 or h.shape != b.shape:
             raise ValueError(f"heads and bodies must be 1-D arrays of one length: {h.shape} vs {b.shape}")
-        for atoms in (h, b):
-            if not atoms.size:
-                continue
-            if atoms.dtype.kind not in "iu":
-                raise ValueError(f"atoms must be integers, got dtype {atoms.dtype}")
-            if not (0 <= atoms.min() and atoms.max() < n):
-                bad = atoms[(atoms < 0) | (atoms >= n)][0]
-                raise ValueError(f"atom {bad} out of universe [0, {n})")
-        order = np.lexsort((b, h))
-        h, b = h[order], b[order]
-        keep = np.ones(h.size, dtype=bool)
-        keep[1:] = (h[1:] != h[:-1]) | (b[1:] != b[:-1])
-        hl, bl = h[keep].tolist(), b[keep].tolist()
+        if h.size:
+            for atoms in (h, b):
+                if atoms.dtype.kind not in "iu":
+                    raise ValueError(f"atoms must be integers, got dtype {atoms.dtype}")
+                if not (0 <= atoms.min() and atoms.max() < n):
+                    bad = atoms[(atoms < 0) | (atoms >= n)][0]
+                    raise ValueError(f"atom {bad} out of universe [0, {n})")
+        # every atom is in [0, n), so int64 holds it whatever the input dtype,
+        # and a uint64/int64 mix cannot promote the key to float64
+        key = h.astype(np.int64) * n + b.astype(np.int64)
+        key.sort(kind="stable")
+        if key.size:
+            key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        # tuple.__new__ builds the same Rule(h, (), (b,)) as Rule.__new__, without
-        # its Python-level call; zip(bl) yields the one-atom negative bodies
-        object.__setattr__(self, "rules", tuple(map(tuple.__new__, repeat(Rule), zip(hl, repeat(()), zip(bl)))))
-        object.__setattr__(self, "symbols", None)
-        object.__setattr__(self, "is_n2", True)
-        object.__setattr__(self, "n2_pairs", (hl, bl))
+        self.__dict__.update(n=n, symbols=None, is_n2=True, n2_arrays=_frozen_int32(*np.divmod(key, max(n, 1))))
         return self
+
+    @cached_property
+    def rules(self) -> tuple[Rule, ...]:
+        """The canonically sorted rules; derived here only for a program built by `from_n2_arrays`."""
+        heads, bodies = (a.tolist() for a in self.n2_arrays)
+        # tuple.__new__ builds the same Rule(h, (), (b,)) as Rule.__new__, without
+        # its Python-level call; zip(bodies) yields the one-atom negative bodies
+        return tuple(map(tuple.__new__, repeat(Rule), zip(heads, repeat(()), zip(bodies))))
 
     @cached_property
     def is_n2(self) -> bool:
         return all(r.is_n2 for r in self.rules)
 
     @cached_property
-    def n2_pairs(self) -> tuple[list[int], list[int]]:
-        """(heads, bodies) of the rules `head <- not body`, in rule order."""
+    def n2_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(heads, bodies) of the rules `head <- not body` as read-only int32 arrays, in rule order."""
         if not self.is_n2:
             raise ValueError("program is not negative two-literal")
-        return [r.head for r in self.rules], [r.neg_body[0] for r in self.rules]
+        if self.n > N2_MAX_N:
+            raise ValueError(f"n2 arrays hold at most {N2_MAX_N} atoms, got n={self.n}")
+        return _frozen_int32([r.head for r in self.rules], [r.neg_body[0] for r in self.rules])
 
     @property
     def is_positive(self) -> bool:
@@ -167,15 +185,46 @@ class Program:
 
     @property
     def is_negative(self) -> bool:
-        return all(not r.pos_body for r in self.rules)
+        return self.is_n2 or all(not r.pos_body for r in self.rules)
 
     def __len__(self) -> int:
-        return len(self.rules)
+        rules = self.__dict__.get("rules")
+        return len(rules) if rules is not None else len(self.n2_arrays[0])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.rules) == (other.n, other.rules)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rules))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, rules={self.rules!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Program is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Program is immutable")
+
+    def __reduce__(self):
+        if "n2_arrays" in self.__dict__ and self.symbols is None:
+            return Program.from_n2_arrays, (self.n, *self.n2_arrays)
+        return Program, (self.n, self.rules, self.symbols)
 
     def atom_name(self, i: int) -> str:
         if self.symbols is not None and i < len(self.symbols):
             return self.symbols[i]
         return f"a{i}"
+
+
+def _frozen_int32(heads, bodies) -> tuple[np.ndarray, np.ndarray]:
+    """heads and bodies as read-only int32 arrays (atoms below 2^31)."""
+    arrays = np.asarray(heads, dtype=np.int32), np.asarray(bodies, dtype=np.int32)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
 `enumerate_brute_force`, the testing oracle, scans all 2^n subsets of a
 negative program (no positive body atoms, n at most the fixed `BRUTE_FORCE_CAP`).
 Both return an `AnswerSetCollection` of sorted bitmasks; the backtracker
-re-checks every leaf with the mask-level core of `is_answer_set_n2`.
+re-checks every leaf with `_is_n2_answer_set_mask`, the one checker, which
+`is_answer_set_n2` also calls.  It tests both conditions with a few numpy
+operations over the program's `n2_arrays` and a boolean IN-vector of S.
 
 The backtracker branches on support first: while some IN atom has no OUT
 supporter yet, it branches on one of that atom's free support candidates,
@@ -41,9 +43,12 @@ also stays as the oracle of the port, where no compiler or private cache
 directory is found, where n >= `KERNEL_MAX_N` (2^29, since queue entries are
 int32 `atom << 2 | value`), and while `_Searcher._propagate` or `_apply` is
 wrapped: a wrapper on the class (a profiler's, a test's, or perfbench's
-work counter) then sees the search it wraps.  Either execution hands every
-leaf to `_is_n2_answer_set_mask` in Python and keeps it only if it passes,
-so results do not depend on which one ran.
+work counter) then sees the search it wraps.  Both read the program's
+`n2_arrays` and build no `Rule`: the kernel gets the two int32 arrays as
+they are, `_Searcher` turns them into lists.  Either execution hands every
+leaf to `_is_n2_answer_set_mask` in Python, as the IN-vector unpacked from
+the kernel's leaf bits or built from `_Searcher`'s state, and keeps it only
+if it passes, so results do not depend on which one ran.
 
 State is restored from per-decision copies, not unwound, so an undo is
 O(1) at O(n) memory per pending decision: about 6 bytes per atom in C (an
@@ -87,21 +92,29 @@ class AnswerSetCollection:
         return tuple(AtomSet(self.n, m) for m in self.masks)
 
 
-def _is_n2_answer_set_mask(heads: list[int], bodies: list[int], smask: int) -> bool:
-    """The two answer-set conditions for the rules `heads[i] <- not bodies[i]`."""
-    supported = 0
-    for head, body in zip(heads, bodies):
-        if not (smask >> body) & 1:  # body atom outside S: rule fires
-            if not (smask >> head) & 1:
-                return False  # condition 1: head would be outside S too
-            supported |= 1 << head
-    return smask & ~supported == 0  # condition 2: everything in S is supported
+def _is_n2_answer_set_mask(heads: np.ndarray, bodies: np.ndarray, inside: np.ndarray) -> bool:
+    """The two answer-set conditions for the rules `heads[i] <- not bodies[i]`.
+
+    `inside` is the boolean IN-vector of the candidate set S over all n atoms.
+    """
+    fired = heads[~inside[bodies]]  # heads of the rules whose body atom is outside S
+    if not inside[fired].all():
+        return False  # condition 1: some head would be outside S too
+    supported = np.zeros_like(inside)
+    supported[fired] = True
+    return not (inside & ~supported).any()  # condition 2: everything in S is supported
+
+
+def _unpack(n: int, packed: bytes) -> np.ndarray:
+    """The boolean IN-vector of the n-atom set whose little-endian bitmask is `packed`."""
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n, bitorder="little").view(bool)
 
 
 def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
-    """Structural check of the two answer-set conditions (single rule pass)."""
+    """Structural check of the two answer-set conditions over the program's arrays."""
     _require_same_universe(p.n, s)
-    return _is_n2_answer_set_mask(*p.n2_pairs, s.mask)
+    heads, bodies = p.n2_arrays
+    return _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, s.mask.to_bytes((p.n + 7) // 8, "little")))
 
 
 class _Searcher:
@@ -138,7 +151,8 @@ class _Searcher:
         n = p.n
         self.heads_of: list[list[int]] = [[] for _ in range(n)]  # body atom -> heads
         self.bodies_of: list[list[int]] = [[] for _ in range(n)]  # head -> body atoms
-        for head, body in zip(*p.n2_pairs):
+        heads, bodies = p.n2_arrays
+        for head, body in zip(heads.tolist(), bodies.tolist()):
             self.heads_of[body].append(head)
             self.bodies_of[head].append(body)
         deg = [len(self.heads_of[x]) + len(self.bodies_of[x]) for x in range(n)]
@@ -224,9 +238,9 @@ class _Searcher:
 
     def run(self, limit: int | None):
         """Yield answer-set masks (unordered), stopping after `limit` of them."""
-        heads, bodies = self.p.n2_pairs
+        heads, bodies = self.p.n2_arrays
         root = [x << 2 | _OUT for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
-        root += [h << 2 | _IN for h, b in zip(heads, bodies) if h == b]  # self-loop head: never out of S
+        root += [h << 2 | _IN for h in heads[heads == bodies].tolist()]  # self-loop head: never out of S
         ok = self._propagate(root)
         found = 0
         stack: list[tuple[int, tuple]] = []  # (decided atom, state before it): IN untried
@@ -237,10 +251,9 @@ class _Searcher:
                     stack.append((atom, self._snapshot()))
                     ok = self._propagate([atom << 2 | _OUT])
                     continue
-                state = self.state
-                smask = sum(1 << a for a in range(self.p.n) if state[a] == _IN)
-                if _is_n2_answer_set_mask(heads, bodies, smask):
-                    yield smask
+                inside = np.array(self.state, dtype=np.int8) == _IN
+                if _is_n2_answer_set_mask(heads, bodies, inside):
+                    yield int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
                     found += 1
                     if limit is not None and found >= limit:
                         return
@@ -281,12 +294,12 @@ def _kernel_search(p: Program, limit: int | None) -> tuple[list[int], int, int]:
     """
     from . import _kernel
 
-    heads, bodies = p.n2_pairs
+    heads, bodies = p.n2_arrays
     masks: list[int] = []
 
-    def on_leaf(smask: int) -> bool:
-        if _is_n2_answer_set_mask(heads, bodies, smask):
-            masks.append(smask)
+    def on_leaf(packed: bytes) -> bool:
+        if _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, packed)):
+            masks.append(int.from_bytes(packed, "little"))
         return limit is not None and len(masks) >= limit
 
     return masks, *_kernel.search(p.n, heads, bodies, on_leaf)

@@ -1,5 +1,8 @@
-"""Shared hypothesis strategies for random programs, and the search kernel's marker."""
+"""Shared hypothesis strategies for random programs, the search kernel's marker, and a program-identity check."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -9,6 +12,20 @@ from randasp.programs import Program, Rule
 # Evaluated at collection, so the kernel is compiled (or loaded from its
 # cache) once, before any hypothesis example is timed.
 needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler: only the Python search runs")
+
+
+def assert_same_program(a: Program, b: Program) -> None:
+    """a and b are one program: equal both ways, one hash and repr, one set and dict key, through pickle too."""
+    assert a == b and b == a and not a != b
+    assert hash(a) == hash(b) and repr(a) == repr(b)
+    assert len({a, b}) == 1 and {a: "a"}[b] == "a"
+    for p in (a, b):
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is Program and q == a and a == q and hash(q) == hash(a) and repr(q) == repr(a)
+    if a.is_n2:
+        for x, y in zip(a.n2_arrays, b.n2_arrays):
+            assert x.dtype == y.dtype == np.int32 and not x.flags.writeable and not y.flags.writeable
+            assert np.array_equal(x, y)
 
 
 @st.composite

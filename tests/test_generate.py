@@ -23,6 +23,8 @@ from randasp.generate import (
 from randasp.programs import Program, Rule
 from randasp.solver import enumerate_answer_sets
 
+from conftest import assert_same_program
+
 
 class TestParams:
     def test_validation(self):
@@ -310,3 +312,12 @@ class TestPinnedPrograms:
             got.append(attempts)
         assert tuple(got) == resamples
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("n, c1, c2, seed, trials, resamples, digest", PINNED_PROGRAMS)
+    def test_both_constructors_give_one_program(self, n, c1, c2, seed, trials, resamples, digest):
+        for t in range(trials):
+            p = generate(LinearModelParams(n, c1, c2), mix_seed(seed, t))
+            general = Program(n, p.rules)
+            assert "n2_arrays" not in vars(general)
+            assert_same_program(p, general)
+            assert_same_program(general, Program.from_n2_arrays(n, *general.n2_arrays))

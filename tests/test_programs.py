@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randasp.programs import (
+    N2_MAX_N,
     AtomSet,
     Program,
     Rule,
@@ -14,7 +17,7 @@ from randasp.programs import (
 )
 from randasp.solver import enumerate_answer_sets
 
-from conftest import general_programs, n2_programs, positive_programs
+from conftest import assert_same_program, general_programs, n2_programs, positive_programs
 
 
 def s(n, *atoms):
@@ -82,15 +85,63 @@ class TestFromN2Arrays:
         bodies = np.array([b for _, b in shuffled], dtype=np.int64)
         bulk = Program.from_n2_arrays(p.n, heads, bodies)
         general = Program(p.n, [Rule(h, (), (b,)) for h, b in shuffled])
+        assert_same_program(bulk, general)
         assert bulk.rules == general.rules == p.rules
-        assert bulk == general and hash(bulk) == hash(general)
-        assert repr(bulk) == repr(general)
         assert all(type(r) is Rule and type(r.head) is int and type(r.neg_body[0]) is int for r in bulk.rules)
         assert bulk.is_n2 and general.is_n2
-        assert bulk.n2_pairs == general.n2_pairs == ([h for h, _ in pairs], [b for _, b in pairs])
+        assert [a.tolist() for a in bulk.n2_arrays] == [[h for h, _ in pairs], [b for _, b in pairs]]
+
+    @given(n2_programs(min_n=0, max_n=12), st.sampled_from(["int8", "int32", "int64", "uint16", "uint64", "mixed"]))
+    @settings(max_examples=150, deadline=None)
+    def test_input_dtypes_give_one_program(self, p, dtype):
+        heads, bodies = p.n2_arrays
+        if dtype == "mixed":  # an int64 and a uint64 array: the sort key must not go through float64
+            h, b = heads.astype(np.int64), bodies.astype(np.uint64)
+        else:
+            h, b = heads.astype(dtype), bodies.astype(dtype)
+        bulk = Program.from_n2_arrays(p.n, h[::-1], b[::-1])
+        assert_same_program(bulk, p)
+
+    def test_mixed_dtypes_keep_large_keys_exact(self):
+        # h * n + b above 2^53 is not exact in float64
+        n = N2_MAX_N
+        heads = np.array([n - 1, n - 1, n - 2], dtype=np.uint64)
+        bodies = np.array([n - 2, n - 3, n - 1], dtype=np.int64)
+        p = Program.from_n2_arrays(n, heads, bodies)
+        assert [a.tolist() for a in p.n2_arrays] == [[n - 2, n - 1, n - 1], [n - 1, n - 3, n - 2]]
+        assert_same_program(p, Program(n, [pure_rule(h, b) for h, b in zip(heads.tolist(), bodies.tolist())]))
 
     def test_empty(self):
-        assert Program.from_n2_arrays(3, [], []) == Program(3, [])
+        for n in (0, 3):
+            for empty in ([], np.empty(0, dtype=np.uint64), np.empty(0)):
+                p = Program.from_n2_arrays(n, empty, empty)
+                assert_same_program(p, Program(n, []))
+                assert len(p) == 0 and p.rules == () and p.is_n2
+
+    def test_universe_limit(self):
+        assert Program.from_n2_arrays(N2_MAX_N, [N2_MAX_N - 1], [0]).n == (1 << 31) - 1
+        with pytest.raises(ValueError, match="at most 2147483647 atoms"):
+            Program.from_n2_arrays(N2_MAX_N + 1, [], [])
+        big = Program(N2_MAX_N + 1, [pure_rule(N2_MAX_N, 0)])  # the general constructor has no limit
+        assert big.is_n2 and len(big) == 1
+        with pytest.raises(ValueError, match="at most 2147483647 atoms"):
+            big.n2_arrays
+
+    def test_arrays_are_read_only(self):
+        p = Program.from_n2_arrays(3, np.array([2, 0]), np.array([1, 1]))
+        heads, _ = p.n2_arrays
+        with pytest.raises(ValueError, match="read-only"):
+            heads[0] = 1
+        with pytest.raises(AttributeError, match="immutable"):
+            p.n = 4
+        with pytest.raises(AttributeError, match="immutable"):
+            p.rules = ()
+
+    def test_pickle_keeps_the_representation(self):
+        bulk = Program.from_n2_arrays(3, [2, 0], [1, 1])
+        assert "rules" not in vars(pickle.loads(pickle.dumps(bulk)))
+        parsed = Program(2, [pure_rule(0, 1)], symbols=["x", "y"])
+        assert pickle.loads(pickle.dumps(parsed)).symbols == ("x", "y")
 
     @pytest.mark.parametrize(
         "heads, bodies",
@@ -112,9 +163,9 @@ class TestFromN2Arrays:
         with pytest.raises(ValueError, match="n must be an integer"):
             Program.from_n2_arrays(2.5, [0], [1])
 
-    def test_n2_pairs_rejects_general_program(self):
+    def test_n2_arrays_rejects_general_program(self):
         with pytest.raises(ValueError, match="not negative two-literal"):
-            Program(2, [Rule(0, (1,), ())]).n2_pairs
+            Program(2, [Rule(0, (1,), ())]).n2_arrays
 
 
 class TestAtomSet:

@@ -521,21 +521,48 @@ class TestLeafRecheck:
     def test_every_leaf_goes_through_the_mask_checker(self, monkeypatch):
         p = generate(LinearModelParams(50, 5.0, 0.0), mix_seed(PINNED_SEED, 50001))  # 3 sets pinned
         assert enumerate_answer_sets(p).count == 3
-        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, smask: False)
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: False)
         assert enumerate_answer_sets(p).masks == ()
+        assert list(_Searcher(p).run(None)) == []
         assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
 
     def test_an_error_in_the_recheck_stops_the_search_and_is_raised(self, monkeypatch):
         checked = []
 
-        def broken(heads, bodies, smask):
-            checked.append(smask)
+        def broken(heads, bodies, inside):
+            checked.append(inside)
             raise ZeroDivisionError
 
         monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", broken)
         with pytest.raises(ZeroDivisionError):
             enumerate_answer_sets(two_cycles(3))
-        assert len(checked) == 1
+        (inside,) = checked
+        assert inside.dtype == bool and inside.shape == (6,) and inside.sum() == 3
+
+
+class TestArrayPath:
+    """A generated program reaches either searcher as arrays: no `Rule` is built."""
+
+    PROGRAMS = [(1000, 3.0, 1), (200, 5.0, None), (50, 5.0, None)]
+
+    @needs_kernel
+    @pytest.mark.parametrize("n, c1, limit", PROGRAMS)
+    def test_kernel_search_builds_no_rules(self, n, c1, limit):
+        p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240904, n))
+        assert search_path(p.n) == "kernel"
+        assert len(p) > 0 and p.is_n2 and p.is_negative
+        col = enumerate_answer_sets(p, limit)
+        assert "rules" not in vars(p)
+        assert all(is_answer_set_n2(p, s) for s in col.sets)
+        assert "rules" not in vars(p)
+        assert all(is_answer_set_general(p, s) for s in col.sets) and len(p) == len(p.rules)
+
+    @pytest.mark.parametrize("n, c1, limit", PROGRAMS)
+    def test_python_search_builds_no_rules(self, n, c1, limit):
+        p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240904, n))
+        masks = sorted(_Searcher(p).run(limit))
+        assert "rules" not in vars(p)
+        assert tuple(masks) == enumerate_answer_sets(p, limit).masks
 
 
 class TestBruteForce:

@@ -19,11 +19,15 @@ trial's stream (one per rule plus the skip that passes the end), and the
 contradiction rules continue from draw m+1.
 
 Draws are computed in batches.  Each one still takes its skip
-int(log(u) / log1p(-prob)) exactly as a scalar loop would: u is
-((x >> 11) + 1) * 2^-53, exact in float64, and the log is `math.log`, not
-`np.log`, which differed from it in 6,986 of 2,000,000 doubles on one
-machine; one differing last bit can move a skip across an integer and
-change the program.  `_generate_bernoulli` keeps the O(n^2) per-index scan
+int(log(u) / log1p(-prob)) exactly as a scalar loop with `math.log` would:
+u is ((x >> 11) + 1) * 2^-53, exact in float64.  The batch takes its logs
+with `np.log`, whose last bit differs from `math.log`'s on some inputs
+(6,986 of 2,000,000 doubles on one machine).  Such a difference can only
+change a skip if an integer lies between the two ratios, which are then
+a few ulps apart.  So every ratio within a relative 2^-30 (about 2^22 ulps)
+of an integer is recomputed with `math.log`; all others already floor to
+the scalar skip.  Only a few logs per 1,000 n=1000, c1=3 programs fall
+inside the guard.  `_generate_bernoulli` keeps the O(n^2) per-index scan
 as the distribution oracle for tests.
 """
 
@@ -153,6 +157,30 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
 
 
+# A ratio closer than this (relative) to an integer is recomputed with math.log;
+# np.log and math.log are a few ulps (about 2^-52 relative) apart.
+_SKIP_GUARD = 2.0**-30
+
+
+def _skips(u: np.ndarray, log_q: float, total: int) -> np.ndarray:
+    """int(log(u) / log_q) per uniform with math.log's bits, capped at `total`.
+
+    A skip of `total` already ends the walk, so the cap changes no result
+    and keeps the inf of a subnormal prob out of the guard and the cast.
+    """
+    with np.errstate(over="ignore"):
+        ratio = np.log(u) / log_q
+    np.minimum(ratio, total, out=ratio)
+    # the floor of the np.log ratio can differ from math.log's only if an
+    # integer lies between them; ratios near one are redone exactly
+    near = np.flatnonzero(np.abs(ratio - np.rint(ratio)) <= _SKIP_GUARD * np.maximum(ratio, 1.0))
+    if near.size:
+        logs = np.fromiter(map(math.log, u[near].tolist()), dtype=np.float64, count=near.size)
+        with np.errstate(over="ignore"):
+            ratio[near] = np.minimum(logs / log_q, total)
+    return ratio.astype(np.int64)  # ratio >= 0, so the cast floors like int()
+
+
 def _skip_indices(seed: int, start: int, total: int, prob: float, batch: int = 0) -> tuple[np.ndarray, int]:
     """Sorted Bernoulli(prob) successes over range(total), and the next unused draw.
 
@@ -168,14 +196,7 @@ def _skip_indices(seed: int, start: int, total: int, prob: float, batch: int = 0
     found = []
     cursor = -1
     while True:
-        logs = np.fromiter(map(math.log, _uniforms(seed, start, batch).tolist()), dtype=np.float64, count=batch)
-        # ratio >= 0, so the int64 cast floors like int(); a skip of `total`
-        # already ends the walk, so clipping to it changes nothing and keeps
-        # the inf of a subnormal prob out of the cast
-        with np.errstate(over="ignore"):
-            ratio = logs / log_q
-        np.minimum(ratio, total, out=ratio)
-        pos = cursor + np.cumsum(ratio.astype(np.int64) + 1)
+        pos = cursor + np.cumsum(_skips(_uniforms(seed, start, batch), log_q, total) + 1)
         end = int(np.searchsorted(pos, total))  # first position >= total
         if end < batch:
             found.append(pos[:end])

@@ -27,6 +27,10 @@ Mathematical Functions, 1989) at integer arguments, step for step with
 `math.log`.  It must give that routine's bits, not merely close values:
 every E[N_k], every expected_total and so every theory column of the CSVs
 were recorded with them, and a last-bit change at one k moves those bytes.
+The arrays over k take lf from `_log_factorials`, the same steps as numpy
+arithmetic over the whole array with one `math.log` per element; the scalar
+`_log_factorial` stays as its bit oracle.  Over k = 1..n-1, lf(n - k) is
+lf(k) reversed, so a row costs n - 1 logs, not 2(n - 1) Python calls.
 
 log Pr(k) is written once, in the elementwise kernel `_log_kernel`, which
 adds it to a log weight: the log binomial for E[N_k], its Stirling
@@ -139,13 +143,35 @@ def _log_factorial(m: int) -> float:
     return q + series / x
 
 
-_log_factorials = np.vectorize(_log_factorial, otypes=[np.float64])
+# m! for m < 12 is exact in a double, so those 12 values are math.log of it
+_SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(m)) for m in range(12)])
 
 
-def _log_binom(n: int, k) -> np.ndarray | float:
-    """log C(n, k) elementwise over integral k; no table, so a scalar k costs three lf calls."""
+def _log_factorials(m: np.ndarray) -> np.ndarray:
+    """`_log_factorial` elementwise over an int64 array, bit for bit.
+
+    The same steps in the same order, as numpy arithmetic (each operation
+    rounds as Python's float does), with the branches taken by `np.where`
+    and one `math.log` per element, not `np.log`, whose last bit differs.
+    """
+    x = (m + 1).astype(np.float64)
+    log_x = np.fromiter(map(math.log, x.ravel().tolist()), dtype=np.float64, count=x.size).reshape(x.shape)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = 0.0
+    for a in _STIRLING_A:  # polevl(p, A, 4)
+        series = series * p + a
+    short = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    out = np.where(x > 1e8, q, q + np.where(x >= 1000.0, short, series) / x)
+    return np.where(m < 12, _SMALL_LOG_FACTORIALS[np.minimum(m, 11)], out)
+
+
+def _log_binom(n: int, k) -> np.ndarray:
+    """log C(n, k) elementwise over integral k; lf(n - k) is lf(k) reversed when k is 1..n-1."""
     k = np.asarray(k).astype(np.int64)
-    return _log_factorial(n) - _log_factorials(k) - _log_factorials(n - k)
+    lf_k = _log_factorials(k)
+    full = k.shape == (n - 1,) and np.array_equal(k, np.arange(1, n))
+    return _log_factorial(n) - lf_k - (lf_k[::-1] if full else _log_factorials(n - k))
 
 
 def _log_stirling_binom(n: int, x) -> np.ndarray | float:

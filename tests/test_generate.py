@@ -1,10 +1,12 @@
 import hashlib
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import randasp.generate as generate_module
 from randasp.generate import (
     LinearModelParams,
     SplitMix64,
@@ -12,6 +14,7 @@ from randasp.generate import (
     _pair_from_index,
     _sample_n2_arrays,
     _skip_indices,
+    _skips,
     _uniforms,
     expected_rule_count,
     generate,
@@ -187,7 +190,19 @@ class TestBatchedSampler:
         assert tail.tolist() == _scalar_skips(rng, 50, 0.3)
 
     @pytest.mark.parametrize(
-        "n, c1, c2", [(1, 0.0, 0.9), (2, 1.5, 1.0), (5, 4.0, 4.0), (12, 4.0, 2.0), (40, 0.0, 5.0), (60, 3.0, 0.5)]
+        "n, c1, c2",
+        [
+            (1, 0.0, 0.9),
+            (2, 1.5, 1.0),
+            (5, 4.0, 4.0),
+            (12, 4.0, 2.0),
+            (40, 0.0, 5.0),
+            (60, 3.0, 0.5),
+            # bench and paper sizes: batches of thousands of logs reach the guard
+            (1000, 3.0, 0.0),
+            (200, 5.0, 0.0),
+            (1000, 4.0, 4.0),
+        ],
     )
     def test_draw_matches_scalar_reference(self, n, c1, c2):
         params = LinearModelParams(n, c1, c2)
@@ -197,6 +212,89 @@ class TestBatchedSampler:
             reference = _scalar_rules(params, s)
             assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in reference]
             assert Program.from_n2_arrays(n, heads, bodies) == Program(n, reference)
+
+
+def _scalar_skip_list(u, log_q, total):
+    """Reference for `_skips`: the scalar loop's int(math.log(u) / log_q), capped at total."""
+    return [int(min(math.log(x) / log_q, total)) for x in u.tolist()]
+
+
+def _off_by_ulps(ulps):
+    """An np.log whose every result is moved `ulps` doubles up (or down, if negative)."""
+    fast_log = np.log
+
+    def log(x):
+        y = fast_log(x)
+        for _ in range(abs(ulps)):
+            y = np.nextafter(y, np.inf if ulps > 0 else -np.inf)
+        return y
+
+    return log
+
+
+class TestSkipGuard:
+    """`_skips` takes np.log and redoes with math.log every ratio near an integer."""
+
+    def _count_exact_logs(self, monkeypatch):
+        calls = []
+
+        def log(x):
+            calls.append(x)
+            return math.log(x)
+
+        monkeypatch.setattr(generate_module, "math", SimpleNamespace(log=log))
+        return calls
+
+    def test_integer_ratios_are_all_recomputed(self, monkeypatch):
+        # log(2^-k) / log(1/2) is k to within an ulp or two, inside the guard
+        u = 2.0 ** -np.arange(0, 1075, dtype=np.float64)
+        log_q = math.log1p(-0.5)
+        expected = _scalar_skip_list(u, log_q, 10**6)
+        assert expected[:4] == [0, 1, 2, 3] and expected[-1] == 1074
+        calls = self._count_exact_logs(monkeypatch)
+        assert _skips(u, log_q, 10**6).tolist() == expected
+        assert len(calls) == u.size
+        for ulps in (4, -4):  # an exact integer ratio floors either way if not redone
+            monkeypatch.setattr(np, "log", _off_by_ulps(ulps))
+            assert _skips(u, log_q, 10**6).tolist() == expected
+
+    @pytest.mark.parametrize("ulps", [4, -4])
+    def test_a_few_ulps_of_fast_log_change_no_skip(self, monkeypatch, ulps):
+        cases = [(1000, 3.0, 0.0), (200, 5.0, 0.0), (1000, 4.0, 4.0), (50, 5.0, 2.0)]
+        expected = {(c, t): _scalar_rules(LinearModelParams(*c), mix_seed(t, 1)) for c in cases for t in range(5)}
+        u = _uniforms(7, 0, 20_000)
+        log_q = math.log1p(-0.003)
+        reference = _scalar_skip_list(u, log_q, 10**6)
+        monkeypatch.setattr(np, "log", _off_by_ulps(ulps))
+        assert _skips(u, log_q, 10**6).tolist() == reference
+        for (c, t), rules in expected.items():
+            heads, bodies = _sample_n2_arrays(LinearModelParams(*c), mix_seed(t, 1))
+            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in rules]
+
+    def test_u_one_gives_a_zero_skip(self):
+        u = np.array([1.0, 1.0 - 2.0**-53, 0.5, 1.0])
+        for prob in (0.5, 0.003, 1e-300, 5e-324):
+            log_q = math.log1p(-prob)
+            got = _skips(u, log_q, 10**6).tolist()
+            assert got == _scalar_skip_list(u, log_q, 10**6)
+            assert got[0] == got[3] == 0
+
+    def test_subnormal_prob_clips_every_skip(self, monkeypatch):
+        # log(u) / -5e-324 is inf for every u < 1: capped at total, then redone
+        u = _uniforms(3, 0, 500)
+        log_q = math.log1p(-5e-324)
+        calls = self._count_exact_logs(monkeypatch)
+        assert _skips(u, log_q, 7).tolist() == [7] * 500
+        assert len(calls) == 500
+
+    def test_clipped_entries(self):
+        u = np.array([2.0**-53, 1e-10, 0.25, 0.9999, 1.0])
+        log_q = math.log1p(-0.01)
+        for total in (0, 1, 3, 137, 10**6):
+            got = _skips(u, log_q, total)
+            assert got.dtype == np.int64
+            assert got.tolist() == _scalar_skip_list(u, log_q, total)
+            assert got.max() <= total
 
 
 class TestGenerate:

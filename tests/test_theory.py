@@ -14,6 +14,7 @@ from randasp.theory import (
     CURVE_MAX_N,
     _log_binom,
     _log_factorial,
+    _log_factorials,
     chi,
     expected_counts,
     consistency_probability,
@@ -240,6 +241,29 @@ class TestLogFactorialPort:
     )
     def test_log_binom_bits(self, n, k, bits):
         assert float(_log_binom(n, k)).hex() == bits
+
+    def test_array_port_table_hash(self):
+        table = _log_factorials(np.arange(100001))
+        digest = hashlib.sha256(table.tobytes()).hexdigest()
+        assert digest == "c6b2b324c971ec691f99b386681db11f1a8bbd471e6d4e267da873b96f5ccbc5"
+
+    def test_array_port_bits_at_branch_edges(self):
+        # m < 12 from the table, below and above x = 1000, x > 1e8 returning q alone
+        edges = [0, 1, 2, 11, 12, 13, 997, 998, 999, 1000, 1001, 10**8 - 2, 10**8 - 1, 10**8, 10**8 + 1, 10**9, 2**52]
+        got = _log_factorials(np.array(edges, dtype=np.int64))
+        assert [v.hex() for v in got.tolist()] == [_log_factorial(m).hex() for m in edges]
+        for m in edges:  # a 0-d array takes the same branches
+            assert float(_log_factorials(np.array(m, dtype=np.int64))).hex() == _log_factorial(m).hex()
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 13, 999, 1000, 1001, 2000])
+    def test_log_binom_full_range_matches_scalar(self, n):
+        # k = 1..n-1 reuses lf(k) reversed for lf(n - k); any other k computes both
+        k = np.arange(1, n)
+        expected = [(_log_factorial(n) - _log_factorial(j) - _log_factorial(n - j)).hex() for j in k.tolist()]
+        assert [v.hex() for v in _log_binom(n, k).tolist()] == expected
+        assert [v.hex() for v in _log_binom(n, k.astype(np.float64)).tolist()] == expected
+        assert [v.hex() for v in _log_binom(n, k[::-1]).tolist()] == expected[::-1]
+        assert [v.hex() for v in _log_binom(n, k[: n // 2]).tolist()] == expected[: n // 2]
 
     def test_import_needs_only_numpy(self, tmp_path):
         # Nor does importing randasp and validating a config load the search

@@ -32,7 +32,7 @@ from typing import ClassVar
 
 from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
 from .programs import require_integer, require_real
-from .solver import enumerate_answer_sets
+from .solver import enumerate_answer_sets, search_path
 from .theory import (
     _require_curve,
     chi,
@@ -176,6 +176,9 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     chunks = [(n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), limit) for n, c1, c2 in rows for lo in starts]
     pool = None
     if workers > 1 and len(chunks) > 1:
+        # Load the search kernel here, once: forked workers inherit it and
+        # none of them hashes the source or races to compile it.
+        search_path(max(cfg.n))
         pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
     out = []
     try:

@@ -53,7 +53,14 @@ if it passes, so results do not depend on which one ran.
 State is restored from per-decision copies, not unwound, so an undo is
 O(1) at O(n) memory per pending decision: about 6 bytes per atom in C (an
 int8 value, an int32 count and an int8 flag) against about two pointer words
-per atom in Python (two lists, plus a set of the unsupported atoms).  On
+per atom in Python (two lists, plus a set of the unsupported atoms).  The C
+port adds a 12-byte record per decision: the atom, the unsupported count and
+a cursor into the degree order, below which every atom is assigned, so the
+fallback decision scans on from there and a backtrack restores it.  Its
+OUT assignment visits every neighbour without a branch on its value (a
+store at the queue's end on every visit needs one spare slot) and so
+finishes the loop after a conflict; that changes nothing kept, since a
+conflict's state is thrown away: the search restores a snapshot or ends.  On
 random programs the depth stays small: at most 15 over 50 full enumerations
 at n=200, c1=5, and 20 at n=1000 and 43 at n=5000 over existence searches
 (`limit=1`) at c1=3.  But nothing bounds it below n/2: k disjoint two-cycles

@@ -1,6 +1,7 @@
-"""Shared hypothesis strategies for random programs, the search kernel's marker, and a program-identity check."""
+"""Shared hypothesis strategies for random programs, the search kernel's marker and cache fixture, and a program-identity check."""
 
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ from randasp.programs import Program, Rule
 # Evaluated at collection, so the kernel is compiled (or loaded from its
 # cache) once, before any hypothesis example is timed.
 needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler: only the Python search runs")
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """A missing home and cache root, an empty temp dir, and a `_kernel.load` that has not run yet."""
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    _kernel.load.cache_clear()
+    yield tmp_path
+    _kernel.load.cache_clear()
 
 
 def assert_same_program(a: Program, b: Program) -> None:

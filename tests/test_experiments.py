@@ -236,6 +236,13 @@ class TestWorkers:
         run_dist_experiment(one_chunk, workers=2)
         assert sizes == [3]
 
+    def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
+        # Forked workers inherit what `load()` cached, so none of them
+        # hashes the source or compiles it on a cold cache.
+        assert _kernel.load.cache_info().currsize == 0
+        run_avg_experiment(ExperimentConfig(n=[20, 30], c1=3.0, c2=0.0, trials=4, seed=8), workers=2)
+        assert _kernel.load.cache_info().currsize == 1
+
     # Each trial leaves a marker file; the patch reaches the pool's workers
     # because they are forked from this process.  Without cancelling the
     # queued chunks, the 80 trials behind the failure would all run.

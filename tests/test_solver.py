@@ -1,7 +1,6 @@
 import ctypes
 import hashlib
 import os
-import tempfile
 import threading
 import tracemalloc
 from importlib import resources
@@ -432,22 +431,25 @@ class TestKernelEquivalence:
         p = two_cycles(500)
         assert _kernel_search(p, 1) == python_search(p, 1)
 
+    def test_ten_two_cycles_enumerated(self):
+        # 1024 leaves; each backtrack restores a decision's fallback cursor.
+        p = two_cycles(10)
+        got = _kernel_search(p, None)
+        assert len(got[0]) == 1024
+        assert got == python_search(p, None)
+
+    # The shapes of the benchmark's workloads: existence at n=1000, c1=3 and
+    # full enumeration at n=200, c1=5.
+    @pytest.mark.parametrize("n, c1, limit, trials", [(1000, 3.0, 1, 10), (200, 5.0, None, 5)])
+    def test_benchmark_shapes(self, n, c1, limit, trials):
+        for t in range(trials):
+            p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240901, t))
+            assert _kernel_search(p, limit) == python_search(p, limit)
+
     def test_path_by_size(self):
         assert KERNEL_MAX_N == 1 << 29
         assert search_path((1 << 29) - 1) == "kernel"
         assert search_path(1 << 29) == "python"  # decided from n alone: nothing of that size is made
-
-
-@pytest.fixture
-def fresh_cache(monkeypatch, tmp_path):
-    """A missing home and cache root, an empty temp dir, and a `_kernel.load` that has not run yet."""
-    monkeypatch.setenv("HOME", str(tmp_path / "home"))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    (tmp_path / "tmp").mkdir()
-    _kernel.load.cache_clear()
-    yield tmp_path
-    _kernel.load.cache_clear()
 
 
 class TestKernelBuild:

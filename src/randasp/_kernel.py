@@ -113,12 +113,18 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
     """Run the kernel on the rules `heads[i] <- not bodies[i]` over n < 2^29 atoms.
 
     `heads` and `bodies` are a program's `n2_arrays`: int32, C-contiguous,
-    of one length, every atom in [0, n); they are passed to C as they are.
+    of one length below 2^31 (the kernel's offsets are int32), every atom in
+    [0, n), and sorted by head, which `Program` guarantees; they are passed
+    to C as they are, and C reads `bodies` in place as each head's bodies.
     `on_leaf(packed)` gets each leaf's IN atoms as a little-endian bitmask
     of (n + 7) // 8 bytes and returns True to stop.  Returns the kernel's
     (propagate calls, apply calls).  An exception from `on_leaf` stops the
     search and is raised here.
     """
+    if heads.shape != bodies.shape:
+        raise ValueError(f"heads and bodies differ in shape: {heads.shape} vs {bodies.shape}")
+    if heads.size >= 1 << 31:
+        raise ValueError(f"the search kernel takes fewer than 2^31 rules, got {heads.size}")
     fn = load()
     nbytes = (n + 7) // 8
     errors = []
@@ -130,8 +136,6 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
             errors.append(exc)
             return True
 
-    if heads.shape != bodies.shape:
-        raise ValueError(f"heads and bodies differ in shape: {heads.shape} vs {bodies.shape}")
     counts = np.zeros(2, dtype=np.int64)
     callback = LEAF(leaf)  # held until the call returns
     if fn(n, heads.size, heads, bodies, callback, counts) != 0:

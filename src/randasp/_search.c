@@ -6,11 +6,13 @@
  *
  * values are int8 (0 unassigned, 1 IN, 2 OUT); nfree[a] counts a's unassigned
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
- * atoms not supported, n_unsup counts them.  heads_of/bodies_of are CSR in
- * rule order.  The queue is LIFO, entries atom << 2 | value.  Each pending
- * decision keeps a copy of values, nfree and unsup (6 bytes per atom) and a
- * 12-byte record (atom, n_unsup, cursor); cursor is where decide's scan of
- * the degree order starts.
+ * atoms not supported, n_unsup counts them.  heads_of is CSR in rule order;
+ * bodies_of is the caller's bodies read in place, with offsets counted over
+ * heads, so the rules must come sorted by head, as Program.n2_arrays are
+ * (by head, then body).  The queue is LIFO, entries atom << 2 | value.  Each
+ * pending decision keeps a copy of values, nfree and unsup (6 bytes per atom)
+ * and a 12-byte record (atom, n_unsup, cursor); cursor is where decide's
+ * scan of the degree order starts.
  *
  * An OUT assignment visits every neighbour without a data-dependent branch:
  * it stores the neighbour's IN entry at queue[qlen] on every visit and
@@ -28,7 +30,8 @@ enum { UNASSIGNED = 0, IN = 1, OUT = 2, SUPPORTED = -1 };
 typedef int (*leaf_fn)(const uint8_t *in_bits); /* nonzero: stop the search */
 
 typedef struct {
-    int32_t n, *hoff, *hadj, *boff, *badj, *order, *nfree, *queue, n_unsup, cursor;
+    int32_t n, *hoff, *hadj, *boff, *order, *nfree, *queue, n_unsup, cursor;
+    const int32_t *badj;
     int8_t *val, *unsup;
     int64_t qlen, propagations, applies;
 } S;
@@ -150,36 +153,41 @@ static int32_t decide(S *s) {
     return -1;
 }
 
-/* CSR of `to` grouped by `by`, in rule order. */
-static void csr(int32_t n, int64_t m, const int32_t *by, const int32_t *to, int32_t *off, int32_t *adj) {
+/* off[x] is the number of rules r with by[r] < x; off must come zeroed. */
+static void offsets(int32_t n, int64_t m, const int32_t *by, int32_t *off) {
     for (int64_t r = 0; r < m; r++) off[by[r] + 1]++;
     for (int32_t x = 0; x < n; x++) off[x + 1] += off[x];
+}
+
+/* CSR of `to` grouped by `by`, in rule order. */
+static void csr(int32_t n, int64_t m, const int32_t *by, const int32_t *to, int32_t *off, int32_t *adj) {
+    offsets(n, m, by, off);
     int32_t *pos = off; /* filled in place, then shifted back */
     for (int64_t r = 0; r < m; r++) adj[pos[by[r]]++] = to[r];
     for (int32_t x = n; x > 0; x--) off[x] = off[x - 1];
     off[0] = 0;
 }
 
-/* Searches the program `heads[r] <- not bodies[r]`, r < m, over n < 2^29
- * atoms and calls leaf() with the IN atoms of each leaf as a little-endian
- * bitmask.  counts gets the propagate and apply calls.  Returns 0, or -1 when
- * out of memory. */
+/* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
+ * head, over n < 2^29 atoms and calls leaf() with the IN atoms of each leaf as
+ * a little-endian bitmask.  counts gets the propagate and apply calls.
+ * Returns 0, or -1 when out of memory. */
 int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, leaf_fn leaf, int64_t *counts) {
     S s = {.n = n};
     size_t nb = ((size_t)n + 7) / 8, depth = 0, cap = 0;
     s.hoff = calloc((size_t)n + 1, 4), s.boff = calloc((size_t)n + 1, 4);
-    s.hadj = malloc((size_t)m * 4 + 4), s.badj = malloc((size_t)m * 4 + 4);
+    s.hadj = malloc((size_t)m * 4 + 4), s.badj = bodies;
     s.order = malloc((size_t)n * 4 + 4);
     s.queue = malloc(((size_t)m * 3 + (size_t)n * 3 + 1) * 4); /* see the bound below */
     size_t snap = (size_t)n * 6; /* the searched state, nfree | val | unsup, in one block */
     uint8_t *state = calloc(snap + 1, 1), *bits = malloc(nb + 1), *snaps = NULL;
     int32_t *decided = NULL, *cnt = calloc(2 * (size_t)m + 2, 4); /* decided: (atom, n_unsup, cursor) */
     int rc = -1;
-    if (!s.hoff || !s.boff || !s.hadj || !s.badj || !s.order || !s.queue || !state || !bits || !cnt)
+    if (!s.hoff || !s.boff || !s.hadj || !s.order || !s.queue || !state || !bits || !cnt)
         goto done;
     s.nfree = (int32_t *)state, s.val = (int8_t *)(state + (size_t)n * 4), s.unsup = (int8_t *)(state + (size_t)n * 5);
     csr(n, m, bodies, heads, s.hoff, s.hadj); /* heads_of[body] */
-    csr(n, m, heads, bodies, s.boff, s.badj); /* bodies_of[head] */
+    offsets(n, m, heads, s.boff);             /* bodies_of[head] is bodies itself */
     /* order: atoms by degree, highest first, lowest index on ties */
     int32_t maxdeg = 0;
     for (int32_t x = 0; x < n; x++) {
@@ -240,7 +248,7 @@ int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bo
     counts[0] = s.propagations, counts[1] = s.applies;
     rc = 0;
 done:
-    free(s.hoff), free(s.boff), free(s.hadj), free(s.badj), free(s.order), free(s.queue);
+    free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.queue);
     free(state), free(bits), free(snaps), free(decided), free(cnt);
     return rc;
 }

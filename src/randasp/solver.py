@@ -14,10 +14,10 @@ checks the two conditions directly; `enumerate_answer_sets` is a DPLL-style
 backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
 `enumerate_brute_force`, the testing oracle, scans all 2^n subsets of a
 negative program (no positive body atoms, n at most the fixed `BRUTE_FORCE_CAP`).
-Both return an `AnswerSetCollection` of sorted bitmasks; the backtracker
-re-checks every leaf with `_is_n2_answer_set_mask`, the one checker, which
-`is_answer_set_n2` also calls.  It tests both conditions with a few numpy
-operations over the program's `n2_arrays` and a boolean IN-vector of S.
+Both return an `AnswerSetCollection` of sorted bitmasks.
+`_is_n2_answer_set_mask` is the one n2 checker: `is_answer_set_n2` calls it,
+and so does the backtracker's leaf handler.  It tests both conditions with a
+few numpy operations over the program's `n2_arrays` and a boolean IN-vector of S.
 
 The backtracker branches on support first: while some IN atom has no OUT
 supporter yet, it branches on one of that atom's free support candidates,
@@ -30,43 +30,33 @@ decision still OUT is undone and flipped IN.
 One tree, two executions.  `_Searcher` is the search in Python, and
 `_search.c` is a C port of it that keeps its data and its order of work step
 for step, so both walk the same tree and reach the same leaves in the same
-order (tests compare masks and `_propagate`/`_apply` call counts).
-`enumerate_answer_sets` runs the C port where it can, and `search_path(n)`
-says which execution a program over n atoms gets.  The first search in a
-process compiles `_search.c` with `cc -O2 -shared -fPIC` into a private
-cache directory, `$XDG_CACHE_HOME/randasp`, else `~/.cache/randasp` (only
-the `randasp` leaf is ever created), else `randasp-<uid>` under the system
-temp directory, under a name keyed by the SHA-256 of the source, the
-compiler command and the machine type, so a machine compiles it once; ctypes
-loads it (module `_kernel`).  The search quietly runs on `_Searcher`, which
-also stays as the oracle of the port, where no compiler or private cache
-directory is found, where n >= `KERNEL_MAX_N` (2^29, since queue entries are
-int32 `atom << 2 | value`), and while `_Searcher._propagate` or `_apply` is
-wrapped: a wrapper on the class (a profiler's, a test's, or perfbench's
-work counter) then sees the search it wraps.  Both read the program's
-`n2_arrays` and build no `Rule`: the kernel gets the two int32 arrays as
-they are, `_Searcher` turns them into lists.  Either execution hands every
-leaf to `_is_n2_answer_set_mask` in Python, as the IN-vector unpacked from
-the kernel's leaf bits or built from `_Searcher`'s state, and keeps it only
-if it passes, so results do not depend on which one ran.
+order (tests compare masks and `_propagate`/`_apply` call counts).  Both read
+the program's `n2_arrays` and build no `Rule`, and both hand their leaves to
+one contract, `on_leaf(packed) -> stop`: `packed` holds the leaf's IN atoms
+as a little-endian bitmask of (n + 7) // 8 bytes, and True ends the search.
+`enumerate_answer_sets` holds the one leaf handler: it keeps a leaf only if
+`_is_n2_answer_set_mask` accepts it and counts only kept leaves toward
+`limit`, so results do not depend on which execution ran.
 
-State is restored from per-decision copies, not unwound, so an undo is
-O(1) at O(n) memory per pending decision: about 6 bytes per atom in C (an
-int8 value, an int32 count and an int8 flag) against about two pointer words
-per atom in Python (two lists, plus a set of the unsupported atoms).  The C
-port adds a 12-byte record per decision: the atom, the unsupported count and
-a cursor into the degree order, below which every atom is assigned, so the
-fallback decision scans on from there and a backtrack restores it.  Its
-OUT assignment visits every neighbour without a branch on its value (a
-store at the queue's end on every visit needs one spare slot) and so
-finishes the loop after a conflict; that changes nothing kept, since a
-conflict's state is thrown away: the search restores a snapshot or ends.  On
-random programs the depth stays small: at most 15 over 50 full enumerations
-at n=200, c1=5, and 20 at n=1000 and 43 at n=5000 over existence searches
-(`limit=1`) at c1=3.  But nothing bounds it below n/2: k disjoint two-cycles
-`a <- not b`, `b <- not a` keep k decisions pending; at k=2000 an existence
-search peaks at about 155 MB of RSS in Python and about 78 MB with the
-kernel, 48 MB of it snapshots.
+`search_path(n)` says which execution a program over n atoms gets.  The C
+port runs wherever module `_kernel` can build and load it; its docstring
+gives the build and cache-directory policy.  The search quietly runs on
+`_Searcher`, which also stays as the oracle of the port, where the kernel
+cannot load, where n >= `KERNEL_MAX_N` (2^29, since queue entries are int32
+`atom << 2 | value`), and while `_Searcher._propagate` or `_apply` is
+wrapped: a wrapper on the class (a profiler's, a test's, or perfbench's
+work counter) then sees the search it wraps.
+
+State is restored from per-decision copies, not unwound, so an undo is O(1)
+at O(n) memory per pending decision: about two pointer words per atom in
+Python (two lists, plus a set of the unsupported atoms) and about 6 bytes
+per atom in C, whose layout `_search.c` gives.  On random programs the depth
+stays small: at most 15 over 50 full enumerations at n=200, c1=5, and 20 at
+n=1000 and 43 at n=5000 over existence searches (`limit=1`) at c1=3.  But
+nothing bounds it below n/2: k disjoint two-cycles `a <- not b`,
+`b <- not a` keep k decisions pending; at k=2000 an existence search peaks
+at about 155 MB of RSS in Python and about 78 MB with the kernel, 48 MB of
+it snapshots.
 """
 
 from __future__ import annotations
@@ -142,8 +132,7 @@ class _Searcher:
     Branching: a decision takes the unsupported atom with the fewest free
     candidates (lowest index on ties) and branches on its first free
     candidate; with the set empty it takes the first unassigned atom in
-    degree order.  A leaf is a full assignment with the set empty,
-    re-verified against the two answer-set conditions before being reported.
+    degree order.  A leaf is a full assignment with the set empty.
     Search: `stack` holds (atom, snapshot) for each decision whose IN branch
     is untried, the snapshot being copies of `state`, `n_free_supp` and
     `unsupported` taken before it.  A decision pushes its pair and
@@ -243,13 +232,12 @@ class _Searcher:
                     return b
         return next((x for x in self.order if state[x] == _UNASSIGNED), -1)
 
-    def run(self, limit: int | None):
-        """Yield answer-set masks (unordered), stopping after `limit` of them."""
+    def run(self, on_leaf) -> None:
+        """Hand each leaf to `on_leaf(packed) -> stop`, as the kernel does, until it returns True."""
         heads, bodies = self.p.n2_arrays
         root = [x << 2 | _OUT for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
         root += [h << 2 | _IN for h in heads[heads == bodies].tolist()]  # self-loop head: never out of S
         ok = self._propagate(root)
-        found = 0
         stack: list[tuple[int, tuple]] = []  # (decided atom, state before it): IN untried
         while True:
             if ok:
@@ -259,11 +247,8 @@ class _Searcher:
                     ok = self._propagate([atom << 2 | _OUT])
                     continue
                 inside = np.array(self.state, dtype=np.int8) == _IN
-                if _is_n2_answer_set_mask(heads, bodies, inside):
-                    yield int.from_bytes(np.packbits(inside, bitorder="little").tobytes(), "little")
-                    found += 1
-                    if limit is not None and found >= limit:
-                        return
+                if on_leaf(np.packbits(inside, bitorder="little").tobytes()):
+                    return
             if not stack:  # every IN branch tried
                 return
             atom, snapshot = stack.pop()
@@ -292,26 +277,6 @@ def search_path(n: int) -> str:
     return "python"
 
 
-def _kernel_search(p: Program, limit: int | None) -> tuple[list[int], int, int]:
-    """(masks in the order found, `_propagate` calls, `_apply` calls) of the compiled search.
-
-    The kernel walks `_Searcher`'s tree; each leaf comes back here and is
-    kept only if `_is_n2_answer_set_mask` accepts it, and only kept masks
-    count toward `limit`, as in `_Searcher.run`.
-    """
-    from . import _kernel
-
-    heads, bodies = p.n2_arrays
-    masks: list[int] = []
-
-    def on_leaf(packed: bytes) -> bool:
-        if _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, packed)):
-            masks.append(int.from_bytes(packed, "little"))
-        return limit is not None and len(masks) >= limit
-
-    return masks, *_kernel.search(p.n, heads, bodies, on_leaf)
-
-
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:
     """All answer sets of a negative two-literal program (at most `limit` if given).
 
@@ -323,10 +288,20 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
         limit = require_integer("limit", limit)
         if limit < 1:
             raise ValueError("limit must be positive")
+    heads, bodies = p.n2_arrays
+    masks: list[int] = []
+
+    def on_leaf(packed: bytes) -> bool:
+        if _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, packed)):
+            masks.append(int.from_bytes(packed, "little"))
+        return limit is not None and len(masks) >= limit
+
     if search_path(p.n) == "kernel":
-        masks = _kernel_search(p, limit)[0]
+        from . import _kernel
+
+        _kernel.search(p.n, heads, bodies, on_leaf)
     else:
-        masks = list(_Searcher(p).run(limit))
+        _Searcher(p).run(on_leaf)
     return AnswerSetCollection(p.n, tuple(sorted(masks)))
 
 

@@ -27,14 +27,26 @@ def fresh_cache(monkeypatch, tmp_path):
     _kernel.load.cache_clear()
 
 
+def assert_n2_arrays_sorted(p: Program) -> None:
+    """p's `n2_arrays` strictly increase in (head, body), the order the search kernel reads `bodies` in."""
+    heads, bodies = p.n2_arrays
+    assert np.all((heads[1:] > heads[:-1]) | ((heads[1:] == heads[:-1]) & (bodies[1:] > bodies[:-1])))
+
+
 def assert_same_program(a: Program, b: Program) -> None:
-    """a and b are one program: equal both ways, one hash and repr, one set and dict key, through pickle too."""
+    """a and b are one program: equal both ways, one hash and repr, one set and dict key, through pickle too.
+
+    An n2 program's arrays are also checked to be sorted, before and after pickling.
+    """
     assert a == b and b == a and not a != b
     assert hash(a) == hash(b) and repr(a) == repr(b)
     assert len({a, b}) == 1 and {a: "a"}[b] == "a"
     for p in (a, b):
         q = pickle.loads(pickle.dumps(p))
         assert type(q) is Program and q == a and a == q and hash(q) == hash(a) and repr(q) == repr(a)
+        if p.is_n2:
+            assert_n2_arrays_sorted(p)
+            assert_n2_arrays_sorted(q)
     if a.is_n2:
         for x, y in zip(a.n2_arrays, b.n2_arrays):
             assert x.dtype == y.dtype == np.int32 and not x.flags.writeable and not y.flags.writeable

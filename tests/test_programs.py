@@ -85,7 +85,7 @@ class TestFromN2Arrays:
         bodies = np.array([b for _, b in shuffled], dtype=np.int64)
         bulk = Program.from_n2_arrays(p.n, heads, bodies)
         general = Program(p.n, [Rule(h, (), (b,)) for h, b in shuffled])
-        assert_same_program(bulk, general)
+        assert_same_program(bulk, general)  # both sort their arrays, from shuffled and repeated pairs
         assert bulk.rules == general.rules == p.rules
         assert all(type(r) is Rule and type(r.head) is int and type(r.neg_body[0]) is int for r in bulk.rules)
         assert bulk.is_n2 and general.is_n2

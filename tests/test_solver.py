@@ -5,10 +5,11 @@ import threading
 import tracemalloc
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from randasp import _kernel
+from randasp import _kernel, solver
 from randasp.generate import LinearModelParams, generate, mix_seed
 from randasp.programs import AtomSet, Program, Rule, is_answer_set_general, pure_rule
 from randasp.solver import (
@@ -17,7 +18,6 @@ from randasp.solver import (
     _SUPPORTED,
     _UNASSIGNED,
     KERNEL_MAX_N,
-    _kernel_search,
     _Searcher,
     enumerate_answer_sets,
     enumerate_brute_force,
@@ -178,7 +178,7 @@ class TestDeepSearch:
         p = two_cycles(k)
         tracemalloc.start()
         try:
-            list(_Searcher(p).run(1))
+            search(p, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -205,7 +205,24 @@ class TestExistence:
                 assert set(col.masks) <= set(bf.masks)
 
 
-class _CheckedSearcher(_Searcher):
+class _CountingSearcher(_Searcher):
+    """Counts `_propagate` calls past the root one (one per branch tried) and `_apply` calls."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.decisions = -1
+        self.applies = 0
+
+    def _propagate(self, queue):
+        self.decisions += 1
+        return super()._propagate(queue)
+
+    def _apply(self, queue, val, atom):
+        self.applies += 1
+        return super()._apply(queue, val, atom)
+
+
+class _CheckedSearcher(_CountingSearcher):
     """Checks the support fields after every successful propagation and every undo.
 
     The state a failed propagation leaves is thrown away by the next undo, so
@@ -235,28 +252,23 @@ class _CheckedSearcher(_Searcher):
         self._check()
 
 
-class _CountingSearcher(_Searcher):
-    """Counts `_propagate` calls past the root one (one per branch tried) and `_apply` calls."""
+def search(p, limit=None, execution=_CountingSearcher):
+    """(leaves in the order found, `_propagate` calls, `_apply` calls) of one execution of the search.
 
-    def __init__(self, p):
-        super().__init__(p)
-        self.decisions = -1
-        self.applies = 0
+    `execution` is `_kernel` or a `_CountingSearcher` class.  Either gets the
+    same `on_leaf`, which keeps every leaf unchecked and stops after `limit`.
+    """
+    leaves = []
 
-    def _propagate(self, queue):
-        self.decisions += 1
-        return super()._propagate(queue)
+    def on_leaf(packed):
+        leaves.append(int.from_bytes(packed, "little"))
+        return limit is not None and len(leaves) >= limit
 
-    def _apply(self, queue, val, atom):
-        self.applies += 1
-        return super()._apply(queue, val, atom)
-
-
-def python_search(p, limit):
-    """(masks in the order found, `_propagate` calls, `_apply` calls) of `_Searcher`, as `_kernel_search` gives them."""
-    searcher = _CountingSearcher(p)
-    masks = list(searcher.run(limit))
-    return masks, searcher.decisions + 1, searcher.applies
+    if execution is _kernel:
+        return leaves, *_kernel.search(p.n, *p.n2_arrays, on_leaf)
+    searcher = execution(p)
+    searcher.run(on_leaf)
+    return leaves, searcher.decisions + 1, searcher.applies
 
 
 # (decisions, _apply calls) summed over t = 0..9, recorded from an earlier
@@ -270,10 +282,9 @@ class TestSearchTree:
     def test_tree_is_pinned(self, n, c1, c2, limit, expected):
         decisions = applies = 0
         for t in range(10):
-            searcher = _CountingSearcher(generate(LinearModelParams(n, c1, c2), mix_seed(20240901, t)))
-            list(searcher.run(limit))
-            decisions += searcher.decisions
-            applies += searcher.applies
+            _, propagations, apply_calls = search(generate(LinearModelParams(n, c1, c2), mix_seed(20240901, t)), limit)
+            decisions += propagations - 1
+            applies += apply_calls
         assert (decisions, applies) == expected
 
     @needs_kernel
@@ -282,8 +293,8 @@ class TestSearchTree:
         decisions = applies = 0
         for t in range(10):
             p = generate(LinearModelParams(n, c1, c2), mix_seed(20240901, t))
-            got = _kernel_search(p, limit)
-            assert got == python_search(p, limit)
+            got = search(p, limit, _kernel)
+            assert got == search(p, limit)
             decisions += got[1] - 1
             applies += got[2]
         assert (decisions, applies) == expected
@@ -294,7 +305,7 @@ class TestSearchTree:
         # search must then run on `_Searcher`, and the wrappers count what
         # the kernel counts for the same program.
         p = generate(LinearModelParams(200, 5.0, 0.0), mix_seed(20240901, 0))
-        kernel_masks, propagations, applies = _kernel_search(p, None)
+        kernel_masks, propagations, applies = search(p, None, _kernel)
         calls = {"_propagate": 0, "_apply": 0}
         for name in calls:
             orig = getattr(_Searcher, name)
@@ -317,14 +328,13 @@ class TestUnsupportedSet:
         for i, (n, c1, c2) in enumerate([(12, 3.0, 1.0), (40, 5.0, 0.0), (60, 4.0, 2.0)]):
             for t in range(6):
                 p = generate(LinearModelParams(n, c1, c2), mix_seed(600 + i, t))
-                searcher = _CheckedSearcher(p)
-                masks = sorted(searcher.run(None))
+                masks = sorted(search(p, None, _CheckedSearcher)[0])
                 assert tuple(masks) == enumerate_answer_sets(p).masks
 
     @given(n2_programs(max_n=10))
     @settings(max_examples=60, deadline=None)
     def test_invariant_on_small_programs(self, p):
-        masks = sorted(_CheckedSearcher(p).run(None))
+        masks = sorted(search(p, None, _CheckedSearcher)[0])
         assert tuple(masks) == enumerate_brute_force(p).masks
 
 
@@ -419,24 +429,24 @@ class TestKernelEquivalence:
     def test_pinned_programs(self):
         for n, c2, t, _, _ in PINNED:
             p = generate(LinearModelParams(n, 5.0, c2), mix_seed(PINNED_SEED, n * 1000 + int(c2) * 100 + t))
-            assert _kernel_search(p, None) == python_search(p, None)
+            assert search(p, None, _kernel) == search(p, None)
 
     @given(n2_programs(min_n=0, max_n=10))
     @settings(max_examples=150)
     def test_small_programs(self, p):
         for limit in (None, 1):
-            assert _kernel_search(p, limit) == python_search(p, limit)
+            assert search(p, limit, _kernel) == search(p, limit)
 
     def test_five_hundred_pending_decisions(self):
         p = two_cycles(500)
-        assert _kernel_search(p, 1) == python_search(p, 1)
+        assert search(p, 1, _kernel) == search(p, 1)
 
     def test_ten_two_cycles_enumerated(self):
         # 1024 leaves; each backtrack restores a decision's fallback cursor.
         p = two_cycles(10)
-        got = _kernel_search(p, None)
+        got = search(p, None, _kernel)
         assert len(got[0]) == 1024
-        assert got == python_search(p, None)
+        assert got == search(p, None)
 
     # The shapes of the benchmark's workloads: existence at n=1000, c1=3 and
     # full enumeration at n=200, c1=5.
@@ -444,12 +454,24 @@ class TestKernelEquivalence:
     def test_benchmark_shapes(self, n, c1, limit, trials):
         for t in range(trials):
             p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240901, t))
-            assert _kernel_search(p, limit) == python_search(p, limit)
+            assert search(p, limit, _kernel) == search(p, limit)
 
     def test_path_by_size(self):
         assert KERNEL_MAX_N == 1 << 29
         assert search_path((1 << 29) - 1) == "kernel"
         assert search_path(1 << 29) == "python"  # decided from n alone: nothing of that size is made
+
+
+class TestKernelArguments:
+    def test_rejects_two_to_the_31_rules(self):
+        # The kernel's offsets are int32.  A zero-stride view: nothing is allocated.
+        atoms = np.broadcast_to(np.zeros(1, np.int32), (1 << 31,))
+        with pytest.raises(ValueError, match=r"fewer than 2\^31 rules, got 2147483648"):
+            _kernel.search(1, atoms, atoms, lambda packed: True)
+
+    def test_rejects_arrays_of_two_shapes(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            _kernel.search(2, np.zeros(2, np.int32), np.zeros(1, np.int32), lambda packed: True)
 
 
 class TestKernelBuild:
@@ -519,16 +541,37 @@ class TestCount:
             assert enumerate_answer_sets(p).count == enumerate_brute_force(p).count
 
 
+@pytest.fixture(params=[pytest.param("kernel", marks=needs_kernel), "python"])
+def forced_path(request, monkeypatch):
+    """The name of the execution that `enumerate_answer_sets` is made to run."""
+    monkeypatch.setattr("randasp.solver.search_path", lambda n: request.param)
+    return request.param
+
+
 class TestLeafRecheck:
-    def test_every_leaf_goes_through_the_mask_checker(self, monkeypatch):
+    """`enumerate_answer_sets`'s one leaf handler, behind either execution."""
+
+    def test_every_leaf_goes_through_the_mask_checker(self, monkeypatch, forced_path):
         p = generate(LinearModelParams(50, 5.0, 0.0), mix_seed(PINNED_SEED, 50001))  # 3 sets pinned
         assert enumerate_answer_sets(p).count == 3
         monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: False)
         assert enumerate_answer_sets(p).masks == ()
-        assert list(_Searcher(p).run(None)) == []
         assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
 
-    def test_an_error_in_the_recheck_stops_the_search_and_is_raised(self, monkeypatch):
+    def test_a_rejected_leaf_does_not_count_toward_the_limit(self, monkeypatch, forced_path):
+        p = two_cycles(3)
+        leaves = search(p)[0]
+        checked = []
+
+        def reject_first(heads, bodies, inside, _check=solver._is_n2_answer_set_mask):
+            checked.append(inside)
+            return len(checked) > 1 and _check(heads, bodies, inside)
+
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", reject_first)
+        assert enumerate_answer_sets(p, limit=1).masks == (leaves[1],)
+        assert len(checked) == 2
+
+    def test_an_error_in_the_recheck_stops_the_search_and_is_raised(self, monkeypatch, forced_path):
         checked = []
 
         def broken(heads, bodies, inside):
@@ -562,7 +605,7 @@ class TestArrayPath:
     @pytest.mark.parametrize("n, c1, limit", PROGRAMS)
     def test_python_search_builds_no_rules(self, n, c1, limit):
         p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240904, n))
-        masks = sorted(_Searcher(p).run(limit))
+        masks = sorted(search(p, limit)[0])
         assert "rules" not in vars(p)
         assert tuple(masks) == enumerate_answer_sets(p, limit).masks
 

@@ -105,7 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--c2", type=functools.partial(_comma_list, float), required=True, help="comma-separated values")
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=_u64, required=True)
-    exp.add_argument("--workers", type=int, default=1)
+    exp.add_argument(
+        "--workers", type=int, default=1, help="processes that run trials, this one included (default %(default)s)"
+    )
     exp.add_argument("--out", required=True)
     exp.set_defaults(handler=_cmd_experiment)
     return top

@@ -3,14 +3,16 @@
 Trial t of a run seeded with s generates its program from sub-seed
 mix_seed(s, t), so results are independent of scheduling.  Each row of a
 sweep is cut into chunks of consecutive trials, about four per worker, so a
-heavy-tailed row does not leave workers idle behind one slow chunk.  With
-workers > 1 every row's chunks are queued at once on one process pool, and
-any idle worker takes the next chunk; rows are reduced and reported in row
-order as their chunks come in.  One worker, `_count_chunk`, serves all three
-experiments; consistency stops each search at its first answer set, so its
-summed count is the number of consistent programs.  All accumulators are
-integers, which makes the reduction exact and byte-identical for any worker
-count.
+heavy-tailed row does not leave workers idle behind one slow chunk; near the
+end of the sweep the chunks shrink.  With workers > 1 the calling process is
+one of the workers and a process pool holds the rest: every row's chunks are
+queued at once on the pool, any idle child takes the next chunk, and while
+the caller waits for a chunk it runs the queued chunks no child has started
+yet.  Rows are reduced and reported in row order as their chunks come in.
+One worker, `_count_chunk`, serves all three experiments; consistency stops
+each search at its first answer set, so its summed count is the number of
+consistent programs.  All accumulators are integers, which makes the
+reduction exact and byte-identical for any worker count.
 
 The row loop is written once, in `_sweep`: each experiment passes a row
 function that turns one row's column sums into its result and a progress
@@ -153,14 +155,37 @@ def _count_chunk(args):
     return (total, sq, resamples, *hist)
 
 
+def _take_while_waiting(futures, chunks):
+    """`_count_chunk` of each chunk, in order; this process runs every chunk no child has started.
+
+    While chunk i is not done, walk forward from it and run each chunk whose
+    future `cancel()` still succeeds.  Only the few chunks a child has
+    started or has been handed are out of reach.
+    """
+    mine = {}
+    ahead = 0
+    for i, f in enumerate(futures):
+        ahead = max(ahead, i)
+        while not f.done() and ahead < len(futures):
+            if futures[ahead].cancel():
+                mine[ahead] = _count_chunk(chunks[ahead])
+            ahead += 1
+        yield mine.pop(i) if f.cancelled() else f.result()
+
+
 def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress: bool) -> list:
     """Results of `row(n, c1, c2, sums)` for each row of the grid, in row order.
 
     `sums` are the column sums of `_count_chunk` over the row's trials, and
     `row` returns (result, note).  With `progress`, the note goes to stderr
     followed by "[row i/rows, seconds since the sweep started]".  A pool is
-    started only for more than one worker and chunk; it is shut down, its
-    queued chunks cancelled, when the sweep returns or raises.
+    started only for more than one worker and chunk.  This process is one
+    of the `workers` and the pool holds the rest: every chunk is submitted
+    up front, and while waiting for the next chunk in row order this
+    process walks forward through the chunks and runs each one whose
+    future it can still cancel, that is, each one no child has started.
+    The pool is shut down, its queued chunks cancelled, when the sweep
+    returns or raises.
     """
     workers = require_integer("workers", workers)
     if workers < 1:
@@ -170,25 +195,42 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     # About four chunks per worker and row: enough that idle workers take up
     # a straggler's share, few enough that one chunk's pickling round trip
     # stays small next to its trials (one trial per task slowed a 1000-trial
-    # n=50 row at two workers by a third).
+    # n=50 row at two workers by a third).  With a pool, a chunk near the
+    # end of the sweep holds at most a (4 * workers)-th of the trials left:
+    # a child runs the two or three chunks it has been handed even when this
+    # process has none left to take, so those must be short.  (With eight
+    # even chunks a 600-trial n=1000 consistency row at two workers ran 11%
+    # slower than with two children and an idle caller, on a 2-vCPU box.)
     per = -(-cfg.trials // (4 * workers))
-    starts = range(0, cfg.trials, per)
-    chunks = [(n, c1, c2, cfg.seed, lo, min(lo + per, cfg.trials), limit) for n, c1, c2 in rows for lo in starts]
+    left = len(rows) * cfg.trials
+    row_chunks = []
+    for n, c1, c2 in rows:
+        row_chunks.append([])
+        lo = 0
+        while lo < cfg.trials:
+            hi = min(cfg.trials, lo + per)
+            if workers > 1:
+                hi = min(hi, lo + -(-left // (4 * workers)))
+            row_chunks[-1].append((n, c1, c2, cfg.seed, lo, hi, limit))
+            left -= hi - lo
+            lo = hi
+    chunks = [c for cs in row_chunks for c in cs]
     pool = None
     if workers > 1 and len(chunks) > 1:
-        # Load the search kernel here, once: forked workers inherit it and
-        # none of them hashes the source or races to compile it.
+        # Load the search kernel here, once, before the pool forks: this
+        # process runs chunks too, the children inherit the loaded kernel,
+        # and none of them hashes the source or races to compile it.
         search_path(max(cfg.n))
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)) - 1)
     out = []
     try:
         if pool is None:
             results = map(_count_chunk, chunks)
         else:
             futures = [pool.submit(_count_chunk, c) for c in chunks]  # every row queued up front
-            results = (f.result() for f in futures)
-        for i, (n, c1, c2) in enumerate(rows, 1):
-            sums = [sum(column) for column in zip(*itertools.islice(results, len(starts)))]
+            results = _take_while_waiting(futures, chunks)
+        for i, ((n, c1, c2), cs) in enumerate(zip(rows, row_chunks), 1):
+            sums = [sum(column) for column in zip(*itertools.islice(results, len(cs)))]
             result, note = row(n, c1, c2, sums)
             out.append(result)
             if progress:

@@ -331,7 +331,7 @@ class TestExperimentCommand:
         assert len(out.read_text().splitlines()) == 5 + 3  # provenance, header, 3 rows
 
     @pytest.mark.parametrize("kind, n", [("avg", "10,12,14"), ("consistency", "10,12,14"), ("dist", "10")])
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_progress_line_per_row_on_stderr(self, tmp_path, capsys, kind, n, workers):
         out = tmp_path / "sweep.csv"
         code = run_cli(

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,14 +210,17 @@ class TestWorkers:
             with pytest.raises(ValueError, match="workers must be an integer"):
                 run(cfg, workers=workers)
 
-    def test_one_pool_per_sweep_sized_to_its_chunks(self, monkeypatch):
-        sizes = []
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """The pool sizes asked for and the chunks submitted, each run as it is submitted."""
+        seen = SimpleNamespace(sizes=[], chunks=[])
 
         class InlinePool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                seen.sizes.append(max_workers)
 
             def submit(self, fn, *args):
+                seen.chunks.append(args[0])
                 future = Future()
                 future.set_result(fn(*args))
                 return future
@@ -224,17 +229,32 @@ class TestWorkers:
                 pass
 
         monkeypatch.setattr("randasp.experiments.ProcessPoolExecutor", InlinePool)
+        return seen
+
+    def test_one_pool_per_sweep_sized_to_its_chunks(self, inline_pool):
+        sizes = inline_pool.sizes
         three_rows = ExperimentConfig(n=[10, 12, 14], c1=3.0, c2=0.0, trials=6, seed=8)
         for run in (run_avg_experiment, run_consistency_experiment):
             assert run(three_rows, workers=2) == run(three_rows, workers=1)
-            assert sizes.pop() == 2 and not sizes  # 3 rows x 6 one-trial chunks
+            assert sizes.pop() == 1 and not sizes  # 3 rows x 6 one-trial chunks; this process is the other worker
         three_chunks = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
         assert run_avg_experiment(three_chunks, workers=8) == run_avg_experiment(three_chunks, workers=1)
-        assert sizes == [3]
+        assert sizes == [2]
         one_chunk = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=8)
         run_avg_experiment(one_chunk, workers=2)
         run_dist_experiment(one_chunk, workers=2)
-        assert sizes == [3]
+        assert sizes == [2]
+
+    def test_chunks_shrink_toward_the_end_of_the_sweep(self, inline_pool):
+        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=40, seed=8)
+        assert run_avg_experiment(cfg, workers=2) == run_avg_experiment(cfg, workers=1)
+        spans = [(c[0], c[4], c[5]) for c in inline_pool.chunks]
+        for n in (10, 12):  # each row's trials once, in order
+            bounds = [(lo, hi) for m, lo, hi in spans if m == n]
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == 40
+        sizes = [hi - lo for _, lo, hi in spans]
+        assert sizes[:8] == [5] * 8  # an eighth of a row while half the sweep is left
+        assert sizes == sorted(sizes, reverse=True) and sizes[-8:] == [1] * 8
 
     def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
         # Forked workers inherit what `load()` cached, so none of them
@@ -243,32 +263,58 @@ class TestWorkers:
         run_avg_experiment(ExperimentConfig(n=[20, 30], c1=3.0, c2=0.0, trials=4, seed=8), workers=2)
         assert _kernel.load.cache_info().currsize == 1
 
-    # Each trial leaves a marker file; the patch reaches the pool's workers
-    # because they are forked from this process.  Without cancelling the
-    # queued chunks, the 80 trials behind the failure would all run.
-    @pytest.mark.parametrize("run", [run_avg_experiment, run_consistency_experiment])
-    @pytest.mark.parametrize("fail_in", ["trial", "caller"])
-    def test_error_cancels_queued_chunks(self, monkeypatch, tmp_path, run, fail_in):
+    # Each trial leaves a marker file named after the process that ran it;
+    # the patch reaches the pool's workers because they are forked from
+    # this process.
+    @staticmethod
+    def mark_trials(monkeypatch, tmp_path, fails=lambda params: False):
         real = generate_with_stats
 
         def marked(params, seed):
-            (tmp_path / f"{params.n}-{seed}").touch()
-            if fail_in == "trial" and params.n == 10:
+            (tmp_path / f"{os.getpid()}-{params.n}-{seed}").touch()
+            time.sleep(0.02)
+            if fails(params):
                 raise RuntimeError("trial failed")
-            time.sleep(0.05)
             return real(params, seed)
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", marked)
+        return lambda: [int(marker.name.split("-")[0]) for marker in tmp_path.iterdir()]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_this_process_is_one_of_the_workers(self, monkeypatch, tmp_path, workers):
+        pids = self.mark_trials(monkeypatch, tmp_path)
+        cfg = ExperimentConfig(n=10, c1=3.0, c2=0.0, trials=12, seed=5)  # 10 chunks at 2 workers, 12 at 3 or 4
+        swept = run_avg_experiment(cfg, workers=workers)
+        ran = pids()
+        assert swept == run_avg_experiment(cfg, workers=1)
+        assert len(ran) == 12  # each trial once, by one process
+        assert os.getpid() in ran and len(set(ran)) <= workers
+        assert not multiprocessing.active_children()
+
+    # Without cancelling the queued chunks, the 80 trials behind the failure
+    # would all run.
+    @pytest.mark.parametrize("run", [run_avg_experiment, run_consistency_experiment])
+    @pytest.mark.parametrize("fail_in", ["trial", "caller", "caller's trial", "child's trial"])
+    def test_error_cancels_queued_chunks(self, monkeypatch, tmp_path, run, fail_in):
+        caller = os.getpid()
+        fails = {
+            "trial": lambda params: params.n == 10,
+            "caller": lambda params: False,
+            "caller's trial": lambda params: os.getpid() == caller,
+            "child's trial": lambda params: os.getpid() != caller,
+        }[fail_in]
+        pids = self.mark_trials(monkeypatch, tmp_path, fails)
 
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", marked)
         if fail_in == "caller":  # the theory columns of row 0, in this process
             monkeypatch.setattr("randasp.experiments.expected_total", interrupted)
         cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
-        with pytest.raises(RuntimeError if fail_in == "trial" else KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt if fail_in == "caller" else RuntimeError):
             run(cfg, workers=2)
         assert not multiprocessing.active_children()
-        assert len(list(tmp_path.iterdir())) < 48  # of 96 trials
+        assert len(pids()) < 48  # of 96 trials
 
 
 class TestDistExperiment:

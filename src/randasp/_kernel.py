@@ -1,19 +1,24 @@
-"""Build, cache and call the compiled search kernel `_search.c`.
+"""Build, cache and call the compiled kernel `_search.c`.
 
-The first `load()` in a process compiles the C source once with the system
-`cc` into a private cache directory and loads it with ctypes.  The directory
-is the `randasp` leaf of `$XDG_CACHE_HOME` (if set to an absolute path) or
-of `~/.cache`, made with mode 0o700 only when that root already exists;
-otherwise it is `randasp-<uid>` under `tempfile.gettempdir()`.  A library is
-loaded only from a directory that is not a symlink, is owned by the current
-user and is writable by no one else.  The file name carries the SHA-256 of
-the source, the compiler command and the machine type, so a changed source
-is rebuilt and an unchanged one is compiled once per machine.  Each build
-writes a temporary file and renames it into place, so processes that build
-at the same time (pool workers) never load a partial file.  Where no
-compiler or no private directory is found, `load()` returns None and the
-caller searches in Python.  Only `solver` imports this module, and only when
-it first searches, so `import randasp` loads no ctypes and compiles nothing.
+The kernel has two entry points: `randasp_search`, the search of
+`solver._Searcher`, called through `search`, and `randasp_sample`, the skip
+walk of `generate`, called through `sample`.  The first `load()` in a
+process compiles the C source once with the system `cc` into a private
+cache directory and loads it with ctypes.  The directory is the `randasp`
+leaf of `$XDG_CACHE_HOME` (if set to an absolute path) or of `~/.cache`,
+made with mode 0o700 only when that root already exists; otherwise it is
+`randasp-<uid>` under `tempfile.gettempdir()`.  A library is loaded only
+from a directory that is not a symlink, is owned by the current user and is
+writable by no one else.  The file name carries the SHA-256 of the source,
+the compiler command and the machine type, so a changed source is rebuilt
+and an unchanged one is compiled once per machine.  Each build writes a
+temporary file and renames it into place, so processes that build at the
+same time (pool workers) never load a partial file.  Where no compiler or
+no private directory is found, `load()` returns None and the callers fall
+back to Python: `solver` searches with `_Searcher`, and `generate` takes
+its scalar walk.  Only `solver` and `generate` import this module, each when
+it first searches or samples, so `import randasp` loads no ctypes and
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ except ImportError:
     except ImportError:  # an interpreter built without its own hashes
         from hashlib import sha256
 
-CC = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-")  # source on stdin
+# source on stdin; -lm names the libm whose `log` the sampler calls
+CC = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-lm")
 LEAF = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)  # (IN bitmask) -> stop?
 _INT32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _INT64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -91,7 +97,7 @@ def _build(src: bytes, path: Path) -> None:
 
 @functools.cache
 def load():
-    """The kernel's `randasp_search` function, or None where it cannot be built."""
+    """The kernel library with `randasp_search` and `randasp_sample` bound, or None where it cannot be built."""
     cache = cache_dir()
     if cache is None:
         return None
@@ -101,12 +107,16 @@ def load():
     try:
         if not path.exists():
             _build(src, path)
-        fn = ctypes.CDLL(str(path)).randasp_search
+        lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):  # no compiler, or it failed
         return None
-    fn.argtypes = [ctypes.c_int32, ctypes.c_int64, _INT32, _INT32, LEAF, _INT64]
-    fn.restype = ctypes.c_int
-    return fn
+    lib.randasp_search.argtypes = [ctypes.c_int32, ctypes.c_int64, _INT32, _INT32, LEAF, _INT64]
+    lib.randasp_search.restype = ctypes.c_int
+    lib.randasp_sample.argtypes = [
+        ctypes.c_uint64, ctypes.c_int32, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+    ]
+    lib.randasp_sample.restype = ctypes.c_int64
+    return lib
 
 
 def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int, int]:
@@ -125,7 +135,7 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
         raise ValueError(f"heads and bodies differ in shape: {heads.shape} vs {bodies.shape}")
     if heads.size >= 1 << 31:
         raise ValueError(f"the search kernel takes fewer than 2^31 rules, got {heads.size}")
-    fn = load()
+    fn = load().randasp_search
     nbytes = (n + 7) // 8
     errors = []
 
@@ -143,3 +153,22 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
     if errors:
         raise errors[0]
     return int(counts[0]), int(counts[1])
+
+
+def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, bodies) of the program that `randasp_sample` draws from stream `seed` over n < 2^31 atoms.
+
+    `log_p` and `log_d` are log1p(-p) and log1p(-d), or 0.0 where that
+    probability is 0.  The rules are written into a buffer of `cap` first;
+    when there are more, into a buffer of their exact count, from the same
+    stream.  Returns two views of one int32 buffer.
+    """
+    if n >= 1 << 31:
+        raise ValueError(f"the sampler takes fewer than 2^31 atoms, got n={n}")
+    fn = load().randasp_sample
+    out = np.empty((2, cap), dtype=np.int32)
+    count = fn(seed, n, log_p, log_d, cap, out.ctypes.data)
+    if count > cap:
+        out = np.empty((2, count), dtype=np.int32)
+        fn(seed, n, log_p, log_d, count, out.ctypes.data)
+    return out[0, :count], out[1, :count]

@@ -1,4 +1,7 @@
-/* The search of solver._Searcher, step for step: the same propagation, the
+/* Two entry points: randasp_search, the search of solver._Searcher, and
+ * randasp_sample, generate's skip walk (at the end of this file).
+ *
+ * The search of solver._Searcher, step for step: the same propagation, the
  * same branching and the same chronological backtracking, so it visits the
  * same tree and reports the same leaves in the same order.  propagate ports
  * _Searcher._propagate with _apply inlined, one queue pop per _apply call;
@@ -21,6 +24,7 @@
  * after a conflict changes nothing that is kept: a conflict clears the queue,
  * and the search restores a snapshot before it goes on, or ends.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -251,4 +255,55 @@ done:
     free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.queue);
     free(state), free(bits), free(snaps), free(decided), free(cnt);
     return rc;
+}
+
+/* The draws of generate._sample_n2_arrays, bit for bit.  Draw i of the
+ * splitmix64 stream `seed` is mix64(seed + (i + 1) * GAMMA), its uniform u
+ * is ((z >> 11) + 1) * 2^-53, exact in a double, and its skip is
+ * int(min(log(u) / log_q, total)) with libm's log, the function Python's
+ * math.log calls.  The ratio is never NaN (log(u) <= 0 and log_q < 0).
+ * Below 2^62 the cast truncates it exactly, and a skip of at least total
+ * ends the walk whatever its value, so a larger ratio (inf, for a subnormal
+ * prob) takes total, and pos + 1 + skip stays below 2^63 (total < 2^62).
+ * No other float operation is taken, so build without -ffast-math. */
+static const uint64_t GAMMA = 0x9E3779B97F4A7C15u;
+
+static uint64_t mix64(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+/* The next success of the Bernoulli walk over [0, total) after pos, or a
+ * position >= total at its end; takes draw *draw and advances it. */
+static int64_t next_success(uint64_t seed, uint64_t *draw, int64_t pos, double log_q, int64_t total) {
+    uint64_t z = mix64(seed + ++*draw * GAMMA);
+    double ratio = log((double)((z >> 11) + 1) * 0x1p-53) / log_q;
+    return pos + 1 + (ratio < 0x1p62 ? (int64_t)ratio : total);
+}
+
+/* One program over n atoms from stream seed: each pure rule a <- not b
+ * (a != b) with probability p, then each contradiction a <- not a with
+ * probability d, given as log_p = log1p(-p) and log_d = log1p(-d), 0 for
+ * a probability of 0 (a walk that takes no draw).  The pure walk takes
+ * draws 0, 1, ... over the positions [0, n(n-1)), position j being the
+ * pair (j / (n-1), r + (r >= a)) with r = j % (n-1); the contradiction
+ * walk goes on from the next unused draw.  The first cap rules go to
+ * out[0..cap) (heads) and out[cap..2cap) (bodies), pure rules in (a, b)
+ * order, then contradictions.  Returns the number of rules, which may
+ * exceed cap: the same stream then gives the same rules into a larger
+ * buffer. */
+int64_t randasp_sample(uint64_t seed, int32_t n, double log_p, double log_d, int64_t cap, int32_t *out) {
+    uint64_t draw = 0; /* draws taken */
+    int64_t m = 0, total = (int64_t)n * (n - 1);
+    if (log_p < 0 && total > 0)
+        for (int64_t j = -1; (j = next_success(seed, &draw, j, log_p, total)) < total; m++)
+            if (m < cap) {
+                int32_t a = (int32_t)(j / (n - 1)), r = (int32_t)(j % (n - 1));
+                out[m] = a, out[cap + m] = r + (r >= a);
+            }
+    if (log_d < 0 && n > 0)
+        for (int64_t i = -1; (i = next_success(seed, &draw, i, log_d, n)) < n; m++)
+            if (m < cap) out[m] = out[cap + m] = (int32_t)i;
+    return m;
 }

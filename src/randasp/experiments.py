@@ -217,7 +217,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     chunks = [c for cs in row_chunks for c in cs]
     pool = None
     if workers > 1 and len(chunks) > 1:
-        # Load the search kernel here, once, before the pool forks: this
+        # Load the compiled kernel here, once, before the pool forks: this
         # process runs chunks too, the children inherit the loaded kernel,
         # and none of them hashes the source or races to compile it.
         search_path(max(cfg.n))

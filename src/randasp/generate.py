@@ -8,27 +8,24 @@ Randomness contract
 -------------------
 All draws come from splitmix64, a counter-based 64-bit generator: stream
 state advances by the golden-gamma constant and is finalized with the
-Stafford mix, so draw i of the stream seeded s is _mix64(s + (i+1)*GAMMA)
-and a run of draws is one wrapping uint64 numpy computation.  Sub-streams
-are derived with `mix_seed(seed, i)`, so per-trial programs are independent
-of scheduling order.  Rule inclusion is sampled by sorted geometric skips
-over the rule index space, which realizes exactly the independent-Bernoulli
-distribution (equivalently: binomial rule count plus a uniform distinct
-subset) in O(expected rules) time.  The pure rules consume draws 0..m of the
-trial's stream (one per rule plus the skip that passes the end), and the
-contradiction rules continue from draw m+1.
+Stafford mix, so draw i of the stream seeded s is _mix64(s + (i+1)*GAMMA).
+Sub-streams are derived with `mix_seed(seed, i)`, so per-trial programs are
+independent of scheduling order.  Rule inclusion is sampled by sorted
+geometric skips over the rule index space, which realizes exactly the
+independent-Bernoulli distribution (equivalently: binomial rule count plus a
+uniform distinct subset) in O(expected rules) time.  The pure rules consume
+draws 0..m of the trial's stream (one per rule plus the skip that passes the
+end), and the contradiction rules continue from draw m+1.
 
-Draws are computed in batches.  Each one still takes its skip
-int(log(u) / log1p(-prob)) exactly as a scalar loop with `math.log` would:
-u is ((x >> 11) + 1) * 2^-53, exact in float64.  The batch takes its logs
-with `np.log`, whose last bit differs from `math.log`'s on some inputs
-(6,986 of 2,000,000 doubles on one machine).  Such a difference can only
-change a skip if an integer lies between the two ratios, which are then
-a few ulps apart.  So every ratio within a relative 2^-30 (about 2^22 ulps)
-of an integer is recomputed with `math.log`; all others already floor to
-the scalar skip.  Only a few logs per 1,000 n=1000, c1=3 programs fall
-inside the guard.  `_generate_bernoulli` keeps the O(n^2) per-index scan
-as the distribution oracle for tests.
+The skip of a draw is int(min(log(u) / log1p(-prob), total)), where u is
+((x >> 11) + 1) * 2^-53, exact in float64, and `log` is the C library's.
+`_skip_indices` is the definition: one draw, one `math.log`, one skip at a
+time.  The compiled kernel (`_kernel`, `randasp_sample` in `_search.c`)
+runs the same walk in C and calls the same libm `log` that `math.log`
+calls, so it gives the same bits with no numpy float operation; it draws a
+program where it loads, and the scalar walk draws it where it does not.
+`_generate_bernoulli` keeps the O(n^2) per-index scan as the distribution
+oracle for tests.
 """
 
 from __future__ import annotations
@@ -139,79 +136,41 @@ def require_sampleable(params: LinearModelParams) -> None:
         )
 
 
-_U64_GAMMA = np.uint64(_GAMMA)
-_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_U64_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """SplitMix64(seed).random() values of draws start .. start+count-1."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _U64_GAMMA  # uint64 arrays wrap like the & _M64 of the scalar stream
-    z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
-    z *= _U64_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _U64_MIX2
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-
-
-# A ratio closer than this (relative) to an integer is recomputed with math.log;
-# np.log and math.log are a few ulps (about 2^-52 relative) apart.
-_SKIP_GUARD = 2.0**-30
-
-
-def _skips(u: np.ndarray, log_q: float, total: int) -> np.ndarray:
-    """int(log(u) / log_q) per uniform with math.log's bits, capped at `total`.
-
-    A skip of `total` already ends the walk, so the cap changes no result
-    and keeps the inf of a subnormal prob out of the guard and the cast.
-    """
-    with np.errstate(over="ignore"):
-        ratio = np.log(u) / log_q
-    np.minimum(ratio, total, out=ratio)
-    # the floor of the np.log ratio can differ from math.log's only if an
-    # integer lies between them; ratios near one are redone exactly
-    near = np.flatnonzero(np.abs(ratio - np.rint(ratio)) <= _SKIP_GUARD * np.maximum(ratio, 1.0))
-    if near.size:
-        logs = np.fromiter(map(math.log, u[near].tolist()), dtype=np.float64, count=near.size)
-        with np.errstate(over="ignore"):
-            ratio[near] = np.minimum(logs / log_q, total)
-    return ratio.astype(np.int64)  # ratio >= 0, so the cast floors like int()
-
-
-def _skip_indices(seed: int, start: int, total: int, prob: float, batch: int = 0) -> tuple[np.ndarray, int]:
+def _skip_indices(seed: int, start: int, total: int, prob: float) -> tuple[list[int], int]:
     """Sorted Bernoulli(prob) successes over range(total), and the next unused draw.
 
-    Skips are taken from draws start, start+1, ... of stream `seed`, `batch`
-    draws at a time (default: enough for all but rare tails); the result does
-    not depend on the batch size.
+    Skips are taken one at a time from draws start, start+1, ... of stream
+    `seed`.  A skip of `total` already ends the walk, so capping it there
+    changes no result and keeps the inf of a subnormal prob out of `int`.
     """
+    found: list[int] = []
     if prob <= 0.0 or total == 0:
-        return np.empty(0, dtype=np.int64), start
-    mean = total * prob
-    batch = batch or min(total + 1, int(mean + 4.0 * math.sqrt(mean)) + 16)
+        return found, start
     log_q = math.log1p(-prob)
-    found = []
-    cursor = -1
+    pos = -1
     while True:
-        pos = cursor + np.cumsum(_skips(_uniforms(seed, start, batch), log_q, total) + 1)
-        end = int(np.searchsorted(pos, total))  # first position >= total
-        if end < batch:
-            found.append(pos[:end])
-            return np.concatenate(found), start + end + 1
-        found.append(pos)  # batch ran out before the walk passed total: refill
-        cursor = int(pos[-1])
-        start += batch
+        start += 1
+        u = ((_mix64(seed + start * _GAMMA) >> 11) + 1) * 2.0**-53
+        pos += 1 + int(min(math.log(u) / log_q, total))
+        if pos >= total:
+            return found, start
+        found.append(pos)
 
 
 def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(heads, bodies) of one draw: pure rules in (a, b) order, then contradictions."""
-    n = params.n
-    pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), params.p)
-    con, _ = _skip_indices(stream_seed, next_draw, n, params.d)
-    a, r = np.divmod(pure, max(n - 1, 1))  # _pair_from_index, vectorised
+    from . import _kernel  # ctypes and the build are loaded on the first draw only
+
+    n, p, d = params.n, params.p, params.d
+    if _kernel.load() is not None:
+        sd = math.sqrt(n * (n - 1) * p * (1.0 - p) + n * d * (1.0 - d))
+        cap = int(expected_rule_count(params) + 8.0 * sd) + 64  # rarely exceeded: then a second call
+        log_p = math.log1p(-p) if p > 0.0 else 0.0
+        log_d = math.log1p(-d) if d > 0.0 else 0.0
+        return _kernel.sample(stream_seed, n, log_p, log_d, cap)
+    pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), p)
+    con = np.array(_skip_indices(stream_seed, next_draw, n, d)[0], dtype=np.int64)
+    a, r = np.divmod(np.array(pure, dtype=np.int64), max(n - 1, 1))  # _pair_from_index, vectorised
     return np.concatenate((a, con)), np.concatenate((r + (r >= a), con))
 
 

@@ -133,7 +133,11 @@ class Program:
 
         Every atom is range-checked, then the pairs are sorted by the int64
         key h * n + b and deduplicated, so no per-rule Python code runs and
-        no `Rule` is built.  n must be below 2^31, where the key is exact.
+        no `Rule` is built.  Input whose keys already strictly increase
+        (canonical, as the sampler draws it at c2 = 0) skips the sort and is
+        copied as it is.  Either way the program holds fresh arrays, and the
+        caller's are neither kept nor frozen.  n must be below 2^31, where
+        the key is exact.
         """
         n = _require_universe(n)
         if n > N2_MAX_N:
@@ -151,11 +155,14 @@ class Program:
         # every atom is in [0, n), so int64 holds it whatever the input dtype,
         # and a uint64/int64 mix cannot promote the key to float64
         key = h.astype(np.int64) * n + b.astype(np.int64)
-        key.sort(kind="stable")
-        if key.size:
+        if np.all(key[1:] > key[:-1]):  # sorted, no repeats: canonical already
+            arrays = _frozen_int32(h, b)
+        else:
+            key.sort(kind="stable")
             key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+            arrays = _frozen_int32(*np.divmod(key, max(n, 1)))
         self = object.__new__(cls)
-        self.__dict__.update(n=n, symbols=None, is_n2=True, n2_arrays=_frozen_int32(*np.divmod(key, max(n, 1))))
+        self.__dict__.update(n=n, symbols=None, is_n2=True, n2_arrays=arrays)
         return self
 
     @cached_property
@@ -220,8 +227,8 @@ class Program:
 
 
 def _frozen_int32(heads, bodies) -> tuple[np.ndarray, np.ndarray]:
-    """heads and bodies as read-only int32 arrays (atoms below 2^31)."""
-    arrays = np.asarray(heads, dtype=np.int32), np.asarray(bodies, dtype=np.int32)
+    """heads and bodies copied into fresh read-only int32 arrays (atoms below 2^31)."""
+    arrays = np.array(heads, dtype=np.int32), np.array(bodies, dtype=np.int32)
     for a in arrays:
         a.flags.writeable = False
     return arrays

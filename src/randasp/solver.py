@@ -28,24 +28,26 @@ Backtracking is chronological: after a conflict or a leaf the deepest
 decision still OUT is undone and flipped IN.
 
 One tree, two executions.  `_Searcher` is the search in Python, and
-`_search.c` is a C port of it that keeps its data and its order of work step
-for step, so both walk the same tree and reach the same leaves in the same
-order (tests compare masks and `_propagate`/`_apply` call counts).  Both read
-the program's `n2_arrays` and build no `Rule`, and both hand their leaves to
-one contract, `on_leaf(packed) -> stop`: `packed` holds the leaf's IN atoms
-as a little-endian bitmask of (n + 7) // 8 bytes, and True ends the search.
-`enumerate_answer_sets` holds the one leaf handler: it keeps a leaf only if
-`_is_n2_answer_set_mask` accepts it and counts only kept leaves toward
-`limit`, so results do not depend on which execution ran.
+`randasp_search` in `_search.c` is a C port of it that keeps its data and
+its order of work step for step, so both walk the same tree and reach the
+same leaves in the same order (tests compare masks and `_propagate`/`_apply`
+call counts).  Both read the program's `n2_arrays` and build no `Rule`, and
+both hand their leaves to one contract, `on_leaf(packed) -> stop`: `packed`
+holds the leaf's IN atoms as a little-endian bitmask of (n + 7) // 8 bytes,
+and True ends the search.  `enumerate_answer_sets` holds the one leaf
+handler: it keeps a leaf only if `_is_n2_answer_set_mask` accepts it and
+counts only kept leaves toward `limit`, so results do not depend on which
+execution ran.
 
 `search_path(n)` says which execution a program over n atoms gets.  The C
-port runs wherever module `_kernel` can build and load it; its docstring
-gives the build and cache-directory policy.  The search quietly runs on
-`_Searcher`, which also stays as the oracle of the port, where the kernel
-cannot load, where n >= `KERNEL_MAX_N` (2^29, since queue entries are int32
-`atom << 2 | value`), and while `_Searcher._propagate` or `_apply` is
-wrapped: a wrapper on the class (a profiler's, a test's, or perfbench's
-work counter) then sees the search it wraps.
+port runs wherever module `_kernel` can build and load the library, which
+`generate` loads too for its sampler; `_kernel`'s docstring gives the build
+and cache-directory policy.  The search quietly runs on `_Searcher`, which
+also stays as the oracle of the port, where the kernel cannot load, where
+n >= `KERNEL_MAX_N` (2^29, since queue entries are int32 `atom << 2 | value`),
+and while `_Searcher._propagate` or `_apply` is wrapped: a wrapper on the
+class (a profiler's, a test's, or perfbench's work counter) then sees the
+search it wraps.
 
 State is restored from per-decision copies, not unwound, so an undo is O(1)
 at O(n) memory per pending decision: about two pointer words per atom in

@@ -1,21 +1,19 @@
 import hashlib
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import randasp.generate as generate_module
+from randasp import _kernel
 from randasp.generate import (
+    _GAMMA,
     LinearModelParams,
     SplitMix64,
     _generate_bernoulli,
     _pair_from_index,
     _sample_n2_arrays,
     _skip_indices,
-    _skips,
-    _uniforms,
     expected_rule_count,
     generate,
     generate_with_stats,
@@ -26,7 +24,7 @@ from randasp.generate import (
 from randasp.programs import Program, Rule
 from randasp.solver import enumerate_answer_sets
 
-from conftest import assert_same_program
+from conftest import assert_same_program, needs_kernel
 
 
 class TestParams:
@@ -138,7 +136,7 @@ def _scalar_skips(rng, total, prob):
     log_q = math.log1p(-prob)
     cursor = -1
     while True:
-        cursor += 1 + int(math.log(rng.random()) / log_q)
+        cursor += 1 + int(min(math.log(rng.random()) / log_q, total))
         if cursor >= total:
             return out
         out.append(cursor)
@@ -154,40 +152,68 @@ def _scalar_rules(params, stream_seed):
     return rules
 
 
-class TestBatchedSampler:
-    def test_uniforms_match_scalar_stream(self):
-        for seed in (0, 123, 2**64 - 1, mix_seed(5, 9)):
-            rng = SplitMix64(seed)
-            expected = [rng.random() for _ in range(300)]
-            assert _uniforms(seed, 0, 300).tolist() == expected
-            assert _uniforms(seed, 120, 180).tolist() == expected[120:]
+@pytest.fixture
+def scalar_walk(monkeypatch):
+    """Sampling without the compiled kernel: every draw takes `_skip_indices`."""
+    monkeypatch.setattr(_kernel, "load", lambda: None)
 
+
+def _kernel_walk(seed, total, prob):
+    """The kernel's walk over range(total) from draw 0: its contradiction walk at p = 0."""
+    heads, bodies = _kernel.sample(seed, total, 0.0, math.log1p(-prob), 8)  # a small cap: long walks call twice
+    assert heads.tolist() == bodies.tolist()
+    return heads.tolist()
+
+
+def _unmix64(z):
+    """The inverse of the splitmix64 output mix."""
+    m64 = (1 << 64) - 1
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):  # undo z ^= z >> shift
+            x = z ^ (x >> shift)
+        z = x if mult is None else x * pow(mult, -1, 1 << 64) & m64
+    return z
+
+
+def _seed_with_first_draw(x):
+    """A stream seed whose draw 0 is the 64-bit value x."""
+    seed = (_unmix64(x) - _GAMMA) % (1 << 64)
+    assert SplitMix64(seed).next_u64() == x
+    return seed
+
+
+# Draws whose uniform ((x >> 11) + 1) * 2^-53 is 1, 1 - 2^-53 and 2^-53.
+U_ONE = [(1 << 64) - 1, ((1 << 53) - 1) << 11]
+U_BELOW_ONE = ((1 << 53) - 2) << 11
+U_SMALLEST = 0
+
+
+class TestSampler:
     @pytest.mark.parametrize("total, prob", [(90, 0.3), (2450, 0.1), (56, 0.875), (1000, 1e-300)])
-    def test_skip_indices_match_scalar_for_any_batch(self, total, prob):
+    def test_skip_indices_match_scalar(self, total, prob):
         for seed in (1, 2, mix_seed(7, 3)):
             expected = _scalar_skips(SplitMix64(seed), total, prob)
-            # the default batch, and small batches that force refills
-            for batch in (0, 1, 2, 5):
-                got, next_draw = _skip_indices(seed, 0, total, prob, batch)
-                assert got.tolist() == expected
-                assert next_draw == len(expected) + 1  # one draw per success, one to pass the end
+            got, next_draw = _skip_indices(seed, 0, total, prob)
+            assert got == expected
+            assert next_draw == len(expected) + 1  # one draw per success, one to pass the end
 
     def test_subnormal_prob_clips_instead_of_overflowing(self):
         # log(u) / log1p(-5e-324) is inf for most u; int(inf) would raise
         for seed in range(20):
             got, next_draw = _skip_indices(seed, 0, 7, 5e-324)
-            assert got.size == 0 and next_draw == 1
+            assert got == [] and next_draw == 1
 
-    def test_refill_continues_the_stream(self):
+    def test_contradiction_walk_continues_the_stream(self):
         seed, total, prob = 11, 5000, 0.02
         rng = SplitMix64(seed)
         expected = _scalar_skips(rng, total, prob)
         assert len(expected) > 40
-        got, next_draw = _skip_indices(seed, 0, total, prob, 8)
-        assert got.tolist() == expected and next_draw == len(expected) + 1
-        # a walk that starts mid-stream (the contradiction rules) also matches
-        tail, _ = _skip_indices(seed, next_draw, 50, 0.3, 3)
-        assert tail.tolist() == _scalar_skips(rng, 50, 0.3)
+        got, next_draw = _skip_indices(seed, 0, total, prob)
+        assert got == expected and next_draw == len(expected) + 1
+        tail, end = _skip_indices(seed, next_draw, 50, 0.3)
+        assert tail == _scalar_skips(rng, 50, 0.3) and end == next_draw + len(tail) + 1
+        assert _skip_indices(seed, next_draw, 50, 0.0) == ([], next_draw)  # no draw taken
 
     @pytest.mark.parametrize(
         "n, c1, c2",
@@ -198,13 +224,21 @@ class TestBatchedSampler:
             (12, 4.0, 2.0),
             (40, 0.0, 5.0),
             (60, 3.0, 0.5),
-            # bench and paper sizes: batches of thousands of logs reach the guard
+            # bench and paper sizes
             (1000, 3.0, 0.0),
             (200, 5.0, 0.0),
             (1000, 4.0, 4.0),
+            # p = 5e-324, the least positive double: most skips are inf, clipped
+            (4, 2e-323, 0.0),
+            (1, 0.0, 5e-324),
+            # p and d of 0.875 and 0.999: skips of 0 on most draws
+            (8, 7.0, 7.0),
+            (2, 1.998, 1.998),
+            (1000, 0.0, 999.0),
         ],
     )
     def test_draw_matches_scalar_reference(self, n, c1, c2):
+        # On the kernel where it loads: the CI kernel step checks that it does.
         params = LinearModelParams(n, c1, c2)
         for t in range(25):
             s = mix_seed(3, t)
@@ -213,88 +247,100 @@ class TestBatchedSampler:
             assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in reference]
             assert Program.from_n2_arrays(n, heads, bodies) == Program(n, reference)
 
-
-def _scalar_skip_list(u, log_q, total):
-    """Reference for `_skips`: the scalar loop's int(math.log(u) / log_q), capped at total."""
-    return [int(min(math.log(x) / log_q, total)) for x in u.tolist()]
-
-
-def _off_by_ulps(ulps):
-    """An np.log whose every result is moved `ulps` doubles up (or down, if negative)."""
-    fast_log = np.log
-
-    def log(x):
-        y = fast_log(x)
-        for _ in range(abs(ulps)):
-            y = np.nextafter(y, np.inf if ulps > 0 else -np.inf)
-        return y
-
-    return log
+    @pytest.mark.parametrize(
+        "n, c1, c2", [(1, 0.0, 0.9), (12, 4.0, 2.0), (1000, 3.0, 0.0), (4, 2e-323, 0.0), (2, 1.998, 1.998)]
+    )
+    def test_scalar_walk_matches_scalar_reference(self, scalar_walk, n, c1, c2):
+        params = LinearModelParams(n, c1, c2)
+        for t in range(10):
+            heads, bodies = _sample_n2_arrays(params, mix_seed(3, t))
+            reference = _scalar_rules(params, mix_seed(3, t))
+            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in reference]
 
 
-class TestSkipGuard:
-    """`_skips` takes np.log and redoes with math.log every ratio near an integer."""
+@needs_kernel
+class TestKernelSampler:
+    def test_a_cap_below_the_rule_count_gives_the_same_arrays(self):
+        for n, p, d in ((1000, 0.003, 0.0), (50, 0.1, 0.04), (8, 0.875, 0.875), (1, 0.0, 0.9)):
+            log_p = math.log1p(-p) if p else 0.0
+            log_d = math.log1p(-d) if d else 0.0
+            for t in range(10):
+                s = mix_seed(9, t)
+                heads, bodies = _kernel.sample(s, n, log_p, log_d, n * n)  # n^2 rules at most
+                count = heads.size
+                for cap in {0, 1, count // 2, max(count - 1, 0), count, count + 5}:
+                    h, b = _kernel.sample(s, n, log_p, log_d, cap)
+                    assert h.dtype == b.dtype == np.int32
+                    assert h.tolist() == heads.tolist() and b.tolist() == bodies.tolist()
 
-    def _count_exact_logs(self, monkeypatch):
+    def test_rejects_two_to_the_31_atoms(self):
+        # the kernel's atoms are int32; ctypes would wrap n silently
+        with pytest.raises(ValueError, match=r"fewer than 2\^31 atoms, got n=2147483648"):
+            _kernel.sample(1, 1 << 31, math.log1p(-1e-9), 0.0, 8)
+
+    def test_default_cap_holds_a_typical_draw(self, monkeypatch):
         calls = []
+        sample = _kernel.sample
 
-        def log(x):
-            calls.append(x)
-            return math.log(x)
+        def counting(seed, n, log_p, log_d, cap):
+            heads, bodies = sample(seed, n, log_p, log_d, cap)
+            calls.append(heads.size > cap)
+            return heads, bodies
 
-        monkeypatch.setattr(generate_module, "math", SimpleNamespace(log=log))
-        return calls
+        monkeypatch.setattr(_kernel, "sample", counting)
+        params = LinearModelParams(1000, 3.0, 0.0)
+        for t in range(200):
+            _sample_n2_arrays(params, mix_seed(4, t))
+        assert len(calls) == 200 and not any(calls)
 
-    def test_integer_ratios_are_all_recomputed(self, monkeypatch):
-        # log(2^-k) / log(1/2) is k to within an ulp or two, inside the guard
-        u = 2.0 ** -np.arange(0, 1075, dtype=np.float64)
-        log_q = math.log1p(-0.5)
-        expected = _scalar_skip_list(u, log_q, 10**6)
-        assert expected[:4] == [0, 1, 2, 3] and expected[-1] == 1074
-        calls = self._count_exact_logs(monkeypatch)
-        assert _skips(u, log_q, 10**6).tolist() == expected
-        assert len(calls) == u.size
-        for ulps in (4, -4):  # an exact integer ratio floors either way if not redone
-            monkeypatch.setattr(np, "log", _off_by_ulps(ulps))
-            assert _skips(u, log_q, 10**6).tolist() == expected
+    def test_kernel_matches_scalar_walk(self, monkeypatch):
+        grid = [(2, 1.5, 1.0), (50, 5.0, 2.0), (200, 10.0, 4.0), (1000, 3.0, 0.0), (8, 7.0, 7.0)]
+        drawn = {(c, t): _sample_n2_arrays(LinearModelParams(*c), mix_seed(5, t)) for c in grid for t in range(8)}
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        for (c, t), (heads, bodies) in drawn.items():
+            h, b = _sample_n2_arrays(LinearModelParams(*c), mix_seed(5, t))
+            assert h.tolist() == heads.tolist() and b.tolist() == bodies.tolist()
 
-    @pytest.mark.parametrize("ulps", [4, -4])
-    def test_a_few_ulps_of_fast_log_change_no_skip(self, monkeypatch, ulps):
-        cases = [(1000, 3.0, 0.0), (200, 5.0, 0.0), (1000, 4.0, 4.0), (50, 5.0, 2.0)]
-        expected = {(c, t): _scalar_rules(LinearModelParams(*c), mix_seed(t, 1)) for c in cases for t in range(5)}
-        u = _uniforms(7, 0, 20_000)
-        log_q = math.log1p(-0.003)
-        reference = _scalar_skip_list(u, log_q, 10**6)
-        monkeypatch.setattr(np, "log", _off_by_ulps(ulps))
-        assert _skips(u, log_q, 10**6).tolist() == reference
-        for (c, t), rules in expected.items():
-            heads, bodies = _sample_n2_arrays(LinearModelParams(*c), mix_seed(t, 1))
-            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in rules]
+
+class TestSkipEdges:
+    """Draws at the ends of (0, 1], from seeds made to give them: the scalar walk and the kernel agree."""
+
+    def _walks(self, seed, total, prob):
+        scalar, next_draw = _skip_indices(seed, 0, total, prob)
+        if _kernel.load() is not None:
+            assert _kernel_walk(seed, total, prob) == scalar
+        return scalar, next_draw
+
+    def test_seeds_give_their_draws(self):
+        for x in (*U_ONE, U_BELOW_ONE, U_SMALLEST):
+            assert SplitMix64(_seed_with_first_draw(x)).random() == ((x >> 11) + 1) * 2.0**-53
+        assert SplitMix64(_seed_with_first_draw(U_ONE[0])).random() == 1.0
+        assert SplitMix64(_seed_with_first_draw(U_SMALLEST)).random() == 2.0**-53
 
     def test_u_one_gives_a_zero_skip(self):
-        u = np.array([1.0, 1.0 - 2.0**-53, 0.5, 1.0])
-        for prob in (0.5, 0.003, 1e-300, 5e-324):
-            log_q = math.log1p(-prob)
-            got = _skips(u, log_q, 10**6).tolist()
-            assert got == _scalar_skip_list(u, log_q, 10**6)
-            assert got[0] == got[3] == 0
+        for x in U_ONE:
+            seed = _seed_with_first_draw(x)
+            for prob in (0.5, 0.003, 1e-300, 5e-324):
+                found, _ = self._walks(seed, 1000, prob)
+                assert found[0] == 0  # log(1) / log_q is -0.0
+        found, _ = self._walks(_seed_with_first_draw(U_BELOW_ONE), 1000, 0.5)
+        assert found[0] == 0  # log(1 - 2^-53) / log(1/2) is about 1.6e-16
 
-    def test_subnormal_prob_clips_every_skip(self, monkeypatch):
-        # log(u) / -5e-324 is inf for every u < 1: capped at total, then redone
-        u = _uniforms(3, 0, 500)
-        log_q = math.log1p(-5e-324)
-        calls = self._count_exact_logs(monkeypatch)
-        assert _skips(u, log_q, 7).tolist() == [7] * 500
-        assert len(calls) == 500
+    def test_subnormal_prob_clips_every_skip(self):
+        # log(u) / -5e-324 is inf for every u < 1: capped at total, so the walk ends at once
+        for seed in range(500):
+            assert self._walks(seed, 7, 5e-324) == ([], 1)
 
     def test_clipped_entries(self):
-        u = np.array([2.0**-53, 1e-10, 0.25, 0.9999, 1.0])
-        log_q = math.log1p(-0.01)
-        for total in (0, 1, 3, 137, 10**6):
-            got = _skips(u, log_q, total)
-            assert got.dtype == np.int64
-            assert got.tolist() == _scalar_skip_list(u, log_q, total)
-            assert got.max() <= total
+        seed = _seed_with_first_draw(U_SMALLEST)
+        skip = int(math.log(2.0**-53) / math.log1p(-0.01))
+        assert skip == 3655
+        for total in (1, 3, 137, skip, skip + 1, 10**5):
+            found, next_draw = self._walks(seed, total, 0.01)
+            if total <= skip:
+                assert (found, next_draw) == ([], 1)  # the first skip passes the end
+            else:
+                assert found[0] == skip
 
 
 class TestGenerate:
@@ -410,6 +456,10 @@ class TestPinnedPrograms:
             got.append(attempts)
         assert tuple(got) == resamples
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("n, c1, c2, seed, trials, resamples, digest", PINNED_PROGRAMS)
+    def test_scalar_walk_reproduces_recorded_programs(self, scalar_walk, n, c1, c2, seed, trials, resamples, digest):
+        self.test_reproduces_recorded_programs(n, c1, c2, seed, trials, resamples, digest)
 
     @pytest.mark.parametrize("n, c1, c2, seed, trials, resamples, digest", PINNED_PROGRAMS)
     def test_both_constructors_give_one_program(self, n, c1, c2, seed, trials, resamples, digest):

@@ -102,6 +102,46 @@ class TestFromN2Arrays:
         bulk = Program.from_n2_arrays(p.n, h[::-1], b[::-1])
         assert_same_program(bulk, p)
 
+    @given(n2_programs(min_n=0, max_n=12), st.sampled_from(["int8", "int32", "int64", "uint16", "uint64"]))
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_input_gives_the_general_program(self, p, dtype):
+        heads, bodies = (a.astype(dtype) for a in p.n2_arrays)
+        bulk = Program.from_n2_arrays(p.n, heads, bodies)
+        assert_same_program(bulk, Program(p.n, p.rules))
+        assert [a.tolist() for a in bulk.n2_arrays] == [a.tolist() for a in p.n2_arrays]
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_callers_arrays_are_neither_kept_nor_frozen(self, canonical):
+        heads = np.array([0, 0, 1, 2] if canonical else [2, 0, 1, 0], dtype=np.int32)
+        bodies = np.array([1, 2, 1, 0] if canonical else [0, 2, 1, 1], dtype=np.int32)
+        p = Program.from_n2_arrays(3, heads, bodies)
+        expected = Program(3, [pure_rule(0, 1), pure_rule(0, 2), pure_rule(1, 1), pure_rule(2, 0)])
+        assert heads.flags.writeable and bodies.flags.writeable
+        assert not any(np.shares_memory(a, x) for a in p.n2_arrays for x in (heads, bodies))
+        heads[:], bodies[:] = 2, 1
+        assert_same_program(p, expected)
+        assert [a.tolist() for a in p.n2_arrays] == [[0, 0, 1, 2], [1, 2, 1, 0]]
+
+    def test_views_of_one_buffer(self):
+        # the kernel sampler returns its heads and bodies as rows of one (2, cap) buffer
+        out = np.array([[0, 1, 1, 9], [2, 0, 2, 9]], dtype=np.int32)
+        p = Program.from_n2_arrays(3, out[0, :3], out[1, :3])
+        out[:] = 0
+        assert [a.tolist() for a in p.n2_arrays] == [[0, 1, 1], [2, 0, 2]]
+
+    @pytest.mark.parametrize(
+        "heads, bodies",
+        [
+            ([0, 1, 1], [1, 2, 0]),  # unsorted
+            ([0, 1, 1], [1, 0, 0]),  # a repeat
+            ([0, 0, 1], [2, 1, 0]),  # bodies out of order under one head
+            ([1, 2, 0, 1], [0, 1, 0, 1]),  # pure rules, then contradictions, as a c2 > 0 draw comes
+        ],
+    )
+    def test_noncanonical_input_is_sorted_and_deduplicated(self, heads, bodies):
+        p = Program.from_n2_arrays(3, np.array(heads), np.array(bodies))
+        assert_same_program(p, Program(3, [pure_rule(h, b) for h, b in zip(heads, bodies)]))
+
     def test_mixed_dtypes_keep_large_keys_exact(self):
         # h * n + b above 2^53 is not exact in float64
         n = N2_MAX_N
@@ -145,7 +185,14 @@ class TestFromN2Arrays:
 
     @pytest.mark.parametrize(
         "heads, bodies",
-        [([0, 3], [1, 1]), ([0, 1], [1, 3]), ([-1], [0]), ([0], [-2]), (np.array([5], dtype=np.uint64), [0])],
+        [
+            ([0, 3], [1, 1]),
+            ([0, 1], [1, 3]),
+            ([-1], [0]),
+            ([0], [-2]),
+            (np.array([5], dtype=np.uint64), [0]),
+            ([0, 0], [-1, 1]),  # keys -1, 1 strictly increase: the range check still comes first
+        ],
     )
     def test_rejects_out_of_range_atoms(self, heads, bodies):
         with pytest.raises(ValueError, match="out of universe"):
@@ -156,6 +203,8 @@ class TestFromN2Arrays:
             Program.from_n2_arrays(3, [0, 1], [1])
         with pytest.raises(ValueError, match="integers"):
             Program.from_n2_arrays(3, [0.0], [1.0])
+        with pytest.raises(ValueError, match="integers"):
+            Program.from_n2_arrays(3, [0, 1], [1.0, 2.0])  # canonical pairs, float bodies
         with pytest.raises(ValueError, match="non-negative"):
             Program.from_n2_arrays(-1, [], [])
 

@@ -13,7 +13,7 @@ writable by no one else.  The file name carries the SHA-256 of the source,
 the compiler command and the machine type, so a changed source is rebuilt
 and an unchanged one is compiled once per machine.  Each build writes a
 temporary file and renames it into place, so processes that build at the
-same time (pool workers) never load a partial file.  Where no compiler or
+same time (sweep workers) never load a partial file.  Where no compiler or
 no private directory is found, `load()` returns None and the callers fall
 back to Python: `solver` searches with `_Searcher`, and `generate` takes
 its scalar walk.  Only `solver` and `generate` import this module, each when
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 # The interpreter's own SHA-256: hashlib loads OpenSSL, about 3.5 MB of RSS
-# in every pool worker.
+# in every sweep worker.
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:

@@ -5,10 +5,10 @@ mix_seed(s, t), so results are independent of scheduling.  Each row of a
 sweep is cut into chunks of consecutive trials, about four per worker, so a
 heavy-tailed row does not leave workers idle behind one slow chunk; near the
 end of the sweep the chunks shrink.  With workers > 1 the calling process is
-one of the workers and a process pool holds the rest: every row's chunks are
-queued at once on the pool, any idle child takes the next chunk, and while
-the caller waits for a chunk it runs the queued chunks no child has started
-yet.  Rows are reduced and reported in row order as their chunks come in.
+one of the workers and the rest are children forked for the sweep: every
+process, the caller included, claims the next chunk from one shared counter,
+so no chunk waits behind a process that has not started it.  Rows are
+reduced and reported in row order as their chunks come in.
 One worker, `_count_chunk`, serves all three experiments; consistency stops
 each search at its first answer set, so its summed count is the number of
 consistent programs.  All accumulators are integers, which makes the
@@ -16,18 +16,20 @@ reduction exact and byte-identical for any worker count.
 
 The row loop is written once, in `_sweep`: each experiment passes a row
 function that turns one row's column sums into its result and a progress
-note, and `_sweep` collects the results and prints the notes.  The pool lives
-exactly as long as the `_sweep` call: when it returns or raises, a failed
-trial or a failing row function included, the pool is shut down and its
-queued chunks are cancelled.
+note, and `_sweep` collects the results and prints the notes.  The children
+live exactly as long as the `_sweep` call: before it returns they have
+exited and been reaped, and when it raises, on a failed trial in any
+process, a failing row function or an interrupt, every child is killed and
+reaped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import ClassVar
@@ -135,7 +137,7 @@ def difference_rate(f, g) -> float:
     return num / denom
 
 
-# -- chunk workers (module-level: picklable for process pools) ----------------
+# -- chunk workers ------------------------------------------------------------
 
 
 def _count_chunk(args):
@@ -155,52 +157,16 @@ def _count_chunk(args):
     return (total, sq, resamples, *hist)
 
 
-def _take_while_waiting(futures, chunks):
-    """`_count_chunk` of each chunk, in order; this process runs every chunk no child has started.
-
-    While chunk i is not done, walk forward from it and run each chunk whose
-    future `cancel()` still succeeds.  Only the few chunks a child has
-    started or has been handed are out of reach.
-    """
-    mine = {}
-    ahead = 0
-    for i, f in enumerate(futures):
-        ahead = max(ahead, i)
-        while not f.done() and ahead < len(futures):
-            if futures[ahead].cancel():
-                mine[ahead] = _count_chunk(chunks[ahead])
-            ahead += 1
-        yield mine.pop(i) if f.cancelled() else f.result()
-
-
-def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress: bool) -> list:
-    """Results of `row(n, c1, c2, sums)` for each row of the grid, in row order.
-
-    `sums` are the column sums of `_count_chunk` over the row's trials, and
-    `row` returns (result, note).  With `progress`, the note goes to stderr
-    followed by "[row i/rows, seconds since the sweep started]".  A pool is
-    started only for more than one worker and chunk.  This process is one
-    of the `workers` and the pool holds the rest: every chunk is submitted
-    up front, and while waiting for the next chunk in row order this
-    process walks forward through the chunks and runs each one whose
-    future it can still cancel, that is, each one no child has started.
-    The pool is shut down, its queued chunks cancelled, when the sweep
-    returns or raises.
-    """
-    workers = require_integer("workers", workers)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    t0 = perf_counter()
-    rows = list(cfg.combos())
+def _chunk_plan(cfg: ExperimentConfig, workers: int, limit: int | None) -> list[list[tuple]]:
+    """The `_count_chunk` arguments of each row's chunks, row by row, each row's trials in order."""
     # About four chunks per worker and row: enough that idle workers take up
-    # a straggler's share, few enough that one chunk's pickling round trip
-    # stays small next to its trials (one trial per task slowed a 1000-trial
-    # n=50 row at two workers by a third).  With a pool, a chunk near the
-    # end of the sweep holds at most a (4 * workers)-th of the trials left:
-    # a child runs the two or three chunks it has been handed even when this
-    # process has none left to take, so those must be short.  (With eight
-    # even chunks a 600-trial n=1000 consistency row at two workers ran 11%
-    # slower than with two children and an idle caller, on a 2-vCPU box.)
+    # a straggler's share, few enough that a chunk's claim and result message
+    # stay small next to its trials (one trial per task slowed a 1000-trial
+    # n=50 row at two workers by a third).  With more than one worker, a
+    # chunk near the end of the sweep holds at most a (4 * workers)-th of
+    # the trials left, so the processes that claim the last chunks finish
+    # close together.
+    rows = list(cfg.combos())
     per = -(-cfg.trials // (4 * workers))
     left = len(rows) * cfg.trials
     row_chunks = []
@@ -214,21 +180,157 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
             row_chunks[-1].append((n, c1, c2, cfg.seed, lo, hi, limit))
             left -= hi - lo
             lo = hi
+    return row_chunks
+
+
+def _claim(counter) -> int:
+    """The next chunk index off the shared counter; past the last chunk when none is left."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
+def _child(counter, chunks, writer, mask):
+    """A forked child's whole life: send (i, sums) of each chunk it claims, then exit; never returns.
+
+    A failure is sent as (-1, (error, traceback text)).  The child leaves
+    through `os._exit`, so it never flushes the caller's buffers or runs its
+    `atexit` handlers.
+    """
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while (i := _claim(counter)) < len(chunks):
+            writer.send((i, _count_chunk(chunks[i])))
+        code = 0
+    except BaseException as error:
+        import traceback
+
+        tb = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+        try:
+            writer.send((-1, (error, tb)))
+        except Exception:  # pickle cannot carry this error; its traceback text still goes
+            writer.send((-1, (RuntimeError(f"sweep worker {os.getpid()} raised an error that cannot be pickled"), tb)))
+    finally:
+        os._exit(code)
+
+
+def _forked_results(chunks, children: int):
+    """`_count_chunk` of each chunk, in order, run by this process and `children` forked ones.
+
+    Every process claims the next chunk from one shared counter.  A child
+    sends each chunk's sums down a pipe of its own and exits once no chunk is
+    left.  This process reads every pipe that is ready before each claim,
+    and claims only while the chunk it must yield next is still missing;
+    once no chunk is left to claim, it waits on the pipes.  A child's error
+    is raised here, as is a child that exits with a nonzero status.  Once
+    every chunk is in, the children exit on their own and are reaped before
+    the last chunk is yielded; if the generator raises or is closed before
+    that, every child left is killed and reaped.
+    """
+    import multiprocessing
+    from multiprocessing.connection import Pipe, wait
+
+    counter = multiprocessing.get_context("fork").Value("q", 0)
+    done = {}
+    running = {}  # pipe -> pid of each child not yet reaped
+
+    def receive(reader):
+        try:
+            i, sums = reader.recv()
+        except EOFError:  # the child has exited
+            pid = running.pop(reader)
+            reader.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(f"sweep worker {pid} exited with status {code}") from None
+            return
+        if i < 0:
+            error, tb = sums
+            raise error from RuntimeError(f"in a sweep worker:\n{tb}")
+        done[i] = sums
+
+    def drain(timeout):
+        for reader in wait(list(running), timeout):
+            receive(reader)
+
+    def claim():
+        # A child killed while it holds the counter's lock never releases
+        # it; its pipe then reads as closed, and `receive` raises.
+        while not counter.get_lock().acquire(timeout=1.0):
+            drain(0)
+        try:
+            return _claim(counter)
+        finally:
+            counter.get_lock().release()
+
+    # SIGINT waits until each child's pid is recorded and, in the child,
+    # until its `try` has begun.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            for _ in range(children):
+                reader, writer = Pipe(duplex=False)
+                pid = os.fork()
+                if pid == 0:
+                    _child(counter, chunks, writer, mask)
+                running[reader] = pid
+                writer.close()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        last = 0  # the last chunk this process claimed
+        for i in range(len(chunks)):
+            while i not in done:
+                if last >= len(chunks) and not running:
+                    raise RuntimeError(f"every sweep worker has exited with chunk {i} not done")
+                drain(0 if last < len(chunks) else None)
+                if i not in done and last < len(chunks):
+                    last = claim()
+                    if last < len(chunks):
+                        done[last] = _count_chunk(chunks[last])
+            if i + 1 == len(chunks):
+                while running:  # every chunk is in, so each child is on its way out
+                    drain(None)
+            yield done.pop(i)
+    finally:
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)
+        for reader, pid in running.items():
+            os.waitpid(pid, 0)
+            reader.close()
+
+
+def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress: bool) -> list:
+    """Results of `row(n, c1, c2, sums)` for each row of the grid, in row order.
+
+    `sums` are the column sums of `_count_chunk` over the row's trials, and
+    `row` returns (result, note).  With `progress`, the note goes to stderr
+    followed by "[row i/rows, seconds since the sweep started]".  Children
+    are forked only for more than one worker and chunk: this process is one
+    of the `workers`, `min(workers, chunks) - 1` children are the rest, and
+    each process claims the next chunk no process has started (see
+    `_forked_results`).  No child outlives the call: each one is reaped
+    before the sweep returns or raises.
+    """
+    workers = require_integer("workers", workers)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    t0 = perf_counter()
+    rows = list(cfg.combos())
+    row_chunks = _chunk_plan(cfg, workers, limit)
     chunks = [c for cs in row_chunks for c in cs]
-    pool = None
-    if workers > 1 and len(chunks) > 1:
-        # Load the compiled kernel here, once, before the pool forks: this
-        # process runs chunks too, the children inherit the loaded kernel,
-        # and none of them hashes the source or races to compile it.
+    children = min(workers, len(chunks)) - 1
+    if children:
+        # Load the compiled kernel here, once, before the fork: this process
+        # runs chunks too, the children inherit the loaded kernel, and none
+        # of them hashes the source or races to compile it.
         search_path(max(cfg.n))
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)) - 1)
+        results = _forked_results(chunks, children)
+    else:
+        results = map(_count_chunk, chunks)
     out = []
     try:
-        if pool is None:
-            results = map(_count_chunk, chunks)
-        else:
-            futures = [pool.submit(_count_chunk, c) for c in chunks]  # every row queued up front
-            results = _take_while_waiting(futures, chunks)
         for i, ((n, c1, c2), cs) in enumerate(zip(rows, row_chunks), 1):
             sums = [sum(column) for column in zip(*itertools.islice(results, len(cs)))]
             result, note = row(n, c1, c2, sums)
@@ -236,8 +338,8 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
             if progress:
                 print(f"{note} [row {i}/{len(rows)}, {perf_counter() - t0:.1f} s]", file=sys.stderr)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if children:
+            results.close()
     return out
 
 

@@ -1,20 +1,22 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
-from concurrent.futures import Future
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from randasp import _kernel
+from randasp import _kernel, experiments
 from randasp.csvout import write_avg_csv, write_consistency_csv, write_dist_csv
 
 from randasp.experiments import (
     ExperimentConfig,
+    _chunk_plan,
     difference_rate,
     run_avg_experiment,
     run_consistency_experiment,
@@ -25,6 +27,28 @@ from randasp.solver import enumerate_answer_sets, search_path
 from randasp.theory import CURVE_MAX_N, consistency_probability, expected_total
 
 from conftest import needs_kernel
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raises TimeoutError in the block once it has run for `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def assert_no_children():
+    """This process has no child at all: none running, none left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestConfig:
@@ -210,51 +234,73 @@ class TestWorkers:
             with pytest.raises(ValueError, match="workers must be an integer"):
                 run(cfg, workers=workers)
 
-    @pytest.fixture
-    def inline_pool(self, monkeypatch):
-        """The pool sizes asked for and the chunks submitted, each run as it is submitted."""
-        seen = SimpleNamespace(sizes=[], chunks=[])
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                seen.sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                seen.chunks.append(args[0])
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr("randasp.experiments.ProcessPoolExecutor", InlinePool)
-        return seen
-
-    def test_one_pool_per_sweep_sized_to_its_chunks(self, inline_pool):
-        sizes = inline_pool.sizes
-        three_rows = ExperimentConfig(n=[10, 12, 14], c1=3.0, c2=0.0, trials=6, seed=8)
-        for run in (run_avg_experiment, run_consistency_experiment):
-            assert run(three_rows, workers=2) == run(three_rows, workers=1)
-            assert sizes.pop() == 1 and not sizes  # 3 rows x 6 one-trial chunks; this process is the other worker
-        three_chunks = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
-        assert run_avg_experiment(three_chunks, workers=8) == run_avg_experiment(three_chunks, workers=1)
-        assert sizes == [2]
-        one_chunk = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=8)
-        run_avg_experiment(one_chunk, workers=2)
-        run_dist_experiment(one_chunk, workers=2)
-        assert sizes == [2]
-
-    def test_chunks_shrink_toward_the_end_of_the_sweep(self, inline_pool):
+    def test_chunks_shrink_toward_the_end_of_the_sweep(self):
         cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=40, seed=8)
-        assert run_avg_experiment(cfg, workers=2) == run_avg_experiment(cfg, workers=1)
-        spans = [(c[0], c[4], c[5]) for c in inline_pool.chunks]
-        for n in (10, 12):  # each row's trials once, in order
-            bounds = [(lo, hi) for m, lo, hi in spans if m == n]
-            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == 40
-        sizes = [hi - lo for _, lo, hi in spans]
+        row_chunks = _chunk_plan(cfg, 2, None)
+        for n, chunks in zip((10, 12), row_chunks):  # each row's trials once, in order
+            assert {c[:4] + c[6:] for c in chunks} == {(n, 3.0, 0.0, 8, None)}
+            assert [c[4] for c in chunks] == [0] + [c[5] for c in chunks[:-1]] and chunks[-1][5] == 40
+        sizes = [hi - lo for chunks in row_chunks for *_, lo, hi, _ in chunks]
         assert sizes[:8] == [5] * 8  # an eighth of a row while half the sweep is left
         assert sizes == sorted(sizes, reverse=True) and sizes[-8:] == [1] * 8
+        assert [[c[4:6] for c in chunks] for chunks in _chunk_plan(cfg, 1, None)] == [[(0, 10), (10, 20), (20, 30), (30, 40)]] * 2
+
+    # Each trial appends "n seed" to a marker file named after the process
+    # that ran it, then sleeps `pause` seconds; the patch reaches the
+    # children because they are forked from this process.  `fail(params)`
+    # runs in each trial and may raise.
+    @staticmethod
+    def mark_trials(monkeypatch, tmp_path, fail=lambda params: None, pause=0.02):
+        real = generate_with_stats
+
+        def marked(params, seed):
+            with open(tmp_path / str(os.getpid()), "a") as marker:
+                marker.write(f"{params.n} {seed}\n")
+            time.sleep(pause)
+            fail(params)
+            return real(params, seed)
+
+        monkeypatch.setattr("randasp.experiments.generate_with_stats", marked)
+        return lambda: [(int(f.name), *map(int, line.split())) for f in tmp_path.iterdir() for line in f.read_text().splitlines()]
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        """The pids of the children forked from here on."""
+        forked, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    def test_children_per_sweep_sized_to_its_chunks(self, monkeypatch, tmp_path):
+        trials = self.mark_trials(monkeypatch, tmp_path)
+        forked = self.count_forks(monkeypatch)
+
+        def swept(run, cfg, workers):
+            """The processes that ran a trial and the children forked, in one sweep that matches one worker's."""
+            for marker in tmp_path.iterdir():
+                marker.unlink()
+            del forked[:]
+            assert run(cfg, workers=workers) == run(cfg, workers=1)
+            return {pid for pid, *_ in trials()}, list(forked)
+
+        caller = os.getpid()
+        three_rows = ExperimentConfig(n=[10, 12, 14], c1=3.0, c2=0.0, trials=6, seed=8)
+        for run in (run_avg_experiment, run_consistency_experiment):
+            ran, children = swept(run, three_rows, 2)
+            assert len(children) == 1 and ran <= {caller, *children}  # 3 rows x 6 one-trial chunks; this process is the other worker
+        three_chunks = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
+        ran, children = swept(run_avg_experiment, three_chunks, 8)
+        assert len(children) == 2 and ran <= {caller, *children}
+        one_chunk = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=8)
+        for run in (run_avg_experiment, run_dist_experiment):
+            assert swept(run, one_chunk, 2) == ({caller}, [])
+        assert_no_children()
 
     def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
         # Forked workers inherit what `load()` cached, so none of them
@@ -263,35 +309,32 @@ class TestWorkers:
         run_avg_experiment(ExperimentConfig(n=[20, 30], c1=3.0, c2=0.0, trials=4, seed=8), workers=2)
         assert _kernel.load.cache_info().currsize == 1
 
-    # Each trial leaves a marker file named after the process that ran it;
-    # the patch reaches the pool's workers because they are forked from
-    # this process.
-    @staticmethod
-    def mark_trials(monkeypatch, tmp_path, fails=lambda params: False):
-        real = generate_with_stats
-
-        def marked(params, seed):
-            (tmp_path / f"{os.getpid()}-{params.n}-{seed}").touch()
-            time.sleep(0.02)
-            if fails(params):
-                raise RuntimeError("trial failed")
-            return real(params, seed)
-
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", marked)
-        return lambda: [int(marker.name.split("-")[0]) for marker in tmp_path.iterdir()]
-
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_this_process_is_one_of_the_workers(self, monkeypatch, tmp_path, workers):
-        pids = self.mark_trials(monkeypatch, tmp_path)
+        trials = self.mark_trials(monkeypatch, tmp_path)
         cfg = ExperimentConfig(n=10, c1=3.0, c2=0.0, trials=12, seed=5)  # 10 chunks at 2 workers, 12 at 3 or 4
         swept = run_avg_experiment(cfg, workers=workers)
-        ran = pids()
+        ran = [pid for pid, *_ in trials()]
         assert swept == run_avg_experiment(cfg, workers=1)
         assert len(ran) == 12  # each trial once, by one process
         assert os.getpid() in ran and len(set(ran)) <= workers
-        assert not multiprocessing.active_children()
+        assert_no_children()
 
-    # Without cancelling the queued chunks, the 80 trials behind the failure
+    # Short trials and more processes than this box's two cores, so the
+    # claims on the shared counter contend: a lost update would run a
+    # trial twice or not at all.
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_each_trial_runs_exactly_once(self, monkeypatch, tmp_path, workers):
+        trials = self.mark_trials(monkeypatch, tmp_path, pause=0)
+        cfg = ExperimentConfig(n=[10, 12, 14, 16], c1=3.0, c2=0.0, trials=40, seed=5)
+        with deadline(30):
+            swept = run_avg_experiment(cfg, workers=workers)
+        assert_no_children()
+        ran = sorted((n, seed) for _, n, seed in trials())
+        assert ran == sorted((n, mix_seed(5, t)) for n in (10, 12, 14, 16) for t in range(40))
+        assert swept == run_avg_experiment(cfg, workers=1)
+
+    # Without stopping at the first error, the 80 trials behind the failure
     # would all run.
     @pytest.mark.parametrize("run", [run_avg_experiment, run_consistency_experiment])
     @pytest.mark.parametrize("fail_in", ["trial", "caller", "caller's trial", "child's trial"])
@@ -303,7 +346,12 @@ class TestWorkers:
             "caller's trial": lambda params: os.getpid() == caller,
             "child's trial": lambda params: os.getpid() != caller,
         }[fail_in]
-        pids = self.mark_trials(monkeypatch, tmp_path, fails)
+
+        def fail(params):
+            if fails(params):
+                raise RuntimeError("trial failed")
+
+        trials = self.mark_trials(monkeypatch, tmp_path, fail)
 
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -313,8 +361,71 @@ class TestWorkers:
         cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
         with pytest.raises(KeyboardInterrupt if fail_in == "caller" else RuntimeError):
             run(cfg, workers=2)
-        assert not multiprocessing.active_children()
-        assert len(pids()) < 48  # of 96 trials
+        assert_no_children()
+        assert len(trials()) < 48  # of 96 trials
+
+    def test_a_killed_child_fails_the_sweep(self, monkeypatch, tmp_path):
+        caller = os.getpid()
+
+        def killed(params):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.mark_trials(monkeypatch, tmp_path, killed)
+        cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
+        with deadline(5), pytest.raises(RuntimeError, match=f"exited with status -{int(signal.SIGKILL)}"):
+            run_avg_experiment(cfg, workers=2)
+        assert_no_children()
+
+    def test_a_child_killed_holding_the_counter_fails_the_sweep(self, monkeypatch, tmp_path):
+        # The counter's lock is never released, and this process, still
+        # claiming its 0.02 s trials, must not wait on it for good.
+        self.mark_trials(monkeypatch, tmp_path)
+        caller, real = os.getpid(), experiments._claim
+
+        def claim(counter):
+            if os.getpid() != caller:
+                counter.get_lock().acquire()
+                time.sleep(0.2)  # long enough for this process to wait on the lock
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(counter)
+
+        monkeypatch.setattr(experiments, "_claim", claim)
+        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=16, seed=5)
+        with deadline(5), pytest.raises(RuntimeError, match=f"exited with status -{int(signal.SIGKILL)}"):
+            run_avg_experiment(cfg, workers=2)
+        assert_no_children()
+
+    def test_an_error_pickle_cannot_carry_fails_the_sweep(self, monkeypatch, tmp_path):
+        caller = os.getpid()
+
+        class LocalError(Exception):  # a local class: pickle cannot name it
+            pass
+
+        def fail(params):
+            if os.getpid() != caller:
+                raise LocalError("only a child raises this")
+
+        self.mark_trials(monkeypatch, tmp_path, fail)
+        cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
+        with pytest.raises(RuntimeError, match="cannot be pickled") as raised:
+            run_avg_experiment(cfg, workers=2)
+        assert "LocalError: only a child raises this" in str(raised.value.__cause__)
+        assert_no_children()
+
+    def test_children_never_flush_the_callers_buffers(self):
+        # stdout is a buffered pipe, so the marker waits in the buffer while
+        # the children are forked; each child must leave through os._exit.
+        code = (
+            "import io, sys; from randasp.experiments import ExperimentConfig, run_avg_experiment; "
+            "assert type(sys.stdout.buffer) is io.BufferedWriter; "
+            "sys.stdout.write('marker\\n'); "
+            "run_avg_experiment(ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=8, seed=1), workers=2)"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "marker\n"
 
 
 class TestDistExperiment:
@@ -376,7 +487,7 @@ class TestDistExperiment:
         out = tmp_path / "dist.csv"
         write_dist_csv(out, run_dist_experiment(cfg, workers=workers), cfg.seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        assert not multiprocessing.active_children()
+        assert_no_children()
 
     def test_c1_zero_rejected_before_first_trial(self, monkeypatch):
         def no_trials(*args):
@@ -467,4 +578,4 @@ class TestPinnedSweeps:
         out = tmp_path / "sweep.csv"
         write(out, run(cfg, workers=workers), cfg.seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-        assert not multiprocessing.active_children()
+        assert_no_children()

@@ -267,22 +267,24 @@ class TestLogFactorialPort:
 
     def test_import_needs_only_numpy(self, tmp_path):
         # Nor does importing randasp and validating a config load the search
-        # kernel or touch its cache.  numpy imports ctypes and the process
-        # pool imports subprocess, so that check counts only what randasp
-        # loads beyond those two.
+        # kernel or touch its cache.  numpy imports ctypes, so that check
+        # counts only what randasp loads beyond numpy.  Only a sweep with
+        # more than one worker loads multiprocessing, and nothing loads
+        # concurrent.futures.
         code = (
-            "import sys; before = set(sys.modules); import numpy, concurrent.futures.process; "
+            "import sys; before = set(sys.modules); import numpy; "
             "base = set(sys.modules); import randasp; "
             "randasp.ExperimentConfig(n=[50, 100], c1=5.0, c2=0.0, trials=8, seed=1); "
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(m for m in new - set(sys.stdlib_module_names) if not m.startswith('_'))); "
             "assert randasp.ExperimentConfig is randasp.experiments.ExperimentConfig; "
             "print(sorted({'randasp.progio', 'randasp.translate', 'randasp.csvout', 'randasp.cli'} & set(sys.modules))); "
-            "print(sorted({'ctypes', 'subprocess', 'hashlib', 'randasp._kernel'} & (set(sys.modules) - base)))"
+            "print(sorted({'ctypes', 'subprocess', 'hashlib', 'randasp._kernel'} & (set(sys.modules) - base))); "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
         )
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n[]\n[]\n", proc.stderr
+        assert proc.returncode == 0 and proc.stdout == "['numpy', 'randasp']\n[]\n[]\n[]\n", proc.stderr
         assert list(tmp_path.iterdir()) == []
 
 

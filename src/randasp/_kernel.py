@@ -1,24 +1,32 @@
 """Build, cache and call the compiled kernel `_search.c`.
 
-The kernel has two entry points: `randasp_search`, the search of
-`solver._Searcher`, called through `search`, and `randasp_sample`, the skip
-walk of `generate`, called through `sample`.  The first `load()` in a
-process compiles the C source once with the system `cc` into a private
-cache directory and loads it with ctypes.  The directory is the `randasp`
-leaf of `$XDG_CACHE_HOME` (if set to an absolute path) or of `~/.cache`,
-made with mode 0o700 only when that root already exists; otherwise it is
-`randasp-<uid>` under `tempfile.gettempdir()`.  A library is loaded only
-from a directory that is not a symlink, is owned by the current user and is
-writable by no one else.  The file name carries the SHA-256 of the source,
-the compiler command and the machine type, so a changed source is rebuilt
-and an unchanged one is compiled once per machine.  Each build writes a
-temporary file and renames it into place, so processes that build at the
-same time (sweep workers) never load a partial file.  Where no compiler or
-no private directory is found, `load()` returns None and the callers fall
-back to Python: `solver` searches with `_Searcher`, and `generate` takes
-its scalar walk.  Only `solver` and `generate` import this module, each when
-it first searches or samples, so `import randasp` loads no ctypes and
-compiles nothing.
+The kernel has four entry points, each with its wrapper here:
+`randasp_search`, the search of `solver._Searcher` (`search`);
+`randasp_sample`, the skip walk of `generate` (`sample`); `randasp_trial`,
+one whole sweep trial of `experiments` (`trial`), which draws, searches,
+re-checks every leaf with `randasp_check` and tallies in C; and
+`randasp_check`, the two answer-set conditions, which `load()` binds for
+tests to call.  The wrappers check every array they hand to C (type, dtype,
+contiguity and shape) and pass raw pointers, which costs less per call than
+ctypes' `ndpointer`.
+
+The first `load()` in a process compiles the C source once with the system
+`cc` into a private cache directory and loads it with ctypes.  The
+directory is the `randasp` leaf of `$XDG_CACHE_HOME` (if set to an absolute
+path) or of `~/.cache`, made with mode 0o700 only when that root already
+exists; otherwise it is `randasp-<uid>` under `tempfile.gettempdir()`.  A
+library is loaded only from a directory that is not a symlink, is owned by
+the current user and is writable by no one else.  The file name carries the
+SHA-256 of the source, the compiler command and the machine type, so a
+changed source is rebuilt and an unchanged one is compiled once per
+machine.  Each build writes a temporary file and renames it into place, so
+processes that build at the same time (sweep workers) never load a partial
+file.  Where no compiler or no private directory is found, `load()` returns
+None and the callers fall back to Python: `solver` searches with `_Searcher`, `generate` takes its
+scalar walk, and `experiments` runs each trial through `generate_with_stats`
+and `enumerate_answer_sets`.  Only `solver`, `generate` and `experiments`
+import this module, each when it first searches, samples or sweeps, so
+`import randasp` loads no ctypes and compiles nothing.
 """
 
 from __future__ import annotations
@@ -29,11 +37,14 @@ import os
 import platform
 import stat
 import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+
+from .solver import KERNEL_MAX_N
 
 # The interpreter's own SHA-256: hashlib loads OpenSSL, about 3.5 MB of RSS
 # in every sweep worker.
@@ -48,8 +59,7 @@ except ImportError:
 # source on stdin; -lm names the libm whose `log` the sampler calls
 CC = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-lm")
 LEAF = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)  # (IN bitmask) -> stop?
-_INT32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_INT64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_COUNTS = ctypes.c_int64 * 4  # randasp_search's propagate calls, apply calls, leaves delivered, stopped by a leaf
 
 
 def source() -> bytes:
@@ -95,9 +105,22 @@ def _build(src: bytes, path: Path) -> None:
             os.unlink(tmp)
 
 
+def _bind(lib):
+    """`lib` with the argument and result types of the kernel's entry points set."""
+    i32, i64, f64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    for fn, argtypes, restype in (
+        (lib.randasp_search, [i32, i64, ptr, ptr, LEAF, _COUNTS], ctypes.c_int),
+        (lib.randasp_sample, [ctypes.c_uint64, i32, f64, f64, i64, ptr], i64),
+        (lib.randasp_trial, [ctypes.c_uint64, i32, f64, f64, i64, i64, i64, ptr], ctypes.c_int),
+        (lib.randasp_check, [i32, i64, ptr, ptr, ctypes.c_char_p], ctypes.c_int),
+    ):
+        fn.argtypes, fn.restype = argtypes, restype
+    return lib
+
+
 @functools.cache
 def load():
-    """The kernel library with `randasp_search` and `randasp_sample` bound, or None where it cannot be built."""
+    """The kernel library with its entry points bound, or None where it cannot be built."""
     cache = cache_dir()
     if cache is None:
         return None
@@ -110,49 +133,84 @@ def load():
         lib = ctypes.CDLL(str(path))
     except (OSError, subprocess.CalledProcessError):  # no compiler, or it failed
         return None
-    lib.randasp_search.argtypes = [ctypes.c_int32, ctypes.c_int64, _INT32, _INT32, LEAF, _INT64]
-    lib.randasp_search.restype = ctypes.c_int
-    lib.randasp_sample.argtypes = [
-        ctypes.c_uint64, ctypes.c_int32, ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    ]
-    lib.randasp_sample.restype = ctypes.c_int64
-    return lib
+    return _bind(lib)
+
+
+def _require_array(name: str, a, dtype) -> None:
+    """Raise TypeError unless `a` is a C-contiguous ndarray of `dtype`: what C reads through a bare pointer."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"{name} must be a numpy array, got {type(a).__name__}")
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array, got {a.dtype}")
 
 
 def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int, int]:
     """Run the kernel on the rules `heads[i] <- not bodies[i]` over n < 2^29 atoms.
 
-    `heads` and `bodies` are a program's `n2_arrays`: int32, C-contiguous,
-    of one length below 2^31 (the kernel's offsets are int32), every atom in
-    [0, n), and sorted by head, which `Program` guarantees; they are passed
-    to C as they are, and C reads `bodies` in place as each head's bodies.
-    `on_leaf(packed)` gets each leaf's IN atoms as a little-endian bitmask
-    of (n + 7) // 8 bytes and returns True to stop.  Returns the kernel's
-    (propagate calls, apply calls).  An exception from `on_leaf` stops the
-    search and is raised here.
+    `heads` and `bodies` are a program's `n2_arrays`: 1-D, int32,
+    C-contiguous, of one length below 2^31 (the kernel's offsets are int32),
+    every atom in [0, n), and sorted by head, which `Program` guarantees;
+    they are passed to C as they are, and C reads `bodies` in place as each
+    head's bodies.  `on_leaf(packed)` gets each leaf's IN atoms as a
+    little-endian bitmask of (n + 7) // 8 bytes and returns True to stop.
+    Returns the kernel's (propagate calls, apply calls).  An exception from
+    `on_leaf` stops the search and is raised here.  So is one that ctypes
+    drops, raised as the callback is entered (as a Ctrl-C can be) or left:
+    ctypes passes it to `sys.unraisablehook`, which is hooked during the
+    call.  Should that hook be passed over (another thread set its own), the
+    leaves and the stop that the callback and the kernel count differ, and
+    that raises RuntimeError: a search never ends short in silence.
     """
-    if heads.shape != bodies.shape:
-        raise ValueError(f"heads and bodies differ in shape: {heads.shape} vs {bodies.shape}")
-    if heads.size >= 1 << 31:
-        raise ValueError(f"the search kernel takes fewer than 2^31 rules, got {heads.size}")
+    if np.shape(heads) != np.shape(bodies):
+        raise ValueError(f"heads and bodies differ in shape: {np.shape(heads)} vs {np.shape(bodies)}")
+    if np.ndim(heads) != 1:
+        raise ValueError(f"heads and bodies must be 1-D, got shape {np.shape(heads)}")
+    if np.size(heads) >= 1 << 31:
+        raise ValueError(f"the search kernel takes fewer than 2^31 rules, got {np.size(heads)}")
+    _require_array("heads", heads, np.int32)
+    _require_array("bodies", bodies, np.int32)
     fn = load().randasp_search
     nbytes = (n + 7) // 8
     errors = []
+    handled = stop_at = 0  # leaves the callback ran on; `handled` when it first returned True
 
     def leaf(bits):
+        nonlocal handled, stop_at
         try:
-            return bool(on_leaf(ctypes.string_at(bits, nbytes)))
+            handled += 1
+            stop = bool(on_leaf(ctypes.string_at(bits, nbytes)))
         except BaseException as exc:  # C cannot unwind it: stop, then raise it below
             errors.append(exc)
-            return True
+            stop = True
+        if stop and not stop_at:
+            stop_at = handled
+        return stop
 
-    counts = np.zeros(2, dtype=np.int64)
+    dropped, previous = [], sys.unraisablehook
+
+    def unraisable(info):  # ctypes hands what it drops from `leaf` to this hook: kept, and raised below
+        if info.object is leaf:
+            dropped.append(info.exc_value)
+        else:
+            previous(info)
+
+    counts = _COUNTS()
     callback = LEAF(leaf)  # held until the call returns
-    if fn(n, heads.size, heads, bodies, callback, counts) != 0:
+    sys.unraisablehook = unraisable
+    try:
+        rc = fn(n, heads.size, heads.ctypes.data, bodies.ctypes.data, callback, counts)
+    finally:
+        sys.unraisablehook = previous
+    if rc != 0:
         raise MemoryError("search kernel is out of memory")
-    if errors:
-        raise errors[0]
-    return int(counts[0]), int(counts[1])
+    if errors or dropped:
+        raise (errors + dropped)[0]
+    if counts[2] != handled or stop_at != (handled if counts[3] else 0):
+        raise RuntimeError(
+            f"the kernel delivered {counts[2]} leaves (stopped: {bool(counts[3])}) and the leaf callback handled "
+            f"{handled} (stopped at leaf {stop_at}): ctypes dropped an exception raised in the callback"
+        )
+    return counts[0], counts[1]
 
 
 def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,9 +224,52 @@ def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.
     if n >= 1 << 31:
         raise ValueError(f"the sampler takes fewer than 2^31 atoms, got n={n}")
     fn = load().randasp_sample
-    out = np.empty((2, cap), dtype=np.int32)
-    count = fn(seed, n, log_p, log_d, cap, out.ctypes.data)
+    out = (ctypes.c_int32 * (2 * cap))()  # heads, then bodies: cheaper to make and to pass than an ndarray
+    count = fn(seed, n, log_p, log_d, cap, out)
     if count > cap:
-        out = np.empty((2, count), dtype=np.int32)
-        fn(seed, n, log_p, log_d, count, out.ctypes.data)
-    return out[0, :count], out[1, :count]
+        cap = count
+        out = (ctypes.c_int32 * (2 * cap))()
+        fn(seed, n, log_p, log_d, cap, out)
+    rules = np.frombuffer(out, dtype=np.int32)
+    return rules[:count], rules[cap : cap + count]
+
+
+# randasp_trial's error codes
+_NO_MEMORY, _NO_PROGRAM, _OVERFLOW, _TOO_MANY_RULES = -1, -2, -3, -4
+
+
+def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: int | None, sums: np.ndarray):
+    """`run(seed)`, which runs sweep trial `seed` in `randasp_trial` and adds it into `sums`.
+
+    A trial over n < 2^29 atoms draws with `sample`'s arguments (`log_p`,
+    `log_d`, a first buffer of `cap` rules), taking up to `max_draws`
+    attempts, the attempt a from sub-seed `mix_seed(seed, a)`; it keeps at
+    most `limit` answer sets (None: all), each re-checked in C.  `sums`, an
+    int64 array of n + 4, gets the kept count, its square, the attempts
+    before the nonempty draw and the histogram of kept sets by size, as
+    `experiments._trial` adds them.  `run` raises RuntimeError with
+    `generate_with_stats`' text when every draw is empty, and OverflowError
+    where a sum would leave int64; `sums` then holds part of the trial.
+    """
+    if not 0 <= n < KERNEL_MAX_N:
+        raise ValueError(f"the search kernel takes fewer than 2^29 atoms, got n={n}")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    _require_array("sums", sums, np.int64)
+    if sums.shape != (n + 4,) or not sums.flags.writeable:
+        raise ValueError(f"sums must be a writeable array of shape ({n + 4},), got {sums.shape}")
+    fn = load().randasp_trial
+    args = (n, log_p, log_d, cap, max_draws, limit or 0, sums.ctypes.data)
+
+    def run(seed: int, _sums=sums) -> None:  # _sums: C writes into it, so it lives as long as `run`
+        rc = fn(seed, *args)
+        if rc == _NO_PROGRAM:
+            raise RuntimeError(f"no nonempty program after {max_draws} resamples")
+        if rc:
+            raise {
+                _NO_MEMORY: MemoryError("search kernel is out of memory"),
+                _OVERFLOW: OverflowError("a trial's sum leaves int64"),
+                _TOO_MANY_RULES: ValueError("the search kernel takes fewer than 2^31 rules"),
+            }[rc]
+
+    return run

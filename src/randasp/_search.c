@@ -1,11 +1,16 @@
-/* Two entry points: randasp_search, the search of solver._Searcher, and
- * randasp_sample, generate's skip walk (at the end of this file).
+/* Four entry points: randasp_search, the search of solver._Searcher;
+ * randasp_sample, generate's skip walk; randasp_check, the two answer-set
+ * conditions of solver._is_n2_answer_set_mask; and randasp_trial, one whole
+ * sweep trial of experiments._trial: draw, search, re-check every leaf and
+ * add the trial into the caller's sums, with no call back into Python.
  *
  * The search of solver._Searcher, step for step: the same propagation, the
  * same branching and the same chronological backtracking, so it visits the
  * same tree and reports the same leaves in the same order.  propagate ports
  * _Searcher._propagate with _apply inlined, one queue pop per _apply call;
- * decide ports _decide.
+ * decide ports _decide.  search hands each leaf to a leaf_fn with a context
+ * of its caller's: randasp_search relays it to the Python callback, and
+ * randasp_trial checks and tallies it.
  *
  * values are int8 (0 unassigned, 1 IN, 2 OUT); nfree[a] counts a's unassigned
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
@@ -31,7 +36,7 @@
 
 enum { UNASSIGNED = 0, IN = 1, OUT = 2, SUPPORTED = -1 };
 
-typedef int (*leaf_fn)(const uint8_t *in_bits); /* nonzero: stop the search */
+typedef int (*leaf_fn)(void *ctx, const uint8_t *in_bits); /* nonzero: stop the search */
 
 typedef struct {
     int32_t n, *hoff, *hadj, *boff, *order, *nfree, *queue, n_unsup, cursor;
@@ -173,10 +178,11 @@ static void csr(int32_t n, int64_t m, const int32_t *by, const int32_t *to, int3
 }
 
 /* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
- * head, over n < 2^29 atoms and calls leaf() with the IN atoms of each leaf as
- * a little-endian bitmask.  counts gets the propagate and apply calls.
- * Returns 0, or -1 when out of memory. */
-int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, leaf_fn leaf, int64_t *counts) {
+ * head, over n < 2^29 atoms and calls leaf(ctx, bits) with the IN atoms of
+ * each leaf as a little-endian bitmask.  counts gets the propagate and apply
+ * calls.  Returns 0, or -1 when out of memory. */
+static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, leaf_fn leaf, void *ctx,
+                  int64_t *counts) {
     S s = {.n = n};
     size_t nb = ((size_t)n + 7) / 8, depth = 0, cap = 0;
     s.hoff = calloc((size_t)n + 1, 4), s.boff = calloc((size_t)n + 1, 4);
@@ -239,7 +245,7 @@ int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bo
             memset(bits, 0, nb);
             for (int32_t a = 0; a < n; a++)
                 if (s.val[a] == IN) bits[a >> 3] |= (uint8_t)(1u << (a & 7));
-            if (leaf(bits)) break;
+            if (leaf(ctx, bits)) break;
         }
         if (!depth) break; /* every IN branch tried */
         depth--;
@@ -254,6 +260,35 @@ int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bo
 done:
     free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.queue);
     free(state), free(bits), free(snaps), free(decided), free(cnt);
+    return rc;
+}
+
+typedef int (*py_leaf_fn)(const uint8_t *in_bits); /* ctypes' callback: nonzero stops */
+
+typedef struct {
+    py_leaf_fn fn;
+    int64_t delivered, stopped;
+} Relay;
+
+static int relay(void *ctx, const uint8_t *bits) {
+    Relay *r = ctx;
+    r->delivered++;
+    int stop = r->fn(bits);
+    r->stopped = stop != 0;
+    return stop;
+}
+
+/* search with leaf(bits) called for each leaf.  counts gets the propagate
+ * calls, the apply calls, the leaves handed to leaf() and whether the last
+ * of them stopped the search (1) or not (0).  ctypes drops an exception
+ * raised as it enters or leaves the callback and returns a value the
+ * callback never gave, so the caller checks these two against what its
+ * callback saw and returned.  Returns 0, or -1 when out of memory. */
+int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, py_leaf_fn leaf,
+                   int64_t *counts) {
+    Relay r = {leaf, 0, 0};
+    int rc = search(n, m, heads, bodies, relay, &r, counts);
+    counts[2] = r.delivered, counts[3] = r.stopped;
     return rc;
 }
 
@@ -306,4 +341,121 @@ int64_t randasp_sample(uint64_t seed, int32_t n, double log_p, double log_d, int
         for (int64_t i = -1; (i = next_success(seed, &draw, i, log_d, n)) < n; m++)
             if (m < cap) out[m] = out[cap + m] = (int32_t)i;
     return m;
+}
+
+/* The two answer-set conditions of solver._is_n2_answer_set_mask for the set
+ * S whose little-endian bitmask is bits (of (n + 7) / 8 bytes): no rule has
+ * its head and its body outside S, and every atom of S heads a rule whose
+ * body is outside S.  Reads only the rules and bits.  The rules must be
+ * sorted by head, every atom in [0, n): one pass over the atoms walks each
+ * atom's rules.  Returns 1 if S is an answer set and 0 if not; -1 if the
+ * walk ends with rules left, which a head out of order causes (it may also
+ * give 0 first). */
+int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, const uint8_t *bits) {
+    int64_t r = 0;
+    for (int32_t a = 0; a < n; a++) {
+        int in = bits[a >> 3] >> (a & 7) & 1, supported = 0;
+        for (; r < m && heads[r] == a; r++)
+            if (!(bits[bodies[r] >> 3] >> (bodies[r] & 7) & 1)) {
+                if (!in) return 0; /* a and its body both outside S */
+                supported = 1;
+            }
+        if (in && !supported) return 0;
+    }
+    return r == m ? 1 : -1; /* a rule left over: its head came out of order */
+}
+
+enum { TRIAL_NO_MEMORY = -1, TRIAL_NO_PROGRAM = -2, TRIAL_OVERFLOW = -3, TRIAL_TOO_MANY_RULES = -4 };
+
+typedef struct {
+    int32_t n;
+    int64_t m, limit, count, *hist;
+    const int32_t *heads, *bodies;
+    int overflow;
+} Tally;
+
+/* The leaf handler of a trial, as enumerate_answer_sets' on_leaf: a leaf that
+ * fails randasp_check is dropped, a kept one counts toward limit (0: none)
+ * and adds one to the histogram entry of its size. */
+static int tally(void *ctx, const uint8_t *bits) {
+    Tally *t = ctx;
+    if (randasp_check(t->n, t->m, t->heads, t->bodies, bits) != 1) return 0;
+    size_t nb = ((size_t)t->n + 7) / 8, i = 0;
+    int64_t size = 0;
+    for (uint64_t w; i + 8 <= nb; i += 8) {
+        memcpy(&w, bits + i, 8);
+        size += __builtin_popcountll(w);
+    }
+    for (; i < nb; i++) size += __builtin_popcount(bits[i]);
+    if (__builtin_add_overflow(t->hist[size], 1, &t->hist[size]) || __builtin_add_overflow(t->count, 1, &t->count)) {
+        t->overflow = 1;
+        return 1;
+    }
+    return t->limit > 0 && t->count >= t->limit;
+}
+
+/* Trial `seed` of a sweep, as experiments._trial runs it in Python with
+ * generate_with_stats and enumerate_answer_sets.  Attempt a draws with
+ * randasp_sample from sub-seed mix64(seed + (a + 1) * GAMMA), mix_seed's
+ * stream, until a draw is nonempty or max_draws attempts are spent; cap is
+ * the size of the first rule buffer.  The draw's contradictions are merged
+ * into head order by the key h * n + b, so the search reads the arrays
+ * Program.from_n2_arrays would hold.  Every leaf is re-checked (tally), at
+ * most limit are kept (0: all), and the trial is added into sums, which hold
+ * the kept count, its square, the attempts before the nonempty draw and
+ * then the n + 1 entries of the histogram of kept sets by size.  A sum that
+ * would overflow stops the trial.  Returns 0, or TRIAL_NO_MEMORY,
+ * TRIAL_NO_PROGRAM (every draw empty), TRIAL_OVERFLOW or
+ * TRIAL_TOO_MANY_RULES (2^31 rules or more); after an error sums hold part
+ * of the trial. */
+int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t cap, int64_t max_draws, int64_t limit,
+                  int64_t *sums) {
+    int64_t m = 0, attempt = 0, counts[2];
+    int32_t *buf = malloc((size_t)cap * 8 + 8), *canon = NULL;
+    int rc = TRIAL_NO_MEMORY;
+    if (!buf) goto done;
+    for (; attempt < max_draws; attempt++) {
+        uint64_t sub = mix64(seed + (uint64_t)(attempt + 1) * GAMMA);
+        m = randasp_sample(sub, n, log_p, log_d, cap, buf);
+        if (m > INT32_MAX) {
+            rc = TRIAL_TOO_MANY_RULES;
+            goto done;
+        }
+        if (m > cap) { /* the same stream into a buffer of the exact count */
+            int32_t *b = realloc(buf, (size_t)m * 8);
+            if (!b) goto done;
+            buf = b, cap = m;
+            randasp_sample(sub, n, log_p, log_d, cap, buf);
+        }
+        if (m) break;
+    }
+    if (!m) {
+        rc = TRIAL_NO_PROGRAM;
+        goto done;
+    }
+    const int32_t *heads = buf, *bodies = buf + cap;
+    int64_t pure = 0; /* the pure rules come first, in (head, body) order: no head equals its body */
+    while (pure < m && heads[pure] != bodies[pure]) pure++;
+    if (pure < m) { /* merge the contradictions, in head order too, by h * n + b */
+        canon = malloc((size_t)m * 8);
+        if (!canon) goto done;
+        for (int64_t i = 0, j = pure, k = 0; k < m; k++) {
+            int take_i = j == m || (i < pure && (int64_t)heads[i] * n + bodies[i] < (int64_t)heads[j] * n + bodies[j]);
+            int64_t from = take_i ? i++ : j++;
+            canon[k] = heads[from], canon[m + k] = bodies[from];
+        }
+        heads = canon, bodies = canon + m;
+    }
+    Tally t = {.n = n, .m = m, .limit = limit, .hist = sums + 3, .heads = heads, .bodies = bodies};
+    if (search(n, m, heads, bodies, tally, &t, counts)) goto done;
+    int64_t sq;
+    rc = TRIAL_OVERFLOW;
+    if (t.overflow || __builtin_mul_overflow(t.count, t.count, &sq) ||
+        __builtin_add_overflow(sums[0], t.count, &sums[0]) || __builtin_add_overflow(sums[1], sq, &sums[1]) ||
+        __builtin_add_overflow(sums[2], attempt, &sums[2]))
+        goto done;
+    rc = 0;
+done:
+    free(buf), free(canon);
+    return rc;
 }

@@ -13,6 +13,13 @@ One worker, `_count_chunk`, serves all three experiments; consistency stops
 each search at its first answer set, so its summed count is the number of
 consistent programs.  All accumulators are integers, which makes the
 reduction exact and byte-identical for any worker count.
+Each trial goes through `_trial`.  Where the compiled kernel searches
+(`search_path`), a trial is one C call, `randasp_trial`: it draws the
+program, searches it, re-checks every leaf and adds the trial into the
+chunk's int64 sums, with no Python per program or per leaf, and an
+interrupt lands between trials.  Elsewhere, and while a wrapper on
+`_Searcher` must see every search, a trial runs `generate_with_stats` and
+`enumerate_answer_sets`, which define what the C call adds.
 
 The row loop is written once, in `_sweep`: each experiment passes a row
 function that turns one row's column sums into its result and a progress
@@ -34,7 +41,9 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import ClassVar
 
-from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
+import numpy as np
+
+from .generate import _MAX_RESAMPLE, LinearModelParams, _sampler_args, generate_with_stats, mix_seed, require_sampleable
 from .programs import require_integer, require_real
 from .solver import enumerate_answer_sets, search_path
 from .theory import (
@@ -140,21 +149,52 @@ def difference_rate(f, g) -> float:
 # -- chunk workers ------------------------------------------------------------
 
 
+def _trial(params: LinearModelParams, seed: int, limit: int | None, sums, kernel) -> None:
+    """Add trial `seed` into `sums`: up to `limit` answer sets (None: all) of the program it draws.
+
+    `sums` holds the kept count, its square, the resamples and then the
+    histogram of kept sets by size, n + 4 integers.  `kernel` is None or
+    `_kernel.trial`'s runner for the same params, limit and sums.  With
+    None, the trial runs on `generate_with_stats` and
+    `enumerate_answer_sets`, which is the definition; with the runner, the
+    compiled kernel draws the same program, walks the same tree, re-checks
+    each leaf as `enumerate_answer_sets` does and adds the same integers, in
+    one C call.  Both executions call this function once per trial, so a
+    wrapper on it sees every trial.
+    """
+    if kernel is not None:
+        kernel(seed)
+        return
+    prog, attempts = generate_with_stats(params, seed)
+    masks = enumerate_answer_sets(prog, limit).masks
+    sums[0] += len(masks)
+    sums[1] += len(masks) * len(masks)
+    sums[2] += attempts
+    for m in masks:
+        sums[3 + m.bit_count()] += 1
+
+
 def _count_chunk(args):
-    """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial."""
+    """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial.
+
+    Where `search_path(n)` is "kernel", each trial is one call of the
+    compiled kernel (`randasp_trial`), which adds into an int64 array and
+    raises OverflowError where a sum would leave it; elsewhere, and while a
+    wrapper on `_Searcher` must see the search, each trial runs in Python.
+    Either way the sums come back as Python ints.
+    """
     n, c1, c2, seed, start, stop, limit = args
     params = LinearModelParams(n, c1, c2)
-    hist = [0] * (n + 1)
-    total = sq = resamples = 0
+    if search_path(n) == "kernel":
+        from . import _kernel
+
+        sums = np.zeros(n + 4, dtype=np.int64)
+        kernel = _kernel.trial(*_sampler_args(params), _MAX_RESAMPLE, limit, sums)
+    else:
+        sums, kernel = [0] * (n + 4), None
     for t in range(start, stop):
-        prog, attempts = generate_with_stats(params, mix_seed(seed, t))
-        masks = enumerate_answer_sets(prog, limit).masks
-        total += len(masks)
-        sq += len(masks) * len(masks)
-        for m in masks:
-            hist[m.bit_count()] += 1
-        resamples += attempts
-    return (total, sq, resamples, *hist)
+        _trial(params, mix_seed(seed, t), limit, sums, kernel)
+    return tuple(sums if kernel is None else sums.tolist())
 
 
 def _chunk_plan(cfg: ExperimentConfig, workers: int, limit: int | None) -> list[list[tuple]]:

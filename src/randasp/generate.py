@@ -24,6 +24,8 @@ time.  The compiled kernel (`_kernel`, `randasp_sample` in `_search.c`)
 runs the same walk in C and calls the same libm `log` that `math.log`
 calls, so it gives the same bits with no numpy float operation; it draws a
 program where it loads, and the scalar walk draws it where it does not.
+A sweep trial on the kernel (`randasp_trial`) draws in C with the same
+arguments, `_sampler_args`, and the same resampling as `generate_with_stats`.
 `_generate_bernoulli` keeps the O(n^2) per-index scan as the distribution
 oracle for tests.
 """
@@ -157,17 +159,30 @@ def _skip_indices(seed: int, start: int, total: int, prob: float) -> tuple[list[
         found.append(pos)
 
 
+def _sampler_args(params: LinearModelParams) -> tuple[int, float, float, int]:
+    """(n, log_p, log_d, cap): what the kernel's sampler takes after the stream seed.
+
+    log_p and log_d are log1p(-p) and log1p(-d), 0.0 for a probability of 0,
+    and cap, the first rule buffer's size, is the expected rule count plus
+    eight standard deviations: rarely exceeded, and then the kernel draws
+    again into a buffer of the exact count.  `_kernel.sample` and
+    `_kernel.trial` both take these.
+    """
+    n, p, d = params.n, params.p, params.d
+    sd = math.sqrt(n * (n - 1) * p * (1.0 - p) + n * d * (1.0 - d))
+    cap = int(expected_rule_count(params) + 8.0 * sd) + 64
+    log_p = math.log1p(-p) if p > 0.0 else 0.0
+    log_d = math.log1p(-d) if d > 0.0 else 0.0
+    return n, log_p, log_d, cap
+
+
 def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(heads, bodies) of one draw: pure rules in (a, b) order, then contradictions."""
     from . import _kernel  # ctypes and the build are loaded on the first draw only
 
-    n, p, d = params.n, params.p, params.d
     if _kernel.load() is not None:
-        sd = math.sqrt(n * (n - 1) * p * (1.0 - p) + n * d * (1.0 - d))
-        cap = int(expected_rule_count(params) + 8.0 * sd) + 64  # rarely exceeded: then a second call
-        log_p = math.log1p(-p) if p > 0.0 else 0.0
-        log_d = math.log1p(-d) if d > 0.0 else 0.0
-        return _kernel.sample(stream_seed, n, log_p, log_d, cap)
+        return _kernel.sample(stream_seed, *_sampler_args(params))
+    n, p, d = params.n, params.p, params.d
     pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), p)
     con = np.array(_skip_indices(stream_seed, next_draw, n, d)[0], dtype=np.int64)
     a, r = np.divmod(np.array(pure, dtype=np.int64), max(n - 1, 1))  # _pair_from_index, vectorised

@@ -15,9 +15,11 @@ backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
 `enumerate_brute_force`, the testing oracle, scans all 2^n subsets of a
 negative program (no positive body atoms, n at most the fixed `BRUTE_FORCE_CAP`).
 Both return an `AnswerSetCollection` of sorted bitmasks.
-`_is_n2_answer_set_mask` is the one n2 checker: `is_answer_set_n2` calls it,
-and so does the backtracker's leaf handler.  It tests both conditions with a
-few numpy operations over the program's `n2_arrays` and a boolean IN-vector of S.
+`_is_n2_answer_set_mask` is the n2 checker in Python: `is_answer_set_n2`
+calls it, and so does the leaf handler of `enumerate_answer_sets`.  It tests
+both conditions with a few numpy operations over the program's `n2_arrays`
+and a boolean IN-vector of S.  `randasp_check` in `_search.c` is its C port,
+which re-checks the leaves of the sweep trials that run whole in C.
 
 The backtracker branches on support first: while some IN atom has no OUT
 supporter yet, it branches on one of that atom's free support candidates,
@@ -34,10 +36,12 @@ same leaves in the same order (tests compare masks and `_propagate`/`_apply`
 call counts).  Both read the program's `n2_arrays` and build no `Rule`, and
 both hand their leaves to one contract, `on_leaf(packed) -> stop`: `packed`
 holds the leaf's IN atoms as a little-endian bitmask of (n + 7) // 8 bytes,
-and True ends the search.  `enumerate_answer_sets` holds the one leaf
-handler: it keeps a leaf only if `_is_n2_answer_set_mask` accepts it and
+and True ends the search.  `enumerate_answer_sets` holds the leaf handler in
+Python: it keeps a leaf only if `_is_n2_answer_set_mask` accepts it and
 counts only kept leaves toward `limit`, so results do not depend on which
-execution ran.
+execution ran.  A sweep trial that runs whole in the kernel
+(`experiments._trial`) hands its leaves to a handler in C that does the
+same with `randasp_check`, and tallies them there.
 
 `search_path(n)` says which execution a program over n atoms gets.  The C
 port runs wherever module `_kernel` can build and load the library, which

@@ -3,27 +3,31 @@ import dataclasses
 import hashlib
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randasp import _kernel, experiments
+import randasp
+from randasp import _kernel, experiments, generate as generate_module
 from randasp.csvout import write_avg_csv, write_consistency_csv, write_dist_csv
 
 from randasp.experiments import (
     ExperimentConfig,
     _chunk_plan,
+    _count_chunk,
     difference_rate,
     run_avg_experiment,
     run_consistency_experiment,
     run_dist_experiment,
 )
-from randasp.generate import LinearModelParams, generate, generate_with_stats, mix_seed
-from randasp.solver import enumerate_answer_sets, search_path
+from randasp.generate import LinearModelParams, _sampler_args, generate, mix_seed
+from randasp.solver import _Searcher, enumerate_answer_sets, search_path
 from randasp.theory import CURVE_MAX_N, consistency_probability, expected_total
 
 from conftest import needs_kernel
@@ -80,7 +84,7 @@ class TestConfig:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        monkeypatch.setattr("randasp.experiments._trial", no_trials)
         with pytest.raises(ValueError, match="resamples would more likely fail"):
             cfg = ExperimentConfig(n=1000, c1=(3.0, 1e-9), c2=0.0, trials=5, seed=1)
             run_avg_experiment(cfg)
@@ -99,7 +103,7 @@ class TestConfig:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        monkeypatch.setattr("randasp.experiments._trial", no_trials)
         with pytest.raises(ValueError, match="c1 and c2 must be finite"):
             run_avg_experiment(ExperimentConfig(n=50, c1=(5.0, c1), c2=c2, trials=10, seed=1), workers=2)
 
@@ -217,7 +221,7 @@ class TestWorkers:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        monkeypatch.setattr("randasp.experiments._trial", no_trials)
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=5, seed=1)
         for run in (run_avg_experiment, run_dist_experiment, run_consistency_experiment):
             with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -228,7 +232,7 @@ class TestWorkers:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        monkeypatch.setattr("randasp.experiments._trial", no_trials)
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=5, seed=1)
         for run in (run_avg_experiment, run_dist_experiment, run_consistency_experiment):
             with pytest.raises(ValueError, match="workers must be an integer"):
@@ -248,19 +252,20 @@ class TestWorkers:
     # Each trial appends "n seed" to a marker file named after the process
     # that ran it, then sleeps `pause` seconds; the patch reaches the
     # children because they are forked from this process.  `fail(params)`
-    # runs in each trial and may raise.
+    # runs in each trial and may raise.  `_trial` is called once per trial
+    # on the kernel and on the Python loop alike.
     @staticmethod
     def mark_trials(monkeypatch, tmp_path, fail=lambda params: None, pause=0.02):
-        real = generate_with_stats
+        real = experiments._trial
 
-        def marked(params, seed):
+        def marked(params, seed, *args):
             with open(tmp_path / str(os.getpid()), "a") as marker:
                 marker.write(f"{params.n} {seed}\n")
             time.sleep(pause)
             fail(params)
-            return real(params, seed)
+            return real(params, seed, *args)
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", marked)
+        monkeypatch.setattr("randasp.experiments._trial", marked)
         return lambda: [(int(f.name), *map(int, line.split())) for f in tmp_path.iterdir() for line in f.read_text().splitlines()]
 
     @staticmethod
@@ -493,7 +498,7 @@ class TestDistExperiment:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments.generate_with_stats", no_trials)
+        monkeypatch.setattr("randasp.experiments._trial", no_trials)
         cfg = ExperimentConfig(n=10, c1=0.0, c2=2.0, trials=5, seed=1)
         with pytest.raises(ValueError, match="difference rate undefined"):
             run_dist_experiment(cfg)
@@ -579,3 +584,130 @@ class TestPinnedSweeps:
         write(out, run(cfg, workers=workers), cfg.seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert_no_children()
+
+
+# `_count_chunk` arguments: (n, c1, c2, seed, start, stop, limit).
+KERNEL_CHUNKS = [
+    (1000, 3.0, 0.0, 20240904, 0, 10, 1),  # exist-n1000-c3
+    (200, 5.0, 0.0, 20240901, 0, 4, None),  # enum-n200-c5
+    (50, 5.0, 0.0, 20240901, 0, 16, None),  # the smallest row of sweep-w2
+    (100, 10.0, 4.0, 20240903, 0, 10, None),  # c2 > 0: contradictions merged into head order
+    (60, 10.0, 4.0, 7, 3, 30, 3),  # limit 3, a chunk that starts past 0
+    (150, 5.0, 1.0, 9, 5, 15, 1),
+    (1, 0.0, 0.5, 3, 0, 40, None),  # n = 1: contradictions only, and resamples
+    (2, 1.5, 1.0, 4, 0, 50, None),
+    (3, 1.0, 0.0, 5, 0, 60, None),  # resamples
+    (5, 1.0, 0.3, 6, 10, 70, 3),
+]
+
+
+@needs_kernel
+class TestKernelTrials:
+    """A sweep trial on the kernel is one C call, and it adds what the Python loop, the definition, adds."""
+
+    @pytest.mark.parametrize("chunk", KERNEL_CHUNKS)
+    def test_sums_equal_the_python_loops(self, monkeypatch, chunk):
+        assert search_path(chunk[0]) == "kernel"
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "generate_with_stats", None)  # a kernel trial takes no Python step
+            kernel = _count_chunk(chunk)
+        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
+        assert kernel == _count_chunk(chunk)
+        assert len(kernel) == chunk[0] + 4 and all(type(x) is int for x in kernel)
+
+    def test_the_grids_resample_and_keep_sets(self):
+        sums = {chunk: _count_chunk(chunk) for chunk in KERNEL_CHUNKS}
+        assert all(sums[c][2] > 0 for c in KERNEL_CHUNKS[6:9])
+        assert [c for c in KERNEL_CHUNKS if not sums[c][0]] == [KERNEL_CHUNKS[6]]  # n = 1 draws only a0 <- not a0
+
+    def test_all_draws_empty_raises_as_generate_does(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_RESAMPLE", 3)
+        monkeypatch.setattr(generate_module, "_MAX_RESAMPLE", 3)
+        chunk = (2, 1e-3, 0.0, 1, 0, 1, None)  # a draw is empty with probability 0.999
+        with pytest.raises(RuntimeError) as kernel:
+            _count_chunk(chunk)
+        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
+        with pytest.raises(RuntimeError) as python:
+            _count_chunk(chunk)
+        assert str(kernel.value) == str(python.value) == "no nonempty program after 3 resamples"
+
+    @pytest.mark.parametrize("column", ["count", "square", "size"])
+    def test_a_sum_past_int64_raises(self, column):
+        params = LinearModelParams(20, 3.0, 0.0)
+        seed = next(mix_seed(1, t) for t in range(100) if enumerate_answer_sets(generate(params, mix_seed(1, t))).count)
+        (size, *_) = (m.bit_count() for m in enumerate_answer_sets(generate(params, seed)).masks)
+        sums = np.zeros(24, np.int64)
+        sums[{"count": 0, "square": 1, "size": 3 + size}[column]] = 2**63 - 1
+        with pytest.raises(OverflowError, match="leaves int64"):
+            _kernel.trial(*_sampler_args(params), 100, None, sums)(seed)
+
+    def test_rejects_what_c_cannot_add_into(self):
+        args = _sampler_args(LinearModelParams(10, 3.0, 0.0)) + (100,)
+        with pytest.raises(ValueError, match=r"shape \(14,\), got \(13,\)"):
+            _kernel.trial(*args, None, np.zeros(13, np.int64))
+        with pytest.raises(TypeError, match="C-contiguous int64 array, got int32"):
+            _kernel.trial(*args, None, np.zeros(14, np.int32))
+        with pytest.raises(ValueError, match="limit must be positive"):
+            _kernel.trial(*args, 0, np.zeros(14, np.int64))
+
+    def test_a_wrapped_searcher_sees_every_search_of_the_sweep(self, monkeypatch):
+        cfg = ExperimentConfig(n=[30, 60], c1=5.0, c2=[0.0, 2.0], trials=6, seed=3)
+        expected = run_avg_experiment(cfg)
+        searched, real = [], _Searcher._propagate
+
+        def counted(self, queue):
+            searched.append(self.p)
+            return real(self, queue)
+
+        monkeypatch.setattr(_Searcher, "_propagate", counted)
+        assert run_avg_experiment(cfg, workers=1) == expected
+        swept = searched[:]
+        del searched[:]
+        for n, c1, c2 in cfg.combos():
+            for t in range(cfg.trials):
+                enumerate_answer_sets(generate(LinearModelParams(n, c1, c2), mix_seed(cfg.seed, t)))
+        assert swept == searched and len({id(p) for p in swept}) == 24
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_interrupt_in_a_kernel_sweep_is_raised(self, workers):
+        # The alarm lands in C or between trials: either way it is raised,
+        # with no row returned.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        cfg = ExperimentConfig(n=200, c1=5.0, c2=0.0, trials=400, seed=20240901)  # about 0.2 s of trials
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.02)
+            with pytest.raises(KeyboardInterrupt):
+                run_avg_experiment(cfg, workers=workers)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert_no_children()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_runs_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
+        # Sampling, search and whole trials on every chunk above, through a
+        # build that aborts on the first undefined behaviour, in a process
+        # of its own.
+        so = tmp_path / "search-ubsan.so"
+        cc = ["cc", "-O1", "-g", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-shared", "-fPIC", "-x", "c", "-"]
+        subprocess.run([*cc, "-lm", "-o", str(so)], input=_kernel.source(), capture_output=True, check=True)
+        script = f"""
+import ctypes
+from randasp import _kernel, experiments
+lib = _kernel._bind(ctypes.CDLL({str(so)!r}))
+_kernel.load = lambda: lib
+search_path = experiments.search_path
+for chunk in {KERNEL_CHUNKS!r}:
+    kernel = experiments._count_chunk(chunk)
+    experiments.search_path = lambda n: "python"  # the sampler and the search, each through the kernel
+    assert experiments._count_chunk(chunk) == kernel, chunk
+    experiments.search_path = search_path
+print("clean")
+"""
+        src = str(Path(randasp.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr

@@ -1,6 +1,8 @@
 import ctypes
 import hashlib
 import os
+import signal
+import sys
 import threading
 import tracemalloc
 from importlib import resources
@@ -8,6 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randasp import _kernel, solver
 from randasp.generate import LinearModelParams, generate, mix_seed
@@ -18,6 +21,7 @@ from randasp.solver import (
     _SUPPORTED,
     _UNASSIGNED,
     KERNEL_MAX_N,
+    _is_n2_answer_set_mask,
     _Searcher,
     enumerate_answer_sets,
     enumerate_brute_force,
@@ -472,6 +476,127 @@ class TestKernelArguments:
     def test_rejects_arrays_of_two_shapes(self):
         with pytest.raises(ValueError, match="differ in shape"):
             _kernel.search(2, np.zeros(2, np.int32), np.zeros(1, np.int32), lambda packed: True)
+
+    # What the ndpointer argument types checked, and the shape: the kernel
+    # reads each array through a bare pointer.
+    @pytest.mark.parametrize(
+        "heads, error, match",
+        [
+            ([0, 1], TypeError, "heads must be a numpy array, got list"),
+            (np.zeros(2, np.int64), TypeError, "C-contiguous int32 array, got int64"),
+            (np.zeros(4, np.int32)[::2], TypeError, "C-contiguous int32 array, got int32"),
+            (np.zeros((1, 2), np.int32), ValueError, r"heads and bodies must be 1-D, got shape \(1, 2\)"),
+        ],
+    )
+    def test_rejects_what_c_cannot_read_through_a_pointer(self, heads, error, match):
+        bodies = np.zeros(np.shape(heads), np.int32)
+        with pytest.raises(error, match=match):
+            _kernel.search(2, heads, bodies, lambda packed: True)
+        with pytest.raises(error, match=match if error is ValueError else match.replace("heads", "bodies")):
+            _kernel.search(2, bodies, heads, lambda packed: True)
+
+
+LEAF_CODE = next(c for c in _kernel.search.__code__.co_consts if getattr(c, "co_name", None) == "leaf")
+
+
+@needs_kernel
+class TestInterruptedKernelSearch:
+    """An exception raised as ctypes enters the leaf callback is raised, never dropped with the search cut short."""
+
+    @staticmethod
+    def interrupt_at(call, before_raising=lambda: None):
+        """A trace function that raises KeyboardInterrupt at the `call`-th entry into the kernel's leaf callback."""
+        calls = 0
+
+        def tracer(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is LEAF_CODE:
+                calls += 1
+                if calls == call:
+                    before_raising()
+                    raise KeyboardInterrupt
+            return None
+
+        return tracer
+
+    def run_traced(self, tracer, p):
+        sys.settrace(tracer)
+        try:
+            return enumerate_answer_sets(p)
+        finally:
+            sys.settrace(None)
+
+    def test_a_dropped_interrupt_is_raised(self):
+        p = two_cycles(10)
+        assert enumerate_answer_sets(p).count == 1024
+        with pytest.raises(KeyboardInterrupt):
+            self.run_traced(self.interrupt_at(100), p)
+
+    def test_leaves_counted_apart_catch_what_the_hook_misses(self, monkeypatch):
+        # Another hook replaces this search's in the middle of it, so only
+        # the kernel's count of leaves delivered shows the dropped one.
+        missed = []
+        monkeypatch.setattr(sys, "unraisablehook", sys.unraisablehook)  # restored after the test
+
+        def replace_hook():
+            sys.unraisablehook = lambda info: missed.append(info.exc_type)
+
+        with pytest.raises(RuntimeError, match="delivered 100 leaves .* handled 99 .* ctypes dropped an exception"):
+            self.run_traced(self.interrupt_at(100, replace_hook), two_cycles(10))
+        assert missed == [KeyboardInterrupt]
+
+    @pytest.mark.parametrize("delay", [0.005, 0.02, 0.05])
+    def test_a_real_interrupt_is_raised(self, delay):
+        # 2^16 leaves, each through Python: the alarm lands in C, in the
+        # callback or as it is entered, and must be raised wherever it lands.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, delay)
+            with pytest.raises(KeyboardInterrupt):
+                enumerate_answer_sets(two_cycles(16))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+
+
+@needs_kernel
+class TestKernelChecker:
+    """`randasp_check`, the leaf re-check of the kernel's sweep trials, against the two Python checkers."""
+
+    @staticmethod
+    def check(p, mask):
+        heads, bodies = p.n2_arrays
+        packed = mask.to_bytes((p.n + 7) // 8, "little")
+        return _kernel.load().randasp_check(p.n, heads.size, heads.ctypes.data, bodies.ctypes.data, packed)
+
+    @given(n2_programs(min_n=0, max_n=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_on_arbitrary_sets(self, p, data):
+        heads, bodies = p.n2_arrays
+        masks = data.draw(st.lists(st.integers(0, (1 << p.n) - 1), min_size=1, max_size=8))
+        for mask in [*masks, *enumerate_brute_force(p).masks]:  # mostly not answer sets, then every one
+            expected = _is_n2_answer_set_mask(heads, bodies, solver._unpack(p.n, mask.to_bytes((p.n + 7) // 8, "little")))
+            assert expected == is_answer_set_general(p, AtomSet(p.n, mask))
+            assert self.check(p, mask) == int(expected)
+
+    def test_generated_programs(self):
+        for n, c1, c2 in ((200, 5.0, 0.0), (60, 10.0, 4.0)):
+            for t in range(5):
+                p = generate(LinearModelParams(n, c1, c2), mix_seed(20240901, t))
+                sets = enumerate_answer_sets(p).masks
+                assert all(self.check(p, m) == 1 for m in sets)
+                for m in sets:  # each set with one atom added or taken away
+                    for a in range(0, n, 7):
+                        assert self.check(p, m ^ 1 << a) == int(is_answer_set_n2(p, AtomSet(n, m ^ 1 << a)))
+
+    def test_a_walk_past_rules_out_of_order_says_so(self):
+        # {a1}: a0 is out and heads no rule the walk has reached; a1 is
+        # supported by `a1 <- not a0`; `a0 <- not a1` is left over.
+        heads, bodies = np.array([1, 0], np.int32), np.array([0, 1], np.int32)
+        assert _kernel.load().randasp_check(2, 2, heads.ctypes.data, bodies.ctypes.data, b"\x02") == -1
 
 
 class TestKernelBuild:

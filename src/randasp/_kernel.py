@@ -111,7 +111,7 @@ def _bind(lib):
     for fn, argtypes, restype in (
         (lib.randasp_search, [i32, i64, ptr, ptr, LEAF, _COUNTS], ctypes.c_int),
         (lib.randasp_sample, [ctypes.c_uint64, i32, f64, f64, i64, ptr], i64),
-        (lib.randasp_trial, [ctypes.c_uint64, i32, f64, f64, i64, i64, i64, ptr], ctypes.c_int),
+        (lib.randasp_trial, [ctypes.c_uint64, i32, f64, f64, i64, i64, i64, ptr, ptr], ctypes.c_int),
         (lib.randasp_check, [i32, i64, ptr, ptr, ctypes.c_char_p], ctypes.c_int),
     ):
         fn.argtypes, fn.restype = argtypes, restype
@@ -144,6 +144,34 @@ def _require_array(name: str, a, dtype) -> None:
         raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array, got {a.dtype}")
 
 
+_dropped = {}  # id of the leaf callback of each search running, in any thread -> what ctypes dropped from it
+_previous_hook = sys.unraisablehook
+
+
+def _unraisable(info):
+    """`sys.unraisablehook` while searches run: keeps what ctypes drops from a running search's callback."""
+    dropped = _dropped.get(id(info.object))  # an id, since `info.object` may be unhashable
+    if dropped is None:
+        _previous_hook(info)
+    else:
+        dropped.append(info.exc_value)
+
+
+def _hook_unraisable() -> None:
+    """Install `_unraisable` in front of the hook in place, unless it is the hook already.
+
+    It is never taken out again: any number of searches, in any threads,
+    share it, so none can restore a hook that another still needs.  The
+    hook is read once, so a thread that races another here never takes
+    `_unraisable` for the hook to pass on to.
+    """
+    global _previous_hook
+    hook = sys.unraisablehook
+    if hook is not _unraisable:
+        _previous_hook = hook
+        sys.unraisablehook = _unraisable
+
+
 def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int, int]:
     """Run the kernel on the rules `heads[i] <- not bodies[i]` over n < 2^29 atoms.
 
@@ -156,10 +184,11 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
     Returns the kernel's (propagate calls, apply calls).  An exception from
     `on_leaf` stops the search and is raised here.  So is one that ctypes
     drops, raised as the callback is entered (as a Ctrl-C can be) or left:
-    ctypes passes it to `sys.unraisablehook`, which is hooked during the
-    call.  Should that hook be passed over (another thread set its own), the
-    leaves and the stop that the callback and the kernel count differ, and
-    that raises RuntimeError: a search never ends short in silence.
+    ctypes passes it to `sys.unraisablehook`, where `_unraisable` hands it
+    to the search whose callback it came from.  Should that hook be passed
+    over (another hook set in the middle of the search), the leaves and the
+    stop that the callback and the kernel count differ, and that raises
+    RuntimeError: a search never ends short in silence.
     """
     if np.shape(heads) != np.shape(bodies):
         raise ValueError(f"heads and bodies differ in shape: {np.shape(heads)} vs {np.shape(bodies)}")
@@ -186,21 +215,14 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
             stop_at = handled
         return stop
 
-    dropped, previous = [], sys.unraisablehook
-
-    def unraisable(info):  # ctypes hands what it drops from `leaf` to this hook: kept, and raised below
-        if info.object is leaf:
-            dropped.append(info.exc_value)
-        else:
-            previous(info)
-
     counts = _COUNTS()
     callback = LEAF(leaf)  # held until the call returns
-    sys.unraisablehook = unraisable
+    _dropped[id(leaf)] = dropped = []  # `leaf` lives until the call returns, so its id stays its own
     try:
+        _hook_unraisable()
         rc = fn(n, heads.size, heads.ctypes.data, bodies.ctypes.data, callback, counts)
     finally:
-        sys.unraisablehook = previous
+        del _dropped[id(leaf)]
     if rc != 0:
         raise MemoryError("search kernel is out of memory")
     if errors or dropped:
@@ -235,10 +257,14 @@ def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.
 
 
 # randasp_trial's error codes
-_NO_MEMORY, _NO_PROGRAM, _OVERFLOW, _TOO_MANY_RULES = -1, -2, -3, -4
+_NO_MEMORY, _NO_PROGRAM, _OVERFLOW, _TOO_MANY_RULES, _STOPPED = -1, -2, -3, -4, -5
 
 
-def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: int | None, sums: np.ndarray):
+class Stopped(Exception):
+    """A kernel trial ended early because its stop flag was set."""
+
+
+def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: int | None, sums: np.ndarray, stop=None):
     """`run(seed)`, which runs sweep trial `seed` in `randasp_trial` and adds it into `sums`.
 
     A trial over n < 2^29 atoms draws with `sample`'s arguments (`log_p`,
@@ -247,9 +273,13 @@ def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: i
     most `limit` answer sets (None: all), each re-checked in C.  `sums`, an
     int64 array of n + 4, gets the kept count, its square, the attempts
     before the nonempty draw and the histogram of kept sets by size, as
-    `experiments._trial` adds them.  `run` raises RuntimeError with
-    `generate_with_stats`' text when every draw is empty, and OverflowError
-    where a sum would leave int64; `sums` then holds part of the trial.
+    `experiments._trial` adds them.  `stop` is a `ctypes.c_int32` (None: one
+    never set) that C reads at each decision of the search; another thread
+    sets it to end every trial that reads it, and `run` then raises
+    `Stopped`.  `run` raises RuntimeError with `generate_with_stats`' text
+    when every draw is empty, and OverflowError where a sum would leave
+    int64.  After any of these errors `sums` holds part of the trial.  C
+    runs without the GIL, so trials in other threads run alongside.
     """
     if not 0 <= n < KERNEL_MAX_N:
         raise ValueError(f"the search kernel takes fewer than 2^29 atoms, got n={n}")
@@ -259,9 +289,12 @@ def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: i
     if sums.shape != (n + 4,) or not sums.flags.writeable:
         raise ValueError(f"sums must be a writeable array of shape ({n + 4},), got {sums.shape}")
     fn = load().randasp_trial
-    args = (n, log_p, log_d, cap, max_draws, limit or 0, sums.ctypes.data)
+    stop = ctypes.c_int32(0) if stop is None else stop
+    if not isinstance(stop, ctypes.c_int32):
+        raise TypeError(f"stop must be a ctypes.c_int32, got {type(stop).__name__}")
+    args = (n, log_p, log_d, cap, max_draws, limit or 0, sums.ctypes.data, ctypes.addressof(stop))
 
-    def run(seed: int, _sums=sums) -> None:  # _sums: C writes into it, so it lives as long as `run`
+    def run(seed: int, _keep=(sums, stop)) -> None:  # _keep: C reads and writes them, so they live as long as `run`
         rc = fn(seed, *args)
         if rc == _NO_PROGRAM:
             raise RuntimeError(f"no nonempty program after {max_draws} resamples")
@@ -270,6 +303,7 @@ def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: i
                 _NO_MEMORY: MemoryError("search kernel is out of memory"),
                 _OVERFLOW: OverflowError("a trial's sum leaves int64"),
                 _TOO_MANY_RULES: ValueError("the search kernel takes fewer than 2^31 rules"),
+                _STOPPED: Stopped("the trial's stop flag was set"),
             }[rc]
 
     return run

@@ -10,7 +10,9 @@
  * _Searcher._propagate with _apply inlined, one queue pop per _apply call;
  * decide ports _decide.  search hands each leaf to a leaf_fn with a context
  * of its caller's: randasp_search relays it to the Python callback, and
- * randasp_trial checks and tallies it.
+ * randasp_trial checks and tallies it.  search also reads a stop flag once
+ * per decision, which another thread may set while it runs: randasp_trial
+ * takes its sweep's flag, and randasp_search one that is never set.
  *
  * values are int8 (0 unassigned, 1 IN, 2 OUT); nfree[a] counts a's unassigned
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
@@ -180,9 +182,10 @@ static void csr(int32_t n, int64_t m, const int32_t *by, const int32_t *to, int3
 /* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
  * head, over n < 2^29 atoms and calls leaf(ctx, bits) with the IN atoms of
  * each leaf as a little-endian bitmask.  counts gets the propagate and apply
- * calls.  Returns 0, or -1 when out of memory. */
+ * calls.  Returns 0, -1 when out of memory, or 1 when *stop is nonzero at a
+ * decision (counts then unset). */
 static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, leaf_fn leaf, void *ctx,
-                  int64_t *counts) {
+                  const volatile int32_t *stop, int64_t *counts) {
     S s = {.n = n};
     size_t nb = ((size_t)n + 7) / 8, depth = 0, cap = 0;
     s.hoff = calloc((size_t)n + 1, 4), s.boff = calloc((size_t)n + 1, 4);
@@ -226,6 +229,10 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
         if (ok) {
             int32_t atom = decide(&s);
             if (atom >= 0) {
+                if (*stop) {
+                    rc = 1;
+                    goto done;
+                }
                 if (depth == cap) {
                     size_t c2 = cap ? 2 * cap : 16;
                     uint8_t *sn = realloc(snaps, c2 * snap);
@@ -286,8 +293,9 @@ static int relay(void *ctx, const uint8_t *bits) {
  * callback saw and returned.  Returns 0, or -1 when out of memory. */
 int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, py_leaf_fn leaf,
                    int64_t *counts) {
+    static const int32_t never = 0;
     Relay r = {leaf, 0, 0};
-    int rc = search(n, m, heads, bodies, relay, &r, counts);
+    int rc = search(n, m, heads, bodies, relay, &r, &never, counts);
     counts[2] = r.delivered, counts[3] = r.stopped;
     return rc;
 }
@@ -365,7 +373,7 @@ int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     return r == m ? 1 : -1; /* a rule left over: its head came out of order */
 }
 
-enum { TRIAL_NO_MEMORY = -1, TRIAL_NO_PROGRAM = -2, TRIAL_OVERFLOW = -3, TRIAL_TOO_MANY_RULES = -4 };
+enum { TRIAL_NO_MEMORY = -1, TRIAL_NO_PROGRAM = -2, TRIAL_OVERFLOW = -3, TRIAL_TOO_MANY_RULES = -4, TRIAL_STOPPED = -5 };
 
 typedef struct {
     int32_t n;
@@ -404,12 +412,13 @@ static int tally(void *ctx, const uint8_t *bits) {
  * most limit are kept (0: all), and the trial is added into sums, which hold
  * the kept count, its square, the attempts before the nonempty draw and
  * then the n + 1 entries of the histogram of kept sets by size.  A sum that
- * would overflow stops the trial.  Returns 0, or TRIAL_NO_MEMORY,
- * TRIAL_NO_PROGRAM (every draw empty), TRIAL_OVERFLOW or
- * TRIAL_TOO_MANY_RULES (2^31 rules or more); after an error sums hold part
- * of the trial. */
+ * would overflow stops the trial, and so does *stop, read at each decision
+ * of the search: another thread sets it to end the trial early.  Returns 0,
+ * or TRIAL_NO_MEMORY, TRIAL_NO_PROGRAM (every draw empty), TRIAL_OVERFLOW,
+ * TRIAL_TOO_MANY_RULES (2^31 rules or more) or TRIAL_STOPPED; after an
+ * error sums hold part of the trial. */
 int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t cap, int64_t max_draws, int64_t limit,
-                  int64_t *sums) {
+                  int64_t *sums, const volatile int32_t *stop) {
     int64_t m = 0, attempt = 0, counts[2];
     int32_t *buf = malloc((size_t)cap * 8 + 8), *canon = NULL;
     int rc = TRIAL_NO_MEMORY;
@@ -447,7 +456,11 @@ int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t 
         heads = canon, bodies = canon + m;
     }
     Tally t = {.n = n, .m = m, .limit = limit, .hist = sums + 3, .heads = heads, .bodies = bodies};
-    if (search(n, m, heads, bodies, tally, &t, counts)) goto done;
+    int searched = search(n, m, heads, bodies, tally, &t, stop, counts);
+    if (searched) {
+        rc = searched > 0 ? TRIAL_STOPPED : TRIAL_NO_MEMORY;
+        goto done;
+    }
     int64_t sq;
     rc = TRIAL_OVERFLOW;
     if (t.overflow || __builtin_mul_overflow(t.count, t.count, &sq) ||

@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=_u64, required=True)
     exp.add_argument(
-        "--workers", type=int, default=1, help="processes that run trials, this one included (default %(default)s)"
+        "--workers", type=int, default=1, help="threads that run trials, this one included; they speed up only the compiled kernel's trials"
+        " (default %(default)s)"
     )
     exp.add_argument("--out", required=True)
     exp.set_defaults(handler=_cmd_experiment)

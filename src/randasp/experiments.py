@@ -4,10 +4,10 @@ Trial t of a run seeded with s generates its program from sub-seed
 mix_seed(s, t), so results are independent of scheduling.  Each row of a
 sweep is cut into chunks of consecutive trials, about four per worker, so a
 heavy-tailed row does not leave workers idle behind one slow chunk; near the
-end of the sweep the chunks shrink.  With workers > 1 the calling process is
-one of the workers and the rest are children forked for the sweep: every
-process, the caller included, claims the next chunk from one shared counter,
-so no chunk waits behind a process that has not started it.  Rows are
+end of the sweep the chunks shrink.  With workers > 1 the calling thread is
+one of the workers and the rest are threads started for the sweep: every
+thread, the caller included, claims the next chunk from one shared counter,
+so no chunk waits behind a thread that has not started it.  Rows are
 reduced and reported in row order as their chunks come in.
 One worker, `_count_chunk`, serves all three experiments; consistency stops
 each search at its first answer set, so its summed count is the number of
@@ -16,26 +16,27 @@ reduction exact and byte-identical for any worker count.
 Each trial goes through `_trial`.  Where the compiled kernel searches
 (`search_path`), a trial is one C call, `randasp_trial`: it draws the
 program, searches it, re-checks every leaf and adds the trial into the
-chunk's int64 sums, with no Python per program or per leaf, and an
-interrupt lands between trials.  Elsewhere, and while a wrapper on
-`_Searcher` must see every search, a trial runs `generate_with_stats` and
-`enumerate_answer_sets`, which define what the C call adds.
+chunk's int64 sums, with no Python per program or per leaf.  The call gives
+up the GIL, so the threads' trials run in parallel; an interrupt lands in
+the calling thread between its own trials or while it waits.  Elsewhere,
+and while a wrapper on `_Searcher` must see every search, a trial runs
+`generate_with_stats` and `enumerate_answer_sets`, which define what the C
+call adds; those hold the GIL, so such a sweep runs in the calling thread
+alone.
 
 The row loop is written once, in `_sweep`: each experiment passes a row
 function that turns one row's column sums into its result and a progress
-note, and `_sweep` collects the results and prints the notes.  The children
-live exactly as long as the `_sweep` call: before it returns they have
-exited and been reaped, and when it raises, on a failed trial in any
-process, a failing row function or an interrupt, every child is killed and
-reaped.
+note, and `_sweep` collects the results and prints the notes.  The threads
+live exactly as long as the `_sweep` call: before it returns or raises
+they have been joined.  When it raises, on a failed trial in any thread, a
+failing row function or an interrupt, it first sets the sweep's stop flag,
+which ends each kernel trial still running at its next decision.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import signal
 import sys
 from dataclasses import dataclass
 from time import perf_counter
@@ -174,25 +175,27 @@ def _trial(params: LinearModelParams, seed: int, limit: int | None, sums, kernel
         sums[3 + m.bit_count()] += 1
 
 
-def _count_chunk(args):
+def _count_chunk(args, stop=None):
     """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial.
 
     Where `search_path(n)` is "kernel", each trial is one call of the
     compiled kernel (`randasp_trial`), which adds into an int64 array and
-    raises OverflowError where a sum would leave it; elsewhere, and while a
-    wrapper on `_Searcher` must see the search, each trial runs in Python.
-    Either way the sums come back as Python ints.
+    raises OverflowError where a sum would leave it; `stop`, a sweep's
+    `ctypes.c_int32` flag (None: none), ends a kernel trial at a decision
+    once it is set.  Elsewhere, and while a wrapper on `_Searcher` must see
+    the search, each trial runs in Python.  Either way the sums come back as
+    Python ints.
     """
-    n, c1, c2, seed, start, stop, limit = args
+    n, c1, c2, seed, start, end, limit = args
     params = LinearModelParams(n, c1, c2)
     if search_path(n) == "kernel":
         from . import _kernel
 
         sums = np.zeros(n + 4, dtype=np.int64)
-        kernel = _kernel.trial(*_sampler_args(params), _MAX_RESAMPLE, limit, sums)
+        kernel = _kernel.trial(*_sampler_args(params), _MAX_RESAMPLE, limit, sums, stop)
     else:
         sums, kernel = [0] * (n + 4), None
-    for t in range(start, stop):
+    for t in range(start, end):
         _trial(params, mix_seed(seed, t), limit, sums, kernel)
     return tuple(sums if kernel is None else sums.tolist())
 
@@ -200,12 +203,11 @@ def _count_chunk(args):
 def _chunk_plan(cfg: ExperimentConfig, workers: int, limit: int | None) -> list[list[tuple]]:
     """The `_count_chunk` arguments of each row's chunks, row by row, each row's trials in order."""
     # About four chunks per worker and row: enough that idle workers take up
-    # a straggler's share, few enough that a chunk's claim and result message
-    # stay small next to its trials (one trial per task slowed a 1000-trial
-    # n=50 row at two workers by a third).  With more than one worker, a
-    # chunk near the end of the sweep holds at most a (4 * workers)-th of
-    # the trials left, so the processes that claim the last chunks finish
-    # close together.
+    # a straggler's share, few enough that a chunk's claim and set-up stay
+    # small next to its trials (8 and 16 chunks per worker were slower at
+    # two workers).  With more than one worker, a chunk near the end of the
+    # sweep holds at most a (4 * workers)-th of the trials left, so the
+    # threads that claim the last chunks finish close together.
     rows = list(cfg.combos())
     per = -(-cfg.trials // (4 * workers))
     left = len(rows) * cfg.trials
@@ -223,122 +225,62 @@ def _chunk_plan(cfg: ExperimentConfig, workers: int, limit: int | None) -> list[
     return row_chunks
 
 
-def _claim(counter) -> int:
-    """The next chunk index off the shared counter; past the last chunk when none is left."""
-    with counter.get_lock():
-        i = counter.value
-        counter.value = i + 1
-    return i
+def _threaded_results(chunks, threads: int):
+    """`_count_chunk` of each chunk, in order, run by this thread and `threads` more.
 
-
-def _child(counter, chunks, writer, mask):
-    """A forked child's whole life: send (i, sums) of each chunk it claims, then exit; never returns.
-
-    A failure is sent as (-1, (error, traceback text)).  The child leaves
-    through `os._exit`, so it never flushes the caller's buffers or runs its
-    `atexit` handlers.
+    Every thread claims the next chunk from one shared counter.  This thread
+    claims only while the chunk it must yield next is missing, and waits for
+    the other threads once no chunk is left.  The first error in any thread
+    sets the sweep's stop flag, which ends every other thread's kernel trial
+    at its next decision, and is raised here as itself.  Before the
+    generator finishes, raises or is closed, the flag is set and every
+    thread is joined.
     """
-    code = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        while (i := _claim(counter)) < len(chunks):
-            writer.send((i, _count_chunk(chunks[i])))
-        code = 0
-    except BaseException as error:
-        import traceback
+    import ctypes
+    import threading
 
-        tb = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+    claim = itertools.count().__next__  # atomic under the GIL
+    stop = ctypes.c_int32(0)
+    done, errors = {}, []
+    changed = threading.Condition()
+
+    def work(i):
+        """Run chunk i into `done`; on an error, keep it (unless the sweep is stopping already) and set `stop`."""
         try:
-            writer.send((-1, (error, tb)))
-        except Exception:  # pickle cannot carry this error; its traceback text still goes
-            writer.send((-1, (RuntimeError(f"sweep worker {os.getpid()} raised an error that cannot be pickled"), tb)))
-    finally:
-        os._exit(code)
-
-
-def _forked_results(chunks, children: int):
-    """`_count_chunk` of each chunk, in order, run by this process and `children` forked ones.
-
-    Every process claims the next chunk from one shared counter.  A child
-    sends each chunk's sums down a pipe of its own and exits once no chunk is
-    left.  This process reads every pipe that is ready before each claim,
-    and claims only while the chunk it must yield next is still missing;
-    once no chunk is left to claim, it waits on the pipes.  A child's error
-    is raised here, as is a child that exits with a nonzero status.  Once
-    every chunk is in, the children exit on their own and are reaped before
-    the last chunk is yielded; if the generator raises or is closed before
-    that, every child left is killed and reaped.
-    """
-    import multiprocessing
-    from multiprocessing.connection import Pipe, wait
-
-    counter = multiprocessing.get_context("fork").Value("q", 0)
-    done = {}
-    running = {}  # pipe -> pid of each child not yet reaped
-
-    def receive(reader):
-        try:
-            i, sums = reader.recv()
-        except EOFError:  # the child has exited
-            pid = running.pop(reader)
-            reader.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                raise RuntimeError(f"sweep worker {pid} exited with status {code}") from None
+            sums = _count_chunk(chunks[i], stop)
+        except BaseException as error:  # a trial the flag stopped raises only after the first error
+            with changed:
+                if not stop.value:
+                    errors.append(error)
+                    stop.value = 1
+                changed.notify()
             return
-        if i < 0:
-            error, tb = sums
-            raise error from RuntimeError(f"in a sweep worker:\n{tb}")
-        done[i] = sums
+        with changed:
+            done[i] = sums
+            changed.notify()
 
-    def drain(timeout):
-        for reader in wait(list(running), timeout):
-            receive(reader)
+    def worker():
+        while not stop.value and (i := claim()) < len(chunks):
+            work(i)
 
-    def claim():
-        # A child killed while it holds the counter's lock never releases
-        # it; its pipe then reads as closed, and `receive` raises.
-        while not counter.get_lock().acquire(timeout=1.0):
-            drain(0)
-        try:
-            return _claim(counter)
-        finally:
-            counter.get_lock().release()
-
-    # SIGINT waits until each child's pid is recorded and, in the child,
-    # until its `try` has begun.
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    pool = [threading.Thread(target=worker, name=f"randasp-sweep-{k}") for k in range(threads)]
     try:
-        try:
-            for _ in range(children):
-                reader, writer = Pipe(duplex=False)
-                pid = os.fork()
-                if pid == 0:
-                    _child(counter, chunks, writer, mask)
-                running[reader] = pid
-                writer.close()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        last = 0  # the last chunk this process claimed
+        for thread in pool:
+            thread.start()
         for i in range(len(chunks)):
-            while i not in done:
-                if last >= len(chunks) and not running:
-                    raise RuntimeError(f"every sweep worker has exited with chunk {i} not done")
-                drain(0 if last < len(chunks) else None)
-                if i not in done and last < len(chunks):
-                    last = claim()
-                    if last < len(chunks):
-                        done[last] = _count_chunk(chunks[last])
-            if i + 1 == len(chunks):
-                while running:  # every chunk is in, so each child is on its way out
-                    drain(None)
+            while i not in done and not errors:
+                if (j := claim()) < len(chunks):
+                    work(j)
+                else:  # every chunk is claimed: wait for the thread that holds chunk i
+                    with changed:
+                        changed.wait_for(lambda: i in done or errors)
+            if errors:
+                raise errors[0]
             yield done.pop(i)
     finally:
-        for pid in running.values():
-            os.kill(pid, signal.SIGKILL)
-        for reader, pid in running.items():
-            os.waitpid(pid, 0)
-            reader.close()
+        stop.value = 1
+        for thread in pool:
+            thread.join()
 
 
 def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress: bool) -> list:
@@ -346,11 +288,12 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
 
     `sums` are the column sums of `_count_chunk` over the row's trials, and
     `row` returns (result, note).  With `progress`, the note goes to stderr
-    followed by "[row i/rows, seconds since the sweep started]".  Children
-    are forked only for more than one worker and chunk: this process is one
-    of the `workers`, `min(workers, chunks) - 1` children are the rest, and
-    each process claims the next chunk no process has started (see
-    `_forked_results`).  No child outlives the call: each one is reaped
+    followed by "[row i/rows, seconds since the sweep started]".  Threads
+    are started only for more than one worker and chunk, and only where the
+    compiled kernel searches: this thread is one of the `workers`,
+    `min(workers, chunks) - 1` threads started for the call are the rest,
+    and each thread claims the next chunk no thread has started (see
+    `_threaded_results`).  No thread outlives the call: each one is joined
     before the sweep returns or raises.
     """
     workers = require_integer("workers", workers)
@@ -360,15 +303,10 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     rows = list(cfg.combos())
     row_chunks = _chunk_plan(cfg, workers, limit)
     chunks = [c for cs in row_chunks for c in cs]
-    children = min(workers, len(chunks)) - 1
-    if children:
-        # Load the compiled kernel here, once, before the fork: this process
-        # runs chunks too, the children inherit the loaded kernel, and none
-        # of them hashes the source or races to compile it.
-        search_path(max(cfg.n))
-        results = _forked_results(chunks, children)
-    else:
-        results = map(_count_chunk, chunks)
+    # A Python search holds the GIL, and a wrapper on `_Searcher` may
+    # assume one thread, so only kernel trials get threads.
+    threads = min(workers, len(chunks)) - 1 if search_path(max(cfg.n)) == "kernel" else 0
+    results = _threaded_results(chunks, threads) if threads else map(_count_chunk, chunks)
     out = []
     try:
         for i, ((n, c1, c2), cs) in enumerate(zip(rows, row_chunks), 1):
@@ -378,7 +316,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
             if progress:
                 print(f"{note} [row {i}/{len(rows)}, {perf_counter() - t0:.1f} s]", file=sys.stderr)
     finally:
-        if children:
+        if threads:
             results.close()
     return out
 

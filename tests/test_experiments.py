@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -7,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -249,17 +251,16 @@ class TestWorkers:
         assert sizes == sorted(sizes, reverse=True) and sizes[-8:] == [1] * 8
         assert [[c[4:6] for c in chunks] for chunks in _chunk_plan(cfg, 1, None)] == [[(0, 10), (10, 20), (20, 30), (30, 40)]] * 2
 
-    # Each trial appends "n seed" to a marker file named after the process
-    # that ran it, then sleeps `pause` seconds; the patch reaches the
-    # children because they are forked from this process.  `fail(params)`
-    # runs in each trial and may raise.  `_trial` is called once per trial
-    # on the kernel and on the Python loop alike.
+    # Each trial appends "n seed" to a marker file named after the thread
+    # that ran it, then sleeps `pause` seconds.  `fail(params)` runs in each
+    # trial and may raise.  `_trial` is called once per trial on the kernel
+    # and on the Python loop alike.
     @staticmethod
     def mark_trials(monkeypatch, tmp_path, fail=lambda params: None, pause=0.02):
         real = experiments._trial
 
         def marked(params, seed, *args):
-            with open(tmp_path / str(os.getpid()), "a") as marker:
+            with open(tmp_path / str(threading.get_ident()), "a") as marker:
                 marker.write(f"{params.n} {seed}\n")
             time.sleep(pause)
             fail(params)
@@ -269,47 +270,59 @@ class TestWorkers:
         return lambda: [(int(f.name), *map(int, line.split())) for f in tmp_path.iterdir() for line in f.read_text().splitlines()]
 
     @staticmethod
-    def count_forks(monkeypatch):
-        """The pids of the children forked from here on."""
-        forked, real = [], os.fork
+    def count_threads(monkeypatch):
+        """The threads started from here on."""
+        started, real = [], threading.Thread.start
 
-        def fork():
-            pid = real()
-            if pid:
-                forked.append(pid)
-            return pid
+        def start(thread):
+            started.append(thread)
+            return real(thread)
 
-        monkeypatch.setattr(os, "fork", fork)
-        return forked
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return started
 
+    @needs_kernel
     def test_children_per_sweep_sized_to_its_chunks(self, monkeypatch, tmp_path):
+        # The children are the threads a sweep starts besides the caller.
         trials = self.mark_trials(monkeypatch, tmp_path)
-        forked = self.count_forks(monkeypatch)
+        started = self.count_threads(monkeypatch)
 
         def swept(run, cfg, workers):
-            """The processes that ran a trial and the children forked, in one sweep that matches one worker's."""
+            """The threads that ran a trial and the threads started, in one sweep that matches one worker's."""
             for marker in tmp_path.iterdir():
                 marker.unlink()
-            del forked[:]
+            del started[:]
             assert run(cfg, workers=workers) == run(cfg, workers=1)
-            return {pid for pid, *_ in trials()}, list(forked)
+            return {ident for ident, *_ in trials()}, [thread.ident for thread in started]
 
-        caller = os.getpid()
+        caller, before = threading.get_ident(), threading.active_count()
         three_rows = ExperimentConfig(n=[10, 12, 14], c1=3.0, c2=0.0, trials=6, seed=8)
         for run in (run_avg_experiment, run_consistency_experiment):
             ran, children = swept(run, three_rows, 2)
-            assert len(children) == 1 and ran <= {caller, *children}  # 3 rows x 6 one-trial chunks; this process is the other worker
+            assert len(children) == 1 and ran <= {caller, *children}  # 3 rows x 6 one-trial chunks; this thread is the other worker
         three_chunks = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=3, seed=8)
         ran, children = swept(run_avg_experiment, three_chunks, 8)
         assert len(children) == 2 and ran <= {caller, *children}
         one_chunk = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=1, seed=8)
         for run in (run_avg_experiment, run_dist_experiment):
             assert swept(run, one_chunk, 2) == ({caller}, [])
+        assert threading.active_count() == before
         assert_no_children()
 
+    def test_a_python_search_runs_in_the_caller_alone(self, monkeypatch, tmp_path):
+        # Threads cannot speed up a search that holds the GIL, and a wrapper
+        # on `_Searcher` may assume one thread.
+        trials = self.mark_trials(monkeypatch, tmp_path, pause=0)
+        started = self.count_threads(monkeypatch)
+        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
+        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=8, seed=8)
+        assert run_avg_experiment(cfg, workers=4) == run_avg_experiment(cfg, workers=1)
+        assert started == [] and {ident for ident, *_ in trials()} == {threading.get_ident()}
+
     def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
-        # Forked workers inherit what `load()` cached, so none of them
-        # hashes the source or compiles it on a cold cache.
+        # `_sweep` loads the kernel, once, before it starts any thread: it
+        # starts threads only where the kernel searches, and no two threads
+        # race to hash the source or compile it on a cold cache.
         assert _kernel.load.cache_info().currsize == 0
         run_avg_experiment(ExperimentConfig(n=[20, 30], c1=3.0, c2=0.0, trials=4, seed=8), workers=2)
         assert _kernel.load.cache_info().currsize == 1
@@ -317,39 +330,47 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_this_process_is_one_of_the_workers(self, monkeypatch, tmp_path, workers):
         trials = self.mark_trials(monkeypatch, tmp_path)
+        before = threading.active_count()
         cfg = ExperimentConfig(n=10, c1=3.0, c2=0.0, trials=12, seed=5)  # 10 chunks at 2 workers, 12 at 3 or 4
         swept = run_avg_experiment(cfg, workers=workers)
-        ran = [pid for pid, *_ in trials()]
+        ran = [ident for ident, *_ in trials()]
         assert swept == run_avg_experiment(cfg, workers=1)
-        assert len(ran) == 12  # each trial once, by one process
-        assert os.getpid() in ran and len(set(ran)) <= workers
+        assert len(ran) == 12  # each trial once, by one thread
+        assert threading.get_ident() in ran and len(set(ran)) <= workers
+        assert threading.active_count() == before
         assert_no_children()
 
-    # Short trials and more processes than this box's two cores, so the
-    # claims on the shared counter contend: a lost update would run a
-    # trial twice or not at all.
+    # Short trials, more threads than this box's two cores and a short
+    # switch interval, so the claims on the shared counter contend: a lost
+    # update would run a trial twice or not at all.
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_each_trial_runs_exactly_once(self, monkeypatch, tmp_path, workers):
         trials = self.mark_trials(monkeypatch, tmp_path, pause=0)
         cfg = ExperimentConfig(n=[10, 12, 14, 16], c1=3.0, c2=0.0, trials=40, seed=5)
-        with deadline(30):
-            swept = run_avg_experiment(cfg, workers=workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with deadline(30):
+                swept = run_avg_experiment(cfg, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
         assert_no_children()
         ran = sorted((n, seed) for _, n, seed in trials())
         assert ran == sorted((n, mix_seed(5, t)) for n in (10, 12, 14, 16) for t in range(40))
         assert swept == run_avg_experiment(cfg, workers=1)
 
     # Without stopping at the first error, the 80 trials behind the failure
-    # would all run.
+    # would all run.  A "child" is a thread the sweep started.
+    @needs_kernel
     @pytest.mark.parametrize("run", [run_avg_experiment, run_consistency_experiment])
     @pytest.mark.parametrize("fail_in", ["trial", "caller", "caller's trial", "child's trial"])
     def test_error_cancels_queued_chunks(self, monkeypatch, tmp_path, run, fail_in):
-        caller = os.getpid()
+        caller, before = threading.get_ident(), threading.active_count()
         fails = {
             "trial": lambda params: params.n == 10,
             "caller": lambda params: False,
-            "caller's trial": lambda params: os.getpid() == caller,
-            "child's trial": lambda params: os.getpid() != caller,
+            "caller's trial": lambda params: threading.get_ident() == caller,
+            "child's trial": lambda params: threading.get_ident() != caller,
         }[fail_in]
 
         def fail(params):
@@ -361,76 +382,69 @@ class TestWorkers:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        if fail_in == "caller":  # the theory columns of row 0, in this process
+        if fail_in == "caller":  # the theory columns of row 0, in this thread
             monkeypatch.setattr("randasp.experiments.expected_total", interrupted)
         cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
-        with pytest.raises(KeyboardInterrupt if fail_in == "caller" else RuntimeError):
+        with pytest.raises(KeyboardInterrupt if fail_in == "caller" else RuntimeError, match=None if fail_in == "caller" else "trial failed"):
             run(cfg, workers=2)
+        assert threading.active_count() == before
         assert_no_children()
         assert len(trials()) < 48  # of 96 trials
 
-    def test_a_killed_child_fails_the_sweep(self, monkeypatch, tmp_path):
-        caller = os.getpid()
-
-        def killed(params):
-            if os.getpid() != caller:
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        self.mark_trials(monkeypatch, tmp_path, killed)
-        cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
-        with deadline(5), pytest.raises(RuntimeError, match=f"exited with status -{int(signal.SIGKILL)}"):
-            run_avg_experiment(cfg, workers=2)
-        assert_no_children()
-
-    def test_a_child_killed_holding_the_counter_fails_the_sweep(self, monkeypatch, tmp_path):
-        # The counter's lock is never released, and this process, still
-        # claiming its 0.02 s trials, must not wait on it for good.
-        self.mark_trials(monkeypatch, tmp_path)
-        caller, real = os.getpid(), experiments._claim
-
-        def claim(counter):
-            if os.getpid() != caller:
-                counter.get_lock().acquire()
-                time.sleep(0.2)  # long enough for this process to wait on the lock
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(counter)
-
-        monkeypatch.setattr(experiments, "_claim", claim)
-        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=16, seed=5)
-        with deadline(5), pytest.raises(RuntimeError, match=f"exited with status -{int(signal.SIGKILL)}"):
-            run_avg_experiment(cfg, workers=2)
-        assert_no_children()
-
+    @needs_kernel
     def test_an_error_pickle_cannot_carry_fails_the_sweep(self, monkeypatch, tmp_path):
-        caller = os.getpid()
+        # Nothing is pickled: another thread's error is raised as itself.
+        caller = threading.get_ident()
 
-        class LocalError(Exception):  # a local class: pickle cannot name it
+        class LocalError(Exception):  # a local class: pickle could not name it
             pass
 
+        raised = []
+
         def fail(params):
-            if os.getpid() != caller:
-                raise LocalError("only a child raises this")
+            if threading.get_ident() != caller:
+                raised.append(LocalError("only another thread raises this"))
+                raise raised[-1]
 
         self.mark_trials(monkeypatch, tmp_path, fail)
         cfg = ExperimentConfig(n=[10, 12, 14, 16, 18, 20], c1=3.0, c2=0.0, trials=16, seed=5)
-        with pytest.raises(RuntimeError, match="cannot be pickled") as raised:
+        with pytest.raises(LocalError) as error:
             run_avg_experiment(cfg, workers=2)
-        assert "LocalError: only a child raises this" in str(raised.value.__cause__)
+        assert raised == [error.value]
         assert_no_children()
 
-    def test_children_never_flush_the_callers_buffers(self):
-        # stdout is a buffered pipe, so the marker waits in the buffer while
-        # the children are forked; each child must leave through os._exit.
-        code = (
-            "import io, sys; from randasp.experiments import ExperimentConfig, run_avg_experiment; "
-            "assert type(sys.stdout.buffer) is io.BufferedWriter; "
-            "sys.stdout.write('marker\\n'); "
-            "run_avg_experiment(ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=8, seed=1), workers=2)"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "marker\n"
+    @needs_kernel
+    def test_two_sweeps_at_once_each_give_their_own_results(self):
+        # Each sweep sets its stop flag as it ends: were the flag shared, the
+        # short sweeps, run over and over, would stop the long one's trials.
+        long = ExperimentConfig(n=[200, 300, 400], c1=5.0, c2=0.0, trials=40, seed=20240901)
+        short = ExperimentConfig(n=[50, 60], c1=5.0, c2=0.0, trials=20, seed=12)
+        expected = {long: run_avg_experiment(long), short: run_avg_experiment(short)}
+        got, long_done, before = {long: [], short: []}, threading.Event(), threading.active_count()
+
+        def sweep(cfg):
+            try:
+                while True:
+                    got[cfg].append(run_avg_experiment(cfg, workers=2))
+                    if cfg is long or long_done.is_set() or len(got[cfg]) == 1000:
+                        return
+            except BaseException as error:
+                got[cfg].append(error)
+            finally:
+                if cfg is long:
+                    long_done.set()
+
+        # daemons, so that a sweep left waiting for good fails the test and
+        # does not hang the run
+        callers = [threading.Thread(target=sweep, args=(cfg,), daemon=True) for cfg in (long, short)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        assert got[long] == [expected[long]]
+        assert len(got[short]) > 1 and all(result == expected[short] for result in got[short])
+        assert threading.active_count() == before
 
 
 class TestDistExperiment:
@@ -685,6 +699,59 @@ class TestKernelTrials:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, handler)
         assert_no_children()
+
+    @pytest.mark.parametrize("chunk", [KERNEL_CHUNKS[1], KERNEL_CHUNKS[3]])
+    def test_a_set_stop_flag_ends_the_trial_at_its_first_decision(self, chunk):
+        n, c1, c2, seed, start, _, limit = chunk
+        args = (*_sampler_args(LinearModelParams(n, c1, c2)), experiments._MAX_RESAMPLE, limit or 0)
+        sums, flag = np.zeros(n + 4, np.int64), ctypes.c_int32(1)
+        trial_seed = mix_seed(seed, start)
+        rc = _kernel.load().randasp_trial(trial_seed, *args, sums.ctypes.data, ctypes.addressof(flag))
+        assert rc == _kernel._STOPPED and not sums.any()  # no leaf reached, so nothing added
+        with pytest.raises(_kernel.Stopped):
+            _kernel.trial(*args[:-1], limit, sums, flag)(trial_seed)
+        flag.value = 0
+        _kernel.trial(*args[:-1], limit, sums, flag)(trial_seed)
+        assert tuple(sums.tolist()) == _count_chunk((n, c1, c2, seed, start, start + 1, limit))
+        with pytest.raises(TypeError, match="stop must be a ctypes.c_int32, got c_byte"):
+            _kernel.trial(*args[:-1], limit, sums, ctypes.c_int8(0))
+
+    def test_an_interrupt_stops_the_other_threads_trial(self, monkeypatch):
+        # Every trial of this row runs for many seconds in C (25 s for trial
+        # 0 on a 2-core Xeon).  This thread sleeps in Python instead of
+        # running its own, so the alarm lands at once; the other thread's
+        # trial must end at its next decision, not run to its end.
+        caller, real, outcomes = threading.get_ident(), experiments._trial, []
+
+        def trial(params, seed, *args):
+            if threading.get_ident() == caller:
+                time.sleep(60)
+                raise AssertionError("the alarm did not interrupt this thread")
+            try:
+                real(params, seed, *args)
+            except BaseException as error:
+                outcomes.append(type(error))
+                raise
+            outcomes.append(None)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiments, "_trial", trial)
+        cfg = ExperimentConfig(n=1000, c1=5.0, c2=0.0, trials=2, seed=20240901)  # two one-trial chunks at two workers
+        before = threading.active_count()
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        t0 = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_avg_experiment(cfg, workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert outcomes == [_kernel.Stopped]
+        assert time.perf_counter() - t0 < 10  # generous: the flag stops it within milliseconds
+        assert threading.active_count() == before
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_runs_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):

@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+import types
 from importlib import resources
 
 import numpy as np
@@ -544,6 +545,45 @@ class TestInterruptedKernelSearch:
         with pytest.raises(RuntimeError, match="delivered 100 leaves .* handled 99 .* ctypes dropped an exception"):
             self.run_traced(self.interrupt_at(100, replace_hook), two_cycles(10))
         assert missed == [KeyboardInterrupt]
+
+    def test_searches_in_two_threads_each_raise_their_own_dropped_interrupt(self, monkeypatch):
+        # Each thread's trace function drops an interrupt in its own
+        # searches; one hook, installed once, hands each to its search, and
+        # no search puts back a hook that another still needs.
+        monkeypatch.setattr(sys, "unraisablehook", sys.unraisablehook)  # restored after the test
+        before, p = sys.unraisablehook, two_cycles(10)
+        outcomes = {0: [], 1: []}
+        start = threading.Barrier(2)
+
+        def searches(k):
+            start.wait()
+            for _ in range(100):
+                sys.settrace(self.interrupt_at(50 + k))  # this thread's only
+                try:
+                    enumerate_answer_sets(p)
+                    outcomes[k].append(None)
+                except BaseException as error:
+                    outcomes[k].append(type(error))
+                finally:
+                    sys.settrace(None)
+
+        threads = [threading.Thread(target=searches, args=(k,), daemon=True) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert outcomes == {0: [KeyboardInterrupt] * 100, 1: [KeyboardInterrupt] * 100}
+        assert sys.unraisablehook in (before, _kernel._unraisable) and _kernel._dropped == {}
+
+    def test_the_hook_passes_on_what_no_search_dropped(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sys, "unraisablehook", lambda info: seen.append(info.object))  # restored after the test
+        enumerate_answer_sets(two_cycles(2))
+        assert sys.unraisablehook is _kernel._unraisable
+        unhashable = []
+        sys.unraisablehook(types.SimpleNamespace(object=unhashable, exc_value=ValueError("from elsewhere")))
+        assert seen == [unhashable]
 
     @pytest.mark.parametrize("delay", [0.005, 0.02, 0.05])
     def test_a_real_interrupt_is_raised(self, delay):

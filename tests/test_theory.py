@@ -268,9 +268,8 @@ class TestLogFactorialPort:
     def test_import_needs_only_numpy(self, tmp_path):
         # Nor does importing randasp and validating a config load the search
         # kernel or touch its cache.  numpy imports ctypes, so that check
-        # counts only what randasp loads beyond numpy.  Only a sweep with
-        # more than one worker loads multiprocessing, and nothing loads
-        # concurrent.futures.
+        # counts only what randasp loads beyond numpy.  Nothing in randasp
+        # loads multiprocessing or concurrent.futures.
         code = (
             "import sys; before = set(sys.modules); import numpy; "
             "base = set(sys.modules); import randasp; "

@@ -1,30 +1,33 @@
 """Build, cache and call the compiled kernel `_search.c`.
 
-The kernel has four entry points, each with its wrapper here:
-`randasp_search`, the search of `solver._Searcher` (`search`);
-`randasp_sample`, the skip walk of `generate` (`sample`); `randasp_trial`,
-one whole sweep trial of `experiments` (`trial`), which draws, searches,
-re-checks every leaf with `randasp_check` and tallies in C; and
-`randasp_check`, the two answer-set conditions, which `load()` binds for
-tests to call.  The wrappers check every array they hand to C (type, dtype,
-contiguity and shape) and pass raw pointers, which costs less per call than
-ctypes' `ndpointer`.
+The kernel's entry points, with their wrappers here: `randasp_enumerate`,
+the search of `solver._Searcher` with every leaf re-checked by
+`randasp_check` and the kept ones returned in one buffer (`enumerate`),
+which `randasp_free` releases; `randasp_sample`, the skip walk of
+`generate` (`sample`); `randasp_trial`, one whole sweep trial of
+`experiments` (`trial`), which draws, searches, re-checks every leaf and
+tallies in C; and `randasp_check`, the two answer-set conditions, which
+`load()` binds for tests to call.  No entry point calls back into Python,
+and each call gives up the GIL.  The wrappers check every array they hand
+to C (type, dtype, contiguity and shape) and pass raw pointers, which costs
+less per call than ctypes' `ndpointer`.
 
 The first `load()` in a process compiles the C source once with the system
-`cc` into a private cache directory and loads it with ctypes.  The
-directory is the `randasp` leaf of `$XDG_CACHE_HOME` (if set to an absolute
-path) or of `~/.cache`, made with mode 0o700 only when that root already
-exists; otherwise it is `randasp-<uid>` under `tempfile.gettempdir()`.  A
-library is loaded only from a directory that is not a symlink, is owned by
-the current user and is writable by no one else.  The file name carries the
-SHA-256 of the source, the compiler command and the machine type, so a
-changed source is rebuilt and an unchanged one is compiled once per
-machine.  Each build writes a temporary file and renames it into place, so
-processes that build at the same time (sweep workers) never load a partial
-file.  Where no compiler or no private directory is found, `load()` returns
-None and the callers fall back to Python: `solver` searches with `_Searcher`, `generate` takes its
-scalar walk, and `experiments` runs each trial through `generate_with_stats`
-and `enumerate_answer_sets`.  Only `solver`, `generate` and `experiments`
+`cc` into a private cache directory and loads it with ctypes; the threads
+of a sweep share that one library.  The directory is the `randasp` leaf of
+`$XDG_CACHE_HOME` (if set to an absolute path) or of `~/.cache`, made with
+mode 0o700 only when that root already exists; otherwise it is
+`randasp-<uid>` under `tempfile.gettempdir()`.  A library is loaded only
+from a directory that is not a symlink, is owned by the current user and is
+writable by no one else.  The file name carries the SHA-256 of the source,
+the compiler command and the machine type, so a changed source is rebuilt
+and an unchanged one is compiled once per machine.  Each build writes a
+temporary file and renames it into place, so separate processes that build
+at the same time never load a partial file.  Where no compiler or no
+private directory is found, `load()` returns None and the callers fall back
+to Python: `solver` searches with `_Searcher`, `generate` takes its scalar
+walk, and `experiments` runs each trial through `generate_with_stats` and
+`enumerate_answer_sets`.  Only `solver`, `generate` and `experiments`
 import this module, each when it first searches, samples or sweeps, so
 `import randasp` loads no ctypes and compiles nothing.
 """
@@ -37,7 +40,6 @@ import os
 import platform
 import stat
 import subprocess
-import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -58,8 +60,7 @@ except ImportError:
 
 # source on stdin; -lm names the libm whose `log` the sampler calls
 CC = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-lm")
-LEAF = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)  # (IN bitmask) -> stop?
-_COUNTS = ctypes.c_int64 * 4  # randasp_search's propagate calls, apply calls, leaves delivered, stopped by a leaf
+_COUNTS = ctypes.c_int64 * 2  # randasp_enumerate's propagate calls and apply calls
 
 
 def source() -> bytes:
@@ -109,7 +110,8 @@ def _bind(lib):
     """`lib` with the argument and result types of the kernel's entry points set."""
     i32, i64, f64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     for fn, argtypes, restype in (
-        (lib.randasp_search, [i32, i64, ptr, ptr, LEAF, _COUNTS], ctypes.c_int),
+        (lib.randasp_enumerate, [i32, i64, ptr, ptr, i64, ptr, _COUNTS], i64),
+        (lib.randasp_free, [ptr], None),
         (lib.randasp_sample, [ctypes.c_uint64, i32, f64, f64, i64, ptr], i64),
         (lib.randasp_trial, [ctypes.c_uint64, i32, f64, f64, i64, i64, i64, ptr, ptr], ctypes.c_int),
         (lib.randasp_check, [i32, i64, ptr, ptr, ctypes.c_char_p], ctypes.c_int),
@@ -144,51 +146,19 @@ def _require_array(name: str, a, dtype) -> None:
         raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array, got {a.dtype}")
 
 
-_dropped = {}  # id of the leaf callback of each search running, in any thread -> what ctypes dropped from it
-_previous_hook = sys.unraisablehook
-
-
-def _unraisable(info):
-    """`sys.unraisablehook` while searches run: keeps what ctypes drops from a running search's callback."""
-    dropped = _dropped.get(id(info.object))  # an id, since `info.object` may be unhashable
-    if dropped is None:
-        _previous_hook(info)
-    else:
-        dropped.append(info.exc_value)
-
-
-def _hook_unraisable() -> None:
-    """Install `_unraisable` in front of the hook in place, unless it is the hook already.
-
-    It is never taken out again: any number of searches, in any threads,
-    share it, so none can restore a hook that another still needs.  The
-    hook is read once, so a thread that races another here never takes
-    `_unraisable` for the hook to pass on to.
-    """
-    global _previous_hook
-    hook = sys.unraisablehook
-    if hook is not _unraisable:
-        _previous_hook = hook
-        sys.unraisablehook = _unraisable
-
-
-def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int, int]:
+def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) -> tuple[np.ndarray, int, int]:
     """Run the kernel on the rules `heads[i] <- not bodies[i]` over n < 2^29 atoms.
 
     `heads` and `bodies` are a program's `n2_arrays`: 1-D, int32,
     C-contiguous, of one length below 2^31 (the kernel's offsets are int32),
     every atom in [0, n), and sorted by head, which `Program` guarantees;
     they are passed to C as they are, and C reads `bodies` in place as each
-    head's bodies.  `on_leaf(packed)` gets each leaf's IN atoms as a
-    little-endian bitmask of (n + 7) // 8 bytes and returns True to stop.
-    Returns the kernel's (propagate calls, apply calls).  An exception from
-    `on_leaf` stops the search and is raised here.  So is one that ctypes
-    drops, raised as the callback is entered (as a Ctrl-C can be) or left:
-    ctypes passes it to `sys.unraisablehook`, where `_unraisable` hands it
-    to the search whose callback it came from.  Should that hook be passed
-    over (another hook set in the middle of the search), the leaves and the
-    stop that the callback and the kernel count differ, and that raises
-    RuntimeError: a search never ends short in silence.
+    head's bodies.  C re-checks each leaf with `randasp_check`, drops one
+    that fails and stops once it has kept `limit` (None: no limit).
+    Returns (masks, propagate calls, apply calls): `masks` is a uint8 array
+    with one row per kept leaf, in the order the search reached them, each
+    row the leaf's IN atoms as a little-endian bitmask of (n + 7) // 8
+    bytes.  The search is one C call, so a Ctrl-C is raised once it returns.
     """
     if np.shape(heads) != np.shape(bodies):
         raise ValueError(f"heads and bodies differ in shape: {np.shape(heads)} vs {np.shape(bodies)}")
@@ -198,41 +168,19 @@ def search(n: int, heads: np.ndarray, bodies: np.ndarray, on_leaf) -> tuple[int,
         raise ValueError(f"the search kernel takes fewer than 2^31 rules, got {np.size(heads)}")
     _require_array("heads", heads, np.int32)
     _require_array("bodies", bodies, np.int32)
-    fn = load().randasp_search
-    nbytes = (n + 7) // 8
-    errors = []
-    handled = stop_at = 0  # leaves the callback ran on; `handled` when it first returned True
-
-    def leaf(bits):
-        nonlocal handled, stop_at
-        try:
-            handled += 1
-            stop = bool(on_leaf(ctypes.string_at(bits, nbytes)))
-        except BaseException as exc:  # C cannot unwind it: stop, then raise it below
-            errors.append(exc)
-            stop = True
-        if stop and not stop_at:
-            stop_at = handled
-        return stop
-
-    counts = _COUNTS()
-    callback = LEAF(leaf)  # held until the call returns
-    _dropped[id(leaf)] = dropped = []  # `leaf` lives until the call returns, so its id stays its own
-    try:
-        _hook_unraisable()
-        rc = fn(n, heads.size, heads.ctypes.data, bodies.ctypes.data, callback, counts)
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    lib, nbytes = load(), (n + 7) // 8
+    out, counts = ctypes.c_void_p(), _COUNTS()  # out stays NULL unless C keeps a set
+    limit = min(limit or 0, (1 << 63) - 1)  # C takes an int64; no search keeps 2^63 sets
+    try:  # an interrupt raised as the call returns must not leak the buffer
+        kept = lib.randasp_enumerate(n, heads.size, heads.ctypes.data, bodies.ctypes.data, limit, ctypes.byref(out), counts)
+        if kept < 0:
+            raise MemoryError("search kernel is out of memory")
+        packed = ctypes.string_at(out, kept * nbytes)
     finally:
-        del _dropped[id(leaf)]
-    if rc != 0:
-        raise MemoryError("search kernel is out of memory")
-    if errors or dropped:
-        raise (errors + dropped)[0]
-    if counts[2] != handled or stop_at != (handled if counts[3] else 0):
-        raise RuntimeError(
-            f"the kernel delivered {counts[2]} leaves (stopped: {bool(counts[3])}) and the leaf callback handled "
-            f"{handled} (stopped at leaf {stop_at}): ctypes dropped an exception raised in the callback"
-        )
-    return counts[0], counts[1]
+        lib.randasp_free(out)
+    return np.frombuffer(packed, np.uint8).reshape(kept, nbytes), counts[0], counts[1]
 
 
 def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.ndarray, np.ndarray]:

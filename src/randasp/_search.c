@@ -1,18 +1,22 @@
-/* Four entry points: randasp_search, the search of solver._Searcher;
- * randasp_sample, generate's skip walk; randasp_check, the two answer-set
- * conditions of solver._is_n2_answer_set_mask; and randasp_trial, one whole
- * sweep trial of experiments._trial: draw, search, re-check every leaf and
- * add the trial into the caller's sums, with no call back into Python.
+/* Five entry points: randasp_enumerate, the search of solver._Searcher with
+ * its leaves re-checked and kept in C; randasp_free, which releases the
+ * buffer randasp_enumerate returns; randasp_sample, generate's skip walk;
+ * randasp_check, the two answer-set conditions of
+ * solver._is_n2_answer_set_mask; and randasp_trial, one whole sweep trial of
+ * experiments._trial: draw, search, re-check every leaf and add the trial
+ * into the caller's sums.  None calls back into Python.
  *
  * The search of solver._Searcher, step for step: the same propagation, the
  * same branching and the same chronological backtracking, so it visits the
- * same tree and reports the same leaves in the same order.  propagate ports
+ * same tree and reaches the same leaves in the same order.  propagate ports
  * _Searcher._propagate with _apply inlined, one queue pop per _apply call;
- * decide ports _decide.  search hands each leaf to a leaf_fn with a context
- * of its caller's: randasp_search relays it to the Python callback, and
- * randasp_trial checks and tallies it.  search also reads a stop flag once
- * per decision, which another thread may set while it runs: randasp_trial
- * takes its sweep's flag, and randasp_search one that is never set.
+ * decide ports _decide.  search hands each leaf to one leaf step, keep,
+ * which re-checks it with randasp_check, as enumerate_answer_sets' on_leaf
+ * does with _is_n2_answer_set_mask, and then adds it to randasp_trial's
+ * histogram or to randasp_enumerate's buffer of masks.  search also reads a
+ * stop flag once per decision, which another thread may set while it runs:
+ * randasp_trial takes its sweep's flag, and randasp_enumerate one that is
+ * never set.
  *
  * values are int8 (0 unassigned, 1 IN, 2 OUT); nfree[a] counts a's unassigned
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
@@ -37,8 +41,6 @@
 #include <string.h>
 
 enum { UNASSIGNED = 0, IN = 1, OUT = 2, SUPPORTED = -1 };
-
-typedef int (*leaf_fn)(void *ctx, const uint8_t *in_bits); /* nonzero: stop the search */
 
 typedef struct {
     int32_t n, *hoff, *hadj, *boff, *order, *nfree, *queue, n_unsup, cursor;
@@ -179,12 +181,74 @@ static void csr(int32_t n, int64_t m, const int32_t *by, const int32_t *to, int3
     off[0] = 0;
 }
 
+/* The two answer-set conditions of solver._is_n2_answer_set_mask for the set
+ * S whose little-endian bitmask is bits (of (n + 7) / 8 bytes): no rule has
+ * its head and its body outside S, and every atom of S heads a rule whose
+ * body is outside S.  Reads only the rules and bits.  The rules must be
+ * sorted by head, every atom in [0, n): one pass over the atoms walks each
+ * atom's rules.  Returns 1 if S is an answer set and 0 if not; -1 if the
+ * walk ends with rules left, which a head out of order causes (it may also
+ * give 0 first). */
+int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, const uint8_t *bits) {
+    int64_t r = 0;
+    for (int32_t a = 0; a < n; a++) {
+        int in = bits[a >> 3] >> (a & 7) & 1, supported = 0;
+        for (; r < m && heads[r] == a; r++)
+            if (!(bits[bodies[r] >> 3] >> (bodies[r] & 7) & 1)) {
+                if (!in) return 0; /* a and its body both outside S */
+                supported = 1;
+            }
+        if (in && !supported) return 0;
+    }
+    return r == m ? 1 : -1; /* a rule left over: its head came out of order */
+}
+
+/* What search does with its leaves: the program it re-checks them against,
+ * the limit on kept leaves (0: none) and where the kept ones go. */
+typedef struct {
+    int32_t n;
+    int64_t m, limit, kept, *hist; /* hist: randasp_trial's histogram by size, or NULL to keep the masks */
+    const int32_t *heads, *bodies;
+    uint8_t *masks; /* without hist: the kept leaves' bitmasks, (n + 7) / 8 bytes each, in tree order */
+    int64_t cap;    /* masks' room, in leaves */
+    int failed;     /* a histogram sum would overflow (hist), or masks could not grow */
+} Leaves;
+
+/* The leaf step of search, given the leaf's IN atoms as a little-endian
+ * bitmask: a leaf that fails randasp_check is dropped; a kept one counts
+ * toward the limit and adds one to the histogram entry of its size, or is
+ * appended to masks, which grows by doubling.  Returns nonzero to stop the
+ * search: the limit is reached, or k->failed is set. */
+static int keep(Leaves *k, const uint8_t *bits) {
+    if (randasp_check(k->n, k->m, k->heads, k->bodies, bits) != 1) return 0;
+    size_t nb = ((size_t)k->n + 7) / 8;
+    if (k->hist) {
+        size_t i = 0;
+        int64_t size = 0;
+        for (uint64_t w; i + 8 <= nb; i += 8) {
+            memcpy(&w, bits + i, 8);
+            size += __builtin_popcountll(w);
+        }
+        for (; i < nb; i++) size += __builtin_popcount(bits[i]);
+        if (__builtin_add_overflow(k->hist[size], 1, &k->hist[size]) || __builtin_add_overflow(k->kept, 1, &k->kept))
+            return k->failed = 1;
+    } else {
+        if (k->kept == k->cap) {
+            int64_t cap = k->cap ? 2 * k->cap : 16;
+            uint8_t *masks = realloc(k->masks, (size_t)cap * nb + 1); /* + 1: nb is 0 when n is */
+            if (!masks) return k->failed = 1;
+            k->masks = masks, k->cap = cap;
+        }
+        memcpy(k->masks + (size_t)k->kept++ * nb, bits, nb);
+    }
+    return k->limit > 0 && k->kept >= k->limit;
+}
+
 /* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
- * head, over n < 2^29 atoms and calls leaf(ctx, bits) with the IN atoms of
- * each leaf as a little-endian bitmask.  counts gets the propagate and apply
- * calls.  Returns 0, -1 when out of memory, or 1 when *stop is nonzero at a
- * decision (counts then unset). */
-static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, leaf_fn leaf, void *ctx,
+ * head, over n < 2^29 atoms and hands each leaf to keep(leaves, bits).
+ * counts gets the propagate and apply calls.  Returns 0, -1 when out of
+ * memory, or 1 when *stop is nonzero at a decision (counts then unset). */
+static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, Leaves *leaves,
                   const volatile int32_t *stop, int64_t *counts) {
     S s = {.n = n};
     size_t nb = ((size_t)n + 7) / 8, depth = 0, cap = 0;
@@ -252,7 +316,7 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
             memset(bits, 0, nb);
             for (int32_t a = 0; a < n; a++)
                 if (s.val[a] == IN) bits[a >> 3] |= (uint8_t)(1u << (a & 7));
-            if (leaf(ctx, bits)) break;
+            if (keep(leaves, bits)) break;
         }
         if (!depth) break; /* every IN branch tried */
         depth--;
@@ -270,35 +334,26 @@ done:
     return rc;
 }
 
-typedef int (*py_leaf_fn)(const uint8_t *in_bits); /* ctypes' callback: nonzero stops */
-
-typedef struct {
-    py_leaf_fn fn;
-    int64_t delivered, stopped;
-} Relay;
-
-static int relay(void *ctx, const uint8_t *bits) {
-    Relay *r = ctx;
-    r->delivered++;
-    int stop = r->fn(bits);
-    r->stopped = stop != 0;
-    return stop;
-}
-
-/* search with leaf(bits) called for each leaf.  counts gets the propagate
- * calls, the apply calls, the leaves handed to leaf() and whether the last
- * of them stopped the search (1) or not (0).  ctypes drops an exception
- * raised as it enters or leaves the callback and returns a value the
- * callback never gave, so the caller checks these two against what its
- * callback saw and returned.  Returns 0, or -1 when out of memory. */
-int randasp_search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, py_leaf_fn leaf,
-                   int64_t *counts) {
+/* The answer sets of the program `heads[r] <- not bodies[r]`, as search
+ * takes it, in the order search reaches them, each re-checked by keep: at
+ * most limit of them (0: all).  *out gets their bitmasks, (n + 7) / 8 bytes
+ * each, in one buffer for randasp_free (NULL when there are none), and
+ * counts the propagate and apply calls.  Returns the number of sets, or -1
+ * when out of memory (*out then NULL). */
+int64_t randasp_enumerate(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, int64_t limit,
+                          uint8_t **out, int64_t *counts) {
     static const int32_t never = 0;
-    Relay r = {leaf, 0, 0};
-    int rc = search(n, m, heads, bodies, relay, &r, &never, counts);
-    counts[2] = r.delivered, counts[3] = r.stopped;
-    return rc;
+    Leaves k = {.n = n, .m = m, .limit = limit, .heads = heads, .bodies = bodies};
+    if (search(n, m, heads, bodies, &k, &never, counts) || k.failed) {
+        free(k.masks);
+        *out = NULL;
+        return -1;
+    }
+    *out = k.masks;
+    return k.kept;
 }
+
+void randasp_free(void *p) { free(p); }
 
 /* The draws of generate._sample_n2_arrays, bit for bit.  Draw i of the
  * splitmix64 stream `seed` is mix64(seed + (i + 1) * GAMMA), its uniform u
@@ -351,56 +406,7 @@ int64_t randasp_sample(uint64_t seed, int32_t n, double log_p, double log_d, int
     return m;
 }
 
-/* The two answer-set conditions of solver._is_n2_answer_set_mask for the set
- * S whose little-endian bitmask is bits (of (n + 7) / 8 bytes): no rule has
- * its head and its body outside S, and every atom of S heads a rule whose
- * body is outside S.  Reads only the rules and bits.  The rules must be
- * sorted by head, every atom in [0, n): one pass over the atoms walks each
- * atom's rules.  Returns 1 if S is an answer set and 0 if not; -1 if the
- * walk ends with rules left, which a head out of order causes (it may also
- * give 0 first). */
-int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, const uint8_t *bits) {
-    int64_t r = 0;
-    for (int32_t a = 0; a < n; a++) {
-        int in = bits[a >> 3] >> (a & 7) & 1, supported = 0;
-        for (; r < m && heads[r] == a; r++)
-            if (!(bits[bodies[r] >> 3] >> (bodies[r] & 7) & 1)) {
-                if (!in) return 0; /* a and its body both outside S */
-                supported = 1;
-            }
-        if (in && !supported) return 0;
-    }
-    return r == m ? 1 : -1; /* a rule left over: its head came out of order */
-}
-
 enum { TRIAL_NO_MEMORY = -1, TRIAL_NO_PROGRAM = -2, TRIAL_OVERFLOW = -3, TRIAL_TOO_MANY_RULES = -4, TRIAL_STOPPED = -5 };
-
-typedef struct {
-    int32_t n;
-    int64_t m, limit, count, *hist;
-    const int32_t *heads, *bodies;
-    int overflow;
-} Tally;
-
-/* The leaf handler of a trial, as enumerate_answer_sets' on_leaf: a leaf that
- * fails randasp_check is dropped, a kept one counts toward limit (0: none)
- * and adds one to the histogram entry of its size. */
-static int tally(void *ctx, const uint8_t *bits) {
-    Tally *t = ctx;
-    if (randasp_check(t->n, t->m, t->heads, t->bodies, bits) != 1) return 0;
-    size_t nb = ((size_t)t->n + 7) / 8, i = 0;
-    int64_t size = 0;
-    for (uint64_t w; i + 8 <= nb; i += 8) {
-        memcpy(&w, bits + i, 8);
-        size += __builtin_popcountll(w);
-    }
-    for (; i < nb; i++) size += __builtin_popcount(bits[i]);
-    if (__builtin_add_overflow(t->hist[size], 1, &t->hist[size]) || __builtin_add_overflow(t->count, 1, &t->count)) {
-        t->overflow = 1;
-        return 1;
-    }
-    return t->limit > 0 && t->count >= t->limit;
-}
 
 /* Trial `seed` of a sweep, as experiments._trial runs it in Python with
  * generate_with_stats and enumerate_answer_sets.  Attempt a draws with
@@ -408,7 +414,7 @@ static int tally(void *ctx, const uint8_t *bits) {
  * stream, until a draw is nonempty or max_draws attempts are spent; cap is
  * the size of the first rule buffer.  The draw's contradictions are merged
  * into head order by the key h * n + b, so the search reads the arrays
- * Program.from_n2_arrays would hold.  Every leaf is re-checked (tally), at
+ * Program.from_n2_arrays would hold.  Every leaf is re-checked (keep), at
  * most limit are kept (0: all), and the trial is added into sums, which hold
  * the kept count, its square, the attempts before the nonempty draw and
  * then the n + 1 entries of the histogram of kept sets by size.  A sum that
@@ -455,16 +461,16 @@ int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t 
         }
         heads = canon, bodies = canon + m;
     }
-    Tally t = {.n = n, .m = m, .limit = limit, .hist = sums + 3, .heads = heads, .bodies = bodies};
-    int searched = search(n, m, heads, bodies, tally, &t, stop, counts);
+    Leaves k = {.n = n, .m = m, .limit = limit, .hist = sums + 3, .heads = heads, .bodies = bodies};
+    int searched = search(n, m, heads, bodies, &k, stop, counts);
     if (searched) {
         rc = searched > 0 ? TRIAL_STOPPED : TRIAL_NO_MEMORY;
         goto done;
     }
     int64_t sq;
     rc = TRIAL_OVERFLOW;
-    if (t.overflow || __builtin_mul_overflow(t.count, t.count, &sq) ||
-        __builtin_add_overflow(sums[0], t.count, &sums[0]) || __builtin_add_overflow(sums[1], sq, &sums[1]) ||
+    if (k.failed || __builtin_mul_overflow(k.kept, k.kept, &sq) ||
+        __builtin_add_overflow(sums[0], k.kept, &sums[0]) || __builtin_add_overflow(sums[1], sq, &sums[1]) ||
         __builtin_add_overflow(sums[2], attempt, &sums[2]))
         goto done;
     rc = 0;

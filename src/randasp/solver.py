@@ -16,10 +16,10 @@ backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
 negative program (no positive body atoms, n at most the fixed `BRUTE_FORCE_CAP`).
 Both return an `AnswerSetCollection` of sorted bitmasks.
 `_is_n2_answer_set_mask` is the n2 checker in Python: `is_answer_set_n2`
-calls it, and so does the leaf handler of `enumerate_answer_sets`.  It tests
-both conditions with a few numpy operations over the program's `n2_arrays`
-and a boolean IN-vector of S.  `randasp_check` in `_search.c` is its C port,
-which re-checks the leaves of the sweep trials that run whole in C.
+calls it, and so does `enumerate_answer_sets` on every set it returns.  It
+tests both conditions with a few numpy operations over the program's
+`n2_arrays` and a boolean IN-vector of S.  `randasp_check` in `_search.c`
+is its C port, which re-checks every leaf that the compiled search reaches.
 
 The backtracker branches on support first: while some IN atom has no OUT
 supporter yet, it branches on one of that atom's free support candidates,
@@ -30,18 +30,17 @@ Backtracking is chronological: after a conflict or a leaf the deepest
 decision still OUT is undone and flipped IN.
 
 One tree, two executions.  `_Searcher` is the search in Python, and
-`randasp_search` in `_search.c` is a C port of it that keeps its data and
+`randasp_enumerate` in `_search.c` is a C port of it that keeps its data and
 its order of work step for step, so both walk the same tree and reach the
 same leaves in the same order (tests compare masks and `_propagate`/`_apply`
-call counts).  Both read the program's `n2_arrays` and build no `Rule`, and
-both hand their leaves to one contract, `on_leaf(packed) -> stop`: `packed`
-holds the leaf's IN atoms as a little-endian bitmask of (n + 7) // 8 bytes,
-and True ends the search.  `enumerate_answer_sets` holds the leaf handler in
-Python: it keeps a leaf only if `_is_n2_answer_set_mask` accepts it and
-counts only kept leaves toward `limit`, so results do not depend on which
-execution ran.  A sweep trial that runs whole in the kernel
-(`experiments._trial`) hands its leaves to a handler in C that does the
-same with `randasp_check`, and tallies them there.
+call counts).  Both read the program's `n2_arrays` and build no `Rule`.
+Each keeps a leaf only if its checker accepts it, and counts only kept
+leaves toward `limit`, so results do not depend on which execution ran:
+`_Searcher.run` hands each leaf to the handler of `enumerate_answer_sets`,
+which checks it with `_is_n2_answer_set_mask`; the kernel checks its leaves
+with `randasp_check` and returns the kept ones from one C call.  A sweep trial
+that runs whole in the kernel (`experiments._trial`) takes the same C leaf
+step and tallies the kept leaves there.
 
 `search_path(n)` says which execution a program over n atoms gets.  The C
 port runs wherever module `_kernel` can build and load the library, which
@@ -239,7 +238,11 @@ class _Searcher:
         return next((x for x in self.order if state[x] == _UNASSIGNED), -1)
 
     def run(self, on_leaf) -> None:
-        """Hand each leaf to `on_leaf(packed) -> stop`, as the kernel does, until it returns True."""
+        """Hand each leaf to `on_leaf(packed) -> stop` until it returns True.
+
+        `packed` holds the leaf's IN atoms as a little-endian bitmask of
+        (n + 7) // 8 bytes, the rows that `_kernel.enumerate` returns.
+        """
         heads, bodies = self.p.n2_arrays
         root = [x << 2 | _OUT for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
         root += [h << 2 | _IN for h in heads[heads == bodies].tolist()]  # self-loop head: never out of S
@@ -288,25 +291,32 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
 
     The empty program has the one answer set {}, so it yields `(0,)`.  A count
     equal to `limit` does not say whether sets were left out; to tell "exactly
-    `limit`" from "more", ask for `limit + 1` and compare.
+    `limit`" from "more", ask for `limit + 1` and compare.  Every set returned
+    passes `_is_n2_answer_set_mask`: a leaf of `_Searcher` that fails it is
+    dropped, while the kernel's leaves are re-checked in C, so one of them
+    that fails it is a kernel bug and raises RuntimeError.
     """
     if limit is not None:
         limit = require_integer("limit", limit)
         if limit < 1:
             raise ValueError("limit must be positive")
     heads, bodies = p.n2_arrays
-    masks: list[int] = []
-
-    def on_leaf(packed: bytes) -> bool:
-        if _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, packed)):
-            masks.append(int.from_bytes(packed, "little"))
-        return limit is not None and len(masks) >= limit
-
     if search_path(p.n) == "kernel":
         from . import _kernel
 
-        _kernel.search(p.n, heads, bodies, on_leaf)
+        packed = _kernel.enumerate(p.n, heads, bodies, limit)[0]
+        masks = [int.from_bytes(leaf, "little") for leaf in packed]
+        for mask, inside in zip(masks, np.unpackbits(packed, axis=1, count=p.n, bitorder="little").view(bool)):
+            if not _is_n2_answer_set_mask(heads, bodies, inside):
+                raise RuntimeError(f"the search kernel kept {mask:#x}, which is not an answer set")
     else:
+        masks = []
+
+        def on_leaf(packed: bytes) -> bool:
+            if _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, packed)):
+                masks.append(int.from_bytes(packed, "little"))
+            return limit is not None and len(masks) >= limit
+
         _Searcher(p).run(on_leaf)
     return AnswerSetCollection(p.n, tuple(sorted(masks)))
 

@@ -2,11 +2,11 @@ import ctypes
 import hashlib
 import os
 import signal
-import sys
+import subprocess
 import threading
 import tracemalloc
-import types
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +115,7 @@ class TestEnumerate:
     def test_limit_truncates(self):
         col = enumerate_answer_sets(TWO_CYCLE, limit=1)
         assert col.count == 1
+        assert enumerate_answer_sets(TWO_CYCLE, limit=(1 << 64) + 1).masks == (1, 2)  # past the kernel's int64
         with pytest.raises(ValueError):
             enumerate_answer_sets(TWO_CYCLE, limit=0)
 
@@ -260,17 +261,20 @@ class _CheckedSearcher(_CountingSearcher):
 def search(p, limit=None, execution=_CountingSearcher):
     """(leaves in the order found, `_propagate` calls, `_apply` calls) of one execution of the search.
 
-    `execution` is `_kernel` or a `_CountingSearcher` class.  Either gets the
-    same `on_leaf`, which keeps every leaf unchecked and stops after `limit`.
+    `execution` is `_kernel` or a `_CountingSearcher` class.  The searcher
+    keeps every leaf unchecked and stops after `limit`; the kernel keeps the
+    leaves that `randasp_check` accepts and stops after `limit` of them.  On
+    a program's arrays every leaf is an answer set, so the two agree.
     """
+    if execution is _kernel:
+        masks, propagations, applies = _kernel.enumerate(p.n, *p.n2_arrays, limit)
+        return [int.from_bytes(leaf, "little") for leaf in masks], propagations, applies
     leaves = []
 
     def on_leaf(packed):
         leaves.append(int.from_bytes(packed, "little"))
         return limit is not None and len(leaves) >= limit
 
-    if execution is _kernel:
-        return leaves, *_kernel.search(p.n, *p.n2_arrays, on_leaf)
     searcher = execution(p)
     searcher.run(on_leaf)
     return leaves, searcher.decisions + 1, searcher.applies
@@ -472,11 +476,16 @@ class TestKernelArguments:
         # The kernel's offsets are int32.  A zero-stride view: nothing is allocated.
         atoms = np.broadcast_to(np.zeros(1, np.int32), (1 << 31,))
         with pytest.raises(ValueError, match=r"fewer than 2\^31 rules, got 2147483648"):
-            _kernel.search(1, atoms, atoms, lambda packed: True)
+            _kernel.enumerate(1, atoms, atoms, None)
+
+    def test_rejects_a_limit_below_one(self):
+        # C reads a limit of 0 as none.
+        with pytest.raises(ValueError, match="limit must be positive"):
+            _kernel.enumerate(2, *TWO_CYCLE.n2_arrays, 0)
 
     def test_rejects_arrays_of_two_shapes(self):
         with pytest.raises(ValueError, match="differ in shape"):
-            _kernel.search(2, np.zeros(2, np.int32), np.zeros(1, np.int32), lambda packed: True)
+            _kernel.enumerate(2, np.zeros(2, np.int32), np.zeros(1, np.int32), None)
 
     # What the ndpointer argument types checked, and the shape: the kernel
     # reads each array through a bare pointer.
@@ -492,103 +501,19 @@ class TestKernelArguments:
     def test_rejects_what_c_cannot_read_through_a_pointer(self, heads, error, match):
         bodies = np.zeros(np.shape(heads), np.int32)
         with pytest.raises(error, match=match):
-            _kernel.search(2, heads, bodies, lambda packed: True)
+            _kernel.enumerate(2, heads, bodies, None)
         with pytest.raises(error, match=match if error is ValueError else match.replace("heads", "bodies")):
-            _kernel.search(2, bodies, heads, lambda packed: True)
-
-
-LEAF_CODE = next(c for c in _kernel.search.__code__.co_consts if getattr(c, "co_name", None) == "leaf")
+            _kernel.enumerate(2, bodies, heads, None)
 
 
 @needs_kernel
 class TestInterruptedKernelSearch:
-    """An exception raised as ctypes enters the leaf callback is raised, never dropped with the search cut short."""
-
-    @staticmethod
-    def interrupt_at(call, before_raising=lambda: None):
-        """A trace function that raises KeyboardInterrupt at the `call`-th entry into the kernel's leaf callback."""
-        calls = 0
-
-        def tracer(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code is LEAF_CODE:
-                calls += 1
-                if calls == call:
-                    before_raising()
-                    raise KeyboardInterrupt
-            return None
-
-        return tracer
-
-    def run_traced(self, tracer, p):
-        sys.settrace(tracer)
-        try:
-            return enumerate_answer_sets(p)
-        finally:
-            sys.settrace(None)
-
-    def test_a_dropped_interrupt_is_raised(self):
-        p = two_cycles(10)
-        assert enumerate_answer_sets(p).count == 1024
-        with pytest.raises(KeyboardInterrupt):
-            self.run_traced(self.interrupt_at(100), p)
-
-    def test_leaves_counted_apart_catch_what_the_hook_misses(self, monkeypatch):
-        # Another hook replaces this search's in the middle of it, so only
-        # the kernel's count of leaves delivered shows the dropped one.
-        missed = []
-        monkeypatch.setattr(sys, "unraisablehook", sys.unraisablehook)  # restored after the test
-
-        def replace_hook():
-            sys.unraisablehook = lambda info: missed.append(info.exc_type)
-
-        with pytest.raises(RuntimeError, match="delivered 100 leaves .* handled 99 .* ctypes dropped an exception"):
-            self.run_traced(self.interrupt_at(100, replace_hook), two_cycles(10))
-        assert missed == [KeyboardInterrupt]
-
-    def test_searches_in_two_threads_each_raise_their_own_dropped_interrupt(self, monkeypatch):
-        # Each thread's trace function drops an interrupt in its own
-        # searches; one hook, installed once, hands each to its search, and
-        # no search puts back a hook that another still needs.
-        monkeypatch.setattr(sys, "unraisablehook", sys.unraisablehook)  # restored after the test
-        before, p = sys.unraisablehook, two_cycles(10)
-        outcomes = {0: [], 1: []}
-        start = threading.Barrier(2)
-
-        def searches(k):
-            start.wait()
-            for _ in range(100):
-                sys.settrace(self.interrupt_at(50 + k))  # this thread's only
-                try:
-                    enumerate_answer_sets(p)
-                    outcomes[k].append(None)
-                except BaseException as error:
-                    outcomes[k].append(type(error))
-                finally:
-                    sys.settrace(None)
-
-        threads = [threading.Thread(target=searches, args=(k,), daemon=True) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-        assert outcomes == {0: [KeyboardInterrupt] * 100, 1: [KeyboardInterrupt] * 100}
-        assert sys.unraisablehook in (before, _kernel._unraisable) and _kernel._dropped == {}
-
-    def test_the_hook_passes_on_what_no_search_dropped(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(sys, "unraisablehook", lambda info: seen.append(info.object))  # restored after the test
-        enumerate_answer_sets(two_cycles(2))
-        assert sys.unraisablehook is _kernel._unraisable
-        unhashable = []
-        sys.unraisablehook(types.SimpleNamespace(object=unhashable, exc_value=ValueError("from elsewhere")))
-        assert seen == [unhashable]
+    """A Ctrl-C that lands while the kernel searches is raised once its one C call returns."""
 
     @pytest.mark.parametrize("delay", [0.005, 0.02, 0.05])
     def test_a_real_interrupt_is_raised(self, delay):
-        # 2^16 leaves, each through Python: the alarm lands in C, in the
-        # callback or as it is entered, and must be raised wherever it lands.
+        # 2^16 answer sets: the alarm lands in the C search or in the
+        # re-check of its sets in Python, and is raised wherever it lands.
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
@@ -600,6 +525,64 @@ class TestInterruptedKernelSearch:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, handler)
+
+
+@needs_kernel
+class TestKernelLeafStep:
+    """The kernel's one leaf step: a leaf is re-checked with `randasp_check`, counted toward the limit and kept."""
+
+    def test_a_leaf_the_check_rejects_is_not_kept_and_not_counted(self):
+        # two_cycles(10), then x <- not z and y <- not z over three more
+        # atoms, and the same rules with the heads of x and y swapped in the
+        # arrays.  Both rules have the body z, so the search reads one
+        # program from either arrays and walks one tree; but randasp_check
+        # reads arrays out of head order as no answer set, so none of the
+        # 1024 leaves is kept, and none stops the search at a limit.
+        heads, bodies = two_cycles(10).n2_arrays
+        bodies = np.append(bodies, [22, 22]).astype(np.int32)
+        swapped = np.append(heads, [21, 20]).astype(np.int32)
+        heads = np.append(heads, [20, 21]).astype(np.int32)
+        masks, *counts = _kernel.enumerate(23, heads, bodies, None)
+        assert len(masks) == 1024
+        check = _kernel.load().randasp_check
+        assert {check(23, 22, swapped.ctypes.data, bodies.ctypes.data, leaf.tobytes()) for leaf in masks} == {0}
+        for limit in (None, 1, 7):
+            kept, *swapped_counts = _kernel.enumerate(23, swapped, bodies, limit)
+            assert kept.shape == (0, 3) and swapped_counts == counts
+
+    @pytest.mark.parametrize("limit", [1, 7, 1024, 2000])
+    def test_a_limit_keeps_the_first_leaves_in_tree_order(self, limit):
+        p = two_cycles(10)
+        leaves = search(p)[0]
+        assert len(leaves) == 1024
+        got = search(p, limit, _kernel)
+        assert got[0] == leaves[:limit]
+        assert got == search(p, limit)
+
+    def test_sixty_five_thousand_sets_in_one_c_call(self, monkeypatch):
+        p = two_cycles(16)
+        lib, calls = _kernel.load(), []
+        monkeypatch.setattr(lib, "randasp_enumerate", lambda *args, _fn=lib.randasp_enumerate: calls.append(1) or _fn(*args))
+        leaves = search(p, None, _kernel)[0]
+        assert len(calls) == 1
+        assert leaves == search(p)[0]
+        assert enumerate_answer_sets(p).masks == tuple(sorted(leaves)) and len(calls) == 2
+
+    # The driver runs randasp_enumerate and the histogram mode of
+    # randasp_trial's leaf step, which no Python call can hand arrays out of
+    # head order, on the cases above and on drawn programs.
+    @pytest.mark.parametrize(
+        "flags", [(), ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")], ids=["plain", "sanitized"]
+    )
+    def test_the_c_driver_passes(self, tmp_path, flags):
+        exe = tmp_path / "kernel_sanitize"
+        driver = Path(__file__).with_name("kernel_sanitize.c")
+        try:
+            subprocess.run(["cc", "-O1", "-g", *flags, str(driver), "-lm", "-o", str(exe)], capture_output=True, check=True)
+        except (OSError, subprocess.CalledProcessError) as error:
+            pytest.skip(f"cc cannot build the driver with {flags}: {error}")
+        run = subprocess.run([str(exe)], capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
 
 
 @needs_kernel
@@ -692,7 +675,8 @@ class TestKernelBuild:
             th.join(timeout=120)
         assert not any(th.is_alive() for th in threads)
         assert list(tmp_path.iterdir()) == [path]
-        assert ctypes.CDLL(str(path)).randasp_search
+        lib = ctypes.CDLL(str(path))
+        assert lib.randasp_enumerate and lib.randasp_free
 
 
 class TestCount:
@@ -714,14 +698,25 @@ def forced_path(request, monkeypatch):
 
 
 class TestLeafRecheck:
-    """`enumerate_answer_sets`'s one leaf handler, behind either execution."""
+    """`enumerate_answer_sets` checks every set with `_is_n2_answer_set_mask`, behind either execution.
+
+    It drops a leaf of `_Searcher` that fails the check.  The kernel returns
+    only the leaves that `randasp_check` accepted, so a set of the kernel's
+    that fails the check is a kernel bug, and raises.
+    """
 
     def test_every_leaf_goes_through_the_mask_checker(self, monkeypatch, forced_path):
         p = generate(LinearModelParams(50, 5.0, 0.0), mix_seed(PINNED_SEED, 50001))  # 3 sets pinned
         assert enumerate_answer_sets(p).count == 3
         monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: False)
-        assert enumerate_answer_sets(p).masks == ()
-        assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
+        if forced_path == "kernel":
+            with pytest.raises(RuntimeError, match=r"the search kernel kept 0x[0-9a-f]+, which is not an answer set"):
+                enumerate_answer_sets(p)
+            with pytest.raises(RuntimeError, match="kept 0x2,"):  # the first leaf, {a1}
+                enumerate_answer_sets(TWO_CYCLE, limit=1)
+        else:
+            assert enumerate_answer_sets(p).masks == ()
+            assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
 
     def test_a_rejected_leaf_does_not_count_toward_the_limit(self, monkeypatch, forced_path):
         p = two_cycles(3)
@@ -733,8 +728,13 @@ class TestLeafRecheck:
             return len(checked) > 1 and _check(heads, bodies, inside)
 
         monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", reject_first)
-        assert enumerate_answer_sets(p, limit=1).masks == (leaves[1],)
-        assert len(checked) == 2
+        if forced_path == "kernel":  # the kernel's own re-check: TestKernelLeafStep
+            with pytest.raises(RuntimeError, match=f"kept {leaves[0]:#x},"):
+                enumerate_answer_sets(p, limit=1)
+            assert len(checked) == 1
+        else:
+            assert enumerate_answer_sets(p, limit=1).masks == (leaves[1],)
+            assert len(checked) == 2
 
     def test_an_error_in_the_recheck_stops_the_search_and_is_raised(self, monkeypatch, forced_path):
         checked = []

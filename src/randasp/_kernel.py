@@ -1,14 +1,13 @@
 """Build, cache and call the compiled kernel `_search.c`.
 
 The kernel's entry points, with their wrappers here: `randasp_enumerate`,
-the search of `solver._Searcher` with every leaf re-checked by
-`randasp_check` and the kept ones returned in one buffer (`enumerate`),
-which `randasp_free` releases; `randasp_sample`, the skip walk of
-`generate` (`sample`); `randasp_trial`, one whole sweep trial of
-`experiments` (`trial`), which draws, searches, re-checks every leaf and
-tallies in C; and `randasp_check`, the two answer-set conditions, which
-`load()` binds for tests to call.  No entry point calls back into Python,
-and each call gives up the GIL.  The wrappers check every array they hand
+the search of `solver._Searcher`, which returns every leaf it reaches,
+unchecked, in one buffer (`enumerate`) that `randasp_free` releases;
+`randasp_sample`, the skip walk of `generate` (`sample`); `randasp_trial`,
+one whole sweep trial of `experiments` (`trial`), which draws, searches,
+checks every leaf and tallies in C; and `randasp_check`, the two answer-set
+conditions, which `load()` binds for tests to call.  No entry point calls
+back into Python, and each call gives up the GIL.  The wrappers check every array they hand
 to C (type, dtype, contiguity and shape) and pass raw pointers, which costs
 less per call than ctypes' `ndpointer`.
 
@@ -153,12 +152,12 @@ def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) 
     C-contiguous, of one length below 2^31 (the kernel's offsets are int32),
     every atom in [0, n), and sorted by head, which `Program` guarantees;
     they are passed to C as they are, and C reads `bodies` in place as each
-    head's bodies.  C re-checks each leaf with `randasp_check`, drops one
-    that fails and stops once it has kept `limit` (None: no limit).
-    Returns (masks, propagate calls, apply calls): `masks` is a uint8 array
-    with one row per kept leaf, in the order the search reached them, each
-    row the leaf's IN atoms as a little-endian bitmask of (n + 7) // 8
-    bytes.  The search is one C call, so a Ctrl-C is raised once it returns.
+    head's bodies.  Returns (masks, propagate calls, apply calls): `masks`
+    holds every leaf the search reaches, unchecked, up to `limit` (None:
+    all), in the form `solver._Searcher.run` returns: a uint8 array with one
+    row per leaf, in tree order, each the leaf's IN atoms as a little-endian
+    bitmask of (n + 7) // 8 bytes.  The search is one C call, so a Ctrl-C is
+    raised once it returns.
     """
     if np.shape(heads) != np.shape(bodies):
         raise ValueError(f"heads and bodies differ in shape: {np.shape(heads)} vs {np.shape(bodies)}")
@@ -171,16 +170,16 @@ def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) 
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     lib, nbytes = load(), (n + 7) // 8
-    out, counts = ctypes.c_void_p(), _COUNTS()  # out stays NULL unless C keeps a set
-    limit = min(limit or 0, (1 << 63) - 1)  # C takes an int64; no search keeps 2^63 sets
+    out, counts = ctypes.c_void_p(), _COUNTS()  # out stays NULL unless the search reaches a leaf
+    limit = min(limit or 0, (1 << 63) - 1)  # C takes an int64; no search reaches 2^63 leaves
     try:  # an interrupt raised as the call returns must not leak the buffer
-        kept = lib.randasp_enumerate(n, heads.size, heads.ctypes.data, bodies.ctypes.data, limit, ctypes.byref(out), counts)
-        if kept < 0:
+        leaves = lib.randasp_enumerate(n, heads.size, heads.ctypes.data, bodies.ctypes.data, limit, ctypes.byref(out), counts)
+        if leaves < 0:
             raise MemoryError("search kernel is out of memory")
-        packed = ctypes.string_at(out, kept * nbytes)
+        packed = ctypes.string_at(out, leaves * nbytes)
     finally:
         lib.randasp_free(out)
-    return np.frombuffer(packed, np.uint8).reshape(kept, nbytes), counts[0], counts[1]
+    return np.frombuffer(packed, np.uint8).reshape(leaves, nbytes), counts[0], counts[1]
 
 
 def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +204,7 @@ def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.
 
 
 # randasp_trial's error codes
-_NO_MEMORY, _NO_PROGRAM, _OVERFLOW, _TOO_MANY_RULES, _STOPPED = -1, -2, -3, -4, -5
+_NO_MEMORY, _NO_PROGRAM, _OVERFLOW, _TOO_MANY_RULES, _STOPPED, _REJECTED = -1, -2, -3, -4, -5, -6
 
 
 class Stopped(Exception):
@@ -217,17 +216,18 @@ def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: i
 
     A trial over n < 2^29 atoms draws with `sample`'s arguments (`log_p`,
     `log_d`, a first buffer of `cap` rules), taking up to `max_draws`
-    attempts, the attempt a from sub-seed `mix_seed(seed, a)`; it keeps at
-    most `limit` answer sets (None: all), each re-checked in C.  `sums`, an
-    int64 array of n + 4, gets the kept count, its square, the attempts
-    before the nonempty draw and the histogram of kept sets by size, as
-    `experiments._trial` adds them.  `stop` is a `ctypes.c_int32` (None: one
-    never set) that C reads at each decision of the search; another thread
-    sets it to end every trial that reads it, and `run` then raises
-    `Stopped`.  `run` raises RuntimeError with `generate_with_stats`' text
-    when every draw is empty, and OverflowError where a sum would leave
-    int64.  After any of these errors `sums` holds part of the trial.  C
-    runs without the GIL, so trials in other threads run alongside.
+    attempts, the attempt a from sub-seed `mix_seed(seed, a)`; it takes at
+    most `limit` leaves (None: all), each checked by `randasp_check`.
+    `sums`, an int64 array of n + 4, gets the count of answer sets, its
+    square, the attempts before the nonempty draw and their histogram by
+    size, as `experiments._trial` adds them.  `stop` is a `ctypes.c_int32`
+    (None: one never set) that C reads at each decision of the search;
+    another thread sets it to end every trial that reads it, and `run` then
+    raises `Stopped`.  `run` raises RuntimeError when every draw is empty
+    (`generate_with_stats`' text) or a leaf fails its check, and
+    OverflowError where a sum would leave int64.  After any of these errors
+    `sums` holds part of the trial.  C runs without the GIL, so trials in
+    other threads run alongside.
     """
     if not 0 <= n < KERNEL_MAX_N:
         raise ValueError(f"the search kernel takes fewer than 2^29 atoms, got n={n}")
@@ -244,14 +244,14 @@ def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: i
 
     def run(seed: int, _keep=(sums, stop)) -> None:  # _keep: C reads and writes them, so they live as long as `run`
         rc = fn(seed, *args)
-        if rc == _NO_PROGRAM:
-            raise RuntimeError(f"no nonempty program after {max_draws} resamples")
         if rc:
             raise {
                 _NO_MEMORY: MemoryError("search kernel is out of memory"),
+                _NO_PROGRAM: RuntimeError(f"no nonempty program after {max_draws} resamples"),
                 _OVERFLOW: OverflowError("a trial's sum leaves int64"),
                 _TOO_MANY_RULES: ValueError("the search kernel takes fewer than 2^31 rules"),
                 _STOPPED: Stopped("the trial's stop flag was set"),
+                _REJECTED: RuntimeError("the search reached a leaf that is not an answer set"),
             }[rc]
 
     return run

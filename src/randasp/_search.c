@@ -1,22 +1,22 @@
-/* Five entry points: randasp_enumerate, the search of solver._Searcher with
- * its leaves re-checked and kept in C; randasp_free, which releases the
+/* Five entry points: randasp_enumerate, the search of solver._Searcher,
+ * which returns every leaf it reaches; randasp_free, which releases the
  * buffer randasp_enumerate returns; randasp_sample, generate's skip walk;
  * randasp_check, the two answer-set conditions of
  * solver._is_n2_answer_set_mask; and randasp_trial, one whole sweep trial of
- * experiments._trial: draw, search, re-check every leaf and add the trial
- * into the caller's sums.  None calls back into Python.
+ * experiments._trial: draw, search, check every leaf and add the trial into
+ * the caller's sums.  None calls back into Python.
  *
  * The search of solver._Searcher, step for step: the same propagation, the
  * same branching and the same chronological backtracking, so it visits the
  * same tree and reaches the same leaves in the same order.  propagate ports
  * _Searcher._propagate with _apply inlined, one queue pop per _apply call;
- * decide ports _decide.  search hands each leaf to one leaf step, keep,
- * which re-checks it with randasp_check, as enumerate_answer_sets' on_leaf
- * does with _is_n2_answer_set_mask, and then adds it to randasp_trial's
- * histogram or to randasp_enumerate's buffer of masks.  search also reads a
- * stop flag once per decision, which another thread may set while it runs:
- * randasp_trial takes its sweep's flag, and randasp_enumerate one that is
- * never set.
+ * decide ports _decide.  search hands each leaf to one leaf step, keep:
+ * randasp_enumerate returns every leaf unchecked, as _Searcher.run does, for
+ * enumerate_answer_sets to check, and randasp_trial checks each leaf with
+ * randasp_check as it tallies it, a leaf that fails stopping the trial.
+ * search also reads a stop flag once per decision, which another thread may
+ * set while it runs: randasp_trial takes its sweep's flag, and
+ * randasp_enumerate one that is never set.
  *
  * values are int8 (0 unassigned, 1 IN, 2 OUT); nfree[a] counts a's unassigned
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
@@ -203,26 +203,28 @@ int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     return r == m ? 1 : -1; /* a rule left over: its head came out of order */
 }
 
-/* What search does with its leaves: the program it re-checks them against,
- * the limit on kept leaves (0: none) and where the kept ones go. */
+/* randasp_trial's error codes, -1 to -6, which search and keep return too */
+enum { TRIAL_REJECTED = -6, TRIAL_STOPPED, TRIAL_TOO_MANY_RULES, TRIAL_OVERFLOW, TRIAL_NO_PROGRAM, TRIAL_NO_MEMORY };
+
+/* What search does with its leaves: the program it checks them against, the
+ * limit on leaves (0: none) and where they go. */
 typedef struct {
     int32_t n;
     int64_t m, limit, kept, *hist; /* hist: randasp_trial's histogram by size, or NULL to keep the masks */
     const int32_t *heads, *bodies;
-    uint8_t *masks; /* without hist: the kept leaves' bitmasks, (n + 7) / 8 bytes each, in tree order */
+    uint8_t *masks; /* without hist: the leaves' bitmasks, (n + 7) / 8 bytes each, in tree order */
     int64_t cap;    /* masks' room, in leaves */
-    int failed;     /* a histogram sum would overflow (hist), or masks could not grow */
 } Leaves;
 
 /* The leaf step of search, given the leaf's IN atoms as a little-endian
- * bitmask: a leaf that fails randasp_check is dropped; a kept one counts
- * toward the limit and adds one to the histogram entry of its size, or is
- * appended to masks, which grows by doubling.  Returns nonzero to stop the
- * search: the limit is reached, or k->failed is set. */
+ * bitmask.  With hist it checks the leaf with randasp_check and adds one to
+ * the histogram entry of its size; without, it appends the leaf to masks,
+ * which grows by doubling.  Returns 0 to go on, 1 once limit leaves are
+ * taken, or an error: TRIAL_REJECTED, TRIAL_OVERFLOW or TRIAL_NO_MEMORY. */
 static int keep(Leaves *k, const uint8_t *bits) {
-    if (randasp_check(k->n, k->m, k->heads, k->bodies, bits) != 1) return 0;
     size_t nb = ((size_t)k->n + 7) / 8;
     if (k->hist) {
+        if (randasp_check(k->n, k->m, k->heads, k->bodies, bits) != 1) return TRIAL_REJECTED;
         size_t i = 0;
         int64_t size = 0;
         for (uint64_t w; i + 8 <= nb; i += 8) {
@@ -231,12 +233,12 @@ static int keep(Leaves *k, const uint8_t *bits) {
         }
         for (; i < nb; i++) size += __builtin_popcount(bits[i]);
         if (__builtin_add_overflow(k->hist[size], 1, &k->hist[size]) || __builtin_add_overflow(k->kept, 1, &k->kept))
-            return k->failed = 1;
+            return TRIAL_OVERFLOW;
     } else {
         if (k->kept == k->cap) {
             int64_t cap = k->cap ? 2 * k->cap : 16;
             uint8_t *masks = realloc(k->masks, (size_t)cap * nb + 1); /* + 1: nb is 0 when n is */
-            if (!masks) return k->failed = 1;
+            if (!masks) return TRIAL_NO_MEMORY;
             k->masks = masks, k->cap = cap;
         }
         memcpy(k->masks + (size_t)k->kept++ * nb, bits, nb);
@@ -246,8 +248,9 @@ static int keep(Leaves *k, const uint8_t *bits) {
 
 /* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
  * head, over n < 2^29 atoms and hands each leaf to keep(leaves, bits).
- * counts gets the propagate and apply calls.  Returns 0, -1 when out of
- * memory, or 1 when *stop is nonzero at a decision (counts then unset). */
+ * counts gets the propagate and apply calls.  Returns 0, or an error code:
+ * TRIAL_NO_MEMORY, TRIAL_STOPPED when *stop is nonzero at a decision (counts
+ * then unset), or the one keep stopped the search with. */
 static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, Leaves *leaves,
                   const volatile int32_t *stop, int64_t *counts) {
     S s = {.n = n};
@@ -259,7 +262,7 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     size_t snap = (size_t)n * 6; /* the searched state, nfree | val | unsup, in one block */
     uint8_t *state = calloc(snap + 1, 1), *bits = malloc(nb + 1), *snaps = NULL;
     int32_t *decided = NULL, *cnt = calloc(2 * (size_t)m + 2, 4); /* decided: (atom, n_unsup, cursor) */
-    int rc = -1;
+    int rc = TRIAL_NO_MEMORY;
     if (!s.hoff || !s.boff || !s.hadj || !s.order || !s.queue || !state || !bits || !cnt)
         goto done;
     s.nfree = (int32_t *)state, s.val = (int8_t *)(state + (size_t)n * 4), s.unsup = (int8_t *)(state + (size_t)n * 5);
@@ -288,13 +291,13 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
         if (s.nfree[x] == 0) push(&s, x, OUT); /* heads no rule: never in S */
     for (int64_t r = 0; r < m; r++)
         if (heads[r] == bodies[r]) push(&s, heads[r], IN); /* self-loop head: never out of S */
-    int ok = propagate(&s);
+    int ok = propagate(&s), taken = 0; /* keep's last result */
     for (;;) {
         if (ok) {
             int32_t atom = decide(&s);
             if (atom >= 0) {
                 if (*stop) {
-                    rc = 1;
+                    rc = TRIAL_STOPPED;
                     goto done;
                 }
                 if (depth == cap) {
@@ -316,7 +319,7 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
             memset(bits, 0, nb);
             for (int32_t a = 0; a < n; a++)
                 if (s.val[a] == IN) bits[a >> 3] |= (uint8_t)(1u << (a & 7));
-            if (keep(leaves, bits)) break;
+            if ((taken = keep(leaves, bits))) break;
         }
         if (!depth) break; /* every IN branch tried */
         depth--;
@@ -327,24 +330,24 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
         ok = propagate(&s);
     }
     counts[0] = s.propagations, counts[1] = s.applies;
-    rc = 0;
+    rc = taken < 0 ? taken : 0;
 done:
     free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.queue);
     free(state), free(bits), free(snaps), free(decided), free(cnt);
     return rc;
 }
 
-/* The answer sets of the program `heads[r] <- not bodies[r]`, as search
- * takes it, in the order search reaches them, each re-checked by keep: at
- * most limit of them (0: all).  *out gets their bitmasks, (n + 7) / 8 bytes
- * each, in one buffer for randasp_free (NULL when there are none), and
- * counts the propagate and apply calls.  Returns the number of sets, or -1
- * when out of memory (*out then NULL). */
+/* The leaves of the program `heads[r] <- not bodies[r]`, as search takes it,
+ * in the order search reaches them, unchecked: at most limit of them (0:
+ * all).  *out gets their bitmasks, (n + 7) / 8 bytes each, in one buffer for
+ * randasp_free (NULL when there are none), and counts the propagate and
+ * apply calls.  Returns the number of leaves, or -1 when out of memory (*out
+ * then NULL). */
 int64_t randasp_enumerate(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, int64_t limit,
                           uint8_t **out, int64_t *counts) {
     static const int32_t never = 0;
     Leaves k = {.n = n, .m = m, .limit = limit, .heads = heads, .bodies = bodies};
-    if (search(n, m, heads, bodies, &k, &never, counts) || k.failed) {
+    if (search(n, m, heads, bodies, &k, &never, counts)) {
         free(k.masks);
         *out = NULL;
         return -1;
@@ -406,23 +409,21 @@ int64_t randasp_sample(uint64_t seed, int32_t n, double log_p, double log_d, int
     return m;
 }
 
-enum { TRIAL_NO_MEMORY = -1, TRIAL_NO_PROGRAM = -2, TRIAL_OVERFLOW = -3, TRIAL_TOO_MANY_RULES = -4, TRIAL_STOPPED = -5 };
-
 /* Trial `seed` of a sweep, as experiments._trial runs it in Python with
  * generate_with_stats and enumerate_answer_sets.  Attempt a draws with
  * randasp_sample from sub-seed mix64(seed + (a + 1) * GAMMA), mix_seed's
  * stream, until a draw is nonempty or max_draws attempts are spent; cap is
  * the size of the first rule buffer.  The draw's contradictions are merged
  * into head order by the key h * n + b, so the search reads the arrays
- * Program.from_n2_arrays would hold.  Every leaf is re-checked (keep), at
- * most limit are kept (0: all), and the trial is added into sums, which hold
- * the kept count, its square, the attempts before the nonempty draw and
- * then the n + 1 entries of the histogram of kept sets by size.  A sum that
- * would overflow stops the trial, and so does *stop, read at each decision
- * of the search: another thread sets it to end the trial early.  Returns 0,
- * or TRIAL_NO_MEMORY, TRIAL_NO_PROGRAM (every draw empty), TRIAL_OVERFLOW,
- * TRIAL_TOO_MANY_RULES (2^31 rules or more) or TRIAL_STOPPED; after an
- * error sums hold part of the trial. */
+ * Program.from_n2_arrays would hold.  At most limit leaves are taken (0:
+ * all), each checked by keep, and the trial is added into sums: the count of
+ * answer sets, its square, the attempts before the nonempty draw and then
+ * the n + 1 entries of the histogram of the sets by size.  A leaf that fails
+ * its check (TRIAL_REJECTED), a sum that would overflow and *stop, read at
+ * each decision of the search, each stop the trial: another thread sets
+ * *stop to end it early.  Returns 0 or an error code, TRIAL_NO_PROGRAM when
+ * every draw is empty and TRIAL_TOO_MANY_RULES at 2^31 rules or more; after
+ * an error sums hold part of the trial. */
 int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t cap, int64_t max_draws, int64_t limit,
                   int64_t *sums, const volatile int32_t *stop) {
     int64_t m = 0, attempt = 0, counts[2];
@@ -462,14 +463,11 @@ int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t 
         heads = canon, bodies = canon + m;
     }
     Leaves k = {.n = n, .m = m, .limit = limit, .hist = sums + 3, .heads = heads, .bodies = bodies};
-    int searched = search(n, m, heads, bodies, &k, stop, counts);
-    if (searched) {
-        rc = searched > 0 ? TRIAL_STOPPED : TRIAL_NO_MEMORY;
-        goto done;
-    }
+    rc = search(n, m, heads, bodies, &k, stop, counts);
+    if (rc) goto done;
     int64_t sq;
     rc = TRIAL_OVERFLOW;
-    if (k.failed || __builtin_mul_overflow(k.kept, k.kept, &sq) ||
+    if (__builtin_mul_overflow(k.kept, k.kept, &sq) ||
         __builtin_add_overflow(sums[0], k.kept, &sums[0]) || __builtin_add_overflow(sums[1], sq, &sums[1]) ||
         __builtin_add_overflow(sums[2], attempt, &sums[2]))
         goto done;

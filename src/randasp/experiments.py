@@ -4,8 +4,8 @@ Trial t of a run seeded with s generates its program from sub-seed
 mix_seed(s, t), so results are independent of scheduling.  Each row of a
 sweep is cut into chunks of consecutive trials, about four per worker, so a
 heavy-tailed row does not leave workers idle behind one slow chunk; near the
-end of the sweep the chunks shrink.  With workers > 1 the calling thread is
-one of the workers and the rest are threads started for the sweep: every
+end of the sweep the chunks shrink.  The calling thread is one of the
+workers and the rest, if any, are threads started for the sweep: every
 thread, the caller included, claims the next chunk from one shared counter,
 so no chunk waits behind a thread that has not started it.  Rows are
 reduced and reported in row order as their chunks come in.
@@ -15,7 +15,7 @@ consistent programs.  All accumulators are integers, which makes the
 reduction exact and byte-identical for any worker count.
 Each trial goes through `_trial`.  Where the compiled kernel searches
 (`search_path`), a trial is one C call, `randasp_trial`: it draws the
-program, searches it, re-checks every leaf and adds the trial into the
+program, searches it, checks every leaf and adds the trial into the
 chunk's int64 sums, with no Python per program or per leaf.  The call gives
 up the GIL, so the threads' trials run in parallel; an interrupt lands in
 the calling thread between its own trials or while it waits.  Elsewhere,
@@ -158,10 +158,11 @@ def _trial(params: LinearModelParams, seed: int, limit: int | None, sums, kernel
     `_kernel.trial`'s runner for the same params, limit and sums.  With
     None, the trial runs on `generate_with_stats` and
     `enumerate_answer_sets`, which is the definition; with the runner, the
-    compiled kernel draws the same program, walks the same tree, re-checks
-    each leaf as `enumerate_answer_sets` does and adds the same integers, in
-    one C call.  Both executions call this function once per trial, so a
-    wrapper on it sees every trial.
+    compiled kernel draws the same program, walks the same tree, checks
+    each leaf as `enumerate_answer_sets` does (a leaf that fails raises
+    RuntimeError) and adds the same integers, in one C call.  Both
+    executions call this function once per trial, so a wrapper on it sees
+    every trial.
     """
     if kernel is not None:
         kernel(seed)
@@ -230,11 +231,11 @@ def _threaded_results(chunks, threads: int):
 
     Every thread claims the next chunk from one shared counter.  This thread
     claims only while the chunk it must yield next is missing, and waits for
-    the other threads once no chunk is left.  The first error in any thread
-    sets the sweep's stop flag, which ends every other thread's kernel trial
-    at its next decision, and is raised here as itself.  Before the
-    generator finishes, raises or is closed, the flag is set and every
-    thread is joined.
+    the other threads once no chunk is left; with `threads` 0 it runs every
+    chunk, in order.  The first error in any thread sets the sweep's stop
+    flag, which ends every other thread's kernel trial at its next decision,
+    and is raised here as itself.  Before the generator finishes, raises or
+    is closed, the flag is set and every thread is joined.
     """
     import ctypes
     import threading
@@ -288,13 +289,12 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
 
     `sums` are the column sums of `_count_chunk` over the row's trials, and
     `row` returns (result, note).  With `progress`, the note goes to stderr
-    followed by "[row i/rows, seconds since the sweep started]".  Threads
-    are started only for more than one worker and chunk, and only where the
-    compiled kernel searches: this thread is one of the `workers`,
-    `min(workers, chunks) - 1` threads started for the call are the rest,
-    and each thread claims the next chunk no thread has started (see
-    `_threaded_results`).  No thread outlives the call: each one is joined
-    before the sweep returns or raises.
+    followed by "[row i/rows, seconds since the sweep started]".  Every
+    sweep runs through `_threaded_results`: this thread is one of the
+    `workers`, and where the compiled kernel searches, `min(workers,
+    chunks) - 1` threads started for the call are the rest.  Each thread
+    claims the next chunk no thread has started.  No thread outlives the
+    call: each one is joined before the sweep returns or raises.
     """
     workers = require_integer("workers", workers)
     if workers < 1:
@@ -306,7 +306,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
     # A Python search holds the GIL, and a wrapper on `_Searcher` may
     # assume one thread, so only kernel trials get threads.
     threads = min(workers, len(chunks)) - 1 if search_path(max(cfg.n)) == "kernel" else 0
-    results = _threaded_results(chunks, threads) if threads else map(_count_chunk, chunks)
+    results = _threaded_results(chunks, threads)
     out = []
     try:
         for i, ((n, c1, c2), cs) in enumerate(zip(rows, row_chunks), 1):
@@ -316,8 +316,7 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
             if progress:
                 print(f"{note} [row {i}/{len(rows)}, {perf_counter() - t0:.1f} s]", file=sys.stderr)
     finally:
-        if threads:
-            results.close()
+        results.close()
     return out
 
 

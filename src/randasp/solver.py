@@ -15,11 +15,10 @@ backtracker over IN(S)/OUT(T) atom assignments with unit propagation;
 `enumerate_brute_force`, the testing oracle, scans all 2^n subsets of a
 negative program (no positive body atoms, n at most the fixed `BRUTE_FORCE_CAP`).
 Both return an `AnswerSetCollection` of sorted bitmasks.
-`_is_n2_answer_set_mask` is the n2 checker in Python: `is_answer_set_n2`
-calls it, and so does `enumerate_answer_sets` on every set it returns.  It
-tests both conditions with a few numpy operations over the program's
-`n2_arrays` and a boolean IN-vector of S.  `randasp_check` in `_search.c`
-is its C port, which re-checks every leaf that the compiled search reaches.
+`_is_n2_answer_set_mask` is the n2 checker in Python: it tests both
+conditions for many sets at once, one boolean IN-vector a row, with a few
+numpy operations over the program's `n2_arrays`; `is_answer_set_n2` passes
+it one row.  `randasp_check` in `_search.c` is its C port.
 
 The backtracker branches on support first: while some IN atom has no OUT
 supporter yet, it branches on one of that atom's free support candidates,
@@ -29,18 +28,17 @@ answer set, so this prunes unsupportable IN choices as early as possible.
 Backtracking is chronological: after a conflict or a leaf the deepest
 decision still OUT is undone and flipped IN.
 
-One tree, two executions.  `_Searcher` is the search in Python, and
-`randasp_enumerate` in `_search.c` is a C port of it that keeps its data and
-its order of work step for step, so both walk the same tree and reach the
-same leaves in the same order (tests compare masks and `_propagate`/`_apply`
-call counts).  Both read the program's `n2_arrays` and build no `Rule`.
-Each keeps a leaf only if its checker accepts it, and counts only kept
-leaves toward `limit`, so results do not depend on which execution ran:
-`_Searcher.run` hands each leaf to the handler of `enumerate_answer_sets`,
-which checks it with `_is_n2_answer_set_mask`; the kernel checks its leaves
-with `randasp_check` and returns the kept ones from one C call.  A sweep trial
-that runs whole in the kernel (`experiments._trial`) takes the same C leaf
-step and tallies the kept leaves there.
+One tree, two executions, one leaf contract.  `_Searcher` is the search in
+Python, and `randasp_enumerate` in `_search.c` is a C port of it that keeps
+its data and its order of work step for step, so both walk the same tree
+and reach the same leaves in the same order (tests compare the leaves and
+the `_propagate`/`_apply` call counts).  Both read the program's
+`n2_arrays` and build no `Rule`, and both return every leaf they reach, up
+to `limit`, unchecked.  Each job checks those leaves exactly once, and a
+leaf that fails the check, a search bug, raises RuntimeError:
+`enumerate_answer_sets` checks the leaves of either execution in one
+`_is_n2_answer_set_mask` pass, and a sweep trial that runs whole in the
+kernel (`experiments._trial`) checks each leaf with `randasp_check` in C.
 
 `search_path(n)` says which execution a program over n atoms gets.  The C
 port runs wherever module `_kernel` can build and load the library, which
@@ -94,29 +92,38 @@ class AnswerSetCollection:
         return tuple(AtomSet(self.n, m) for m in self.masks)
 
 
-def _is_n2_answer_set_mask(heads: np.ndarray, bodies: np.ndarray, inside: np.ndarray) -> bool:
-    """The two answer-set conditions for the rules `heads[i] <- not bodies[i]`.
+_CHECK_CELLS = 1 << 20  # rows x max(n, rules) per block of `_is_n2_answer_set_mask`: bounds its memory
 
-    `inside` is the boolean IN-vector of the candidate set S over all n atoms.
+
+def _is_n2_answer_set_mask(heads: np.ndarray, bodies: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The two answer-set conditions for the rules `heads[i] <- not bodies[i]`, one verdict per row of `inside`.
+
+    `inside` is a (k, n) boolean array, each row the IN-vector of a set S;
+    `heads` must be sorted, as `n2_arrays` are.  Together the conditions say
+    that S is exactly the set of heads of the rules whose body is outside S.
     """
-    fired = heads[~inside[bodies]]  # heads of the rules whose body atom is outside S
-    if not inside[fired].all():
-        return False  # condition 1: some head would be outside S too
-    supported = np.zeros_like(inside)
-    supported[fired] = True
-    return not (inside & ~supported).any()  # condition 2: everything in S is supported
+    verdicts = np.empty(len(inside), dtype=bool)
+    starts = np.flatnonzero(np.diff(heads, prepend=-1))  # each head's first rule
+    step = max(1, _CHECK_CELLS // max(inside.shape[1], heads.size, 1))
+    for lo in range(0, len(inside), step):
+        block = inside[lo : lo + step]
+        supported = np.zeros_like(block)  # the heads of the rules whose body atom is outside S
+        supported[:, heads[starts]] = np.logical_or.reduceat(~block[:, bodies], starts, axis=1)
+        verdicts[lo : lo + step] = (supported == block).all(axis=1)  # condition 1: supported <= S; 2: S <= supported
+    return verdicts
 
 
-def _unpack(n: int, packed: bytes) -> np.ndarray:
-    """The boolean IN-vector of the n-atom set whose little-endian bitmask is `packed`."""
-    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n, bitorder="little").view(bool)
+def _unpack(n: int, rows: np.ndarray) -> np.ndarray:
+    """The (k, n) boolean IN-vectors of the k sets whose little-endian bitmasks are the uint8 `rows`."""
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
 
 
 def is_answer_set_n2(p: Program, s: AtomSet) -> bool:
     """Structural check of the two answer-set conditions over the program's arrays."""
     _require_same_universe(p.n, s)
     heads, bodies = p.n2_arrays
-    return _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, s.mask.to_bytes((p.n + 7) // 8, "little")))
+    row = np.frombuffer(s.mask.to_bytes((p.n + 7) // 8, "little"), dtype=np.uint8)
+    return bool(_is_n2_answer_set_mask(heads, bodies, _unpack(p.n, row[None]))[0])
 
 
 class _Searcher:
@@ -237,17 +244,18 @@ class _Searcher:
                     return b
         return next((x for x in self.order if state[x] == _UNASSIGNED), -1)
 
-    def run(self, on_leaf) -> None:
-        """Hand each leaf to `on_leaf(packed) -> stop` until it returns True.
+    def run(self, limit: int | None = None) -> np.ndarray:
+        """Every leaf the search reaches, unchecked, in tree order, up to `limit` (None: all).
 
-        `packed` holds the leaf's IN atoms as a little-endian bitmask of
-        (n + 7) // 8 bytes, the rows that `_kernel.enumerate` returns.
+        A uint8 array, the form `_kernel.enumerate` returns: one row per
+        leaf, its IN atoms as a little-endian bitmask of (n + 7) // 8 bytes.
         """
         heads, bodies = self.p.n2_arrays
         root = [x << 2 | _OUT for x in range(self.p.n) if self.n_free_supp[x] == 0]  # heads no rule: never in S
         root += [h << 2 | _IN for h in heads[heads == bodies].tolist()]  # self-loop head: never out of S
         ok = self._propagate(root)
         stack: list[tuple[int, tuple]] = []  # (decided atom, state before it): IN untried
+        leaves = []
         while True:
             if ok:
                 atom = self._decide()
@@ -255,14 +263,15 @@ class _Searcher:
                     stack.append((atom, self._snapshot()))
                     ok = self._propagate([atom << 2 | _OUT])
                     continue
-                inside = np.array(self.state, dtype=np.int8) == _IN
-                if on_leaf(np.packbits(inside, bitorder="little").tobytes()):
-                    return
+                leaves.append(np.packbits(np.array(self.state, dtype=np.int8) == _IN, bitorder="little"))
+                if len(leaves) == limit:
+                    break
             if not stack:  # every IN branch tried
-                return
+                break
             atom, snapshot = stack.pop()
             self._undo_to(snapshot)
             ok = self._propagate([atom << 2 | _IN])
+        return np.array(leaves, dtype=np.uint8).reshape(len(leaves), (self.p.n + 7) // 8)
 
 
 KERNEL_MAX_N = 1 << 29  # the kernel's queue entries are int32 `atom << 2 | value`
@@ -291,10 +300,9 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
 
     The empty program has the one answer set {}, so it yields `(0,)`.  A count
     equal to `limit` does not say whether sets were left out; to tell "exactly
-    `limit`" from "more", ask for `limit + 1` and compare.  Every set returned
-    passes `_is_n2_answer_set_mask`: a leaf of `_Searcher` that fails it is
-    dropped, while the kernel's leaves are re-checked in C, so one of them
-    that fails it is a kernel bug and raises RuntimeError.
+    `limit`" from "more", ask for `limit + 1` and compare.  The leaves of
+    either execution are checked in one `_is_n2_answer_set_mask` pass, and
+    one that fails it is a search bug: it raises RuntimeError.
     """
     if limit is not None:
         limit = require_integer("limit", limit)
@@ -304,21 +312,14 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
     if search_path(p.n) == "kernel":
         from . import _kernel
 
-        packed = _kernel.enumerate(p.n, heads, bodies, limit)[0]
-        masks = [int.from_bytes(leaf, "little") for leaf in packed]
-        for mask, inside in zip(masks, np.unpackbits(packed, axis=1, count=p.n, bitorder="little").view(bool)):
-            if not _is_n2_answer_set_mask(heads, bodies, inside):
-                raise RuntimeError(f"the search kernel kept {mask:#x}, which is not an answer set")
+        rows = _kernel.enumerate(p.n, heads, bodies, limit)[0]
     else:
-        masks = []
-
-        def on_leaf(packed: bytes) -> bool:
-            if _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, packed)):
-                masks.append(int.from_bytes(packed, "little"))
-            return limit is not None and len(masks) >= limit
-
-        _Searcher(p).run(on_leaf)
-    return AnswerSetCollection(p.n, tuple(sorted(masks)))
+        rows = _Searcher(p).run(limit)
+    verdicts = _is_n2_answer_set_mask(heads, bodies, _unpack(p.n, rows))
+    if not verdicts.all():
+        bad = int.from_bytes(rows[np.argmin(verdicts)], "little")
+        raise RuntimeError(f"the search reached {bad:#x}, which is not an answer set")
+    return AnswerSetCollection(p.n, tuple(sorted(int.from_bytes(row, "little") for row in rows)))
 
 
 def enumerate_brute_force(p: Program) -> AnswerSetCollection:

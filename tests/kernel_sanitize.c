@@ -6,8 +6,8 @@
  *      tests/kernel_sanitize.c -lm -o kernel_sanitize && ./kernel_sanitize
  *
  * Each case runs at the limits 0 (none), 1 and 7.  It exits 1 on a wrong
- * count, and a sanitizer ends it on a memory error or undefined behaviour.
- * test_solver.py builds and runs it. */
+ * count or a wrong error code, and a sanitizer ends it on a memory error or
+ * undefined behaviour.  test_solver.py and the CI build and run it. */
 #include "../src/randasp/_search.c"
 
 #include <stdio.h>
@@ -27,9 +27,10 @@ static int64_t popcount(const uint8_t *bits, size_t nb) {
 static int64_t clip(int64_t count, int64_t limit) { return limit && limit < count ? limit : count; }
 
 /* Enumerates the program with each limit, then searches it in the histogram
- * mode of randasp_trial.  Both must keep the same sets, min(limit, full) of
- * them, each passing randasp_check, and stop at the same point of the tree.
- * Returns the full count; full_counts gets its propagate and apply calls. */
+ * mode of randasp_trial.  Both must take the same leaves, min(limit, full)
+ * of them, each an answer set that passes randasp_check, and stop at the
+ * same point of the tree.  Returns the full count; full_counts gets its
+ * propagate and apply calls. */
 static int64_t both_modes(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, int64_t *full_counts) {
     static const int32_t never = 0;
     size_t nb = ((size_t)n + 7) / 8;
@@ -37,19 +38,19 @@ static int64_t both_modes(int32_t n, int64_t m, const int32_t *heads, const int3
     for (size_t l = 0; l < sizeof LIMITS / sizeof *LIMITS; l++) { /* limit 0 first */
         int64_t limit = LIMITS[l], counts[2], tally_counts[2];
         uint8_t *masks;
-        int64_t kept = randasp_enumerate(n, m, heads, bodies, limit, &masks, counts);
-        EXPECT(kept >= 0 && (kept > 0) == (masks != NULL));
-        if (!limit) full = kept, memcpy(full_counts, counts, sizeof counts);
-        EXPECT(kept == clip(full, limit));
+        int64_t leaves = randasp_enumerate(n, m, heads, bodies, limit, &masks, counts);
+        EXPECT(leaves >= 0 && (leaves > 0) == (masks != NULL));
+        if (!limit) full = leaves, memcpy(full_counts, counts, sizeof counts);
+        EXPECT(leaves == clip(full, limit));
         memset(hist, 0, ((size_t)n + 1) * 8);
-        for (int64_t i = 0; i < kept; i++) {
+        for (int64_t i = 0; i < leaves; i++) {
             EXPECT(randasp_check(n, m, heads, bodies, masks + i * nb) == 1);
             hist[popcount(masks + i * nb, nb)]--;
         }
         randasp_free(masks);
         Leaves k = {.n = n, .m = m, .limit = limit, .hist = hist, .heads = heads, .bodies = bodies};
-        EXPECT(search(n, m, heads, bodies, &k, &never, tally_counts) == 0 && !k.failed);
-        EXPECT(k.kept == kept && !memcmp(counts, tally_counts, sizeof counts));
+        EXPECT(search(n, m, heads, bodies, &k, &never, tally_counts) == 0);
+        EXPECT(k.kept == leaves && !memcmp(counts, tally_counts, sizeof counts));
         for (int32_t s = 0; s <= n; s++) EXPECT(hist[s] == 0); /* every set enumerated was tallied, by size */
     }
     free(hist);
@@ -58,25 +59,37 @@ static int64_t both_modes(int32_t n, int64_t m, const int32_t *heads, const int3
 
 /* k disjoint two-cycles a <- not b, b <- not a, then x <- not z and
  * y <- not z over three more atoms: 2^k answer sets, so the buffer of masks
- * grows from 16 to 2^k.  Then the heads of x and y are swapped in the arrays:
- * the search reads the same program (both rules have the body z), so it
- * walks the same tree, but randasp_check rejects every leaf of arrays out of
- * head order, so none is kept, and none stops the search at a limit. */
+ * grows from 16 to 2^k.  Then its twin, the same arrays with the heads of x
+ * and y swapped: the search reads the same program (both rules have the
+ * body z), so it walks the same tree, and randasp_enumerate returns the same
+ * leaves, unchecked.  randasp_check rejects every leaf of arrays out of head
+ * order, so the histogram leaf step stops at the first leaf with
+ * TRIAL_REJECTED, having added nothing. */
 static void two_cycles(int32_t k) {
+    static const int32_t never = 0;
     int32_t n = 2 * k + 3, m = 2 * k + 2, x = 2 * k, y = 2 * k + 1;
-    int32_t *heads = malloc((size_t)m * 4), *bodies = malloc((size_t)m * 4);
-    for (int32_t i = 0; i < 2 * k; i++) heads[i] = i, bodies[i] = i ^ 1;
-    heads[x] = x, heads[y] = y, bodies[x] = bodies[y] = 2 * k + 2;
-    int64_t counts[2], swapped_counts[2];
-    EXPECT(both_modes(n, m, heads, bodies, counts) == (int64_t)1 << k);
-    heads[x] = y, heads[y] = x;
-    EXPECT(both_modes(n, m, heads, bodies, swapped_counts) == 0);
+    size_t nb = ((size_t)n + 7) / 8;
+    int32_t *heads = malloc((size_t)m * 4), *twin = malloc((size_t)m * 4), *bodies = malloc((size_t)m * 4);
+    for (int32_t i = 0; i < 2 * k; i++) heads[i] = twin[i] = i, bodies[i] = i ^ 1;
+    heads[x] = twin[y] = x, heads[y] = twin[x] = y, bodies[x] = bodies[y] = 2 * k + 2;
+    int64_t full = (int64_t)1 << k, counts[2], first[2], *hist = calloc((size_t)n + 1, 8);
+    uint8_t *masks, *twin_masks;
+    EXPECT(both_modes(n, m, heads, bodies, counts) == full);
+    EXPECT(randasp_enumerate(n, m, heads, bodies, 1, &masks, first) == 1); /* the search up to its first leaf */
+    randasp_free(masks);
     for (size_t l = 0; l < sizeof LIMITS / sizeof *LIMITS; l++) {
-        uint8_t *masks;
-        EXPECT(randasp_enumerate(n, m, heads, bodies, LIMITS[l], &masks, swapped_counts) == 0 && !masks);
-        EXPECT(!memcmp(counts, swapped_counts, sizeof counts));
+        int64_t limit = LIMITS[l], leaves = clip(full, limit), twin_counts[2], tally_counts[2];
+        EXPECT(randasp_enumerate(n, m, heads, bodies, limit, &masks, counts) == leaves);
+        EXPECT(randasp_enumerate(n, m, twin, bodies, limit, &twin_masks, twin_counts) == leaves);
+        EXPECT(!memcmp(masks, twin_masks, (size_t)leaves * nb) && !memcmp(counts, twin_counts, sizeof counts));
+        for (int64_t i = 0; i < leaves; i++) EXPECT(randasp_check(n, m, twin, bodies, twin_masks + i * nb) != 1);
+        randasp_free(masks), randasp_free(twin_masks);
+        Leaves t = {.n = n, .m = m, .limit = limit, .hist = hist, .heads = twin, .bodies = bodies};
+        EXPECT(search(n, m, twin, bodies, &t, &never, tally_counts) == TRIAL_REJECTED);
+        EXPECT(t.kept == 0 && !memcmp(first, tally_counts, sizeof first));
+        for (int32_t s = 0; s <= n; s++) EXPECT(hist[s] == 0);
     }
-    free(heads), free(bodies);
+    free(heads), free(twin), free(bodies), free(hist);
 }
 
 /* Trials 0..15 of the model (n, c1, c2) through randasp_trial, with a first
@@ -120,7 +133,7 @@ static void draws(int32_t n, double c1, double c2, const int64_t *full) {
 }
 
 int main(void) {
-    two_cycles(12);
+    two_cycles(10);
     static const int64_t n200[16] = {0, 0, 0, 2, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0};
     static const int64_t n60[16] = {0, 1, 4, 0, 3, 2, 0, 2, 2, 0, 0, 0, 1, 0, 0, 1};
     draws(200, 5.0, 0.0, n200);

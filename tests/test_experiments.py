@@ -319,6 +319,20 @@ class TestWorkers:
         assert run_avg_experiment(cfg, workers=4) == run_avg_experiment(cfg, workers=1)
         assert started == [] and {ident for ident, *_ in trials()} == {threading.get_ident()}
 
+    # A Python-search sweep runs every chunk in this thread through
+    # `_threaded_results`, at one worker as at two: the first error is
+    # raised as itself, with no thread left behind.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_leaf_that_fails_its_check_fails_a_python_sweep(self, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: np.zeros(len(inside), bool))
+        before = threading.active_count()
+        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=8, seed=8)
+        with pytest.raises(RuntimeError, match="which is not an answer set"):
+            run_avg_experiment(cfg, workers=workers)
+        assert threading.active_count() == before
+        assert_no_children()
+
     def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
         # `_sweep` loads the kernel, once, before it starts any thread: it
         # starts threads only where the kernel searches, and no two threads
@@ -654,6 +668,15 @@ class TestKernelTrials:
         sums[{"count": 0, "square": 1, "size": 3 + size}[column]] = 2**63 - 1
         with pytest.raises(OverflowError, match="leaves int64"):
             _kernel.trial(*_sampler_args(params), 100, None, sums)(seed)
+
+    def test_a_rejected_leaf_raises(self, monkeypatch):
+        # randasp_trial stops at a leaf that randasp_check rejects, which no
+        # sampled program reaches (tests/kernel_sanitize.c hands it one).
+        lib = _kernel.load()
+        monkeypatch.setattr(lib, "randasp_trial", lambda *args: _kernel._REJECTED)
+        run = _kernel.trial(*_sampler_args(LinearModelParams(10, 3.0, 0.0)), 100, None, np.zeros(14, np.int64))
+        with pytest.raises(RuntimeError, match="a leaf that is not an answer set"):
+            run(1)
 
     def test_rejects_what_c_cannot_add_into(self):
         args = _sampler_args(LinearModelParams(10, 3.0, 0.0)) + (100,)

@@ -40,6 +40,11 @@ def s(n, *atoms):
 TWO_CYCLE = Program(2, [pure_rule(0, 1), pure_rule(1, 0)])
 
 
+def rows(n, masks):
+    """The (len(masks), n) boolean IN-vectors of the n-atom sets `masks`: the rows `_is_n2_answer_set_mask` checks."""
+    return np.array([[m >> a & 1 for a in range(n)] for m in masks], dtype=bool).reshape(len(masks), n)
+
+
 class TestCheckerN2:
     def test_single_rule_all_subsets(self):
         p = Program(2, [pure_rule(0, 1)])
@@ -73,6 +78,25 @@ class TestCheckerN2:
         for mask in range(1 << p.n):
             cand = AtomSet(p.n, mask)
             assert is_answer_set_n2(p, cand) == is_answer_set_general(p, cand)
+
+    @given(n2_programs(min_n=0, max_n=8))
+    @settings(max_examples=80, deadline=None)
+    def test_row_checker_agrees_with_general_checker_on_every_subset(self, p):
+        heads, bodies = p.n2_arrays
+        verdicts = _is_n2_answer_set_mask(heads, bodies, rows(p.n, range(1 << p.n)))
+        assert verdicts.dtype == bool and verdicts.shape == (1 << p.n,)
+        assert verdicts.tolist() == [is_answer_set_general(p, AtomSet(p.n, m)) for m in range(1 << p.n)]
+
+    @pytest.mark.parametrize("cells", [1, 7, 100])
+    def test_blocks_give_the_verdicts_of_one_pass(self, monkeypatch, cells):
+        # Every subset of two_cycles(4) plus a contradiction rule and a
+        # rule into it, checked in blocks of one row up to several.
+        p = Program(9, [*two_cycles(4).rules, pure_rule(8, 8), pure_rule(7, 8)])
+        inside = rows(p.n, range(1 << p.n))
+        whole = _is_n2_answer_set_mask(*p.n2_arrays, inside)
+        monkeypatch.setattr(solver, "_CHECK_CELLS", cells)
+        assert np.array_equal(_is_n2_answer_set_mask(*p.n2_arrays, inside), whole)
+        assert [m for m in range(1 << p.n) if whole[m]] == list(enumerate_brute_force(p).masks)
 
     def test_agreement_on_random_generated(self):
         for i, (c1, c2) in enumerate([(5.0, 0.0), (4.0, 4.0)]):
@@ -261,23 +285,18 @@ class _CheckedSearcher(_CountingSearcher):
 def search(p, limit=None, execution=_CountingSearcher):
     """(leaves in the order found, `_propagate` calls, `_apply` calls) of one execution of the search.
 
-    `execution` is `_kernel` or a `_CountingSearcher` class.  The searcher
-    keeps every leaf unchecked and stops after `limit`; the kernel keeps the
-    leaves that `randasp_check` accepts and stops after `limit` of them.  On
-    a program's arrays every leaf is an answer set, so the two agree.
+    `execution` is `_kernel` or a `_CountingSearcher` class.  Either returns
+    every leaf it reaches, unchecked, up to `limit`, as rows of one uint8
+    array, which this checks and decodes to ints.
     """
     if execution is _kernel:
-        masks, propagations, applies = _kernel.enumerate(p.n, *p.n2_arrays, limit)
-        return [int.from_bytes(leaf, "little") for leaf in masks], propagations, applies
-    leaves = []
-
-    def on_leaf(packed):
-        leaves.append(int.from_bytes(packed, "little"))
-        return limit is not None and len(leaves) >= limit
-
-    searcher = execution(p)
-    searcher.run(on_leaf)
-    return leaves, searcher.decisions + 1, searcher.applies
+        leaves, propagations, applies = _kernel.enumerate(p.n, *p.n2_arrays, limit)
+    else:
+        searcher = execution(p)
+        leaves = searcher.run(limit)
+        propagations, applies = searcher.decisions + 1, searcher.applies
+    assert leaves.dtype == np.uint8 and leaves.shape[1:] == ((p.n + 7) // 8,)
+    return [int.from_bytes(leaf, "little") for leaf in leaves], propagations, applies
 
 
 # (decisions, _apply calls) summed over t = 0..9, recorded from an earlier
@@ -512,8 +531,9 @@ class TestInterruptedKernelSearch:
 
     @pytest.mark.parametrize("delay", [0.005, 0.02, 0.05])
     def test_a_real_interrupt_is_raised(self, delay):
-        # 2^16 answer sets: the alarm lands in the C search or in the
-        # re-check of its sets in Python, and is raised wherever it lands.
+        # 2^18 answer sets, about 0.25 s: the alarm lands in the C search or
+        # in the check and decoding of its leaves in Python, and is raised
+        # wherever it lands.
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
@@ -521,7 +541,7 @@ class TestInterruptedKernelSearch:
         try:
             signal.setitimer(signal.ITIMER_REAL, delay)
             with pytest.raises(KeyboardInterrupt):
-                enumerate_answer_sets(two_cycles(16))
+                enumerate_answer_sets(two_cycles(18))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, handler)
@@ -529,26 +549,26 @@ class TestInterruptedKernelSearch:
 
 @needs_kernel
 class TestKernelLeafStep:
-    """The kernel's one leaf step: a leaf is re-checked with `randasp_check`, counted toward the limit and kept."""
+    """The kernel's one leaf step: `randasp_enumerate` returns every leaf, unchecked, up to the limit."""
 
-    def test_a_leaf_the_check_rejects_is_not_kept_and_not_counted(self):
+    def test_leaves_come_back_unchecked(self):
         # two_cycles(10), then x <- not z and y <- not z over three more
         # atoms, and the same rules with the heads of x and y swapped in the
         # arrays.  Both rules have the body z, so the search reads one
-        # program from either arrays and walks one tree; but randasp_check
-        # reads arrays out of head order as no answer set, so none of the
-        # 1024 leaves is kept, and none stops the search at a limit.
+        # program from either arrays and walks one tree; randasp_check reads
+        # arrays out of head order as no answer set, but the kernel returns
+        # the leaves without it, so the twin's leaves are the program's.
         heads, bodies = two_cycles(10).n2_arrays
         bodies = np.append(bodies, [22, 22]).astype(np.int32)
         swapped = np.append(heads, [21, 20]).astype(np.int32)
         heads = np.append(heads, [20, 21]).astype(np.int32)
-        masks, *counts = _kernel.enumerate(23, heads, bodies, None)
-        assert len(masks) == 1024
         check = _kernel.load().randasp_check
-        assert {check(23, 22, swapped.ctypes.data, bodies.ctypes.data, leaf.tobytes()) for leaf in masks} == {0}
         for limit in (None, 1, 7):
-            kept, *swapped_counts = _kernel.enumerate(23, swapped, bodies, limit)
-            assert kept.shape == (0, 3) and swapped_counts == counts
+            masks, *counts = _kernel.enumerate(23, heads, bodies, limit)
+            assert len(masks) == min(limit or 1024, 1024)
+            twin, *twin_counts = _kernel.enumerate(23, swapped, bodies, limit)
+            assert np.array_equal(twin, masks) and twin_counts == counts
+            assert {check(23, 22, swapped.ctypes.data, bodies.ctypes.data, leaf.tobytes()) for leaf in twin} == {0}
 
     @pytest.mark.parametrize("limit", [1, 7, 1024, 2000])
     def test_a_limit_keeps_the_first_leaves_in_tree_order(self, limit):
@@ -570,7 +590,8 @@ class TestKernelLeafStep:
 
     # The driver runs randasp_enumerate and the histogram mode of
     # randasp_trial's leaf step, which no Python call can hand arrays out of
-    # head order, on the cases above and on drawn programs.
+    # head order, on the cases above and on drawn programs: a leaf that
+    # fails its check stops that step with TRIAL_REJECTED.
     @pytest.mark.parametrize(
         "flags", [(), ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")], ids=["plain", "sanitized"]
     )
@@ -587,7 +608,7 @@ class TestKernelLeafStep:
 
 @needs_kernel
 class TestKernelChecker:
-    """`randasp_check`, the leaf re-check of the kernel's sweep trials, against the two Python checkers."""
+    """`randasp_check`, the leaf check of the kernel's sweep trials, against the two Python checkers."""
 
     @staticmethod
     def check(p, mask):
@@ -600,10 +621,10 @@ class TestKernelChecker:
     def test_agrees_on_arbitrary_sets(self, p, data):
         heads, bodies = p.n2_arrays
         masks = data.draw(st.lists(st.integers(0, (1 << p.n) - 1), min_size=1, max_size=8))
-        for mask in [*masks, *enumerate_brute_force(p).masks]:  # mostly not answer sets, then every one
-            expected = _is_n2_answer_set_mask(heads, bodies, solver._unpack(p.n, mask.to_bytes((p.n + 7) // 8, "little")))
-            assert expected == is_answer_set_general(p, AtomSet(p.n, mask))
-            assert self.check(p, mask) == int(expected)
+        masks += enumerate_brute_force(p).masks  # mostly not answer sets, then every one
+        expected = _is_n2_answer_set_mask(heads, bodies, rows(p.n, masks)).tolist()
+        assert expected == [is_answer_set_general(p, AtomSet(p.n, mask)) for mask in masks]
+        assert [self.check(p, mask) for mask in masks] == [int(verdict) for verdict in expected]
 
     def test_generated_programs(self):
         for n, c1, c2 in ((200, 5.0, 0.0), (60, 10.0, 4.0)):
@@ -698,43 +719,31 @@ def forced_path(request, monkeypatch):
 
 
 class TestLeafRecheck:
-    """`enumerate_answer_sets` checks every set with `_is_n2_answer_set_mask`, behind either execution.
+    """`enumerate_answer_sets` checks the leaves of either execution once, with `_is_n2_answer_set_mask`.
 
-    It drops a leaf of `_Searcher` that fails the check.  The kernel returns
-    only the leaves that `randasp_check` accepted, so a set of the kernel's
-    that fails the check is a kernel bug, and raises.
+    A leaf that fails the check is a search bug, and raises RuntimeError.
     """
 
     def test_every_leaf_goes_through_the_mask_checker(self, monkeypatch, forced_path):
         p = generate(LinearModelParams(50, 5.0, 0.0), mix_seed(PINNED_SEED, 50001))  # 3 sets pinned
         assert enumerate_answer_sets(p).count == 3
-        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: False)
-        if forced_path == "kernel":
-            with pytest.raises(RuntimeError, match=r"the search kernel kept 0x[0-9a-f]+, which is not an answer set"):
-                enumerate_answer_sets(p)
-            with pytest.raises(RuntimeError, match="kept 0x2,"):  # the first leaf, {a1}
-                enumerate_answer_sets(TWO_CYCLE, limit=1)
-        else:
-            assert enumerate_answer_sets(p).masks == ()
-            assert enumerate_answer_sets(TWO_CYCLE, limit=1).count == 0
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: np.zeros(len(inside), bool))
+        with pytest.raises(RuntimeError, match=r"the search reached 0x[0-9a-f]+, which is not an answer set"):
+            enumerate_answer_sets(p)
+        with pytest.raises(RuntimeError, match="reached 0x2,"):  # the first leaf, {a1}
+            enumerate_answer_sets(TWO_CYCLE, limit=1)
 
-    def test_a_rejected_leaf_does_not_count_toward_the_limit(self, monkeypatch, forced_path):
+    def test_the_first_leaf_that_fails_is_named(self, monkeypatch, forced_path):
         p = two_cycles(3)
         leaves = search(p)[0]
-        checked = []
 
-        def reject_first(heads, bodies, inside, _check=solver._is_n2_answer_set_mask):
-            checked.append(inside)
-            return len(checked) > 1 and _check(heads, bodies, inside)
+        def reject_from_the_second(heads, bodies, inside, _check=solver._is_n2_answer_set_mask):
+            return _check(heads, bodies, inside) & (np.arange(len(inside)) < 1)
 
-        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", reject_first)
-        if forced_path == "kernel":  # the kernel's own re-check: TestKernelLeafStep
-            with pytest.raises(RuntimeError, match=f"kept {leaves[0]:#x},"):
-                enumerate_answer_sets(p, limit=1)
-            assert len(checked) == 1
-        else:
-            assert enumerate_answer_sets(p, limit=1).masks == (leaves[1],)
-            assert len(checked) == 2
+        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", reject_from_the_second)
+        assert enumerate_answer_sets(p, limit=1).masks == (leaves[0],)
+        with pytest.raises(RuntimeError, match=f"reached {leaves[1]:#x},"):
+            enumerate_answer_sets(p, limit=2)
 
     def test_an_error_in_the_recheck_stops_the_search_and_is_raised(self, monkeypatch, forced_path):
         checked = []
@@ -746,8 +755,8 @@ class TestLeafRecheck:
         monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", broken)
         with pytest.raises(ZeroDivisionError):
             enumerate_answer_sets(two_cycles(3))
-        (inside,) = checked
-        assert inside.dtype == bool and inside.shape == (6,) and inside.sum() == 3
+        (inside,) = checked  # one pass over all eight leaves
+        assert inside.dtype == bool and inside.shape == (8, 6) and (inside.sum(axis=1) == 3).all()
 
 
 class TestArrayPath:

@@ -1,15 +1,16 @@
 """Build, cache and call the compiled kernel `_search.c`.
 
-The kernel's entry points, with their wrappers here: `randasp_enumerate`,
-the search of `solver._Searcher`, which returns every leaf it reaches,
-unchecked, in one buffer (`enumerate`) that `randasp_free` releases;
-`randasp_sample`, the skip walk of `generate` (`sample`); `randasp_trial`,
-one whole sweep trial of `experiments` (`trial`), which draws, searches,
-checks every leaf and tallies in C; and `randasp_check`, the two answer-set
-conditions, which `load()` binds for tests to call.  No entry point calls
-back into Python, and each call gives up the GIL.  The wrappers check every array they hand
-to C (type, dtype, contiguity and shape) and pass raw pointers, which costs
-less per call than ctypes' `ndpointer`.
+The kernel's entry points, with their wrappers here: `randasp_sample`, the
+skip walk of `generate` (`sample`), and `randasp_enumerate`, the search of
+`solver._Searcher` (`enumerate`), each return one buffer that
+`randasp_free` releases: a program's rules in (head, body) order, or every
+leaf the search reaches, unchecked.  `randasp_trial`, one whole sweep trial
+of `experiments` (`trial`), is those two in a row and then one pass that
+checks every leaf and tallies; `randasp_check`, the two answer-set
+conditions, is bound by `load()` for tests to call.  No entry point calls
+back into Python, and each call gives up the GIL.  The wrappers check every
+array they hand to C (type, dtype, contiguity and shape) and pass raw
+pointers, which costs less per call than ctypes' `ndpointer`.
 
 The first `load()` in a process compiles the C source once with the system
 `cc` into a private cache directory and loads it with ctypes; the threads
@@ -111,8 +112,8 @@ def _bind(lib):
     for fn, argtypes, restype in (
         (lib.randasp_enumerate, [i32, i64, ptr, ptr, i64, ptr, _COUNTS], i64),
         (lib.randasp_free, [ptr], None),
-        (lib.randasp_sample, [ctypes.c_uint64, i32, f64, f64, i64, ptr], i64),
-        (lib.randasp_trial, [ctypes.c_uint64, i32, f64, f64, i64, i64, i64, ptr, ptr], ctypes.c_int),
+        (lib.randasp_sample, [ctypes.c_uint64, i32, f64, f64, ptr], i64),
+        (lib.randasp_trial, [ctypes.c_uint64, i32, f64, f64, i64, i64, ptr, ptr], ctypes.c_int),
         (lib.randasp_check, [i32, i64, ptr, ptr, ctypes.c_char_p], ctypes.c_int),
     ):
         fn.argtypes, fn.restype = argtypes, restype
@@ -182,25 +183,24 @@ def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) 
     return np.frombuffer(packed, np.uint8).reshape(leaves, nbytes), counts[0], counts[1]
 
 
-def sample(seed: int, n: int, log_p: float, log_d: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def sample(seed: int, n: int, log_p: float, log_d: float) -> tuple[np.ndarray, np.ndarray]:
     """(heads, bodies) of the program that `randasp_sample` draws from stream `seed` over n < 2^31 atoms.
 
-    `log_p` and `log_d` are log1p(-p) and log1p(-d), or 0.0 where that
-    probability is 0.  The rules are written into a buffer of `cap` first;
-    when there are more, into a buffer of their exact count, from the same
-    stream.  Returns two views of one int32 buffer.
+    `log_p` and `log_d` are log1p(-p) and log1p(-d).  The rules come in
+    (head, body) order, the order `Program.from_n2_arrays` holds them in, as
+    two int32 views of one read-only buffer.
     """
     if n >= 1 << 31:
         raise ValueError(f"the sampler takes fewer than 2^31 atoms, got n={n}")
-    fn = load().randasp_sample
-    out = (ctypes.c_int32 * (2 * cap))()  # heads, then bodies: cheaper to make and to pass than an ndarray
-    count = fn(seed, n, log_p, log_d, cap, out)
-    if count > cap:
-        cap = count
-        out = (ctypes.c_int32 * (2 * cap))()
-        fn(seed, n, log_p, log_d, cap, out)
-    rules = np.frombuffer(out, dtype=np.int32)
-    return rules[:count], rules[cap : cap + count]
+    lib, out = load(), ctypes.c_void_p()  # out stays NULL unless the draw has a rule
+    try:  # an interrupt raised as the call returns must not leak the buffer
+        count = lib.randasp_sample(seed, n, log_p, log_d, ctypes.byref(out))
+        if count < 0:
+            raise MemoryError("sampler kernel is out of memory")
+        rules = np.frombuffer(ctypes.string_at(out, count * 8), np.int32)
+    finally:
+        lib.randasp_free(out)
+    return rules[:count], rules[count:]
 
 
 # randasp_trial's error codes
@@ -211,22 +211,22 @@ class Stopped(Exception):
     """A kernel trial ended early because its stop flag was set."""
 
 
-def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: int | None, sums: np.ndarray, stop=None):
+def trial(n: int, log_p: float, log_d: float, max_draws: int, limit: int | None, sums: np.ndarray, stop=None):
     """`run(seed)`, which runs sweep trial `seed` in `randasp_trial` and adds it into `sums`.
 
-    A trial over n < 2^29 atoms draws with `sample`'s arguments (`log_p`,
-    `log_d`, a first buffer of `cap` rules), taking up to `max_draws`
-    attempts, the attempt a from sub-seed `mix_seed(seed, a)`; it takes at
-    most `limit` leaves (None: all), each checked by `randasp_check`.
-    `sums`, an int64 array of n + 4, gets the count of answer sets, its
-    square, the attempts before the nonempty draw and their histogram by
-    size, as `experiments._trial` adds them.  `stop` is a `ctypes.c_int32`
-    (None: one never set) that C reads at each decision of the search;
-    another thread sets it to end every trial that reads it, and `run` then
-    raises `Stopped`.  `run` raises RuntimeError when every draw is empty
-    (`generate_with_stats`' text) or a leaf fails its check, and
-    OverflowError where a sum would leave int64.  After any of these errors
-    `sums` holds part of the trial.  C runs without the GIL, so trials in
+    A trial over n < 2^29 atoms draws as `sample` does, taking up to
+    `max_draws` attempts, the attempt a from sub-seed `mix_seed(seed, a)`;
+    searches the draw as `enumerate` does, keeping at most `limit` leaves
+    (None: all); then checks each leaf with `randasp_check` and adds the
+    trial into `sums`, an int64 array of n + 4: the count of answer sets,
+    its square, the attempts before the nonempty draw and the sets'
+    histogram by size, as `experiments._trial` adds them.  `stop` is a
+    `ctypes.c_int32` (None: one never set) that C reads at each decision of
+    the search; another thread sets it to end every trial that reads it,
+    and `run` then raises `Stopped`.  `run` raises RuntimeError when every
+    draw is empty (`generate_with_stats`' text) or a leaf fails its check,
+    and OverflowError where a sum would leave int64.  After any of these
+    errors `sums` holds part of the trial.  C runs without the GIL, so trials in
     other threads run alongside.
     """
     if not 0 <= n < KERNEL_MAX_N:
@@ -240,7 +240,7 @@ def trial(n: int, log_p: float, log_d: float, cap: int, max_draws: int, limit: i
     stop = ctypes.c_int32(0) if stop is None else stop
     if not isinstance(stop, ctypes.c_int32):
         raise TypeError(f"stop must be a ctypes.c_int32, got {type(stop).__name__}")
-    args = (n, log_p, log_d, cap, max_draws, limit or 0, sums.ctypes.data, ctypes.addressof(stop))
+    args = (n, log_p, log_d, max_draws, limit or 0, sums.ctypes.data, ctypes.addressof(stop))
 
     def run(seed: int, _keep=(sums, stop)) -> None:  # _keep: C reads and writes them, so they live as long as `run`
         rc = fn(seed, *args)

@@ -1,32 +1,31 @@
-/* Five entry points: randasp_enumerate, the search of solver._Searcher,
- * which returns every leaf it reaches; randasp_free, which releases the
- * buffer randasp_enumerate returns; randasp_sample, generate's skip walk;
- * randasp_check, the two answer-set conditions of
+/* Five entry points, none of which calls back into Python: randasp_sample,
+ * generate's skip walk, and randasp_enumerate, the search of
+ * solver._Searcher, each return one buffer that their caller releases with
+ * randasp_free; randasp_check is the two answer-set conditions of
  * solver._is_n2_answer_set_mask; and randasp_trial, one whole sweep trial of
- * experiments._trial: draw, search, check every leaf and add the trial into
- * the caller's sums.  None calls back into Python.
+ * experiments._trial, is randasp_sample's draw, randasp_enumerate's search
+ * and tally, which checks each leaf with randasp_check as it adds the trial
+ * into the caller's sums, and it frees both buffers before it returns.
  *
  * The search of solver._Searcher, step for step: the same propagation, the
  * same branching and the same chronological backtracking, so it visits the
  * same tree and reaches the same leaves in the same order.  propagate ports
  * _Searcher._propagate with _apply inlined, one queue pop per _apply call;
- * decide ports _decide.  search hands each leaf to one leaf step, keep:
- * randasp_enumerate returns every leaf unchecked, as _Searcher.run does, for
- * enumerate_answer_sets to check, and randasp_trial checks each leaf with
- * randasp_check as it tallies it, a leaf that fails stopping the trial.
- * search also reads a stop flag once per decision, which another thread may
- * set while it runs: randasp_trial takes its sweep's flag, and
+ * decide ports _decide.  search has one leaf step, keep, which appends the
+ * leaf to its caller's buffer of masks and stops the search at limit
+ * leaves.  search also reads a stop flag once per decision, which another
+ * thread may set while it runs: randasp_trial takes its sweep's flag, and
  * randasp_enumerate one that is never set.
  *
  * values are int8 (0 unassigned, 1 IN, 2 OUT); nfree[a] counts a's unassigned
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
  * atoms not supported, n_unsup counts them.  heads_of is CSR in rule order;
  * bodies_of is the caller's bodies read in place, with offsets counted over
- * heads, so the rules must come sorted by head, as Program.n2_arrays are
- * (by head, then body).  The queue is LIFO, entries atom << 2 | value.  Each
- * pending decision keeps a copy of values, nfree and unsup (6 bytes per atom)
- * and a 12-byte record (atom, n_unsup, cursor); cursor is where decide's
- * scan of the degree order starts.
+ * heads, so the rules must come sorted by head, as Program.n2_arrays and
+ * randasp_sample's rules are (by head, then body).  The queue is LIFO,
+ * entries atom << 2 | value.  Each pending decision keeps a copy of values,
+ * nfree and unsup (6 bytes per atom) and a 12-byte record (atom, n_unsup,
+ * cursor); cursor is where decide's scan of the degree order starts.
  *
  * An OUT assignment visits every neighbour without a data-dependent branch:
  * it stores the neighbour's IN entry at queue[qlen] on every visit and
@@ -203,67 +202,52 @@ int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     return r == m ? 1 : -1; /* a rule left over: its head came out of order */
 }
 
-/* randasp_trial's error codes, -1 to -6, which search and keep return too */
+/* randasp_trial's error codes, -1 to -6; search returns -1 and -5 too */
 enum { TRIAL_REJECTED = -6, TRIAL_STOPPED, TRIAL_TOO_MANY_RULES, TRIAL_OVERFLOW, TRIAL_NO_PROGRAM, TRIAL_NO_MEMORY };
 
-/* What search does with its leaves: the program it checks them against, the
- * limit on leaves (0: none) and where they go. */
+/* The leaves search keeps: at most limit of them (0: all), each a little-endian
+ * bitmask of its IN atoms, (n + 7) / 8 bytes, in masks in tree order.  masks
+ * has room for cap leaves and belongs to whoever called search. */
 typedef struct {
     int32_t n;
-    int64_t m, limit, kept, *hist; /* hist: randasp_trial's histogram by size, or NULL to keep the masks */
-    const int32_t *heads, *bodies;
-    uint8_t *masks; /* without hist: the leaves' bitmasks, (n + 7) / 8 bytes each, in tree order */
-    int64_t cap;    /* masks' room, in leaves */
+    int64_t limit, kept, cap;
+    uint8_t *masks;
 } Leaves;
 
-/* The leaf step of search, given the leaf's IN atoms as a little-endian
- * bitmask.  With hist it checks the leaf with randasp_check and adds one to
- * the histogram entry of its size; without, it appends the leaf to masks,
- * which grows by doubling.  Returns 0 to go on, 1 once limit leaves are
- * taken, or an error: TRIAL_REJECTED, TRIAL_OVERFLOW or TRIAL_NO_MEMORY. */
-static int keep(Leaves *k, const uint8_t *bits) {
+/* The leaf step of search: appends the bitmask of the atoms val holds IN to
+ * masks, which grows by doubling.  Returns 0 to go on, 1 once limit leaves
+ * are kept, or TRIAL_NO_MEMORY. */
+static int keep(Leaves *k, const int8_t *val) {
     size_t nb = ((size_t)k->n + 7) / 8;
-    if (k->hist) {
-        if (randasp_check(k->n, k->m, k->heads, k->bodies, bits) != 1) return TRIAL_REJECTED;
-        size_t i = 0;
-        int64_t size = 0;
-        for (uint64_t w; i + 8 <= nb; i += 8) {
-            memcpy(&w, bits + i, 8);
-            size += __builtin_popcountll(w);
-        }
-        for (; i < nb; i++) size += __builtin_popcount(bits[i]);
-        if (__builtin_add_overflow(k->hist[size], 1, &k->hist[size]) || __builtin_add_overflow(k->kept, 1, &k->kept))
-            return TRIAL_OVERFLOW;
-    } else {
-        if (k->kept == k->cap) {
-            int64_t cap = k->cap ? 2 * k->cap : 16;
-            uint8_t *masks = realloc(k->masks, (size_t)cap * nb + 1); /* + 1: nb is 0 when n is */
-            if (!masks) return TRIAL_NO_MEMORY;
-            k->masks = masks, k->cap = cap;
-        }
-        memcpy(k->masks + (size_t)k->kept++ * nb, bits, nb);
+    if (k->kept == k->cap) {
+        int64_t cap = k->cap ? 2 * k->cap : 16;
+        uint8_t *masks = realloc(k->masks, (size_t)cap * nb + 1); /* + 1: nb is 0 when n is */
+        if (!masks) return TRIAL_NO_MEMORY;
+        k->masks = masks, k->cap = cap;
     }
+    uint8_t *bits = memset(k->masks + (size_t)k->kept++ * nb, 0, nb);
+    for (int32_t a = 0; a < k->n; a++)
+        if (val[a] == IN) bits[a >> 3] |= (uint8_t)(1u << (a & 7));
     return k->limit > 0 && k->kept >= k->limit;
 }
 
 /* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
- * head, over n < 2^29 atoms and hands each leaf to keep(leaves, bits).
- * counts gets the propagate and apply calls.  Returns 0, or an error code:
- * TRIAL_NO_MEMORY, TRIAL_STOPPED when *stop is nonzero at a decision (counts
- * then unset), or the one keep stopped the search with. */
+ * head, over n < 2^29 atoms and hands each leaf to keep(leaves, s.val).
+ * counts gets the propagate and apply calls.  Returns 0, TRIAL_NO_MEMORY, or
+ * TRIAL_STOPPED when *stop is nonzero at a decision (counts then unset). */
 static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, Leaves *leaves,
                   const volatile int32_t *stop, int64_t *counts) {
     S s = {.n = n};
-    size_t nb = ((size_t)n + 7) / 8, depth = 0, cap = 0;
+    size_t depth = 0, cap = 0;
     s.hoff = calloc((size_t)n + 1, 4), s.boff = calloc((size_t)n + 1, 4);
     s.hadj = malloc((size_t)m * 4 + 4), s.badj = bodies;
     s.order = malloc((size_t)n * 4 + 4);
     s.queue = malloc(((size_t)m * 3 + (size_t)n * 3 + 1) * 4); /* see the bound below */
     size_t snap = (size_t)n * 6; /* the searched state, nfree | val | unsup, in one block */
-    uint8_t *state = calloc(snap + 1, 1), *bits = malloc(nb + 1), *snaps = NULL;
+    uint8_t *state = calloc(snap + 1, 1), *snaps = NULL;
     int32_t *decided = NULL, *cnt = calloc(2 * (size_t)m + 2, 4); /* decided: (atom, n_unsup, cursor) */
     int rc = TRIAL_NO_MEMORY;
-    if (!s.hoff || !s.boff || !s.hadj || !s.order || !s.queue || !state || !bits || !cnt)
+    if (!s.hoff || !s.boff || !s.hadj || !s.order || !s.queue || !state || !cnt)
         goto done;
     s.nfree = (int32_t *)state, s.val = (int8_t *)(state + (size_t)n * 4), s.unsup = (int8_t *)(state + (size_t)n * 5);
     csr(n, m, bodies, heads, s.hoff, s.hadj); /* heads_of[body] */
@@ -316,10 +300,7 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
                 ok = propagate(&s);
                 continue;
             }
-            memset(bits, 0, nb);
-            for (int32_t a = 0; a < n; a++)
-                if (s.val[a] == IN) bits[a >> 3] |= (uint8_t)(1u << (a & 7));
-            if ((taken = keep(leaves, bits))) break;
+            if ((taken = keep(leaves, s.val))) break;
         }
         if (!depth) break; /* every IN branch tried */
         depth--;
@@ -333,7 +314,7 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     rc = taken < 0 ? taken : 0;
 done:
     free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.queue);
-    free(state), free(bits), free(snaps), free(decided), free(cnt);
+    free(state), free(snaps), free(decided), free(cnt);
     return rc;
 }
 
@@ -346,7 +327,7 @@ done:
 int64_t randasp_enumerate(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, int64_t limit,
                           uint8_t **out, int64_t *counts) {
     static const int32_t never = 0;
-    Leaves k = {.n = n, .m = m, .limit = limit, .heads = heads, .bodies = bodies};
+    Leaves k = {.n = n, .limit = limit};
     if (search(n, m, heads, bodies, &k, &never, counts)) {
         free(k.masks);
         *out = NULL;
@@ -383,96 +364,116 @@ static int64_t next_success(uint64_t seed, uint64_t *draw, int64_t pos, double l
     return pos + 1 + (ratio < 0x1p62 ? (int64_t)ratio : total);
 }
 
+/* rules, the heads of cap / 2 rules in [0, cap / 2) and their bodies in
+ * [cap / 2, cap), grown to room for cap rules: the bodies move up to
+ * [cap, 3 cap / 2).  NULL when out of memory, rules then freed. */
+static int32_t *grown(int32_t *rules, int64_t cap) {
+    int32_t *r = realloc(rules, (size_t)cap * 8);
+    if (!r) free(rules);
+    else memcpy(r + cap, r + cap / 2, (size_t)cap * 2);
+    return r;
+}
+
 /* One program over n atoms from stream seed: each pure rule a <- not b
  * (a != b) with probability p, then each contradiction a <- not a with
  * probability d, given as log_p = log1p(-p) and log_d = log1p(-d), 0 for
  * a probability of 0 (a walk that takes no draw).  The pure walk takes
  * draws 0, 1, ... over the positions [0, n(n-1)), position j being the
  * pair (j / (n-1), r + (r >= a)) with r = j % (n-1); the contradiction
- * walk goes on from the next unused draw.  The first cap rules go to
- * out[0..cap) (heads) and out[cap..2cap) (bodies), pure rules in (a, b)
- * order, then contradictions.  Returns the number of rules, which may
- * exceed cap: the same stream then gives the same rules into a larger
- * buffer. */
-int64_t randasp_sample(uint64_t seed, int32_t n, double log_p, double log_d, int64_t cap, int32_t *out) {
+ * walk goes on from the next unused draw.  The walks give the pure rules in
+ * (a, b) order, then the contradictions, which are merged in by the key
+ * a * n + b: *out gets the m rules in (head, body) order, the order
+ * Program.from_n2_arrays holds them in, as one buffer for randasp_free with
+ * the heads in [0, m) and the bodies in [m, 2m) (NULL when m is 0).
+ * Returns m, or -1 when out of memory (*out then NULL). */
+int64_t randasp_sample(uint64_t seed, int32_t n, double log_p, double log_d, int32_t **out) {
     uint64_t draw = 0; /* draws taken */
-    int64_t m = 0, total = (int64_t)n * (n - 1);
+    int64_t m = 0, pure = 0, total = (int64_t)n * (n - 1);
+    double mean = -expm1(log_p) * (double)total - expm1(log_d) * n; /* the expected rule count */
+    int64_t cap = (int64_t)(mean + 8 * sqrt(mean)) + 64; /* over eight standard deviations: rarely outgrown */
+    int32_t *rules = malloc((size_t)cap * 8);
+    if (!rules) goto fail;
     if (log_p < 0 && total > 0)
-        for (int64_t j = -1; (j = next_success(seed, &draw, j, log_p, total)) < total; m++)
-            if (m < cap) {
-                int32_t a = (int32_t)(j / (n - 1)), r = (int32_t)(j % (n - 1));
-                out[m] = a, out[cap + m] = r + (r >= a);
-            }
+        for (int64_t j = -1; (j = next_success(seed, &draw, j, log_p, total)) < total; m++) {
+            if (m == cap && !(rules = grown(rules, cap *= 2))) goto fail;
+            int32_t a = (int32_t)(j / (n - 1)), r = (int32_t)(j % (n - 1));
+            rules[m] = a, rules[cap + m] = r + (r >= a);
+        }
+    pure = m;
     if (log_d < 0 && n > 0)
-        for (int64_t i = -1; (i = next_success(seed, &draw, i, log_d, n)) < n; m++)
-            if (m < cap) out[m] = out[cap + m] = (int32_t)i;
+        for (int64_t i = -1; (i = next_success(seed, &draw, i, log_d, n)) < n; m++) {
+            if (m == cap && !(rules = grown(rules, cap *= 2))) goto fail;
+            rules[m] = rules[cap + m] = (int32_t)i;
+        }
+    if (pure < m) { /* merge the contradictions in from the back, out of a copy */
+        int32_t *con = malloc((size_t)(m - pure) * 4);
+        if (!con) goto fail;
+        memcpy(con, rules + pure, (size_t)(m - pure) * 4);
+        for (int64_t i = pure - 1, j = m - pure - 1, k = m - 1; j >= 0; k--)
+            if (i >= 0 && (int64_t)rules[i] * n + rules[cap + i] > (int64_t)con[j] * (n + 1))
+                rules[k] = rules[i], rules[cap + k] = rules[cap + i], i--;
+            else
+                rules[k] = rules[cap + k] = con[j--];
+        free(con);
+    }
+    memmove(rules + m, rules + cap, (size_t)m * 4);
+    if (!m) free(rules), rules = NULL;
+    *out = rules;
     return m;
+fail:
+    free(rules);
+    *out = NULL;
+    return -1;
+}
+
+/* Step 3 of randasp_trial: checks each leaf k holds with randasp_check, in
+ * tree order, and adds the trial into sums: the count of answer sets, its
+ * square, the attempts before its draw and, from sums[3], the histogram of
+ * the sets by size.  Returns 0, TRIAL_REJECTED at the first leaf that fails
+ * its check, or TRIAL_OVERFLOW where a sum would leave int64; after either,
+ * sums hold part of the trial. */
+static int tally(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, const Leaves *k, int64_t attempts,
+                 int64_t *sums) {
+    size_t nb = ((size_t)n + 7) / 8;
+    for (int64_t l = 0; l < k->kept; l++) {
+        const uint8_t *bits = k->masks + (size_t)l * nb;
+        if (randasp_check(n, m, heads, bodies, bits) != 1) return TRIAL_REJECTED;
+        size_t i = 0;
+        int64_t size = 0;
+        for (uint64_t w; i + 8 <= nb; i += 8) {
+            memcpy(&w, bits + i, 8);
+            size += __builtin_popcountll(w);
+        }
+        for (; i < nb; i++) size += __builtin_popcount(bits[i]);
+        if (__builtin_add_overflow(sums[3 + size], 1, &sums[3 + size])) return TRIAL_OVERFLOW;
+    }
+    int64_t sq;
+    if (__builtin_mul_overflow(k->kept, k->kept, &sq) || __builtin_add_overflow(sums[0], k->kept, &sums[0]) ||
+        __builtin_add_overflow(sums[1], sq, &sums[1]) || __builtin_add_overflow(sums[2], attempts, &sums[2]))
+        return TRIAL_OVERFLOW;
+    return 0;
 }
 
 /* Trial `seed` of a sweep, as experiments._trial runs it in Python with
- * generate_with_stats and enumerate_answer_sets.  Attempt a draws with
- * randasp_sample from sub-seed mix64(seed + (a + 1) * GAMMA), mix_seed's
- * stream, until a draw is nonempty or max_draws attempts are spent; cap is
- * the size of the first rule buffer.  The draw's contradictions are merged
- * into head order by the key h * n + b, so the search reads the arrays
- * Program.from_n2_arrays would hold.  At most limit leaves are taken (0:
- * all), each checked by keep, and the trial is added into sums: the count of
- * answer sets, its square, the attempts before the nonempty draw and then
- * the n + 1 entries of the histogram of the sets by size.  A leaf that fails
- * its check (TRIAL_REJECTED), a sum that would overflow and *stop, read at
- * each decision of the search, each stop the trial: another thread sets
- * *stop to end it early.  Returns 0 or an error code, TRIAL_NO_PROGRAM when
- * every draw is empty and TRIAL_TOO_MANY_RULES at 2^31 rules or more; after
- * an error sums hold part of the trial. */
-int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t cap, int64_t max_draws, int64_t limit,
+ * generate_with_stats and enumerate_answer_sets, in three steps:
+ * randasp_sample draws from sub-seed mix64(seed + (a + 1) * GAMMA),
+ * mix_seed's stream, for attempt a = 0, 1, ... until a draw is nonempty or
+ * max_draws attempts are spent; search keeps at most limit leaves (0: all),
+ * reading *stop at each decision, which another thread sets to end the
+ * trial early; and tally checks the leaves and adds the trial into sums.
+ * Returns 0 or an error code: TRIAL_NO_PROGRAM when every draw is empty,
+ * TRIAL_TOO_MANY_RULES at 2^31 rules or more, TRIAL_STOPPED, tally's
+ * errors, or TRIAL_NO_MEMORY; after an error sums hold part of the trial. */
+int randasp_trial(uint64_t seed, int32_t n, double log_p, double log_d, int64_t max_draws, int64_t limit,
                   int64_t *sums, const volatile int32_t *stop) {
     int64_t m = 0, attempt = 0, counts[2];
-    int32_t *buf = malloc((size_t)cap * 8 + 8), *canon = NULL;
-    int rc = TRIAL_NO_MEMORY;
-    if (!buf) goto done;
-    for (; attempt < max_draws; attempt++) {
-        uint64_t sub = mix64(seed + (uint64_t)(attempt + 1) * GAMMA);
-        m = randasp_sample(sub, n, log_p, log_d, cap, buf);
-        if (m > INT32_MAX) {
-            rc = TRIAL_TOO_MANY_RULES;
-            goto done;
-        }
-        if (m > cap) { /* the same stream into a buffer of the exact count */
-            int32_t *b = realloc(buf, (size_t)m * 8);
-            if (!b) goto done;
-            buf = b, cap = m;
-            randasp_sample(sub, n, log_p, log_d, cap, buf);
-        }
-        if (m) break;
-    }
-    if (!m) {
-        rc = TRIAL_NO_PROGRAM;
-        goto done;
-    }
-    const int32_t *heads = buf, *bodies = buf + cap;
-    int64_t pure = 0; /* the pure rules come first, in (head, body) order: no head equals its body */
-    while (pure < m && heads[pure] != bodies[pure]) pure++;
-    if (pure < m) { /* merge the contradictions, in head order too, by h * n + b */
-        canon = malloc((size_t)m * 8);
-        if (!canon) goto done;
-        for (int64_t i = 0, j = pure, k = 0; k < m; k++) {
-            int take_i = j == m || (i < pure && (int64_t)heads[i] * n + bodies[i] < (int64_t)heads[j] * n + bodies[j]);
-            int64_t from = take_i ? i++ : j++;
-            canon[k] = heads[from], canon[m + k] = bodies[from];
-        }
-        heads = canon, bodies = canon + m;
-    }
-    Leaves k = {.n = n, .m = m, .limit = limit, .hist = sums + 3, .heads = heads, .bodies = bodies};
-    rc = search(n, m, heads, bodies, &k, stop, counts);
-    if (rc) goto done;
-    int64_t sq;
-    rc = TRIAL_OVERFLOW;
-    if (__builtin_mul_overflow(k.kept, k.kept, &sq) ||
-        __builtin_add_overflow(sums[0], k.kept, &sums[0]) || __builtin_add_overflow(sums[1], sq, &sums[1]) ||
-        __builtin_add_overflow(sums[2], attempt, &sums[2]))
-        goto done;
-    rc = 0;
-done:
-    free(buf), free(canon);
+    int32_t *rules = NULL;
+    for (; attempt < max_draws; attempt++)
+        if ((m = randasp_sample(mix64(seed + (uint64_t)(attempt + 1) * GAMMA), n, log_p, log_d, &rules))) break;
+    if (m <= 0) return m ? TRIAL_NO_MEMORY : TRIAL_NO_PROGRAM;
+    Leaves k = {.n = n, .limit = limit};
+    int rc = m > INT32_MAX ? TRIAL_TOO_MANY_RULES : search(n, m, rules, rules + m, &k, stop, counts);
+    if (!rc) rc = tally(n, m, rules, rules + m, &k, attempt, sums);
+    free(rules), free(k.masks);
     return rc;
 }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import csvout
@@ -210,6 +211,11 @@ def _cmd_experiment(args) -> int:
         seed=args.seed,
     )
     run, write = _EXPERIMENTS[args.kind]
+    try:  # an output that cannot be written fails here, before the first trial
+        open(args.out, "x").close()
+        os.unlink(args.out)
+    except FileExistsError:  # kept as it is until the sweep is done
+        open(args.out, "a").close()
     write(args.out, run(cfg, workers=args.workers, progress=True), cfg.seed)
     return 0
 

@@ -14,15 +14,15 @@ each search at its first answer set, so its summed count is the number of
 consistent programs.  All accumulators are integers, which makes the
 reduction exact and byte-identical for any worker count.
 Each trial goes through `_trial`.  Where the compiled kernel searches
-(`search_path`), a trial is one C call, `randasp_trial`: it draws the
-program, searches it, checks every leaf and adds the trial into the
-chunk's int64 sums, with no Python per program or per leaf.  The call gives
-up the GIL, so the threads' trials run in parallel; an interrupt lands in
-the calling thread between its own trials or while it waits.  Elsewhere,
-and while a wrapper on `_Searcher` must see every search, a trial runs
-`generate_with_stats` and `enumerate_answer_sets`, which define what the C
-call adds; those hold the GIL, so such a sweep runs in the calling thread
-alone.
+(`search_path`), a trial is one C call, `randasp_trial`: the kernel's
+draw, its search, and one pass that checks every leaf and adds the trial
+into the chunk's int64 sums, with no Python per program or per leaf.  The
+call gives up the GIL, so the threads' trials run in parallel; an
+interrupt lands in the calling thread between its own trials or while it
+waits.  Elsewhere, and while a wrapper on `_Searcher` must see every
+search, a trial runs `generate_with_stats` and `enumerate_answer_sets`,
+which define what the C call adds; those hold the GIL, so such a sweep
+runs in the calling thread alone.
 
 The row loop is written once, in `_sweep`: each experiment passes a row
 function that turns one row's column sums into its result and a progress
@@ -157,12 +157,12 @@ def _trial(params: LinearModelParams, seed: int, limit: int | None, sums, kernel
     histogram of kept sets by size, n + 4 integers.  `kernel` is None or
     `_kernel.trial`'s runner for the same params, limit and sums.  With
     None, the trial runs on `generate_with_stats` and
-    `enumerate_answer_sets`, which is the definition; with the runner, the
-    compiled kernel draws the same program, walks the same tree, checks
-    each leaf as `enumerate_answer_sets` does (a leaf that fails raises
-    RuntimeError) and adds the same integers, in one C call.  Both
-    executions call this function once per trial, so a wrapper on it sees
-    every trial.
+    `enumerate_answer_sets`, which is the definition; with the runner, one
+    C call takes the same three steps: the kernel's draw of the same
+    program, its search, which reaches the same leaves, and one pass that
+    checks each leaf as `enumerate_answer_sets` does (a leaf that fails
+    raises RuntimeError) and adds the same integers.  Both executions call
+    this function once per trial, so a wrapper on it sees every trial.
     """
     if kernel is not None:
         kernel(seed)

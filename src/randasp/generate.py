@@ -15,7 +15,9 @@ geometric skips over the rule index space, which realizes exactly the
 independent-Bernoulli distribution (equivalently: binomial rule count plus a
 uniform distinct subset) in O(expected rules) time.  The pure rules consume
 draws 0..m of the trial's stream (one per rule plus the skip that passes the
-end), and the contradiction rules continue from draw m+1.
+end), and the contradiction rules continue from draw m+1.  A draw's rules
+come back in (head, body) order, each contradiction a <- not a among its
+head's pure rules: the order `Program.from_n2_arrays` holds them in.
 
 The skip of a draw is int(min(log(u) / log1p(-prob), total)), where u is
 ((x >> 11) + 1) * 2^-53, exact in float64, and `log` is the C library's.
@@ -25,7 +27,8 @@ runs the same walk in C and calls the same libm `log` that `math.log`
 calls, so it gives the same bits with no numpy float operation; it draws a
 program where it loads, and the scalar walk draws it where it does not.
 A sweep trial on the kernel (`randasp_trial`) draws in C with the same
-arguments, `_sampler_args`, and the same resampling as `generate_with_stats`.
+walk and arguments, `_sampler_args`, and the same resampling as
+`generate_with_stats`.
 `_generate_bernoulli` keeps the O(n^2) per-index scan as the distribution
 oracle for tests.
 """
@@ -159,25 +162,13 @@ def _skip_indices(seed: int, start: int, total: int, prob: float) -> tuple[list[
         found.append(pos)
 
 
-def _sampler_args(params: LinearModelParams) -> tuple[int, float, float, int]:
-    """(n, log_p, log_d, cap): what the kernel's sampler takes after the stream seed.
-
-    log_p and log_d are log1p(-p) and log1p(-d), 0.0 for a probability of 0,
-    and cap, the first rule buffer's size, is the expected rule count plus
-    eight standard deviations: rarely exceeded, and then the kernel draws
-    again into a buffer of the exact count.  `_kernel.sample` and
-    `_kernel.trial` both take these.
-    """
-    n, p, d = params.n, params.p, params.d
-    sd = math.sqrt(n * (n - 1) * p * (1.0 - p) + n * d * (1.0 - d))
-    cap = int(expected_rule_count(params) + 8.0 * sd) + 64
-    log_p = math.log1p(-p) if p > 0.0 else 0.0
-    log_d = math.log1p(-d) if d > 0.0 else 0.0
-    return n, log_p, log_d, cap
+def _sampler_args(params: LinearModelParams) -> tuple[int, float, float]:
+    """(n, log1p(-p), log1p(-d)): what `_kernel.sample` and `_kernel.trial` take after the stream seed."""
+    return params.n, math.log1p(-params.p), math.log1p(-params.d)
 
 
 def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, bodies) of one draw: pure rules in (a, b) order, then contradictions."""
+    """(heads, bodies) of one draw, in (head, body) order."""
     from . import _kernel  # ctypes and the build are loaded on the first draw only
 
     if _kernel.load() is not None:
@@ -186,7 +177,7 @@ def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.n
     pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), p)
     con = np.array(_skip_indices(stream_seed, next_draw, n, d)[0], dtype=np.int64)
     a, r = np.divmod(np.array(pure, dtype=np.int64), max(n - 1, 1))  # _pair_from_index, vectorised
-    return np.concatenate((a, con)), np.concatenate((r + (r >= a), con))
+    return np.divmod(np.sort(np.concatenate((a * n + r + (r >= a), con * (n + 1)))), n)  # by the key h * n + b
 
 
 def _pair_from_index(j: int, n: int) -> tuple[int, int]:

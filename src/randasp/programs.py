@@ -134,7 +134,7 @@ class Program:
         Every atom is range-checked, then the pairs are sorted by the int64
         key h * n + b and deduplicated, so no per-rule Python code runs and
         no `Rule` is built.  Input whose keys already strictly increase
-        (canonical, as the sampler draws it at c2 = 0) skips the sort and is
+        (canonical, as every draw of the sampler is) skips the sort and is
         copied as it is.  Either way the program holds fresh arrays, and the
         caller's are neither kept nor frozen.  n must be below 2^31, where
         the key is exact.

@@ -34,11 +34,11 @@ its data and its order of work step for step, so both walk the same tree
 and reach the same leaves in the same order (tests compare the leaves and
 the `_propagate`/`_apply` call counts).  Both read the program's
 `n2_arrays` and build no `Rule`, and both return every leaf they reach, up
-to `limit`, unchecked.  Each job checks those leaves exactly once, and a
-leaf that fails the check, a search bug, raises RuntimeError:
-`enumerate_answer_sets` checks the leaves of either execution in one
-`_is_n2_answer_set_mask` pass, and a sweep trial that runs whole in the
-kernel (`experiments._trial`) checks each leaf with `randasp_check` in C.
+to `limit`, unchecked.  Each job checks them once, after the search, and a
+leaf that fails, a search bug, raises RuntimeError: `enumerate_answer_sets`
+checks either execution's leaves in one `_is_n2_answer_set_mask` pass, and
+a sweep trial run whole in the kernel (`experiments._trial`) checks the C
+search's with `randasp_check`, in the pass that tallies them.
 
 `search_path(n)` says which execution a program over n atoms gets.  The C
 port runs wherever module `_kernel` can build and load the library, which

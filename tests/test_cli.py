@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from randasp import experiments
 from randasp.cli import _build_parser, cli_dispatch
 from randasp.csvout import write_avg_csv, write_theory_curve_csv
 from randasp.experiments import ExperimentConfig, run_avg_experiment
@@ -375,6 +376,35 @@ class TestExperimentCommand:
             args = parser.parse_args(shlex.split(line)[1:])
             assert args.command == "experiment" and args.trials == 1000
             assert args.out.endswith(".csv")
+
+    def test_unwritable_out_fails_before_the_first_trial(self, tmp_path, capsys, monkeypatch):
+        chunks = []
+        monkeypatch.setattr(experiments, "_count_chunk", lambda *args: chunks.append(args))
+        code = run_cli(
+            "experiment", "avg", "--n", "50", "--c1", "5", "--c2", "0",
+            "--trials", "3", "--seed", "1", "--out", str(tmp_path / "missing" / "x.csv"),
+        )
+        assert code == 1 and not chunks
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert "[row" not in captured.err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_failed_sweep_leaves_the_out_file_as_it_was(self, tmp_path, capsys, monkeypatch, existing):
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_bytes(b"kept\n")
+
+        def fail(*args):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(experiments, "_count_chunk", fail)
+        code = run_cli(
+            "experiment", "avg", "--n", "12", "--c1", "3", "--c2", "0",
+            "--trials", "5", "--seed", "5", "--out", str(out),
+        )
+        assert code == 1 and "error: trial failed" in capsys.readouterr().err
+        assert (out.read_bytes() == b"kept\n") if existing else not out.exists()
 
     def test_zero_workers_rejected(self, tmp_path, capsys):
         code = run_cli(

@@ -160,7 +160,7 @@ def scalar_walk(monkeypatch):
 
 def _kernel_walk(seed, total, prob):
     """The kernel's walk over range(total) from draw 0: its contradiction walk at p = 0."""
-    heads, bodies = _kernel.sample(seed, total, 0.0, math.log1p(-prob), 8)  # a small cap: long walks call twice
+    heads, bodies = _kernel.sample(seed, total, 0.0, math.log1p(-prob))
     assert heads.tolist() == bodies.tolist()
     return heads.tolist()
 
@@ -244,7 +244,7 @@ class TestSampler:
             s = mix_seed(3, t)
             heads, bodies = _sample_n2_arrays(params, s)
             reference = _scalar_rules(params, s)
-            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in reference]
+            assert list(zip(heads.tolist(), bodies.tolist())) == sorted((r.head, r.neg_body[0]) for r in reference)
             assert Program.from_n2_arrays(n, heads, bodies) == Program(n, reference)
 
     @pytest.mark.parametrize(
@@ -255,47 +255,33 @@ class TestSampler:
         for t in range(10):
             heads, bodies = _sample_n2_arrays(params, mix_seed(3, t))
             reference = _scalar_rules(params, mix_seed(3, t))
-            assert list(zip(heads.tolist(), bodies.tolist())) == [(r.head, r.neg_body[0]) for r in reference]
+            assert list(zip(heads.tolist(), bodies.tolist())) == sorted((r.head, r.neg_body[0]) for r in reference)
+
+    @pytest.mark.parametrize("n, c1, c2", [(2, 1.5, 1.0), (12, 4.0, 2.0), (60, 10.0, 4.0), (200, 10.0, 4.0), (8, 7.0, 7.0)])
+    def test_draws_with_contradictions_come_in_head_order(self, monkeypatch, n, c1, c2):
+        params = LinearModelParams(n, c1, c2)
+        draws = [_sample_n2_arrays(params, mix_seed(6, t)) for t in range(10)]  # on the kernel where it loads
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        draws += [_sample_n2_arrays(params, mix_seed(6, t)) for t in range(10)]
+        for heads, bodies in draws:
+            key = heads.astype(np.int64) * n + bodies
+            assert np.all(key[1:] > key[:-1])
+            held = Program.from_n2_arrays(n, heads, bodies).n2_arrays
+            assert [a.tolist() for a in held] == [heads.tolist(), bodies.tolist()]
+        assert sum(np.count_nonzero(heads == bodies) for heads, bodies in draws[10:]) > 1
 
 
 @needs_kernel
 class TestKernelSampler:
-    def test_a_cap_below_the_rule_count_gives_the_same_arrays(self):
-        for n, p, d in ((1000, 0.003, 0.0), (50, 0.1, 0.04), (8, 0.875, 0.875), (1, 0.0, 0.9)):
-            log_p = math.log1p(-p) if p else 0.0
-            log_d = math.log1p(-d) if d else 0.0
-            for t in range(10):
-                s = mix_seed(9, t)
-                heads, bodies = _kernel.sample(s, n, log_p, log_d, n * n)  # n^2 rules at most
-                count = heads.size
-                for cap in {0, 1, count // 2, max(count - 1, 0), count, count + 5}:
-                    h, b = _kernel.sample(s, n, log_p, log_d, cap)
-                    assert h.dtype == b.dtype == np.int32
-                    assert h.tolist() == heads.tolist() and b.tolist() == bodies.tolist()
-
     def test_rejects_two_to_the_31_atoms(self):
         # the kernel's atoms are int32; ctypes would wrap n silently
         with pytest.raises(ValueError, match=r"fewer than 2\^31 atoms, got n=2147483648"):
-            _kernel.sample(1, 1 << 31, math.log1p(-1e-9), 0.0, 8)
-
-    def test_default_cap_holds_a_typical_draw(self, monkeypatch):
-        calls = []
-        sample = _kernel.sample
-
-        def counting(seed, n, log_p, log_d, cap):
-            heads, bodies = sample(seed, n, log_p, log_d, cap)
-            calls.append(heads.size > cap)
-            return heads, bodies
-
-        monkeypatch.setattr(_kernel, "sample", counting)
-        params = LinearModelParams(1000, 3.0, 0.0)
-        for t in range(200):
-            _sample_n2_arrays(params, mix_seed(4, t))
-        assert len(calls) == 200 and not any(calls)
+            _kernel.sample(1, 1 << 31, math.log1p(-1e-9), 0.0)
 
     def test_kernel_matches_scalar_walk(self, monkeypatch):
         grid = [(2, 1.5, 1.0), (50, 5.0, 2.0), (200, 10.0, 4.0), (1000, 3.0, 0.0), (8, 7.0, 7.0)]
         drawn = {(c, t): _sample_n2_arrays(LinearModelParams(*c), mix_seed(5, t)) for c in grid for t in range(8)}
+        assert all(h.dtype == b.dtype == np.int32 for h, b in drawn.values())
         monkeypatch.setattr(_kernel, "load", lambda: None)
         for (c, t), (heads, bodies) in drawn.items():
             h, b = _sample_n2_arrays(LinearModelParams(*c), mix_seed(5, t))

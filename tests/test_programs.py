@@ -123,9 +123,9 @@ class TestFromN2Arrays:
         assert [a.tolist() for a in p.n2_arrays] == [[0, 0, 1, 2], [1, 2, 1, 0]]
 
     def test_views_of_one_buffer(self):
-        # the kernel sampler returns its heads and bodies as rows of one (2, cap) buffer
-        out = np.array([[0, 1, 1, 9], [2, 0, 2, 9]], dtype=np.int32)
-        p = Program.from_n2_arrays(3, out[0, :3], out[1, :3])
+        # the kernel sampler returns its heads and bodies as the two halves of one buffer
+        out = np.array([0, 1, 1, 2, 0, 2], dtype=np.int32)
+        p = Program.from_n2_arrays(3, out[:3], out[3:])
         out[:] = 0
         assert [a.tolist() for a in p.n2_arrays] == [[0, 1, 1], [2, 0, 2]]
 
@@ -135,7 +135,7 @@ class TestFromN2Arrays:
             ([0, 1, 1], [1, 2, 0]),  # unsorted
             ([0, 1, 1], [1, 0, 0]),  # a repeat
             ([0, 0, 1], [2, 1, 0]),  # bodies out of order under one head
-            ([1, 2, 0, 1], [0, 1, 0, 1]),  # pure rules, then contradictions, as a c2 > 0 draw comes
+            ([1, 2, 0, 1], [0, 1, 0, 1]),  # pure rules, then contradictions, as the two walks draw them
         ],
     )
     def test_noncanonical_input_is_sorted_and_deduplicated(self, heads, bodies):

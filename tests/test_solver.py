@@ -588,10 +588,11 @@ class TestKernelLeafStep:
         assert leaves == search(p)[0]
         assert enumerate_answer_sets(p).masks == tuple(sorted(leaves)) and len(calls) == 2
 
-    # The driver runs randasp_enumerate and the histogram mode of
-    # randasp_trial's leaf step, which no Python call can hand arrays out of
-    # head order, on the cases above and on drawn programs: a leaf that
-    # fails its check stops that step with TRIAL_REJECTED.
+    # The driver runs randasp_sample, randasp_enumerate and randasp_trial on
+    # the cases above and on drawn programs, and tally, randasp_trial's last
+    # step, on leaves of arrays out of head order, which no Python call can
+    # hand it: the first leaf that fails its check stops tally with
+    # TRIAL_REJECTED.
     @pytest.mark.parametrize(
         "flags", [(), ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")], ids=["plain", "sanitized"]
     )

@@ -2,15 +2,16 @@
 
 The kernel's entry points, with their wrappers here: `randasp_sample`, the
 skip walk of `generate` (`sample`), and `randasp_enumerate`, the search of
-`solver._Searcher` (`enumerate`), each return one buffer that
-`randasp_free` releases: a program's rules in (head, body) order, or every
-leaf the search reaches, unchecked.  `randasp_trial`, one whole sweep trial
-of `experiments` (`trial`), is those two in a row and then one pass that
+`solver._Searcher` (`enumerate`), each hand back one buffer, which `_take`
+copies and frees: a program's rules in (head, body) order, or every leaf
+the search reaches, unchecked.  `randasp_trial`, one whole sweep trial of
+`experiments` (`trial`), is those two in a row and then one pass that
 checks every leaf and tallies; `randasp_check`, the two answer-set
 conditions, is bound by `load()` for tests to call.  No entry point calls
-back into Python, and each call gives up the GIL.  The wrappers check every
-array they hand to C (type, dtype, contiguity and shape) and pass raw
-pointers, which costs less per call than ctypes' `ndpointer`.
+back into Python, and each call gives up the GIL.  Callers pass their own
+values: `_model` and `_limit` encode a `LinearModelParams` and a leaf limit
+for C.  The wrappers check every array they hand to C (type, dtype,
+contiguity and shape) and pass raw pointers, cheaper than `ndpointer`.
 
 The first `load()` in a process compiles the C source once with the system
 `cc` into a private cache directory and loads it with ctypes; the threads
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import platform
 import stat
@@ -46,10 +48,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import generate
 from .solver import KERNEL_MAX_N
 
-# The interpreter's own SHA-256: hashlib loads OpenSSL, about 3.5 MB of RSS
-# in every sweep worker.
+# The interpreter's own SHA-256: hashlib loads OpenSSL, which adds about
+# 3.6 MiB to the peak RSS of the process (the sweep's threads share it).
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
@@ -146,6 +149,32 @@ def _require_array(name: str, a, dtype) -> None:
         raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array, got {a.dtype}")
 
 
+def _limit(limit: int | None) -> int:
+    """`limit` as C takes it: 0 for None (every leaf), and clamped to int64, since no search reaches 2^63 leaves."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    return min(limit or 0, (1 << 63) - 1)
+
+
+def _model(params: generate.LinearModelParams) -> tuple[int, float, float]:
+    """(n, log1p(-p), log1p(-d)): the model as `randasp_sample` and `randasp_trial` take it after the seed."""
+    if not isinstance(params, generate.LinearModelParams):
+        raise TypeError(f"params must be a LinearModelParams, got {type(params).__name__}")
+    return params.n, math.log1p(-params.p), math.log1p(-params.d)
+
+
+def _take(call, width: int) -> tuple[bytes, int]:
+    """(bytes, count) of the `count` items of `width` bytes that `call(out)` leaves at `out`, which is then freed."""
+    out = ctypes.c_void_p()  # stays NULL unless C allocates
+    try:  # an interrupt raised as the call returns must not leak the buffer
+        count = call(ctypes.byref(out))
+        if count < 0:
+            raise MemoryError("the kernel is out of memory")
+        return ctypes.string_at(out, count * width), count
+    finally:
+        load().randasp_free(out)
+
+
 def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) -> tuple[np.ndarray, int, int]:
     """Run the kernel on the rules `heads[i] <- not bodies[i]` over n < 2^29 atoms.
 
@@ -168,39 +197,22 @@ def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) 
         raise ValueError(f"the search kernel takes fewer than 2^31 rules, got {np.size(heads)}")
     _require_array("heads", heads, np.int32)
     _require_array("bodies", bodies, np.int32)
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
-    lib, nbytes = load(), (n + 7) // 8
-    out, counts = ctypes.c_void_p(), _COUNTS()  # out stays NULL unless the search reaches a leaf
-    limit = min(limit or 0, (1 << 63) - 1)  # C takes an int64; no search reaches 2^63 leaves
-    try:  # an interrupt raised as the call returns must not leak the buffer
-        leaves = lib.randasp_enumerate(n, heads.size, heads.ctypes.data, bodies.ctypes.data, limit, ctypes.byref(out), counts)
-        if leaves < 0:
-            raise MemoryError("search kernel is out of memory")
-        packed = ctypes.string_at(out, leaves * nbytes)
-    finally:
-        lib.randasp_free(out)
+    limit, nbytes, counts = _limit(limit), (n + 7) // 8, _COUNTS()
+    search = functools.partial(load().randasp_enumerate, n, heads.size, heads.ctypes.data, bodies.ctypes.data, limit)
+    packed, leaves = _take(lambda out: search(out, counts), nbytes)
     return np.frombuffer(packed, np.uint8).reshape(leaves, nbytes), counts[0], counts[1]
 
 
-def sample(seed: int, n: int, log_p: float, log_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, bodies) of the program that `randasp_sample` draws from stream `seed` over n < 2^31 atoms.
+def sample(seed: int, params: generate.LinearModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, bodies) of the program that `randasp_sample` draws for `params` (n < 2^31) from stream `seed`.
 
-    `log_p` and `log_d` are log1p(-p) and log1p(-d).  The rules come in
-    (head, body) order, the order `Program.from_n2_arrays` holds them in, as
-    two int32 views of one read-only buffer.
+    Two int32 views of one read-only buffer, in the (head, body) order of `Program.from_n2_arrays`.
     """
+    n, log_p, log_d = _model(params)
     if n >= 1 << 31:
         raise ValueError(f"the sampler takes fewer than 2^31 atoms, got n={n}")
-    lib, out = load(), ctypes.c_void_p()  # out stays NULL unless the draw has a rule
-    try:  # an interrupt raised as the call returns must not leak the buffer
-        count = lib.randasp_sample(seed, n, log_p, log_d, ctypes.byref(out))
-        if count < 0:
-            raise MemoryError("sampler kernel is out of memory")
-        rules = np.frombuffer(ctypes.string_at(out, count * 8), np.int32)
-    finally:
-        lib.randasp_free(out)
-    return rules[:count], rules[count:]
+    rules, count = _take(functools.partial(load().randasp_sample, seed, n, log_p, log_d), 8)
+    return tuple(np.frombuffer(rules, np.int32).reshape(2, count))
 
 
 # randasp_trial's error codes
@@ -211,28 +223,27 @@ class Stopped(Exception):
     """A kernel trial ended early because its stop flag was set."""
 
 
-def trial(n: int, log_p: float, log_d: float, max_draws: int, limit: int | None, sums: np.ndarray, stop=None):
-    """`run(seed)`, which runs sweep trial `seed` in `randasp_trial` and adds it into `sums`.
+def trial(params: generate.LinearModelParams, limit: int | None, sums: np.ndarray, stop=None):
+    """`run(seed)`, which runs sweep trial `seed` of `params` in `randasp_trial` and adds it into `sums`.
 
-    A trial over n < 2^29 atoms draws as `sample` does, taking up to
-    `max_draws` attempts, the attempt a from sub-seed `mix_seed(seed, a)`;
-    searches the draw as `enumerate` does, keeping at most `limit` leaves
-    (None: all); then checks each leaf with `randasp_check` and adds the
-    trial into `sums`, an int64 array of n + 4: the count of answer sets,
-    its square, the attempts before the nonempty draw and the sets'
-    histogram by size, as `experiments._trial` adds them.  `stop` is a
-    `ctypes.c_int32` (None: one never set) that C reads at each decision of
-    the search; another thread sets it to end every trial that reads it,
-    and `run` then raises `Stopped`.  `run` raises RuntimeError when every
-    draw is empty (`generate_with_stats`' text) or a leaf fails its check,
-    and OverflowError where a sum would leave int64.  After any of these
-    errors `sums` holds part of the trial.  C runs without the GIL, so trials in
-    other threads run alongside.
+    A trial over n < 2^29 atoms draws as `sample` does, up to
+    `generate._MAX_RESAMPLE` attempts (read here), attempt a from sub-seed
+    `mix_seed(seed, a)`; searches the draw as `enumerate` does, keeping at
+    most `limit` leaves (None: all); then checks each leaf with
+    `randasp_check` and adds the trial into `sums`, an int64 array of n + 4,
+    as `experiments._trial` adds it: the count of answer sets, its square,
+    the attempts before the nonempty draw and the sets' histogram by size.
+    `stop` is a `ctypes.c_int32` (None: one never set) that C reads at each
+    decision; another thread sets it to end every trial that reads it, and
+    `run` then raises `Stopped`.  `run` raises RuntimeError when every draw
+    is empty (`generate_with_stats`' text) or a leaf fails its check, and
+    OverflowError where a sum would leave int64; `sums` then holds part of
+    the trial.  Trials in other threads run alongside, as C drops the GIL.
     """
-    if not 0 <= n < KERNEL_MAX_N:
+    n, log_p, log_d = _model(params)
+    if n >= KERNEL_MAX_N:
         raise ValueError(f"the search kernel takes fewer than 2^29 atoms, got n={n}")
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be positive")
+    limit, max_draws = _limit(limit), generate._MAX_RESAMPLE
     _require_array("sums", sums, np.int64)
     if sums.shape != (n + 4,) or not sums.flags.writeable:
         raise ValueError(f"sums must be a writeable array of shape ({n + 4},), got {sums.shape}")
@@ -240,13 +251,13 @@ def trial(n: int, log_p: float, log_d: float, max_draws: int, limit: int | None,
     stop = ctypes.c_int32(0) if stop is None else stop
     if not isinstance(stop, ctypes.c_int32):
         raise TypeError(f"stop must be a ctypes.c_int32, got {type(stop).__name__}")
-    args = (n, log_p, log_d, max_draws, limit or 0, sums.ctypes.data, ctypes.addressof(stop))
+    args = (n, log_p, log_d, max_draws, limit, sums.ctypes.data, ctypes.addressof(stop))
 
     def run(seed: int, _keep=(sums, stop)) -> None:  # _keep: C reads and writes them, so they live as long as `run`
         rc = fn(seed, *args)
         if rc:
             raise {
-                _NO_MEMORY: MemoryError("search kernel is out of memory"),
+                _NO_MEMORY: MemoryError("the kernel is out of memory"),
                 _NO_PROGRAM: RuntimeError(f"no nonempty program after {max_draws} resamples"),
                 _OVERFLOW: OverflowError("a trial's sum leaves int64"),
                 _TOO_MANY_RULES: ValueError("the search kernel takes fewer than 2^31 rules"),

@@ -14,10 +14,10 @@ each search at its first answer set, so its summed count is the number of
 consistent programs.  All accumulators are integers, which makes the
 reduction exact and byte-identical for any worker count.
 Each trial goes through `_trial`.  Where the compiled kernel searches
-(`search_path`), a trial is one C call, `randasp_trial`: the kernel's
-draw, its search, and one pass that checks every leaf and adds the trial
-into the chunk's int64 sums, with no Python per program or per leaf.  The
-call gives up the GIL, so the threads' trials run in parallel; an
+(`search_path`), a trial is one C call, set up per chunk by `_kernel.trial`:
+the kernel's draw, its search, and one pass that checks every leaf and adds
+the trial into the chunk's int64 sums, with no Python per program or per
+leaf.  The call gives up the GIL, so the threads' trials run in parallel; an
 interrupt lands in the calling thread between its own trials or while it
 waits.  Elsewhere, and while a wrapper on `_Searcher` must see every
 search, a trial runs `generate_with_stats` and `enumerate_answer_sets`,
@@ -44,7 +44,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .generate import _MAX_RESAMPLE, LinearModelParams, _sampler_args, generate_with_stats, mix_seed, require_sampleable
+from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
 from .programs import require_integer, require_real
 from .solver import enumerate_answer_sets, search_path
 from .theory import (
@@ -179,13 +179,11 @@ def _trial(params: LinearModelParams, seed: int, limit: int | None, sums, kernel
 def _count_chunk(args, stop=None):
     """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial.
 
-    Where `search_path(n)` is "kernel", each trial is one call of the
-    compiled kernel (`randasp_trial`), which adds into an int64 array and
-    raises OverflowError where a sum would leave it; `stop`, a sweep's
-    `ctypes.c_int32` flag (None: none), ends a kernel trial at a decision
-    once it is set.  Elsewhere, and while a wrapper on `_Searcher` must see
-    the search, each trial runs in Python.  Either way the sums come back as
-    Python ints.
+    Where `search_path(n)` is "kernel", the trials run on `_kernel.trial`,
+    adding into an int64 array (a sum past int64 raises OverflowError), and
+    `stop`, a sweep's `ctypes.c_int32` flag (None: none), ends a trial at a
+    decision once it is set; elsewhere they run in Python.  Either way the
+    sums come back as Python ints.
     """
     n, c1, c2, seed, start, end, limit = args
     params = LinearModelParams(n, c1, c2)
@@ -193,7 +191,7 @@ def _count_chunk(args, stop=None):
         from . import _kernel
 
         sums = np.zeros(n + 4, dtype=np.int64)
-        kernel = _kernel.trial(*_sampler_args(params), _MAX_RESAMPLE, limit, sums, stop)
+        kernel = _kernel.trial(params, limit, sums, stop)
     else:
         sums, kernel = [0] * (n + 4), None
     for t in range(start, end):
@@ -235,7 +233,7 @@ def _threaded_results(chunks, threads: int):
     chunk, in order.  The first error in any thread sets the sweep's stop
     flag, which ends every other thread's kernel trial at its next decision,
     and is raised here as itself.  Before the generator finishes, raises or
-    is closed, the flag is set and every thread is joined.
+    is closed, the flag is set and every thread that started is joined.
     """
     import ctypes
     import threading
@@ -280,7 +278,7 @@ def _threaded_results(chunks, threads: int):
             yield done.pop(i)
     finally:
         stop.value = 1
-        for thread in pool:
+        for thread in filter(threading.Thread.is_alive, pool):  # a thread whose start failed cannot be joined
             thread.join()
 
 

@@ -26,9 +26,8 @@ time.  The compiled kernel (`_kernel`, `randasp_sample` in `_search.c`)
 runs the same walk in C and calls the same libm `log` that `math.log`
 calls, so it gives the same bits with no numpy float operation; it draws a
 program where it loads, and the scalar walk draws it where it does not.
-A sweep trial on the kernel (`randasp_trial`) draws in C with the same
-walk and arguments, `_sampler_args`, and the same resampling as
-`generate_with_stats`.
+A sweep trial on the kernel (`_kernel.trial`) draws with the same walk and
+resamples as `generate_with_stats` does, up to the same `_MAX_RESAMPLE`.
 `_generate_bernoulli` keeps the O(n^2) per-index scan as the distribution
 oracle for tests.
 """
@@ -162,17 +161,12 @@ def _skip_indices(seed: int, start: int, total: int, prob: float) -> tuple[list[
         found.append(pos)
 
 
-def _sampler_args(params: LinearModelParams) -> tuple[int, float, float]:
-    """(n, log1p(-p), log1p(-d)): what `_kernel.sample` and `_kernel.trial` take after the stream seed."""
-    return params.n, math.log1p(-params.p), math.log1p(-params.d)
-
-
 def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(heads, bodies) of one draw, in (head, body) order."""
     from . import _kernel  # ctypes and the build are loaded on the first draw only
 
     if _kernel.load() is not None:
-        return _kernel.sample(stream_seed, *_sampler_args(params))
+        return _kernel.sample(stream_seed, params)
     n, p, d = params.n, params.p, params.d
     pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), p)
     con = np.array(_skip_indices(stream_seed, next_draw, n, d)[0], dtype=np.int64)

@@ -28,7 +28,7 @@ from randasp.experiments import (
     run_consistency_experiment,
     run_dist_experiment,
 )
-from randasp.generate import LinearModelParams, _sampler_args, generate, mix_seed
+from randasp.generate import LinearModelParams, generate, mix_seed
 from randasp.solver import _Searcher, enumerate_answer_sets, search_path
 from randasp.theory import CURVE_MAX_N, consistency_probability, expected_total
 
@@ -308,6 +308,23 @@ class TestWorkers:
             assert swept(run, one_chunk, 2) == ({caller}, [])
         assert threading.active_count() == before
         assert_no_children()
+
+    @needs_kernel
+    def test_a_thread_that_fails_to_start_raises_its_error(self, monkeypatch):
+        # The thread that did start is joined; the one that did not is not.
+        before, real, calls = threading.active_count(), threading.Thread.start, []
+
+        def start(thread):
+            calls.append(thread)
+            if len(calls) == 2:
+                raise RuntimeError("can't start new thread")
+            return real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        cfg = ExperimentConfig(n=[30, 40], c1=5.0, c2=0.0, trials=12, seed=3)
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            run_avg_experiment(cfg, workers=3)
+        assert len(calls) == 2 and threading.active_count() == before
 
     def test_a_python_search_runs_in_the_caller_alone(self, monkeypatch, tmp_path):
         # Threads cannot speed up a search that holds the GIL, and a wrapper
@@ -626,6 +643,7 @@ KERNEL_CHUNKS = [
     (2, 1.5, 1.0, 4, 0, 50, None),
     (3, 1.0, 0.0, 5, 0, 60, None),  # resamples
     (5, 1.0, 0.3, 6, 10, 70, 3),
+    (60, 10.0, 4.0, 7, 0, 30, 2**64 + 1),  # a limit past int64 keeps every leaf, as None does
 ]
 
 
@@ -647,10 +665,10 @@ class TestKernelTrials:
         sums = {chunk: _count_chunk(chunk) for chunk in KERNEL_CHUNKS}
         assert all(sums[c][2] > 0 for c in KERNEL_CHUNKS[6:9])
         assert [c for c in KERNEL_CHUNKS if not sums[c][0]] == [KERNEL_CHUNKS[6]]  # n = 1 draws only a0 <- not a0
+        assert sums[KERNEL_CHUNKS[10]] == _count_chunk(KERNEL_CHUNKS[10][:6] + (None,))
 
     def test_all_draws_empty_raises_as_generate_does(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_MAX_RESAMPLE", 3)
-        monkeypatch.setattr(generate_module, "_MAX_RESAMPLE", 3)
+        monkeypatch.setattr(generate_module, "_MAX_RESAMPLE", 3)  # the bound of both executions
         chunk = (2, 1e-3, 0.0, 1, 0, 1, None)  # a draw is empty with probability 0.999
         with pytest.raises(RuntimeError) as kernel:
             _count_chunk(chunk)
@@ -667,25 +685,27 @@ class TestKernelTrials:
         sums = np.zeros(24, np.int64)
         sums[{"count": 0, "square": 1, "size": 3 + size}[column]] = 2**63 - 1
         with pytest.raises(OverflowError, match="leaves int64"):
-            _kernel.trial(*_sampler_args(params), 100, None, sums)(seed)
+            _kernel.trial(params, None, sums)(seed)
 
     def test_a_rejected_leaf_raises(self, monkeypatch):
         # randasp_trial stops at a leaf that randasp_check rejects, which no
         # sampled program reaches (tests/kernel_sanitize.c hands it one).
         lib = _kernel.load()
         monkeypatch.setattr(lib, "randasp_trial", lambda *args: _kernel._REJECTED)
-        run = _kernel.trial(*_sampler_args(LinearModelParams(10, 3.0, 0.0)), 100, None, np.zeros(14, np.int64))
+        run = _kernel.trial(LinearModelParams(10, 3.0, 0.0), None, np.zeros(14, np.int64))
         with pytest.raises(RuntimeError, match="a leaf that is not an answer set"):
             run(1)
 
     def test_rejects_what_c_cannot_add_into(self):
-        args = _sampler_args(LinearModelParams(10, 3.0, 0.0)) + (100,)
+        params = LinearModelParams(10, 3.0, 0.0)
         with pytest.raises(ValueError, match=r"shape \(14,\), got \(13,\)"):
-            _kernel.trial(*args, None, np.zeros(13, np.int64))
+            _kernel.trial(params, None, np.zeros(13, np.int64))
         with pytest.raises(TypeError, match="C-contiguous int64 array, got int32"):
-            _kernel.trial(*args, None, np.zeros(14, np.int32))
+            _kernel.trial(params, None, np.zeros(14, np.int32))
         with pytest.raises(ValueError, match="limit must be positive"):
-            _kernel.trial(*args, 0, np.zeros(14, np.int64))
+            _kernel.trial(params, 0, np.zeros(14, np.int64))
+        with pytest.raises(TypeError, match="params must be a LinearModelParams, got tuple"):
+            _kernel.trial((10, 3.0, 0.0), None, np.zeros(14, np.int64))
 
     def test_a_wrapped_searcher_sees_every_search_of_the_sweep(self, monkeypatch):
         cfg = ExperimentConfig(n=[30, 60], c1=5.0, c2=[0.0, 2.0], trials=6, seed=3)
@@ -726,18 +746,19 @@ class TestKernelTrials:
     @pytest.mark.parametrize("chunk", [KERNEL_CHUNKS[1], KERNEL_CHUNKS[3]])
     def test_a_set_stop_flag_ends_the_trial_at_its_first_decision(self, chunk):
         n, c1, c2, seed, start, _, limit = chunk
-        args = (*_sampler_args(LinearModelParams(n, c1, c2)), experiments._MAX_RESAMPLE, limit or 0)
+        params = LinearModelParams(n, c1, c2)
+        args = (*_kernel._model(params), generate_module._MAX_RESAMPLE, _kernel._limit(limit))
         sums, flag = np.zeros(n + 4, np.int64), ctypes.c_int32(1)
         trial_seed = mix_seed(seed, start)
         rc = _kernel.load().randasp_trial(trial_seed, *args, sums.ctypes.data, ctypes.addressof(flag))
         assert rc == _kernel._STOPPED and not sums.any()  # no leaf reached, so nothing added
         with pytest.raises(_kernel.Stopped):
-            _kernel.trial(*args[:-1], limit, sums, flag)(trial_seed)
+            _kernel.trial(params, limit, sums, flag)(trial_seed)
         flag.value = 0
-        _kernel.trial(*args[:-1], limit, sums, flag)(trial_seed)
+        _kernel.trial(params, limit, sums, flag)(trial_seed)
         assert tuple(sums.tolist()) == _count_chunk((n, c1, c2, seed, start, start + 1, limit))
         with pytest.raises(TypeError, match="stop must be a ctypes.c_int32, got c_byte"):
-            _kernel.trial(*args[:-1], limit, sums, ctypes.c_int8(0))
+            _kernel.trial(params, limit, sums, ctypes.c_int8(0))
 
     def test_an_interrupt_stops_the_other_threads_trial(self, monkeypatch):
         # Every trial of this row runs for many seconds in C (25 s for trial

@@ -159,8 +159,13 @@ def scalar_walk(monkeypatch):
 
 
 def _kernel_walk(seed, total, prob):
-    """The kernel's walk over range(total) from draw 0: its contradiction walk at p = 0."""
-    heads, bodies = _kernel.sample(seed, total, 0.0, math.log1p(-prob))
+    """The kernel's walk over range(total) from draw 0: `randasp_sample`'s contradiction walk at p = 0.
+
+    `_kernel.sample` takes a model, whose d = c2/n need not be `prob`, so the
+    walk is called with log1p(-prob) directly.
+    """
+    packed, count = _kernel._take(lambda out: _kernel.load().randasp_sample(seed, total, 0.0, math.log1p(-prob), out), 8)
+    heads, bodies = np.frombuffer(packed, np.int32).reshape(2, count)
     assert heads.tolist() == bodies.tolist()
     return heads.tolist()
 
@@ -276,7 +281,17 @@ class TestKernelSampler:
     def test_rejects_two_to_the_31_atoms(self):
         # the kernel's atoms are int32; ctypes would wrap n silently
         with pytest.raises(ValueError, match=r"fewer than 2\^31 atoms, got n=2147483648"):
-            _kernel.sample(1, 1 << 31, math.log1p(-1e-9), 0.0)
+            _kernel.sample(1, LinearModelParams(1 << 31, 2.0, 0.0))
+        with pytest.raises(TypeError, match="params must be a LinearModelParams, got tuple"):
+            _kernel.sample(1, (10, 3.0, 0.0))
+
+    def test_out_of_memory_raises_and_frees_the_buffer(self, monkeypatch):
+        lib, freed = _kernel.load(), []
+        monkeypatch.setattr(lib, "randasp_sample", lambda *args: -1)
+        monkeypatch.setattr(lib, "randasp_free", freed.append)
+        with pytest.raises(MemoryError, match="the kernel is out of memory"):
+            _kernel.sample(1, LinearModelParams(10, 3.0, 0.0))
+        assert len(freed) == 1
 
     def test_kernel_matches_scalar_walk(self, monkeypatch):
         grid = [(2, 1.5, 1.0), (50, 5.0, 2.0), (200, 10.0, 4.0), (1000, 3.0, 0.0), (8, 7.0, 7.0)]

@@ -1,12 +1,12 @@
-"""Build, cache and call the compiled kernel `_search.c`.
+"""Build, cache and call the compiled kernel `_search.c`, which every draw, search and sweep trial runs on.
 
 The kernel's entry points, with their wrappers here: `randasp_sample`, the
 skip walk of `generate` (`sample`), and `randasp_enumerate`, the search of
-`solver._Searcher` (`enumerate`), each hand back one buffer, which `_take`
-copies and frees: a program's rules in (head, body) order, or every leaf
-the search reaches, unchecked.  `randasp_trial`, one whole sweep trial of
-`experiments` (`trial`), is those two in a row and then one pass that
-checks every leaf and tallies; `randasp_check`, the two answer-set
+`solver.enumerate_answer_sets` (`enumerate`), each hand back one buffer,
+which `_take` copies and frees: a program's rules in (head, body) order, or
+every leaf the search reaches, unchecked.  `randasp_trial`, one whole sweep
+trial of `experiments` (`trial`), is those two in a row and then one pass
+that checks every leaf and tallies; `randasp_check`, the two answer-set
 conditions, is bound by `load()` for tests to call.  No entry point calls
 back into Python, and each call gives up the GIL.  Callers pass their own
 values: `_model` and `_limit` encode a `LinearModelParams` and a leaf limit
@@ -24,11 +24,11 @@ writable by no one else.  The file name carries the SHA-256 of the source,
 the compiler command and the machine type, so a changed source is rebuilt
 and an unchanged one is compiled once per machine.  Each build writes a
 temporary file and renames it into place, so separate processes that build
-at the same time never load a partial file.  Where no compiler or no
-private directory is found, `load()` returns None and the callers fall back
-to Python: `solver` searches with `_Searcher`, `generate` takes its scalar
-walk, and `experiments` runs each trial through `generate_with_stats` and
-`enumerate_answer_sets`.  Only `solver`, `generate` and `experiments`
+at the same time never load a partial file.  Where no private directory is
+found or the compiler fails, `load()` raises RuntimeError, naming the
+directories tried or the compiler command and its first line of error
+output, and so does every draw, search and sweep; there is no second
+execution to fall back to.  Only `solver`, `generate` and `experiments`
 import this module, each when it first searches, samples or sweeps, so
 `import randasp` loads no ctypes and compiles nothing.
 """
@@ -49,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from . import generate
-from .solver import KERNEL_MAX_N
 
 # The interpreter's own SHA-256: hashlib loads OpenSSL, which adds about
 # 3.6 MiB to the peak RSS of the process (the sweep's threads share it).
@@ -64,6 +63,7 @@ except ImportError:
 # source on stdin; -lm names the libm whose `log` the sampler calls
 CC = ("cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-lm")
 _COUNTS = ctypes.c_int64 * 2  # randasp_enumerate's propagate calls and apply calls
+MAX_N = 1 << 29  # the search's queue entries are int32 `atom << 2 | value`
 
 
 def source() -> bytes:
@@ -89,21 +89,34 @@ def _private_dir(root: str, leaf: str) -> Path | None:
     return path
 
 
-def cache_dir() -> Path | None:
-    """The directory the kernel is built into and loaded from, or None if there is none."""
-    if not hasattr(os, "getuid"):  # no owner to check
-        return None
-    xdg = os.environ.get("XDG_CACHE_HOME", "")
-    root = xdg if os.path.isabs(xdg) else os.path.join(os.path.expanduser("~"), ".cache")
-    return _private_dir(root, "randasp") or _private_dir(tempfile.gettempdir(), f"randasp-{os.getuid()}")
+def cache_dir() -> Path:
+    """The directory the kernel is built into and loaded from; RuntimeError, naming the directories tried, if none will do."""
+    tried = []
+    if hasattr(os, "getuid"):  # else there is no owner to check
+        xdg = os.environ.get("XDG_CACHE_HOME", "")
+        cache_root = xdg if os.path.isabs(xdg) else os.path.join(os.path.expanduser("~"), ".cache")
+        for root, leaf in ((cache_root, "randasp"), (tempfile.gettempdir(), f"randasp-{os.getuid()}")):
+            if path := _private_dir(root, leaf):
+                return path
+            tried.append(os.path.join(root, leaf))
+    raise RuntimeError(f"the search kernel needs a directory that only this user can write; tried: {', '.join(tried) or 'none'}")
 
 
 def _build(src: bytes, path: Path) -> None:
+    """Compile `src` into `path`; RuntimeError, naming the compiler command and why it failed, if it fails."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".so")
     os.close(fd)
     try:
-        subprocess.run([*CC, "-o", tmp], input=src, capture_output=True, check=True)
-        os.replace(tmp, path)
+        try:
+            subprocess.run([*CC, "-o", tmp], input=src, capture_output=True, check=True)
+        except FileNotFoundError:
+            why = "not found"
+        except subprocess.CalledProcessError as error:
+            why = next(iter(error.stderr.decode(errors="replace").splitlines()), f"exit status {error.returncode}")
+        else:
+            os.replace(tmp, path)
+            return
+        raise RuntimeError(f"the search kernel needs a C compiler, and `{' '.join(CC)}` failed: {why}")
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -125,20 +138,13 @@ def _bind(lib):
 
 @functools.cache
 def load():
-    """The kernel library with its entry points bound, or None where it cannot be built."""
-    cache = cache_dir()
-    if cache is None:
-        return None
+    """The kernel library with its entry points bound, built on the first call; RuntimeError, naming the cause, if it cannot be."""
     src = source()
     key = sha256(b"\0".join([src, " ".join(CC).encode(), platform.machine().encode()])).hexdigest()
-    path = cache / f"search-{key[:32]}.so"
-    try:
-        if not path.exists():
-            _build(src, path)
-        lib = ctypes.CDLL(str(path))
-    except (OSError, subprocess.CalledProcessError):  # no compiler, or it failed
-        return None
-    return _bind(lib)
+    path = cache_dir() / f"search-{key[:32]}.so"
+    if not path.exists():
+        _build(src, path)
+    return _bind(ctypes.CDLL(str(path)))
 
 
 def _require_array(name: str, a, dtype) -> None:
@@ -147,6 +153,12 @@ def _require_array(name: str, a, dtype) -> None:
         raise TypeError(f"{name} must be a numpy array, got {type(a).__name__}")
     if a.dtype != dtype or not a.flags.c_contiguous:
         raise TypeError(f"{name} must be a C-contiguous {np.dtype(dtype)} array, got {a.dtype}")
+
+
+def _require_searchable(n: int) -> None:
+    """Raise ValueError unless the search takes n atoms: fewer than `MAX_N`."""
+    if n >= MAX_N:
+        raise ValueError(f"the search kernel takes fewer than 2^29 atoms, got n={n}")
 
 
 def _limit(limit: int | None) -> int:
@@ -189,6 +201,7 @@ def enumerate(n: int, heads: np.ndarray, bodies: np.ndarray, limit: int | None) 
     bitmask of (n + 7) // 8 bytes.  The search is one C call, so a Ctrl-C is
     raised once it returns.
     """
+    _require_searchable(n)
     if np.shape(heads) != np.shape(bodies):
         raise ValueError(f"heads and bodies differ in shape: {np.shape(heads)} vs {np.shape(bodies)}")
     if np.ndim(heads) != 1:
@@ -230,9 +243,10 @@ def trial(params: generate.LinearModelParams, limit: int | None, sums: np.ndarra
     `generate._MAX_RESAMPLE` attempts (read here), attempt a from sub-seed
     `mix_seed(seed, a)`; searches the draw as `enumerate` does, keeping at
     most `limit` leaves (None: all); then checks each leaf with
-    `randasp_check` and adds the trial into `sums`, an int64 array of n + 4,
-    as `experiments._trial` adds it: the count of answer sets, its square,
-    the attempts before the nonempty draw and the sets' histogram by size.
+    `randasp_check` and adds the trial into `sums`, an int64 array of n + 4:
+    the count of answer sets, its square, the attempts before the nonempty
+    draw and the sets' histogram by size, the integers that
+    `generate_with_stats` and `enumerate_answer_sets` give for that seed.
     `stop` is a `ctypes.c_int32` (None: one never set) that C reads at each
     decision; another thread sets it to end every trial that reads it, and
     `run` then raises `Stopped`.  `run` raises RuntimeError when every draw
@@ -241,8 +255,7 @@ def trial(params: generate.LinearModelParams, limit: int | None, sums: np.ndarra
     the trial.  Trials in other threads run alongside, as C drops the GIL.
     """
     n, log_p, log_d = _model(params)
-    if n >= KERNEL_MAX_N:
-        raise ValueError(f"the search kernel takes fewer than 2^29 atoms, got n={n}")
+    _require_searchable(n)
     limit, max_draws = _limit(limit), generate._MAX_RESAMPLE
     _require_array("sums", sums, np.int64)
     if sums.shape != (n + 4,) or not sums.flags.writeable:

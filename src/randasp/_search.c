@@ -3,9 +3,9 @@
  * solver._Searcher, each return one buffer that their caller releases with
  * randasp_free; randasp_check is the two answer-set conditions of
  * solver._is_n2_answer_set_mask; and randasp_trial, one whole sweep trial of
- * experiments._trial, is randasp_sample's draw, randasp_enumerate's search
- * and tally, which checks each leaf with randasp_check as it adds the trial
- * into the caller's sums, and it frees both buffers before it returns.
+ * experiments._count_chunk, is randasp_sample's draw, randasp_enumerate's
+ * search and tally, which checks each leaf with randasp_check as it adds the
+ * trial into the caller's sums, and it frees both buffers before it returns.
  *
  * The search of solver._Searcher, step for step: the same propagation, the
  * same branching and the same chronological backtracking, so it visits the
@@ -339,8 +339,8 @@ int64_t randasp_enumerate(int32_t n, int64_t m, const int32_t *heads, const int3
 
 void randasp_free(void *p) { free(p); }
 
-/* The draws of generate._sample_n2_arrays, bit for bit.  Draw i of the
- * splitmix64 stream `seed` is mix64(seed + (i + 1) * GAMMA), its uniform u
+/* The draws of generate.generate_with_stats, one attempt a call.  Draw i of
+ * the splitmix64 stream `seed` is mix64(seed + (i + 1) * GAMMA), its uniform u
  * is ((z >> 11) + 1) * 2^-53, exact in a double, and its skip is
  * int(min(log(u) / log_q, total)) with libm's log, the function Python's
  * math.log calls.  The ratio is never NaN (log(u) <= 0 and log_q < 0).
@@ -454,8 +454,8 @@ static int tally(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodi
     return 0;
 }
 
-/* Trial `seed` of a sweep, as experiments._trial runs it in Python with
- * generate_with_stats and enumerate_answer_sets, in three steps:
+/* Trial `seed` of a sweep, whose sums are those that generate_with_stats
+ * and enumerate_answer_sets give for it, in three steps:
  * randasp_sample draws from sub-seed mix64(seed + (a + 1) * GAMMA),
  * mix_seed's stream, for attempt a = 0, 1, ... until a draw is nonempty or
  * max_draws attempts are spent; search keeps at most limit leaves (0: all),

@@ -50,8 +50,7 @@ paper sweeps (add --workers to use more cores):
   c2_sweep: mean count as c2 varies; should track limit_expected_total(c1, c2)
     randasp experiment avg --n 200 --c1 10 --c2 0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20 --trials 1000 --seed 20240903 --out c2_sweep.csv
   consistency_sweep: consistency ratio over n; try --c1 4 --c2 4 for the variant with contradictions
-    (at --c1 4 --c2 4 the n=1000 row takes about 6 s at --trials 20, so about 5 min at 1000;
-    about 20x that where no C compiler builds the search kernel)
+    (at --c1 4 --c2 4 the n=1000 row takes about 6 s at --trials 20, so about 5 min at 1000)
     randasp experiment consistency --n 100,200,300,400,500,600,700,800,900,1000 --c1 3 --c2 0 --trials 1000 --seed 20240904 --out consistency_sweep.csv
   dist_curves: size-distribution curves; try --n 200 --c1 10 --c2 4 for the contradiction-rule variant
     randasp experiment dist --n 50 --c1 5 --c2 0 --trials 1000 --seed 20240902 --out dist_curves.csv
@@ -107,8 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, required=True)
     exp.add_argument("--seed", type=_u64, required=True)
     exp.add_argument(
-        "--workers", type=int, default=1, help="threads that run trials, this one included; they speed up only the compiled kernel's trials"
-        " (default %(default)s)"
+        "--workers", type=int, default=1, help="threads that run trials, this one included (default %(default)s)"
     )
     exp.add_argument("--out", required=True)
     exp.set_defaults(handler=_cmd_experiment)

@@ -13,16 +13,15 @@ One worker, `_count_chunk`, serves all three experiments; consistency stops
 each search at its first answer set, so its summed count is the number of
 consistent programs.  All accumulators are integers, which makes the
 reduction exact and byte-identical for any worker count.
-Each trial goes through `_trial`.  Where the compiled kernel searches
-(`search_path`), a trial is one C call, set up per chunk by `_kernel.trial`:
-the kernel's draw, its search, and one pass that checks every leaf and adds
-the trial into the chunk's int64 sums, with no Python per program or per
-leaf.  The call gives up the GIL, so the threads' trials run in parallel; an
-interrupt lands in the calling thread between its own trials or while it
-waits.  Elsewhere, and while a wrapper on `_Searcher` must see every
-search, a trial runs `generate_with_stats` and `enumerate_answer_sets`,
-which define what the C call adds; those hold the GIL, so such a sweep
-runs in the calling thread alone.
+Each trial is one C call, set up per chunk by `_kernel.trial`: the
+kernel's draw, its search, and one pass that checks every leaf and adds the
+trial into the chunk's int64 sums, with no Python per program or per leaf.
+The sums are what `generate_with_stats` and `enumerate_answer_sets` give
+for the same trial.  The call gives up the GIL, so the threads' trials run
+in parallel; an interrupt lands in the calling thread between its own
+trials or while it waits.  A sweep needs the compiled kernel: `_sweep`
+loads it before any thread starts or any trial runs, and where it cannot be
+built the sweep raises that RuntimeError.
 
 The row loop is written once, in `_sweep`: each experiment passes a row
 function that turns one row's column sums into its result and a progress
@@ -44,9 +43,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .generate import LinearModelParams, generate_with_stats, mix_seed, require_sampleable
+from .generate import LinearModelParams, mix_seed, require_sampleable
 from .programs import require_integer, require_real
-from .solver import enumerate_answer_sets, search_path
+from .solver import enumerate_answer_sets  # unused here; perfbench's tests patch this name, and perfbench/ is frozen
 from .theory import (
     _require_curve,
     chi,
@@ -150,53 +149,22 @@ def difference_rate(f, g) -> float:
 # -- chunk workers ------------------------------------------------------------
 
 
-def _trial(params: LinearModelParams, seed: int, limit: int | None, sums, kernel) -> None:
-    """Add trial `seed` into `sums`: up to `limit` answer sets (None: all) of the program it draws.
-
-    `sums` holds the kept count, its square, the resamples and then the
-    histogram of kept sets by size, n + 4 integers.  `kernel` is None or
-    `_kernel.trial`'s runner for the same params, limit and sums.  With
-    None, the trial runs on `generate_with_stats` and
-    `enumerate_answer_sets`, which is the definition; with the runner, one
-    C call takes the same three steps: the kernel's draw of the same
-    program, its search, which reaches the same leaves, and one pass that
-    checks each leaf as `enumerate_answer_sets` does (a leaf that fails
-    raises RuntimeError) and adds the same integers.  Both executions call
-    this function once per trial, so a wrapper on it sees every trial.
-    """
-    if kernel is not None:
-        kernel(seed)
-        return
-    prog, attempts = generate_with_stats(params, seed)
-    masks = enumerate_answer_sets(prog, limit).masks
-    sums[0] += len(masks)
-    sums[1] += len(masks) * len(masks)
-    sums[2] += attempts
-    for m in masks:
-        sums[3 + m.bit_count()] += 1
-
-
 def _count_chunk(args, stop=None):
-    """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial.
+    """(sum, sum of squares, resamples, *size histogram) of up to `limit` sets (None: all) per trial, as Python ints.
 
-    Where `search_path(n)` is "kernel", the trials run on `_kernel.trial`,
-    adding into an int64 array (a sum past int64 raises OverflowError), and
-    `stop`, a sweep's `ctypes.c_int32` flag (None: none), ends a trial at a
-    decision once it is set; elsewhere they run in Python.  Either way the
-    sums come back as Python ints.
+    The trials run on `_kernel.trial`, adding into an int64 array (a sum
+    past int64 raises OverflowError), and `stop`, a sweep's
+    `ctypes.c_int32` flag (None: none), ends a trial at a decision once it
+    is set.
     """
-    n, c1, c2, seed, start, end, limit = args
-    params = LinearModelParams(n, c1, c2)
-    if search_path(n) == "kernel":
-        from . import _kernel
+    from . import _kernel
 
-        sums = np.zeros(n + 4, dtype=np.int64)
-        kernel = _kernel.trial(params, limit, sums, stop)
-    else:
-        sums, kernel = [0] * (n + 4), None
+    n, c1, c2, seed, start, end, limit = args
+    sums = np.zeros(n + 4, dtype=np.int64)
+    run = _kernel.trial(LinearModelParams(n, c1, c2), limit, sums, stop)
     for t in range(start, end):
-        _trial(params, mix_seed(seed, t), limit, sums, kernel)
-    return tuple(sums if kernel is None else sums.tolist())
+        run(mix_seed(seed, t))
+    return tuple(sums.tolist())
 
 
 def _chunk_plan(cfg: ExperimentConfig, workers: int, limit: int | None) -> list[list[tuple]]:
@@ -287,24 +255,25 @@ def _sweep(cfg: ExperimentConfig, workers: int, limit: int | None, row, progress
 
     `sums` are the column sums of `_count_chunk` over the row's trials, and
     `row` returns (result, note).  With `progress`, the note goes to stderr
-    followed by "[row i/rows, seconds since the sweep started]".  Every
+    followed by "[row i/rows, seconds since the sweep started]".  The
+    kernel is loaded first, so no two threads race to build it.  Every
     sweep runs through `_threaded_results`: this thread is one of the
-    `workers`, and where the compiled kernel searches, `min(workers,
-    chunks) - 1` threads started for the call are the rest.  Each thread
-    claims the next chunk no thread has started.  No thread outlives the
-    call: each one is joined before the sweep returns or raises.
+    `workers`, and `min(workers, chunks) - 1` threads started for the call
+    are the rest.  Each thread claims the next chunk no thread has started.
+    No thread outlives the call: each one is joined before the sweep
+    returns or raises.
     """
+    from . import _kernel
+
     workers = require_integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    _kernel.load()
     t0 = perf_counter()
     rows = list(cfg.combos())
     row_chunks = _chunk_plan(cfg, workers, limit)
     chunks = [c for cs in row_chunks for c in cs]
-    # A Python search holds the GIL, and a wrapper on `_Searcher` may
-    # assume one thread, so only kernel trials get threads.
-    threads = min(workers, len(chunks)) - 1 if search_path(max(cfg.n)) == "kernel" else 0
-    results = _threaded_results(chunks, threads)
+    results = _threaded_results(chunks, min(workers, len(chunks)) - 1)
     out = []
     try:
         for i, ((n, c1, c2), cs) in enumerate(zip(rows, row_chunks), 1):

@@ -21,12 +21,11 @@ head's pure rules: the order `Program.from_n2_arrays` holds them in.
 
 The skip of a draw is int(min(log(u) / log1p(-prob), total)), where u is
 ((x >> 11) + 1) * 2^-53, exact in float64, and `log` is the C library's.
-`_skip_indices` is the definition: one draw, one `math.log`, one skip at a
-time.  The compiled kernel (`_kernel`, `randasp_sample` in `_search.c`)
-runs the same walk in C and calls the same libm `log` that `math.log`
-calls, so it gives the same bits with no numpy float operation; it draws a
-program where it loads, and the scalar walk draws it where it does not.
-A sweep trial on the kernel (`_kernel.trial`) draws with the same walk and
+The compiled kernel (`_kernel.sample`, `randasp_sample` in `_search.c`)
+takes every draw with that walk, so no numpy float operation touches the
+bits.  Its reference is `_scalar_skips` in the tests: the walk one draw at
+a time in Python, whose `math.log` calls the same libm `log`.  A sweep
+trial on the kernel (`_kernel.trial`) draws with the same walk and
 resamples as `generate_with_stats` does, up to the same `_MAX_RESAMPLE`.
 `_generate_bernoulli` keeps the O(n^2) per-index scan as the distribution
 oracle for tests.
@@ -36,8 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .programs import Program, Rule, require_integer, require_real
 
@@ -140,40 +137,6 @@ def require_sampleable(params: LinearModelParams) -> None:
         )
 
 
-def _skip_indices(seed: int, start: int, total: int, prob: float) -> tuple[list[int], int]:
-    """Sorted Bernoulli(prob) successes over range(total), and the next unused draw.
-
-    Skips are taken one at a time from draws start, start+1, ... of stream
-    `seed`.  A skip of `total` already ends the walk, so capping it there
-    changes no result and keeps the inf of a subnormal prob out of `int`.
-    """
-    found: list[int] = []
-    if prob <= 0.0 or total == 0:
-        return found, start
-    log_q = math.log1p(-prob)
-    pos = -1
-    while True:
-        start += 1
-        u = ((_mix64(seed + start * _GAMMA) >> 11) + 1) * 2.0**-53
-        pos += 1 + int(min(math.log(u) / log_q, total))
-        if pos >= total:
-            return found, start
-        found.append(pos)
-
-
-def _sample_n2_arrays(params: LinearModelParams, stream_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(heads, bodies) of one draw, in (head, body) order."""
-    from . import _kernel  # ctypes and the build are loaded on the first draw only
-
-    if _kernel.load() is not None:
-        return _kernel.sample(stream_seed, params)
-    n, p, d = params.n, params.p, params.d
-    pure, next_draw = _skip_indices(stream_seed, 0, n * (n - 1), p)
-    con = np.array(_skip_indices(stream_seed, next_draw, n, d)[0], dtype=np.int64)
-    a, r = np.divmod(np.array(pure, dtype=np.int64), max(n - 1, 1))  # _pair_from_index, vectorised
-    return np.divmod(np.sort(np.concatenate((a * n + r + (r >= a), con * (n + 1)))), n)  # by the key h * n + b
-
-
 def _pair_from_index(j: int, n: int) -> tuple[int, int]:
     """Bijection [0, n(n-1)) -> ordered pairs (a, b), a != b, lex by (a, b)."""
     a, r = divmod(j, n - 1)
@@ -202,8 +165,10 @@ def generate_with_stats(params: LinearModelParams, seed: int) -> tuple[Program, 
     (attempt a uses sub-seed mix_seed(seed, a)), so the result is distributed
     as the model conditioned on nonemptiness.
     """
+    from . import _kernel  # ctypes and the build are loaded on the first draw only
+
     for attempt in range(_MAX_RESAMPLE):
-        heads, bodies = _sample_n2_arrays(params, mix_seed(seed, attempt))
+        heads, bodies = _kernel.sample(mix_seed(seed, attempt), params)
         if heads.size:
             return Program.from_n2_arrays(params.n, heads, bodies), attempt
     raise RuntimeError(f"no nonempty program after {_MAX_RESAMPLE} resamples")

@@ -28,27 +28,25 @@ answer set, so this prunes unsupportable IN choices as early as possible.
 Backtracking is chronological: after a conflict or a leaf the deepest
 decision still OUT is undone and flipped IN.
 
-One tree, two executions, one leaf contract.  `_Searcher` is the search in
-Python, and `randasp_enumerate` in `_search.c` is a C port of it that keeps
-its data and its order of work step for step, so both walk the same tree
-and reach the same leaves in the same order (tests compare the leaves and
-the `_propagate`/`_apply` call counts).  Both read the program's
-`n2_arrays` and build no `Rule`, and both return every leaf they reach, up
-to `limit`, unchecked.  Each job checks them once, after the search, and a
-leaf that fails, a search bug, raises RuntimeError: `enumerate_answer_sets`
-checks either execution's leaves in one `_is_n2_answer_set_mask` pass, and
-a sweep trial run whole in the kernel (`experiments._trial`) checks the C
-search's with `randasp_check`, in the pass that tallies them.
+One tree, two executions, one leaf contract.  `randasp_enumerate` in
+`_search.c` is the search; `_Searcher` is the same search in Python, the
+oracle of the C port, which keeps its data and its order of work step for
+step, so both walk the same tree and reach the same leaves in the same
+order (tests compare the leaves and the `_propagate`/`_apply` call counts).
+Both read the program's `n2_arrays` and build no `Rule`, and both return
+every leaf they reach, up to `limit`, unchecked.  Each job checks them
+once, after the search, and a leaf that fails, a search bug, raises
+RuntimeError: `enumerate_answer_sets` checks either execution's leaves in
+one `_is_n2_answer_set_mask` pass, and a sweep trial, run whole in the
+kernel, checks the C search's with `randasp_check`, in the pass that
+tallies them.
 
-`search_path(n)` says which execution a program over n atoms gets.  The C
-port runs wherever module `_kernel` can build and load the library, which
-`generate` loads too for its sampler; `_kernel`'s docstring gives the build
-and cache-directory policy.  The search quietly runs on `_Searcher`, which
-also stays as the oracle of the port, where the kernel cannot load, where
-n >= `KERNEL_MAX_N` (2^29, since queue entries are int32 `atom << 2 | value`),
-and while `_Searcher._propagate` or `_apply` is wrapped: a wrapper on the
-class (a profiler's, a test's, or perfbench's work counter) then sees the
-search it wraps.
+`search_path()` says which execution `enumerate_answer_sets` runs.  It is
+the C port, on the library that module `_kernel` builds and loads (whose
+docstring gives the build and cache-directory policy, and the error raised
+where the library cannot be built), except while `_Searcher._propagate` or
+`_apply` is wrapped: a wrapper on the class (a profiler's, a test's, or
+perfbench's work counter) then sees the search it wraps, on `_Searcher`.
 
 State is restored from per-decision copies, not unwound, so an undo is O(1)
 at O(n) memory per pending decision: about two pointer words per atom in
@@ -274,8 +272,6 @@ class _Searcher:
         return np.array(leaves, dtype=np.uint8).reshape(len(leaves), (self.p.n + 7) // 8)
 
 
-KERNEL_MAX_N = 1 << 29  # the kernel's queue entries are int32 `atom << 2 | value`
-
 # perfbench's `count_work` counts the search's work by wrapping these two
 # methods on the class, and the kernel calls neither.  So the kernel runs
 # only while both are the functions defined here: under a wrapper (that one,
@@ -285,14 +281,9 @@ KERNEL_MAX_N = 1 << 29  # the kernel's queue entries are int32 `atom << 2 | valu
 _ORACLE_PROPAGATE, _ORACLE_APPLY = _Searcher._propagate, _Searcher._apply
 
 
-def search_path(n: int) -> str:
-    """"kernel" if a program over n atoms is searched by the compiled kernel, else "python"."""
-    if n < KERNEL_MAX_N and _Searcher._propagate is _ORACLE_PROPAGATE and _Searcher._apply is _ORACLE_APPLY:
-        from . import _kernel  # ctypes and the build are loaded on the first search only
-
-        if _kernel.load() is not None:
-            return "kernel"
-    return "python"
+def search_path() -> str:
+    """"python" while `_Searcher._propagate` or `_apply` is wrapped, else "kernel": the search `enumerate_answer_sets` runs."""
+    return "kernel" if _Searcher._propagate is _ORACLE_PROPAGATE and _Searcher._apply is _ORACLE_APPLY else "python"
 
 
 def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetCollection:
@@ -300,7 +291,8 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
 
     The empty program has the one answer set {}, so it yields `(0,)`.  A count
     equal to `limit` does not say whether sets were left out; to tell "exactly
-    `limit`" from "more", ask for `limit + 1` and compare.  The leaves of
+    `limit`" from "more", ask for `limit + 1` and compare.  The kernel takes
+    fewer than 2^29 atoms; a larger program raises ValueError.  The leaves of
     either execution are checked in one `_is_n2_answer_set_mask` pass, and
     one that fails it is a search bug: it raises RuntimeError.
     """
@@ -309,7 +301,7 @@ def enumerate_answer_sets(p: Program, limit: int | None = None) -> AnswerSetColl
         if limit < 1:
             raise ValueError("limit must be positive")
     heads, bodies = p.n2_arrays
-    if search_path(p.n) == "kernel":
+    if search_path() == "kernel":
         from . import _kernel
 
         rows = _kernel.enumerate(p.n, heads, bodies, limit)[0]

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for random programs, the search kernel's marker and cache fixture, and a program-identity check."""
+"""Shared hypothesis strategies for random programs, the search kernel's cache fixture, the definition of a sweep trial, and a program-identity check."""
 
 import pickle
 import tempfile
@@ -8,11 +8,35 @@ import pytest
 from hypothesis import strategies as st
 
 from randasp import _kernel
+from randasp.generate import LinearModelParams, generate_with_stats, mix_seed
 from randasp.programs import Program, Rule
+from randasp.solver import enumerate_answer_sets
 
-# Evaluated at collection, so the kernel is compiled (or loaded from its
-# cache) once, before any hypothesis example is timed.
-needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler: only the Python search runs")
+# At collection, so the kernel is compiled (or loaded from its cache) once,
+# before any hypothesis example is timed.  Without a C compiler this raises,
+# naming the compiler, and no test runs.
+_kernel.load()
+
+
+def python_chunk(args):
+    """What `experiments._count_chunk(args)` returns, by definition: each trial drawn and searched in Python steps.
+
+    Trial t's program comes from `generate_with_stats`, with its resamples,
+    and its answer sets, up to `limit`, from `enumerate_answer_sets`; the
+    sums are the count, its square, the resamples and the sets' histogram
+    by size.
+    """
+    n, c1, c2, seed, start, end, limit = args
+    params, sums = LinearModelParams(n, c1, c2), [0] * (n + 4)
+    for t in range(start, end):
+        prog, attempts = generate_with_stats(params, mix_seed(seed, t))
+        masks = enumerate_answer_sets(prog, limit).masks
+        sums[0] += len(masks)
+        sums[1] += len(masks) * len(masks)
+        sums[2] += attempts
+        for m in masks:
+            sums[3 + m.bit_count()] += 1
+    return tuple(sums)
 
 
 @pytest.fixture

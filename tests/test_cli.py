@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from randasp import experiments
+from randasp import _kernel, experiments
 from randasp.cli import _build_parser, cli_dispatch
 from randasp.csvout import write_avg_csv, write_theory_curve_csv
 from randasp.experiments import ExperimentConfig, run_avg_experiment
@@ -421,6 +421,51 @@ class TestExperimentCommand:
             "--trials", "5", "--seed", "5", "--out", str(out),
         )
         assert code == 1
+
+
+class TestWithoutACompiler:
+    """Where the kernel cannot be built, each command that samples, searches or sweeps exits 1 with one error line."""
+
+    @pytest.fixture(autouse=True)
+    def no_compiler(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(_kernel, "CC", ("randasp-no-such-compiler", *_kernel.CC[1:]))
+
+    @staticmethod
+    def fails(capsys, *argv):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(r"error: the search kernel needs a C compiler, and `randasp-no-such-compiler .*` failed: not found", line)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("kind", ["avg", "dist", "consistency"])
+    def test_experiment_runs_no_trial_and_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, kind, existing):
+        chunks = []
+        monkeypatch.setattr(experiments, "_count_chunk", lambda *args: chunks.append(args))
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_bytes(b"kept\n")
+        self.fails(capsys, "experiment", kind, "--n", "50", "--c1", "5", "--c2", "0", "--trials", "3", "--seed", "1", "--out", str(out))
+        assert not chunks
+        assert (out.read_bytes() == b"kept\n") if existing else not out.exists()
+
+    def test_gen_and_solve_exit_1(self, tmp_path, capsys):
+        prog, out = tmp_path / "p.lp", tmp_path / "gen.lp"
+        prog.write_text(TWO_CYCLE_TEXT)
+        self.fails(capsys, "gen", "--n", "20", "--c1", "3", "--c2", "1", "--seed", "42")
+        self.fails(capsys, "gen", "--n", "20", "--c1", "3", "--c2", "1", "--seed", "42", "--out", str(out))
+        assert not out.exists()
+        for mode in ([], ["--limit", "2"], ["--count"]):
+            self.fails(capsys, "solve", "--in", str(prog), *mode)
+
+    def test_theory_and_translate_verify_run(self, tmp_path, capsys):
+        prog = tmp_path / "p.lp"
+        prog.write_text("a :- not b, not c.\nb :- not a.\n")
+        assert run_cli("theory", "--n", "50", "--c1", "5", "--c2", "0") == 0
+        assert run_cli("translate", "--in", str(prog), "--out", str(tmp_path / "t.lp"), "--verify") == 0
+        assert capsys.readouterr().out.endswith("verified: true\n")
+        assert list(tmp_path.rglob("*.so")) == []
 
 
 class TestUsageErrors:

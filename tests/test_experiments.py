@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import randasp
-from randasp import _kernel, experiments, generate as generate_module
+from randasp import _kernel, generate as generate_module
 from randasp.csvout import write_avg_csv, write_consistency_csv, write_dist_csv
 
 from randasp.experiments import (
@@ -29,10 +29,10 @@ from randasp.experiments import (
     run_dist_experiment,
 )
 from randasp.generate import LinearModelParams, generate, mix_seed
-from randasp.solver import _Searcher, enumerate_answer_sets, search_path
+from randasp.solver import enumerate_answer_sets
 from randasp.theory import CURVE_MAX_N, consistency_probability, expected_total
 
-from conftest import needs_kernel
+from conftest import python_chunk
 
 
 @contextlib.contextmanager
@@ -86,7 +86,7 @@ class TestConfig:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments._trial", no_trials)
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
         with pytest.raises(ValueError, match="resamples would more likely fail"):
             cfg = ExperimentConfig(n=1000, c1=(3.0, 1e-9), c2=0.0, trials=5, seed=1)
             run_avg_experiment(cfg)
@@ -105,7 +105,7 @@ class TestConfig:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments._trial", no_trials)
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
         with pytest.raises(ValueError, match="c1 and c2 must be finite"):
             run_avg_experiment(ExperimentConfig(n=50, c1=(5.0, c1), c2=c2, trials=10, seed=1), workers=2)
 
@@ -207,23 +207,13 @@ class TestAvgExperiment:
         rows = run_avg_experiment(cfg)
         assert [(r.n, r.c1) for r in rows] == [(10, 2.0), (10, 3.0), (12, 2.0), (12, 3.0)]
 
-    @needs_kernel
-    def test_python_fallback_writes_the_same_csv(self, monkeypatch, tmp_path):
-        cfg = ExperimentConfig(n=[30, 80], c1=5.0, c2=[0.0, 2.0], trials=12, seed=20240901)
-        assert search_path(80) == "kernel"
-        write_avg_csv(tmp_path / "kernel.csv", run_avg_experiment(cfg), cfg.seed)
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        assert search_path(80) == "python"
-        write_avg_csv(tmp_path / "python.csv", run_avg_experiment(cfg), cfg.seed)
-        assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
-
 
 class TestWorkers:
     def test_rejects_fewer_than_one_before_first_trial(self, monkeypatch):
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments._trial", no_trials)
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=5, seed=1)
         for run in (run_avg_experiment, run_dist_experiment, run_consistency_experiment):
             with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -234,7 +224,7 @@ class TestWorkers:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments._trial", no_trials)
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
         cfg = ExperimentConfig(n=12, c1=3.0, c2=0.0, trials=5, seed=1)
         for run in (run_avg_experiment, run_dist_experiment, run_consistency_experiment):
             with pytest.raises(ValueError, match="workers must be an integer"):
@@ -253,20 +243,25 @@ class TestWorkers:
 
     # Each trial appends "n seed" to a marker file named after the thread
     # that ran it, then sleeps `pause` seconds.  `fail(params)` runs in each
-    # trial and may raise.  `_trial` is called once per trial on the kernel
-    # and on the Python loop alike.
+    # trial and may raise.  The marks wrap the runner `_kernel.trial` sets
+    # up for each chunk, which runs once per trial.
     @staticmethod
     def mark_trials(monkeypatch, tmp_path, fail=lambda params: None, pause=0.02):
-        real = experiments._trial
+        real = _kernel.trial
 
-        def marked(params, seed, *args):
-            with open(tmp_path / str(threading.get_ident()), "a") as marker:
-                marker.write(f"{params.n} {seed}\n")
-            time.sleep(pause)
-            fail(params)
-            return real(params, seed, *args)
+        def trial(params, *args):
+            run = real(params, *args)
 
-        monkeypatch.setattr("randasp.experiments._trial", marked)
+            def marked(seed):
+                with open(tmp_path / str(threading.get_ident()), "a") as marker:
+                    marker.write(f"{params.n} {seed}\n")
+                time.sleep(pause)
+                fail(params)
+                return run(seed)
+
+            return marked
+
+        monkeypatch.setattr(_kernel, "trial", trial)
         return lambda: [(int(f.name), *map(int, line.split())) for f in tmp_path.iterdir() for line in f.read_text().splitlines()]
 
     @staticmethod
@@ -281,7 +276,6 @@ class TestWorkers:
         monkeypatch.setattr(threading.Thread, "start", start)
         return started
 
-    @needs_kernel
     def test_children_per_sweep_sized_to_its_chunks(self, monkeypatch, tmp_path):
         # The children are the threads a sweep starts besides the caller.
         trials = self.mark_trials(monkeypatch, tmp_path)
@@ -309,7 +303,6 @@ class TestWorkers:
         assert threading.active_count() == before
         assert_no_children()
 
-    @needs_kernel
     def test_a_thread_that_fails_to_start_raises_its_error(self, monkeypatch):
         # The thread that did start is joined; the one that did not is not.
         before, real, calls = threading.active_count(), threading.Thread.start, []
@@ -326,34 +319,10 @@ class TestWorkers:
             run_avg_experiment(cfg, workers=3)
         assert len(calls) == 2 and threading.active_count() == before
 
-    def test_a_python_search_runs_in_the_caller_alone(self, monkeypatch, tmp_path):
-        # Threads cannot speed up a search that holds the GIL, and a wrapper
-        # on `_Searcher` may assume one thread.
-        trials = self.mark_trials(monkeypatch, tmp_path, pause=0)
-        started = self.count_threads(monkeypatch)
-        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
-        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=8, seed=8)
-        assert run_avg_experiment(cfg, workers=4) == run_avg_experiment(cfg, workers=1)
-        assert started == [] and {ident for ident, *_ in trials()} == {threading.get_ident()}
-
-    # A Python-search sweep runs every chunk in this thread through
-    # `_threaded_results`, at one worker as at two: the first error is
-    # raised as itself, with no thread left behind.
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_leaf_that_fails_its_check_fails_a_python_sweep(self, monkeypatch, workers):
-        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
-        monkeypatch.setattr("randasp.solver._is_n2_answer_set_mask", lambda heads, bodies, inside: np.zeros(len(inside), bool))
-        before = threading.active_count()
-        cfg = ExperimentConfig(n=[10, 12], c1=3.0, c2=0.0, trials=8, seed=8)
-        with pytest.raises(RuntimeError, match="which is not an answer set"):
-            run_avg_experiment(cfg, workers=workers)
-        assert threading.active_count() == before
-        assert_no_children()
-
     def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
-        # `_sweep` loads the kernel, once, before it starts any thread: it
-        # starts threads only where the kernel searches, and no two threads
-        # race to hash the source or compile it on a cold cache.
+        # `_sweep` loads the kernel, once, before it starts any thread, so
+        # no two threads race to hash the source or compile it on a cold
+        # cache.
         assert _kernel.load.cache_info().currsize == 0
         run_avg_experiment(ExperimentConfig(n=[20, 30], c1=3.0, c2=0.0, trials=4, seed=8), workers=2)
         assert _kernel.load.cache_info().currsize == 1
@@ -392,7 +361,6 @@ class TestWorkers:
 
     # Without stopping at the first error, the 80 trials behind the failure
     # would all run.  A "child" is a thread the sweep started.
-    @needs_kernel
     @pytest.mark.parametrize("run", [run_avg_experiment, run_consistency_experiment])
     @pytest.mark.parametrize("fail_in", ["trial", "caller", "caller's trial", "child's trial"])
     def test_error_cancels_queued_chunks(self, monkeypatch, tmp_path, run, fail_in):
@@ -422,7 +390,6 @@ class TestWorkers:
         assert_no_children()
         assert len(trials()) < 48  # of 96 trials
 
-    @needs_kernel
     def test_an_error_pickle_cannot_carry_fails_the_sweep(self, monkeypatch, tmp_path):
         # Nothing is pickled: another thread's error is raised as itself.
         caller = threading.get_ident()
@@ -444,7 +411,6 @@ class TestWorkers:
         assert raised == [error.value]
         assert_no_children()
 
-    @needs_kernel
     def test_two_sweeps_at_once_each_give_their_own_results(self):
         # Each sweep sets its stop flag as it ends: were the flag shared, the
         # short sweeps, run over and over, would stop the long one's trials.
@@ -543,7 +509,7 @@ class TestDistExperiment:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("randasp.experiments._trial", no_trials)
+        monkeypatch.setattr("randasp.experiments._count_chunk", no_trials)
         cfg = ExperimentConfig(n=10, c1=0.0, c2=2.0, trials=5, seed=1)
         with pytest.raises(ValueError, match="difference rate undefined"):
             run_dist_experiment(cfg)
@@ -647,18 +613,13 @@ KERNEL_CHUNKS = [
 ]
 
 
-@needs_kernel
 class TestKernelTrials:
-    """A sweep trial on the kernel is one C call, and it adds what the Python loop, the definition, adds."""
+    """A sweep trial on the kernel is one C call, and it adds what `python_chunk`, the definition, adds."""
 
     @pytest.mark.parametrize("chunk", KERNEL_CHUNKS)
-    def test_sums_equal_the_python_loops(self, monkeypatch, chunk):
-        assert search_path(chunk[0]) == "kernel"
-        with monkeypatch.context() as m:
-            m.setattr(experiments, "generate_with_stats", None)  # a kernel trial takes no Python step
-            kernel = _count_chunk(chunk)
-        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
-        assert kernel == _count_chunk(chunk)
+    def test_sums_equal_the_python_loops(self, chunk):
+        kernel = _count_chunk(chunk)
+        assert kernel == python_chunk(chunk)
         assert len(kernel) == chunk[0] + 4 and all(type(x) is int for x in kernel)
 
     def test_the_grids_resample_and_keep_sets(self):
@@ -668,13 +629,12 @@ class TestKernelTrials:
         assert sums[KERNEL_CHUNKS[10]] == _count_chunk(KERNEL_CHUNKS[10][:6] + (None,))
 
     def test_all_draws_empty_raises_as_generate_does(self, monkeypatch):
-        monkeypatch.setattr(generate_module, "_MAX_RESAMPLE", 3)  # the bound of both executions
+        monkeypatch.setattr(generate_module, "_MAX_RESAMPLE", 3)  # the bound of the kernel trial and of the definition
         chunk = (2, 1e-3, 0.0, 1, 0, 1, None)  # a draw is empty with probability 0.999
         with pytest.raises(RuntimeError) as kernel:
             _count_chunk(chunk)
-        monkeypatch.setattr(experiments, "search_path", lambda n: "python")
         with pytest.raises(RuntimeError) as python:
-            _count_chunk(chunk)
+            python_chunk(chunk)
         assert str(kernel.value) == str(python.value) == "no nonempty program after 3 resamples"
 
     @pytest.mark.parametrize("column", ["count", "square", "size"])
@@ -706,24 +666,6 @@ class TestKernelTrials:
             _kernel.trial(params, 0, np.zeros(14, np.int64))
         with pytest.raises(TypeError, match="params must be a LinearModelParams, got tuple"):
             _kernel.trial((10, 3.0, 0.0), None, np.zeros(14, np.int64))
-
-    def test_a_wrapped_searcher_sees_every_search_of_the_sweep(self, monkeypatch):
-        cfg = ExperimentConfig(n=[30, 60], c1=5.0, c2=[0.0, 2.0], trials=6, seed=3)
-        expected = run_avg_experiment(cfg)
-        searched, real = [], _Searcher._propagate
-
-        def counted(self, queue):
-            searched.append(self.p)
-            return real(self, queue)
-
-        monkeypatch.setattr(_Searcher, "_propagate", counted)
-        assert run_avg_experiment(cfg, workers=1) == expected
-        swept = searched[:]
-        del searched[:]
-        for n, c1, c2 in cfg.combos():
-            for t in range(cfg.trials):
-                enumerate_answer_sets(generate(LinearModelParams(n, c1, c2), mix_seed(cfg.seed, t)))
-        assert swept == searched and len({id(p) for p in swept}) == 24
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_interrupt_in_a_kernel_sweep_is_raised(self, workers):
@@ -765,23 +707,28 @@ class TestKernelTrials:
         # 0 on a 2-core Xeon).  This thread sleeps in Python instead of
         # running its own, so the alarm lands at once; the other thread's
         # trial must end at its next decision, not run to its end.
-        caller, real, outcomes = threading.get_ident(), experiments._trial, []
+        caller, real, outcomes = threading.get_ident(), _kernel.trial, []
 
-        def trial(params, seed, *args):
-            if threading.get_ident() == caller:
-                time.sleep(60)
-                raise AssertionError("the alarm did not interrupt this thread")
-            try:
-                real(params, seed, *args)
-            except BaseException as error:
-                outcomes.append(type(error))
-                raise
-            outcomes.append(None)
+        def trial(*args):
+            run = real(*args)
+
+            def watched(seed):
+                if threading.get_ident() == caller:
+                    time.sleep(60)
+                    raise AssertionError("the alarm did not interrupt this thread")
+                try:
+                    run(seed)
+                except BaseException as error:
+                    outcomes.append(type(error))
+                    raise
+                outcomes.append(None)
+
+            return watched
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(experiments, "_trial", trial)
+        monkeypatch.setattr(_kernel, "trial", trial)
         cfg = ExperimentConfig(n=1000, c1=5.0, c2=0.0, trials=2, seed=20240901)  # two one-trial chunks at two workers
         before = threading.active_count()
         handler = signal.signal(signal.SIGALRM, interrupt)
@@ -801,7 +748,8 @@ class TestKernelTrials:
     def test_runs_clean_under_the_undefined_behaviour_sanitizer(self, tmp_path):
         # Sampling, search and whole trials on every chunk above, through a
         # build that aborts on the first undefined behaviour, in a process
-        # of its own.
+        # of its own: `python_chunk` draws and searches each trial through
+        # `_kernel.sample` and `_kernel.enumerate`.
         so = tmp_path / "search-ubsan.so"
         cc = ["cc", "-O1", "-g", "-fsanitize=undefined", "-fno-sanitize-recover=all", "-shared", "-fPIC", "-x", "c", "-"]
         subprocess.run([*cc, "-lm", "-o", str(so)], input=_kernel.source(), capture_output=True, check=True)
@@ -810,15 +758,12 @@ import ctypes
 from randasp import _kernel, experiments
 lib = _kernel._bind(ctypes.CDLL({str(so)!r}))
 _kernel.load = lambda: lib
-search_path = experiments.search_path
+from conftest import python_chunk
 for chunk in {KERNEL_CHUNKS!r}:
-    kernel = experiments._count_chunk(chunk)
-    experiments.search_path = lambda n: "python"  # the sampler and the search, each through the kernel
-    assert experiments._count_chunk(chunk) == kernel, chunk
-    experiments.search_path = search_path
+    assert experiments._count_chunk(chunk) == python_chunk(chunk), chunk
 print("clean")
 """
-        src = str(Path(randasp.__file__).parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        paths = [str(Path(randasp.__file__).parent.parent), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True, env=env, timeout=300)
         assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr

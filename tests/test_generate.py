@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -12,8 +13,6 @@ from randasp.generate import (
     SplitMix64,
     _generate_bernoulli,
     _pair_from_index,
-    _sample_n2_arrays,
-    _skip_indices,
     expected_rule_count,
     generate,
     generate_with_stats,
@@ -24,7 +23,7 @@ from randasp.generate import (
 from randasp.programs import Program, Rule
 from randasp.solver import enumerate_answer_sets
 
-from conftest import assert_same_program, needs_kernel
+from conftest import assert_same_program
 
 
 class TestParams:
@@ -152,22 +151,32 @@ def _scalar_rules(params, stream_seed):
     return rules
 
 
-@pytest.fixture
-def scalar_walk(monkeypatch):
-    """Sampling without the compiled kernel: every draw takes `_skip_indices`."""
-    monkeypatch.setattr(_kernel, "load", lambda: None)
+def _kernel_walks(seed, n, p, d):
+    """The kernel's two walks of one draw over n atoms at rates p and d: (pure rule indices, contradiction atoms).
+
+    `_kernel.sample` takes a model, whose p = c1/n and d = c2/n need not be
+    these, so `randasp_sample` is called with log1p(-p) and log1p(-d)
+    directly.  Its rules come in (head, body) order, which for the pure
+    rules is index order.
+    """
+    packed, count = _kernel._take(lambda out: _kernel.load().randasp_sample(seed, n, math.log1p(-p), math.log1p(-d), out), 8)
+    heads, bodies = np.frombuffer(packed, np.int32).reshape(2, count).astype(np.int64)
+    pure = heads != bodies
+    return (heads[pure] * (n - 1) + bodies[pure] - (bodies[pure] > heads[pure])).tolist(), heads[~pure].tolist()
 
 
 def _kernel_walk(seed, total, prob):
-    """The kernel's walk over range(total) from draw 0: `randasp_sample`'s contradiction walk at p = 0.
+    """The kernel's walk over range(total) from draw 0: `randasp_sample`'s contradiction walk, after a pure walk at p = 0 that takes no draw."""
+    pure, found = _kernel_walks(seed, total, 0.0, prob)
+    assert pure == []
+    return found
 
-    `_kernel.sample` takes a model, whose d = c2/n need not be `prob`, so the
-    walk is called with log1p(-prob) directly.
-    """
-    packed, count = _kernel._take(lambda out: _kernel.load().randasp_sample(seed, total, 0.0, math.log1p(-prob), out), 8)
-    heads, bodies = np.frombuffer(packed, np.int32).reshape(2, count)
-    assert heads.tolist() == bodies.tolist()
-    return heads.tolist()
+
+def _reference_walk(seed, total, prob):
+    """(successes, draws taken) of `_scalar_skips` over range(total) from draw 0 of stream `seed`."""
+    rng = SplitMix64(seed)
+    found = _scalar_skips(rng, total, prob)
+    return found, (rng._state - seed) * pow(_GAMMA, -1, 1 << 64) % (1 << 64)  # each draw adds GAMMA to the state
 
 
 def _unmix64(z):
@@ -198,27 +207,25 @@ class TestSampler:
     @pytest.mark.parametrize("total, prob", [(90, 0.3), (2450, 0.1), (56, 0.875), (1000, 1e-300)])
     def test_skip_indices_match_scalar(self, total, prob):
         for seed in (1, 2, mix_seed(7, 3)):
-            expected = _scalar_skips(SplitMix64(seed), total, prob)
-            got, next_draw = _skip_indices(seed, 0, total, prob)
-            assert got == expected
-            assert next_draw == len(expected) + 1  # one draw per success, one to pass the end
+            expected, draws = _reference_walk(seed, total, prob)
+            assert _kernel_walk(seed, total, prob) == expected
+            assert draws == len(expected) + 1  # one draw per success, one to pass the end
 
     def test_subnormal_prob_clips_instead_of_overflowing(self):
         # log(u) / log1p(-5e-324) is inf for most u; int(inf) would raise
         for seed in range(20):
-            got, next_draw = _skip_indices(seed, 0, 7, 5e-324)
-            assert got == [] and next_draw == 1
+            assert _kernel_walk(seed, 7, 5e-324) == []
+            assert _reference_walk(seed, 7, 5e-324) == ([], 1)
 
     def test_contradiction_walk_continues_the_stream(self):
-        seed, total, prob = 11, 5000, 0.02
+        seed, n = 11, 71  # 4970 pure rule indices
         rng = SplitMix64(seed)
-        expected = _scalar_skips(rng, total, prob)
+        expected = _scalar_skips(rng, n * (n - 1), 0.02)
         assert len(expected) > 40
-        got, next_draw = _skip_indices(seed, 0, total, prob)
-        assert got == expected and next_draw == len(expected) + 1
-        tail, end = _skip_indices(seed, next_draw, 50, 0.3)
-        assert tail == _scalar_skips(rng, 50, 0.3) and end == next_draw + len(tail) + 1
-        assert _skip_indices(seed, next_draw, 50, 0.0) == ([], next_draw)  # no draw taken
+        tail = _scalar_skips(rng, n, 0.3)
+        assert _kernel_walks(seed, n, 0.02, 0.3) == (expected, tail) and tail
+        assert _kernel_walks(seed, n, 0.02, 0.0) == (expected, [])  # d = 0: the contradiction walk takes no draw
+        assert _kernel_walks(seed, n, 0.0, 0.3) == ([], _scalar_skips(SplitMix64(seed), n, 0.3))  # p = 0: nor does the pure walk
 
     @pytest.mark.parametrize(
         "n, c1, c2",
@@ -243,11 +250,10 @@ class TestSampler:
         ],
     )
     def test_draw_matches_scalar_reference(self, n, c1, c2):
-        # On the kernel where it loads: the CI kernel step checks that it does.
         params = LinearModelParams(n, c1, c2)
         for t in range(25):
             s = mix_seed(3, t)
-            heads, bodies = _sample_n2_arrays(params, s)
+            heads, bodies = _kernel.sample(s, params)
             reference = _scalar_rules(params, s)
             assert list(zip(heads.tolist(), bodies.tolist())) == sorted((r.head, r.neg_body[0]) for r in reference)
             assert Program.from_n2_arrays(n, heads, bodies) == Program(n, reference)
@@ -255,28 +261,28 @@ class TestSampler:
     @pytest.mark.parametrize(
         "n, c1, c2", [(1, 0.0, 0.9), (12, 4.0, 2.0), (1000, 3.0, 0.0), (4, 2e-323, 0.0), (2, 1.998, 1.998)]
     )
-    def test_scalar_walk_matches_scalar_reference(self, scalar_walk, n, c1, c2):
+    def test_scalar_walk_matches_scalar_reference(self, n, c1, c2):
+        # Stream seeds where seed + i * GAMMA wraps from the first draw, and
+        # seeds whose draw 0 is an end of (0, 1].
         params = LinearModelParams(n, c1, c2)
-        for t in range(10):
-            heads, bodies = _sample_n2_arrays(params, mix_seed(3, t))
-            reference = _scalar_rules(params, mix_seed(3, t))
+        ends = [_seed_with_first_draw(x) for x in (*U_ONE, U_BELOW_ONE, U_SMALLEST)]
+        for s in ((1 << 64) - 1, (1 << 64) - _GAMMA, 0, *ends):
+            heads, bodies = _kernel.sample(s, params)
+            reference = _scalar_rules(params, s)
             assert list(zip(heads.tolist(), bodies.tolist())) == sorted((r.head, r.neg_body[0]) for r in reference)
 
     @pytest.mark.parametrize("n, c1, c2", [(2, 1.5, 1.0), (12, 4.0, 2.0), (60, 10.0, 4.0), (200, 10.0, 4.0), (8, 7.0, 7.0)])
-    def test_draws_with_contradictions_come_in_head_order(self, monkeypatch, n, c1, c2):
+    def test_draws_with_contradictions_come_in_head_order(self, n, c1, c2):
         params = LinearModelParams(n, c1, c2)
-        draws = [_sample_n2_arrays(params, mix_seed(6, t)) for t in range(10)]  # on the kernel where it loads
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        draws += [_sample_n2_arrays(params, mix_seed(6, t)) for t in range(10)]
+        draws = [_kernel.sample(mix_seed(6, t), params) for t in range(20)]
         for heads, bodies in draws:
             key = heads.astype(np.int64) * n + bodies
             assert np.all(key[1:] > key[:-1])
             held = Program.from_n2_arrays(n, heads, bodies).n2_arrays
             assert [a.tolist() for a in held] == [heads.tolist(), bodies.tolist()]
-        assert sum(np.count_nonzero(heads == bodies) for heads, bodies in draws[10:]) > 1
+        assert sum(np.count_nonzero(heads == bodies) for heads, bodies in draws) > 1
 
 
-@needs_kernel
 class TestKernelSampler:
     def test_rejects_two_to_the_31_atoms(self):
         # the kernel's atoms are int32; ctypes would wrap n silently
@@ -293,24 +299,24 @@ class TestKernelSampler:
             _kernel.sample(1, LinearModelParams(10, 3.0, 0.0))
         assert len(freed) == 1
 
-    def test_kernel_matches_scalar_walk(self, monkeypatch):
+    def test_kernel_matches_scalar_walk(self):
         grid = [(2, 1.5, 1.0), (50, 5.0, 2.0), (200, 10.0, 4.0), (1000, 3.0, 0.0), (8, 7.0, 7.0)]
-        drawn = {(c, t): _sample_n2_arrays(LinearModelParams(*c), mix_seed(5, t)) for c in grid for t in range(8)}
-        assert all(h.dtype == b.dtype == np.int32 for h, b in drawn.values())
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        for (c, t), (heads, bodies) in drawn.items():
-            h, b = _sample_n2_arrays(LinearModelParams(*c), mix_seed(5, t))
-            assert h.tolist() == heads.tolist() and b.tolist() == bodies.tolist()
+        for c in grid:
+            params = LinearModelParams(*c)
+            for t in range(8):
+                heads, bodies = _kernel.sample(mix_seed(5, t), params)
+                assert heads.dtype == bodies.dtype == np.int32 and not heads.flags.writeable
+                assert Program.from_n2_arrays(params.n, heads, bodies) == Program(params.n, _scalar_rules(params, mix_seed(5, t)))
 
 
 class TestSkipEdges:
-    """Draws at the ends of (0, 1], from seeds made to give them: the scalar walk and the kernel agree."""
+    """Draws at the ends of (0, 1], from seeds made to give them: the kernel's walk and the scalar reference agree."""
 
     def _walks(self, seed, total, prob):
-        scalar, next_draw = _skip_indices(seed, 0, total, prob)
-        if _kernel.load() is not None:
-            assert _kernel_walk(seed, total, prob) == scalar
-        return scalar, next_draw
+        """(successes, draws taken) of the reference, which the kernel's walk must match."""
+        found, draws = _reference_walk(seed, total, prob)
+        assert _kernel_walk(seed, total, prob) == found
+        return found, draws
 
     def test_seeds_give_their_draws(self):
         for x in (*U_ONE, U_BELOW_ONE, U_SMALLEST):
@@ -459,8 +465,15 @@ class TestPinnedPrograms:
         assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("n, c1, c2, seed, trials, resamples, digest", PINNED_PROGRAMS)
-    def test_scalar_walk_reproduces_recorded_programs(self, scalar_walk, n, c1, c2, seed, trials, resamples, digest):
-        self.test_reproduces_recorded_programs(n, c1, c2, seed, trials, resamples, digest)
+    def test_scalar_walk_reproduces_recorded_programs(self, n, c1, c2, seed, trials, resamples, digest):
+        # The pins bind the reference too: `_scalar_rules`, resampled as `generate_with_stats` resamples.
+        params, h, got = LinearModelParams(n, c1, c2), hashlib.sha256(), []
+        for t in range(trials):
+            attempt, rules = next((a, r) for a in itertools.count() if (r := _scalar_rules(params, mix_seed(mix_seed(seed, t), a))))
+            h.update(repr((n, Program(n, rules).rules)).encode())
+            got.append(attempt)
+        assert tuple(got) == resamples
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("n, c1, c2, seed, trials, resamples, digest", PINNED_PROGRAMS)
     def test_both_constructors_give_one_program(self, n, c1, c2, seed, trials, resamples, digest):

@@ -21,7 +21,6 @@ from randasp.solver import (
     _OUT,
     _SUPPORTED,
     _UNASSIGNED,
-    KERNEL_MAX_N,
     _is_n2_answer_set_mask,
     _Searcher,
     enumerate_answer_sets,
@@ -30,7 +29,7 @@ from randasp.solver import (
     search_path,
 )
 
-from conftest import n2_programs, needs_kernel, negative_programs
+from conftest import n2_programs, negative_programs
 
 
 def s(n, *atoms):
@@ -315,7 +314,6 @@ class TestSearchTree:
             applies += apply_calls
         assert (decisions, applies) == expected
 
-    @needs_kernel
     @pytest.mark.parametrize("n, c1, c2, limit, expected", TREE_PINS)
     def test_kernel_walks_the_same_tree(self, n, c1, c2, limit, expected):
         decisions = applies = 0
@@ -327,7 +325,6 @@ class TestSearchTree:
             applies += got[2]
         assert (decisions, applies) == expected
 
-    @needs_kernel
     def test_a_wrapped_oracle_sees_the_search(self, monkeypatch):
         # Wraps the methods on the class, as perfbench's count_work does: the
         # search must then run on `_Searcher`, and the wrappers count what
@@ -343,12 +340,12 @@ class TestSearchTree:
                 return _orig(self, *args)
 
             monkeypatch.setattr(_Searcher, name, counted)
-        assert search_path(p.n) == "python"
+        assert search_path() == "python"
         assert enumerate_answer_sets(p).masks == tuple(sorted(kernel_masks))
         assert calls == {"_propagate": propagations, "_apply": applies}
         assert propagations > 1
         monkeypatch.undo()
-        assert search_path(p.n) == "kernel"
+        assert search_path() == "kernel"
 
 
 class TestUnsupportedSet:
@@ -452,7 +449,6 @@ class TestPinnedResults:
         assert mismatches == []
 
 
-@needs_kernel
 class TestKernelEquivalence:
     def test_pinned_programs(self):
         for n, c2, t, _, _ in PINNED:
@@ -484,10 +480,12 @@ class TestKernelEquivalence:
             p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240901, t))
             assert search(p, limit, _kernel) == search(p, limit)
 
-    def test_path_by_size(self):
-        assert KERNEL_MAX_N == 1 << 29
-        assert search_path((1 << 29) - 1) == "kernel"
-        assert search_path(1 << 29) == "python"  # decided from n alone: nothing of that size is made
+    def test_two_to_the_29_atoms_raise_before_anything_is_allocated(self):
+        # The search's queue entries are int32 `atom << 2 | value`.  A
+        # program of one rule: only n is large, and the search is never set up.
+        with pytest.raises(ValueError, match=r"fewer than 2\^29 atoms, got n=536870912"):
+            enumerate_answer_sets(Program.from_n2_arrays(1 << 29, [0], [1]))
+        assert _kernel.MAX_N == 1 << 29
 
 
 class TestKernelArguments:
@@ -525,7 +523,6 @@ class TestKernelArguments:
             _kernel.enumerate(2, bodies, heads, None)
 
 
-@needs_kernel
 class TestInterruptedKernelSearch:
     """A Ctrl-C that lands while the kernel searches is raised once its one C call returns."""
 
@@ -547,7 +544,6 @@ class TestInterruptedKernelSearch:
             signal.signal(signal.SIGALRM, handler)
 
 
-@needs_kernel
 class TestKernelLeafStep:
     """The kernel's one leaf step: `randasp_enumerate` returns every leaf, unchecked, up to the limit."""
 
@@ -607,7 +603,6 @@ class TestKernelLeafStep:
         assert run.returncode == 0, run.stderr
 
 
-@needs_kernel
 class TestKernelChecker:
     """`randasp_check`, the leaf check of the kernel's sweep trials, against the two Python checkers."""
 
@@ -650,23 +645,21 @@ class TestKernelBuild:
         assert path.is_file()
         assert _kernel.source() == path.read_bytes()
 
-    @needs_kernel
     def test_missing_cache_roots_are_not_created(self, fresh_cache):
-        assert _kernel.load() is not None
+        _kernel.load()
         assert sorted(fresh_cache.iterdir()) == [fresh_cache / "tmp"]
         (leaf,) = (fresh_cache / "tmp").iterdir()
         assert leaf.name == f"randasp-{os.getuid()}" and leaf.stat().st_mode & 0o777 == 0o700
         assert [so.name.startswith("search-") and so.suffix == ".so" for so in leaf.iterdir()] == [True]
 
-    @needs_kernel
     def test_builds_once_into_an_existing_cache_root(self, fresh_cache):
         (fresh_cache / "xdg").mkdir()
-        assert _kernel.load() is not None
+        _kernel.load()
         (so,) = (fresh_cache / "xdg" / "randasp").iterdir()
         assert (fresh_cache / "xdg" / "randasp").stat().st_mode & 0o777 == 0o700
         built = so.stat().st_mtime_ns
         _kernel.load.cache_clear()
-        assert _kernel.load() is not None
+        _kernel.load()
         assert [p.stat().st_mtime_ns for p in so.parent.iterdir()] == [built]
         assert list((fresh_cache / "tmp").iterdir()) == []
 
@@ -676,18 +669,28 @@ class TestKernelBuild:
         os.chmod(fresh_cache / "xdg" / "randasp", 0o777)  # others may write: skipped
         assert _kernel.cache_dir() == fresh_cache / "tmp" / f"randasp-{os.getuid()}"
         monkeypatch.setattr(os, "getuid", lambda: os.geteuid() + 1)  # owns neither directory
-        assert _kernel.cache_dir() is None
-        assert _kernel.load() is None
-        assert search_path(2) == "python"
-        assert enumerate_answer_sets(TWO_CYCLE).masks == (1, 2)
+        tried = f"{fresh_cache / 'xdg' / 'randasp'}, {fresh_cache / 'tmp' / f'randasp-{os.geteuid() + 1}'}"
+        for call in (_kernel.cache_dir, _kernel.load, lambda: enumerate_answer_sets(TWO_CYCLE)):
+            with pytest.raises(RuntimeError) as error:
+                call()
+            assert str(error.value) == f"the search kernel needs a directory that only this user can write; tried: {tried}"
+        assert list(fresh_cache.rglob("*.so")) == []  # nothing built
 
     def test_without_a_compiler_the_search_runs_in_python(self, fresh_cache, monkeypatch):
+        # Not any more: without a compiler a search fails at once, naming the compiler command.
         monkeypatch.setattr(_kernel, "CC", ("randasp-no-such-compiler", *_kernel.CC[1:]))
-        assert _kernel.load() is None
-        assert search_path(2) == "python"
-        assert enumerate_answer_sets(TWO_CYCLE).masks == (1, 2)
+        cc = "randasp-no-such-compiler -O2 -shared -fPIC -x c - -lm"
+        for call in (_kernel.load, lambda: enumerate_answer_sets(TWO_CYCLE)):
+            with pytest.raises(RuntimeError, match=f"^the search kernel needs a C compiler, and `{cc}` failed: not found$"):
+                call()
+        assert [p.name for p in (fresh_cache / "tmp").iterdir()] == [f"randasp-{os.getuid()}"]
+        assert list((fresh_cache / "tmp" / f"randasp-{os.getuid()}").iterdir()) == []  # no partial file is left
 
-    @needs_kernel
+    def test_a_failed_build_names_the_first_line_of_its_errors(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(_kernel, "source", lambda: b"#error no kernel here\nint x = ;\n")
+        with pytest.raises(RuntimeError, match=r"^the search kernel needs a C compiler, and `cc .*` failed: .*no kernel here$"):
+            _kernel.load()
+
     def test_concurrent_builds_leave_one_loadable_file(self, tmp_path):
         path = tmp_path / "search.so"
         threads = [threading.Thread(target=_kernel._build, args=(_kernel.source(), path)) for _ in range(4)]
@@ -712,10 +715,10 @@ class TestCount:
             assert enumerate_answer_sets(p).count == enumerate_brute_force(p).count
 
 
-@pytest.fixture(params=[pytest.param("kernel", marks=needs_kernel), "python"])
+@pytest.fixture(params=["kernel", "python"])
 def forced_path(request, monkeypatch):
     """The name of the execution that `enumerate_answer_sets` is made to run."""
-    monkeypatch.setattr("randasp.solver.search_path", lambda n: request.param)
+    monkeypatch.setattr("randasp.solver.search_path", lambda: request.param)
     return request.param
 
 
@@ -765,11 +768,10 @@ class TestArrayPath:
 
     PROGRAMS = [(1000, 3.0, 1), (200, 5.0, None), (50, 5.0, None)]
 
-    @needs_kernel
     @pytest.mark.parametrize("n, c1, limit", PROGRAMS)
     def test_kernel_search_builds_no_rules(self, n, c1, limit):
         p = generate(LinearModelParams(n, c1, 0.0), mix_seed(20240904, n))
-        assert search_path(p.n) == "kernel"
+        assert search_path() == "kernel"
         assert len(p) > 0 and p.is_n2 and p.is_negative
         col = enumerate_answer_sets(p, limit)
         assert "rules" not in vars(p)

@@ -28,7 +28,8 @@ at the same time never load a partial file.  Where no private directory is
 found or the compiler fails, `load()` raises RuntimeError, naming the
 directories tried or the compiler command and its first line of error
 output, and so does every draw, search and sweep; there is no second
-execution to fall back to.  Only `solver`, `generate` and `experiments`
+execution to fall back to.  The failure is kept, so the compiler runs once
+per process either way.  Only `solver`, `generate` and `experiments`
 import this module, each when it first searches, samples or sweeps, so
 `import randasp` loads no ctypes and compiles nothing.
 """
@@ -137,14 +138,32 @@ def _bind(lib):
 
 
 @functools.cache
-def load():
-    """The kernel library with its entry points bound, built on the first call; RuntimeError, naming the cause, if it cannot be."""
-    src = source()
-    key = sha256(b"\0".join([src, " ".join(CC).encode(), platform.machine().encode()])).hexdigest()
-    path = cache_dir() / f"search-{key[:32]}.so"
-    if not path.exists():
-        _build(src, path)
+def _library():
+    """The kernel library with its entry points bound, or the RuntimeError that says why it cannot be built."""
+    try:
+        src = source()
+        key = sha256(b"\0".join([src, " ".join(CC).encode(), platform.machine().encode()])).hexdigest()
+        path = cache_dir() / f"search-{key[:32]}.so"
+        if not path.exists():
+            _build(src, path)
+    except RuntimeError as error:
+        return error
     return _bind(ctypes.CDLL(str(path)))
+
+
+def load():
+    """The kernel library with its entry points bound, built on the first call; RuntimeError, naming the cause, if it cannot be.
+
+    A failure is kept as a success is: every later call raises the same
+    text without running the compiler again, until `load.cache_clear()`.
+    """
+    lib = _library()
+    if isinstance(lib, RuntimeError):
+        raise RuntimeError(*lib.args)
+    return lib
+
+
+load.cache_clear, load.cache_info = _library.cache_clear, _library.cache_info
 
 
 def _require_array(name: str, a, dtype) -> None:

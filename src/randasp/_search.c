@@ -21,11 +21,12 @@
  * bodies, or is SUPPORTED once one of them is OUT; unsup[a] flags the IN
  * atoms not supported, n_unsup counts them.  heads_of is CSR in rule order;
  * bodies_of is the caller's bodies read in place, with offsets counted over
- * heads, so the rules must come sorted by head, as Program.n2_arrays and
- * randasp_sample's rules are (by head, then body).  The queue is LIFO,
- * entries atom << 2 | value.  Each pending decision keeps a copy of values,
- * nfree and unsup (6 bytes per atom) and a 12-byte record (atom, n_unsup,
- * cursor); cursor is where decide's scan of the degree order starts.
+ * heads, so the rules must come sorted by head, and distinct, as
+ * Program.n2_arrays and randasp_sample's rules are (strictly by head, then
+ * body).  The queue is LIFO, entries atom << 2 | value.  Each pending
+ * decision keeps a copy of values, nfree and unsup (6 bytes per atom) and a
+ * 12-byte record (atom, n_unsup, cursor); cursor is where decide's scan of
+ * the degree order starts.
  *
  * An OUT assignment visits every neighbour without a data-dependent branch:
  * it stores the neighbour's IN entry at queue[qlen] on every visit and
@@ -33,6 +34,26 @@
  * neighbour in a flag that is tested once the loop ends.  Finishing the loop
  * after a conflict changes nothing that is kept: a conflict clears the queue,
  * and the search restores a snapshot before it goes on, or ends.
+ *
+ * An IN assignment splits its loop over the heads in two.  The first loop
+ * only decrements, without a branch, and stores each head at cand[nc],
+ * advancing nc when the head is left with at most one candidate; the second
+ * takes those deferred heads in the same order and pushes or conflicts as
+ * one loop would have.  That is the same queue in the same order: a head
+ * appears once among an atom's heads, as the rules are distinct, the first
+ * loop writes only nfree, and the second reads nfree and val as they stand
+ * after it.  A conflict in the second loop leaves the later decrements
+ * done, which is harmless for the reason above.  The first loop stores at
+ * most one head per rule, so cand holds m + 1: room without relying on the
+ * rules being distinct, and an allocation that is nonempty when m is 0.
+ *
+ * decide reads unsup in words of eight flags and visits only the set bytes
+ * of each, lowest first, so it meets the flagged atoms in index order.  The
+ * block that holds unsup ends in 8 bytes that stay zero, as no snapshot
+ * copies them, so the last word reads no further than the block.
+ * randasp_check and keep take no branch on the bits they read:
+ * randasp_check ORs each atom's verdict into one flag, and keep ORs each IN
+ * atom's bit into its mask.
  */
 #include <math.h>
 #include <stdint.h>
@@ -42,7 +63,7 @@
 enum { UNASSIGNED = 0, IN = 1, OUT = 2, SUPPORTED = -1 };
 
 typedef struct {
-    int32_t n, *hoff, *hadj, *boff, *order, *nfree, *queue, n_unsup, cursor;
+    int32_t n, *hoff, *hadj, *boff, *order, *nfree, *queue, *cand, n_unsup, cursor;
     const int32_t *badj;
     int8_t *val, *unsup;
     int64_t qlen, propagations, applies;
@@ -60,7 +81,7 @@ static int32_t first_free_body(const int32_t *boff, const int32_t *badj, const i
  * conflicts (0, the queue cleared). */
 static int propagate(S *s) {
     const int32_t *restrict hoff = s->hoff, *restrict hadj = s->hadj, *restrict boff = s->boff, *restrict badj = s->badj;
-    int32_t *restrict queue = s->queue, *restrict nfree = s->nfree, n_unsup = s->n_unsup;
+    int32_t *restrict queue = s->queue, *restrict nfree = s->nfree, *restrict cand = s->cand, n_unsup = s->n_unsup;
     int8_t *restrict val = s->val, *restrict unsup = s->unsup;
     int64_t qlen = s->qlen, applies = s->applies;
     int ok = 0;
@@ -95,11 +116,16 @@ static int propagate(S *s) {
             if (conflict) goto done;
             continue;
         }
+        int32_t nc = 0;
         for (int32_t k = hoff[atom]; k < hoff[atom + 1]; k++) {
             int32_t h = hadj[k], f = nfree[h];
             f -= f != SUPPORTED;
             nfree[h] = f;
-            if ((uint32_t)f > 1u) continue; /* SUPPORTED, or a candidate to spare */
+            cand[nc] = h;
+            nc += (uint32_t)f <= 1u; /* not SUPPORTED, and at most one candidate left */
+        }
+        for (int32_t i = 0; i < nc; i++) {
+            int32_t h = cand[i], f = nfree[h];
             st = val[h];
             if (st == IN) {
                 int32_t b = f == 0 ? -1 : first_free_body(boff, badj, val, h);
@@ -109,15 +135,13 @@ static int propagate(S *s) {
                 queue[qlen++] = h << 2 | OUT; /* h can never be supported */
             }
         }
-        int32_t f = nfree[atom];
-        if (f == SUPPORTED) continue;
-        unsup[atom] = 1, n_unsup++; /* only IN atoms are flagged, and atom was unassigned */
-        if (f == 0) goto done; /* no candidate left */
-        if (f == 1) {
-            int32_t b = first_free_body(boff, badj, val, atom);
-            if (b < 0) goto done;
-            queue[qlen++] = b << 2 | OUT;
-        }
+        int32_t f = nfree[atom], us = f != SUPPORTED;
+        unsup[atom] = (int8_t)us, n_unsup += us; /* only IN atoms are flagged, and atom was unassigned */
+        if ((uint32_t)f > 1u) continue; /* SUPPORTED, or a candidate to spare */
+        if (f == 0) goto done;          /* no candidate left */
+        int32_t b = first_free_body(boff, badj, val, atom);
+        if (b < 0) goto done;
+        queue[qlen++] = b << 2 | OUT;
     }
     ok = 1;
 done:
@@ -125,35 +149,43 @@ done:
     return ok;
 }
 
-/* The atom to branch on, or -1 at a leaf.  The unsupported atom with the
- * fewest free candidates, lowest index on ties: a successful propagation
- * leaves each of them at least two, so the scan stops at the first with two,
- * or once it has seen all n_unsup of them.  Along one branch atoms are only
- * ever assigned, so every atom of the degree order before s->cursor stays
- * assigned until the search backtracks past the decision that set it. */
-static int32_t decide(S *s) {
-    const int32_t n = s->n, *nfree = s->nfree;
-    const int8_t *val = s->val, *unsup = s->unsup;
-    if (s->n_unsup) {
-        int32_t best = -1, left = s->n_unsup;
-        for (int32_t a = 0; left && a < n; a++) {
-            if (!(a & 7) && n - a >= 8) {
-                uint64_t w;
-                memcpy(&w, unsup + a, 8);
-                if (!w) {
-                    a += 7; /* eight atoms, none flagged */
-                    continue;
-                }
-            }
-            if (unsup[a]) {
-                left--;
-                if (best < 0 || nfree[a] < nfree[best]) {
-                    best = a;
-                    if (nfree[a] <= 2) break;
-                }
+/* The unsupported atom with the fewest free candidates, lowest index on
+ * ties, of the n_unsup > 0 flagged: a successful propagation leaves each of
+ * them at least two, so the scan stops at the first with two, or once it has
+ * seen all n_unsup of them.  It reads unsup a word of eight flags at a time
+ * and visits only the set bytes of each. */
+static int32_t fewest_free(const S *s) {
+    const int32_t *nfree = s->nfree;
+    const int8_t *unsup = s->unsup;
+    int32_t best = -1, left = s->n_unsup;
+    for (int32_t a = 0; left; a += 8) {
+        uint64_t w;
+        memcpy(&w, unsup + a, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        w = __builtin_bswap64(w); /* flag a + i in bits 8i to 8i + 7 */
+#endif
+        for (; w; w &= w - 1) { /* each flag is 0 or 1: one set bit per flagged byte */
+            int32_t x = a + (__builtin_ctzll(w) >> 3);
+            left--;
+            if (best < 0 || nfree[x] < nfree[best]) {
+                best = x;
+                if (nfree[x] <= 2) return x;
             }
         }
-        int32_t b = first_free_body(s->boff, s->badj, val, best);
+    }
+    return best;
+}
+
+/* The atom to branch on, or -1 at a leaf: the first free candidate of
+ * fewest_free's atom, else the first unassigned atom of the degree order.
+ * Along one branch atoms are only ever assigned, so every atom of the degree
+ * order before s->cursor stays assigned until the search backtracks past the
+ * decision that set it. */
+static int32_t decide(S *s) {
+    const int32_t n = s->n;
+    const int8_t *val = s->val;
+    if (s->n_unsup) {
+        int32_t b = first_free_body(s->boff, s->badj, val, fewest_free(s));
         if (b >= 0) return b;
     }
     for (int32_t i = s->cursor; i < n; i++)
@@ -190,16 +222,13 @@ static void csr(int32_t n, int64_t m, const int32_t *by, const int32_t *to, int3
  * give 0 first). */
 int randasp_check(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, const uint8_t *bits) {
     int64_t r = 0;
+    int bad = 0;
     for (int32_t a = 0; a < n; a++) {
-        int in = bits[a >> 3] >> (a & 7) & 1, supported = 0;
-        for (; r < m && heads[r] == a; r++)
-            if (!(bits[bodies[r] >> 3] >> (bodies[r] & 7) & 1)) {
-                if (!in) return 0; /* a and its body both outside S */
-                supported = 1;
-            }
-        if (in && !supported) return 0;
+        int in = bits[a >> 3] >> (a & 7) & 1, supported = 0; /* supported: a body of a outside S */
+        for (; r < m && heads[r] == a; r++) supported |= !(bits[bodies[r] >> 3] >> (bodies[r] & 7) & 1);
+        bad |= in ^ supported; /* a in S unsupported, or a outside S with a body outside S */
     }
-    return r == m ? 1 : -1; /* a rule left over: its head came out of order */
+    return bad ? 0 : r == m ? 1 : -1; /* a rule left over: its head came out of order */
 }
 
 /* randasp_trial's error codes, -1 to -6; search returns -1 and -5 too */
@@ -226,13 +255,12 @@ static int keep(Leaves *k, const int8_t *val) {
         k->masks = masks, k->cap = cap;
     }
     uint8_t *bits = memset(k->masks + (size_t)k->kept++ * nb, 0, nb);
-    for (int32_t a = 0; a < k->n; a++)
-        if (val[a] == IN) bits[a >> 3] |= (uint8_t)(1u << (a & 7));
+    for (int32_t a = 0; a < k->n; a++) bits[a >> 3] |= (uint8_t)((val[a] == IN) << (a & 7));
     return k->limit > 0 && k->kept >= k->limit;
 }
 
-/* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, sorted by
- * head, over n < 2^29 atoms and hands each leaf to keep(leaves, s.val).
+/* Searches the program `heads[r] <- not bodies[r]`, r < m < 2^31, distinct
+ * and sorted by head, over n < 2^29 atoms and hands each leaf to keep(leaves, s.val).
  * counts gets the propagate and apply calls.  Returns 0, TRIAL_NO_MEMORY, or
  * TRIAL_STOPPED when *stop is nonzero at a decision (counts then unset). */
 static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, Leaves *leaves,
@@ -241,13 +269,13 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     size_t depth = 0, cap = 0;
     s.hoff = calloc((size_t)n + 1, 4), s.boff = calloc((size_t)n + 1, 4);
     s.hadj = malloc((size_t)m * 4 + 4), s.badj = bodies;
-    s.order = malloc((size_t)n * 4 + 4);
+    s.order = malloc((size_t)n * 4 + 4), s.cand = malloc((size_t)m * 4 + 4);
     s.queue = malloc(((size_t)m * 3 + (size_t)n * 3 + 1) * 4); /* see the bound below */
     size_t snap = (size_t)n * 6; /* the searched state, nfree | val | unsup, in one block */
-    uint8_t *state = calloc(snap + 1, 1), *snaps = NULL;
+    uint8_t *state = calloc(snap + 8, 1), *snaps = NULL; /* + 8: zeros for fewest_free's last word */
     int32_t *decided = NULL, *cnt = calloc(2 * (size_t)m + 2, 4); /* decided: (atom, n_unsup, cursor) */
     int rc = TRIAL_NO_MEMORY;
-    if (!s.hoff || !s.boff || !s.hadj || !s.order || !s.queue || !state || !cnt)
+    if (!s.hoff || !s.boff || !s.hadj || !s.order || !s.cand || !s.queue || !state || !cnt)
         goto done;
     s.nfree = (int32_t *)state, s.val = (int8_t *)(state + (size_t)n * 4), s.unsup = (int8_t *)(state + (size_t)n * 5);
     csr(n, m, bodies, heads, s.hoff, s.hadj); /* heads_of[body] */
@@ -313,7 +341,7 @@ static int search(int32_t n, int64_t m, const int32_t *heads, const int32_t *bod
     counts[0] = s.propagations, counts[1] = s.applies;
     rc = taken < 0 ? taken : 0;
 done:
-    free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.queue);
+    free(s.hoff), free(s.boff), free(s.hadj), free(s.order), free(s.cand), free(s.queue);
     free(state), free(snaps), free(decided), free(cnt);
     return rc;
 }

@@ -78,6 +78,54 @@ static void two_cycles(int32_t k) {
     free(heads), free(twin), free(bodies), free(sums);
 }
 
+/* The search of a program written out: it must reach exactly the leaves
+ * want, in this order, with the propagate and apply calls want_counts. */
+static void searched(int32_t n, int64_t m, const int32_t *heads, const int32_t *bodies, int64_t leaves,
+                     const uint8_t *want, const int64_t *want_counts) {
+    uint8_t *masks;
+    int64_t counts[2], full[2];
+    EXPECT(enumerated(n, m, heads, bodies, full) == leaves);
+    EXPECT(randasp_enumerate(n, m, heads, bodies, 0, &masks, counts) == leaves);
+    EXPECT(!memcmp(counts, want_counts, sizeof counts) && !memcmp(full, want_counts, sizeof full));
+    EXPECT(!leaves || !memcmp(masks, want, (size_t)leaves * (((size_t)n + 7) / 8)));
+    randasp_free(masks);
+}
+
+/* A star: every atom but c = n - 1 has the one rule a <- not c, so c is
+ * the body of n - 1 rules and an IN assignment of c defers every one of
+ * their heads, each left without a candidate.  With the contradiction
+ * c <- not c the root assigns c IN, which defers all n heads, c's own
+ * last: cand takes one head for each of the m = n rules, the other n - 1
+ * heads are pushed OUT, and c conflicts.
+ * Without it, c <- not 0 is c's rule: c is decided, OUT first, and the
+ * leaves are everything but c, then c alone. */
+static void star(int32_t n, int contradiction) {
+    int32_t c = n - 1, *heads = malloc((size_t)n * 4), *bodies = malloc((size_t)n * 4);
+    for (int32_t a = 0; a < n; a++) heads[a] = a, bodies[a] = c;
+    if (!contradiction) bodies[c] = 0;
+    size_t nb = ((size_t)n + 7) / 8;
+    uint8_t *want = calloc(2, nb);
+    for (int32_t a = 0; a < c; a++) want[a >> 3] |= (uint8_t)(1u << (a & 7));
+    want[nb + (c >> 3)] |= (uint8_t)(1u << (c & 7));
+    const int64_t root_conflict[2] = {1, 1}, both_branches[2] = {3, 2 * (int64_t)n + 2};
+    searched(n, n, heads, bodies, contradiction ? 0 : 2, want, contradiction ? root_conflict : both_branches);
+    free(heads), free(bodies), free(want);
+}
+
+/* Two deferred heads that each reach their last candidate in one apply, the
+ * second of them in conflict, below the root: of the programs over up to
+ * six atoms that a random search met, the one with a leaf and the fewest
+ * rules.  In the IN branch of the decision 1, 4 OUT pushes 3 IN above the
+ * 3 OUT that the IN head 2 asked for, with only 3 left.  3 IN then defers
+ * the heads 1 and 2, both IN: 1 pushes its last candidate 0 OUT, and 2,
+ * left without one, conflicts. */
+static void deferred_conflict(void) {
+    static const int32_t heads[] = {0, 1, 1, 2, 2, 2, 3, 3, 3, 4}, bodies[] = {1, 0, 3, 1, 2, 3, 1, 2, 4, 1};
+    static const uint8_t want[] = {0x1d}; /* {0, 2, 3, 4}, the OUT branch's */
+    static const int64_t want_counts[2] = {3, 10};
+    searched(5, 10, heads, bodies, 1, want, want_counts);
+}
+
 /* randasp_sample's draw from stream seed, checked against the two walks,
  * taken again here: its keys h * n + b strictly increase, its rules with
  * head != body are the pure walk's in walk order, and the others are the
@@ -148,6 +196,8 @@ static void growth(void) {
 int main(void) {
     growth();
     two_cycles(10);
+    star(100, 1), star(100, 0), star(9, 1), star(9, 0);
+    deferred_conflict();
     static const int64_t n200[16] = {0, 0, 0, 2, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0};
     static const int64_t n60[16] = {0, 1, 4, 0, 3, 2, 0, 2, 2, 0, 0, 0, 1, 0, 0, 1};
     draws(200, 5.0, 0.0, n200);

@@ -319,7 +319,7 @@ class TestWorkers:
             run_avg_experiment(cfg, workers=3)
         assert len(calls) == 2 and threading.active_count() == before
 
-    def test_the_parent_loads_the_kernel_before_the_pool_forks(self, fresh_cache):
+    def test_the_sweep_loads_the_kernel_before_its_threads_start(self, fresh_cache):
         # `_sweep` loads the kernel, once, before it starts any thread, so
         # no two threads race to hash the source or compile it on a cold
         # cache.

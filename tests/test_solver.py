@@ -588,9 +588,16 @@ class TestKernelLeafStep:
     # the cases above and on drawn programs, and tally, randasp_trial's last
     # step, on leaves of arrays out of head order, which no Python call can
     # hand it: the first leaf that fails its check stops tally with
-    # TRIAL_REJECTED.
+    # TRIAL_REJECTED.  The sanitized driver also runs at -O2 (the last -O
+    # wins), the level `_kernel.CC` builds the kernel at.
     @pytest.mark.parametrize(
-        "flags", [(), ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")], ids=["plain", "sanitized"]
+        "flags",
+        [
+            (),
+            ("-fsanitize=address,undefined", "-fno-sanitize-recover=all"),
+            ("-O2", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"),
+        ],
+        ids=["plain", "sanitized", "sanitized-O2"],
     )
     def test_the_c_driver_passes(self, tmp_path, flags):
         exe = tmp_path / "kernel_sanitize"
@@ -676,7 +683,7 @@ class TestKernelBuild:
             assert str(error.value) == f"the search kernel needs a directory that only this user can write; tried: {tried}"
         assert list(fresh_cache.rglob("*.so")) == []  # nothing built
 
-    def test_without_a_compiler_the_search_runs_in_python(self, fresh_cache, monkeypatch):
+    def test_without_a_compiler_the_search_raises(self, fresh_cache, monkeypatch):
         # Not any more: without a compiler a search fails at once, naming the compiler command.
         monkeypatch.setattr(_kernel, "CC", ("randasp-no-such-compiler", *_kernel.CC[1:]))
         cc = "randasp-no-such-compiler -O2 -shared -fPIC -x c - -lm"
@@ -690,6 +697,22 @@ class TestKernelBuild:
         monkeypatch.setattr(_kernel, "source", lambda: b"#error no kernel here\nint x = ;\n")
         with pytest.raises(RuntimeError, match=r"^the search kernel needs a C compiler, and `cc .*` failed: .*no kernel here$"):
             _kernel.load()
+
+    def test_a_failed_build_is_kept_and_the_compiler_runs_once(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(_kernel, "source", lambda: b"#error no kernel here\n")
+        runs, run = [], subprocess.run
+        monkeypatch.setattr(subprocess, "run", lambda cmd, *args, **kw: runs.append(cmd[0]) or run(cmd, *args, **kw))
+        params, texts = LinearModelParams(20, 3.0, 0.0), set()
+        for seed in range(3):
+            with pytest.raises(RuntimeError) as error:
+                generate(params, seed)
+            texts.add(str(error.value))
+        (text,) = texts
+        assert text.startswith("the search kernel needs a C compiler, and `cc ") and runs == ["cc"]
+        _kernel.load.cache_clear()  # forgets the failure: the next call builds again
+        with pytest.raises(RuntimeError, match="no kernel here"):
+            _kernel.load()
+        assert runs == ["cc", "cc"]
 
     def test_concurrent_builds_leave_one_loadable_file(self, tmp_path):
         path = tmp_path / "search.so"
